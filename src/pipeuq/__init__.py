@@ -5,7 +5,7 @@ through a classifier/fixer/classifier pipeline: closed-form metrics, p-box
 interval bounds, and a seeded Monte Carlo simulator, with a CLI on top.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ConfigError,
@@ -60,14 +60,8 @@ from .evidence import (
     to_pbox,
 )
 from .simulator import (
-    Item,
-    Items,
     SimulationReport,
-    StageLabel,
     TrialOutcome,
-    apply_fixer,
-    classify,
-    generate_ground_truth,
     run_experiment,
     run_trial,
     trial_seed,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from .errors import EvidenceFormatError, InvalidParameterError
 from .evidence import DEFAULT_RECALL_PBOX
@@ -88,7 +87,7 @@ DEFAULT_TOOL_RECORDS = (
 def _z_two_sided(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise InvalidParameterError(f"confidence must lie in (0, 1), got {confidence!r}")
-    return float(norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def _validate_counts(successes: int, trials: int) -> None:
@@ -236,7 +235,10 @@ def load_tool_records(source) -> tuple[ToolRecord, ...]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            row = [cell.strip() for cell in next(csv.reader([line]))]
+            try:
+                row = [cell.strip() for cell in next(csv.reader([line]))]
+            except csv.Error as exc:
+                raise EvidenceFormatError(str(exc), lineno) from exc
             if not saw_header:
                 if row != _TOOL_HEADER:
                     raise EvidenceFormatError(

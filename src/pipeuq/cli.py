@@ -26,7 +26,6 @@ import json
 import sys
 import traceback
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 
 from . import __version__
 from .config import (
@@ -75,17 +74,12 @@ __all__ = [
 
 @dataclass
 class ReportEnvelope:
-    """A command's full result: version, config echo, payload, timestamp.
-
-    ``created_at`` is bookkeeping only; no output format serializes it, so
-    identical configs yield identical reports.
-    """
+    """A command's full result: version, config echo and payload."""
 
     version: str
     command: str
     config: dict
     results: dict
-    created_at: str
 
     def to_json(self) -> str:
         doc = {"version": self.version, "config": self.config, "results": self.results}
@@ -102,7 +96,6 @@ def _envelope(command: str, cfg: RunConfig, results: dict) -> ReportEnvelope:
         command=command,
         config=config,
         results=results,
-        created_at=datetime.now(timezone.utc).isoformat(),
     )
 
 

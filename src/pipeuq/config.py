@@ -144,6 +144,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         errors.append(f"n_items: must be >= 1, got {cfg.n_items!r}")
     if cfg.trials < 1:
         errors.append(f"trials: must be >= 1, got {cfg.trials!r}")
+    if cfg.seed < 0:
+        errors.append(f"seed: must be >= 0, got {cfg.seed!r}")
     if cfg.case_n_items < 1:
         errors.append(f"case_n_items: must be >= 1, got {cfg.case_n_items!r}")
     for name in ("prevalence", "fix_rate"):

@@ -288,7 +288,7 @@ def pipeline_false_positives(
 
 
 def fixer_load(profile: ClassifierProfile, domain: DomainSpec, recall=None):
-    """Items handed to the fixer and second classifier: ``rec / prec * P * N``
+    """Number of items handed to the fixer and second classifier: ``rec / prec * P * N``
     (first-stage true plus false positives)."""
     rec = profile.recall if recall is None else recall
     _check_unit(rec, "recall")

@@ -1,52 +1,51 @@
 """Seeded Monte Carlo simulation of the detect -> fix -> re-detect pipeline.
 
-One trial walks a synthetic population through the whole pipeline:
+The simulator is count-level. Every item of a trial goes through the same
+independent Bernoulli steps, so every stage's confusion counts are exactly
+binomial, and one trial is seven binomial draws in this order:
 
-1. ground truth: each of ``n_items`` items is vulnerable with probability
-   ``prevalence``;
-2. first classifier: vulnerable items labeled TP with probability ``recall``
-   else FN; clean items labeled TN with probability ``specificity`` else FP;
-3. fixer: every positive-labeled item (TP and FP) is repaired with
-   probability ``fix_rate`` and independently broken with ``break_rate``;
-4. second classifier: same recall and specificity, applied to every item that
-   went through the fixer and judged against its post-fixer vulnerability;
-   items never sent keep their first-stage labels;
+1. ground truth: ``V ~ Bin(n_items, prevalence)`` vulnerable items;
+2. first classifier: ``TP1 ~ Bin(V, recall)`` and
+   ``TN1 ~ Bin(n_items - V, specificity)``; the rest are FN1 and FP1;
+3. fixer: every positive-labeled item (TP1 + FP1) is repaired with
+   probability ``fix_rate`` and independently broken with ``break_rate``.
+   A detected vulnerability stays vulnerable unless it is repaired and not
+   broken, a false alarm becomes vulnerable only when broken, so
+   ``V2 = Bin(TP1, 1 - (1 - break_rate) * fix_rate) + Bin(FP1, break_rate)``;
+4. second classifier: the same recall and specificity applied to the items
+   that went through the fixer, ``TP2 ~ Bin(V2, recall)`` and
+   ``TN2 ~ Bin(TP1 + FP1 - V2, specificity)``; items never sent keep their
+   first-stage labels;
 5. counter: tp_out = tp2, fn_out = fn1 + fn2, tn_out = tn1 + tn2,
    fp_out = fp2; final prevalence = (tp_out + fn_out) / n_items; realized fix
    rate = 1 - final_prevalence / prevalence; fn growth = fn_out / fn1.
 
-Reproducibility contract: a trial consumes uniforms in a fixed order (ground
-truth n, first classifier n, fixer fix m then break m, second classifier m,
-with m the positive-labeled count), and every trial's integer seed is derived
-from ``(master_seed, stream_code, trial_index)`` via ``numpy.random
-.SeedSequence``. Reports are therefore identical for a given master seed
-regardless of execution order, trial scheduling, or kernel backend.
+A trial's time and memory do not depend on ``n_items``.
+
+Reproducibility contract: a trial makes its seven draws in the order above
+from one ``numpy.random.default_rng(seed)``, and every trial's integer seed is
+derived from ``(master_seed, stream_code, trial_index)`` via ``numpy.random
+.SeedSequence``. A trial therefore depends only on its coordinates, and
+reports are identical for a given master seed regardless of execution order
+or trial scheduling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import IntEnum
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import ClassifierProfile, ConfusionCounts, DomainSpec, FixerSpec, _check_unit
 from .errors import InvalidParameterError
 from .pbox import Interval, PBoxParams, sample_recall_streams
 
 __all__ = [
-    "StageLabel",
-    "Item",
-    "Items",
     "TrialOutcome",
     "SimulationReport",
     "METRICS",
     "STREAM_OPTIMISTIC",
     "STREAM_PESSIMISTIC",
-    "generate_ground_truth",
-    "classify",
-    "apply_fixer",
     "run_trial",
     "run_experiment",
     "trial_seed",
@@ -56,82 +55,6 @@ METRICS = ("final_prevalence", "real_fix_rate", "fn_ratio")
 STREAM_OPTIMISTIC = "optimistic"
 STREAM_PESSIMISTIC = "pessimistic"
 _STREAM_CODES = {STREAM_OPTIMISTIC: 1, STREAM_PESSIMISTIC: 2}
-
-
-class StageLabel(IntEnum):
-    UNVISITED = _kernels.UNVISITED
-    TP = _kernels.TP
-    FN = _kernels.FN
-    TN = _kernels.TN
-    FP = _kernels.FP
-
-
-@dataclass(frozen=True)
-class Item:
-    """Scalar view of one simulated item."""
-
-    id: int
-    truly_vulnerable: bool
-    stage_label: StageLabel
-    went_through_fixer: bool
-    fixed: bool
-    broken: bool
-
-
-@dataclass
-class Items:
-    """A population stored column-wise as numpy arrays (one row per item)."""
-
-    ids: np.ndarray
-    truly_vulnerable: np.ndarray
-    stage_label: np.ndarray
-    went_through_fixer: np.ndarray
-    fixed: np.ndarray
-    broken: np.ndarray
-
-    @classmethod
-    def from_flags(cls, vulnerable: np.ndarray) -> "Items":
-        n = len(vulnerable)
-        return cls(
-            ids=np.arange(n, dtype=np.int64),
-            truly_vulnerable=vulnerable.astype(bool).copy(),
-            stage_label=np.full(n, _kernels.UNVISITED, dtype=np.uint8),
-            went_through_fixer=np.zeros(n, dtype=bool),
-            fixed=np.zeros(n, dtype=bool),
-            broken=np.zeros(n, dtype=bool),
-        )
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def item(self, i: int) -> Item:
-        return Item(
-            id=int(self.ids[i]),
-            truly_vulnerable=bool(self.truly_vulnerable[i]),
-            stage_label=StageLabel(int(self.stage_label[i])),
-            went_through_fixer=bool(self.went_through_fixer[i]),
-            fixed=bool(self.fixed[i]),
-            broken=bool(self.broken[i]),
-        )
-
-    def take(self, indices: np.ndarray) -> "Items":
-        """Copy out the rows at ``indices`` as a new population."""
-        return Items(
-            ids=self.ids[indices],
-            truly_vulnerable=self.truly_vulnerable[indices],
-            stage_label=self.stage_label[indices],
-            went_through_fixer=self.went_through_fixer[indices],
-            fixed=self.fixed[indices],
-            broken=self.broken[indices],
-        )
-
-    def put(self, indices: np.ndarray, other: "Items") -> None:
-        """Write ``other``'s rows back into this population at ``indices``."""
-        self.truly_vulnerable[indices] = other.truly_vulnerable
-        self.stage_label[indices] = other.stage_label
-        self.went_through_fixer[indices] = other.went_through_fixer
-        self.fixed[indices] = other.fixed
-        self.broken[indices] = other.broken
 
 
 @dataclass(frozen=True)
@@ -172,56 +95,11 @@ class SimulationReport:
         return self.outcomes_optimistic + self.outcomes_pessimistic
 
 
-def generate_ground_truth(domain: DomainSpec, seed) -> Items:
-    """Independently mark each item vulnerable with probability ``prevalence``.
-
-    ``seed`` may be an int or an existing ``numpy.random.Generator``.
-    """
-    if domain.n_items < 1:
-        raise InvalidParameterError("ground truth needs at least one item")
-    rng = np.random.default_rng(seed)
-    u = rng.random(domain.n_items)
-    return Items.from_flags(u < domain.prevalence)
-
-
-def classify(items: Items, profile: ClassifierProfile, seed, backend: str | None = None) -> ConfusionCounts:
-    """Label every item in place against its current vulnerability flag.
-
-    Draws one uniform per item. Vulnerable items become TP with probability
-    ``recall`` else FN; clean items become TN with probability ``specificity``
-    else FP. Returns the integer confusion counts.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.random(len(items))
-    labels, tp, fn, tn, fp = _kernels.classify_counts(
-        items.truly_vulnerable, u, profile.recall, profile.specificity, backend
-    )
-    items.stage_label[:] = labels
-    return ConfusionCounts(tp, fn, tn, fp)
-
-
-def apply_fixer(items: Items, fixer: FixerSpec, seed, backend: str | None = None) -> Items:
-    """Run the fixer over a population of positive-labeled items, in place.
-
-    Draws one fix uniform and one break uniform per item. A fixed (and not
-    broken) item's vulnerability flag is cleared; a broken item's flag is set.
-    With ``break_rate = 0`` a clean item can never come out vulnerable.
-    """
-    labels = items.stage_label
-    if not bool(np.all((labels == _kernels.TP) | (labels == _kernels.FP))):
-        raise InvalidParameterError("apply_fixer expects only positive-labeled items")
-    rng = np.random.default_rng(seed)
-    n = len(items)
-    u_fix = rng.random(n)
-    u_break = rng.random(n)
-    fixed, broken, post = _kernels.fixer_flags(
-        items.truly_vulnerable, u_fix, u_break, fixer.fix_rate, fixer.break_rate, backend
-    )
-    items.fixed[:] = fixed
-    items.broken[:] = broken
-    items.truly_vulnerable[:] = post
-    items.went_through_fixer[:] = True
-    return items
+def _detect(rng, vulnerable: int, clean: int, recall: float, specificity: float) -> ConfusionCounts:
+    """One classifier pass over ``vulnerable`` and ``clean`` items: two draws."""
+    tp = int(rng.binomial(vulnerable, recall))
+    tn = int(rng.binomial(clean, specificity))
+    return ConfusionCounts(tp, vulnerable - tp, tn, clean - tn)
 
 
 def run_trial(
@@ -230,30 +108,29 @@ def run_trial(
     fixer: FixerSpec,
     recall: float,
     seed: int,
-    backend: str | None = None,
 ) -> TrialOutcome:
     """One full pipeline pass at a fixed recall.
 
     ``recall`` overrides ``profile.recall`` (the profile still supplies the
-    specificity). All stages share one generator seeded with ``seed``.
+    specificity). The seven draws share one generator seeded with ``seed``.
     """
     _check_unit(recall, "recall")
-    prof = replace(profile, recall=float(recall))
-    rng = np.random.default_rng(int(seed))
-    items = generate_ground_truth(domain, rng)
-    counts_first = classify(items, prof, rng, backend)
-    sent = np.flatnonzero(
-        (items.stage_label == _kernels.TP) | (items.stage_label == _kernels.FP)
-    )
-    if sent.size:
-        sub = items.take(sent)
-        apply_fixer(sub, fixer, rng, backend)
-        counts_second = classify(sub, prof, rng, backend)
-        items.put(sent, sub)
-    else:
-        counts_second = ConfusionCounts(0, 0, 0, 0)
-
     n = domain.n_items
+    if n < 1:
+        raise InvalidParameterError("a trial needs at least one item")
+    recall, spec = float(recall), profile.specificity
+    rng = np.random.default_rng(int(seed))
+    vulnerable = int(rng.binomial(n, domain.prevalence))
+    counts_first = _detect(rng, vulnerable, n - vulnerable, recall, spec)
+    sent = counts_first.tp + counts_first.fp
+    # a detected vulnerability survives unless repaired and not broken; a
+    # false alarm becomes vulnerable only when broken
+    survives = 1.0 - (1.0 - fixer.break_rate) * fixer.fix_rate
+    vulnerable_after = int(rng.binomial(counts_first.tp, survives)) + int(
+        rng.binomial(counts_first.fp, fixer.break_rate)
+    )
+    counts_second = _detect(rng, vulnerable_after, sent - vulnerable_after, recall, spec)
+
     tp_out = counts_second.tp
     fn_out = counts_first.fn + counts_second.fn
     final_prevalence = (tp_out + fn_out) / n
@@ -274,7 +151,7 @@ def run_trial(
         final_prevalence=final_prevalence,
         real_fix_rate=real_fix_rate,
         fn_ratio=fn_ratio,
-        recall_used=float(recall),
+        recall_used=recall,
         seed_used=int(seed),
     )
 
@@ -319,7 +196,6 @@ def run_experiment(
     pbox: PBoxParams,
     trials: int,
     master_seed: int,
-    backend: str | None = None,
 ) -> SimulationReport:
     """Run ``trials`` pipeline passes per recall stream and aggregate intervals.
 
@@ -339,7 +215,7 @@ def run_experiment(
         (STREAM_PESSIMISTIC, streams.pessimistic),
     ):
         outcomes[stream] = tuple(
-            run_trial(domain, profile, fixer, float(rec), trial_seed(master_seed, stream, i), backend)
+            run_trial(domain, profile, fixer, float(rec), trial_seed(master_seed, stream, i))
             for i, rec in enumerate(values)
         )
     intervals, undefined_fix, undefined_ratio = _aggregate(outcomes)

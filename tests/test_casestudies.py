@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from pipeuq import (
     DEFAULT_TOOL_RECORDS,
@@ -32,6 +34,11 @@ class TestQuantile:
     def test_reproduces_published_normal_quantile(self):
         # two-sided 95% point of the standard normal, to >= 6 decimals
         assert abs(_z_two_sided(0.95) - 1.959963984540054) < 1e-9
+
+    def test_matches_scipy_normal_quantile(self):
+        for confidence in np.linspace(0.5, 0.999999, 101):
+            expected = norm.ppf(0.5 + confidence / 2.0)
+            assert abs(_z_two_sided(confidence) - expected) < 1e-12
 
     def test_confidence_range_enforced(self):
         with pytest.raises(InvalidParameterError):
@@ -132,6 +139,14 @@ class TestRuleBasedCaseStudy:
         path.write_text("tool,fixed,total\nACS,16,22\n")
         with pytest.raises(EvidenceFormatError):
             load_tool_records(path)
+
+    def test_csv_loader_reports_unparseable_row(self, tmp_path):
+        # a field longer than the csv module's limit is a format error, not a crash
+        path = tmp_path / "tools.csv"
+        path.write_text("name,correct,generated\n" + "x" * 200_000 + ",1,2\n")
+        with pytest.raises(EvidenceFormatError) as err:
+            load_tool_records(path)
+        assert err.value.line == 2
 
 
 class TestComposedCase:

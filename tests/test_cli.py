@@ -93,6 +93,12 @@ class TestSimulate:
         entry = doc["results"]["final_prevalence"][0]
         assert len(entry["trials"]) == 20  # both streams
 
+    def test_huge_population_runs_in_bounded_memory(self, capsys):
+        argv = ["simulate", "--n-items", str(10**12), "--trials", "2",
+                "--prevalence", "0.5", "--fix-rate", "0.7", "--output", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["n_items"] == 10**12
+
     def test_table_mentions_mode(self, capsys):
         assert main(FAST_SIM) == 0
         text = capsys.readouterr().out
@@ -170,6 +176,11 @@ class TestCaseStudy:
         assert main(["case-study", "rule-based", "--tools", str(path)]) == 0
         assert "MyTool" in capsys.readouterr().out
 
+    def test_unparseable_tools_csv_is_validation_error(self, tmp_path):
+        path = tmp_path / "tools.csv"
+        path.write_text("name,correct,generated\n" + "x" * 200_000 + ",1,2\n")
+        assert main(["case-study", "rule-based", "--tools", str(path)]) == 2
+
     def test_unknown_which_is_usage_error(self):
         assert main(["case-study", "bogus"]) == 2
 
@@ -234,6 +245,8 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert main(["simulate", "--mode", "weird"]) == 2
+        assert main(["simulate", "--seed", "-1"]) == 2
+        assert main(["pbox-sample", "--seed", "-1"]) == 2
 
     def test_out_path_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"

@@ -1,7 +1,9 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from pipeuq import (
     ClassifierProfile,
@@ -9,10 +11,6 @@ from pipeuq import (
     FixerSpec,
     InvalidParameterError,
     PBoxParams,
-    StageLabel,
-    apply_fixer,
-    classify,
-    generate_ground_truth,
     run_experiment,
     run_trial,
     trial_seed,
@@ -22,148 +20,148 @@ from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC
 BOX = PBoxParams(0.07, 1.00, 0.74)
 
 
-def chain(domain, profile, fixer, seed):
-    """Staged-op pipeline pass returning (items, counts1, counts2, ground_flags)."""
-    rng = np.random.default_rng(seed)
-    items = generate_ground_truth(domain, rng)
-    ground = items.truly_vulnerable.copy()
-    counts1 = classify(items, profile, rng)
-    sent = np.flatnonzero((items.stage_label == StageLabel.TP) | (items.stage_label == StageLabel.FP))
-    sub = items.take(sent)
-    apply_fixer(sub, fixer, rng)
-    counts2 = classify(sub, profile, rng)
-    items.put(sent, sub)
-    return items, counts1, counts2, ground
+def trial(n, prevalence, recall, specificity=0.0, fix_rate=0.5, break_rate=0.0, seed=1):
+    return run_trial(
+        DomainSpec(n, prevalence),
+        ClassifierProfile(1.0, specificity=specificity),
+        FixerSpec(fix_rate, break_rate),
+        recall,
+        seed,
+    )
+
+
+def item_walk(n, P, rec, spec, f, b, rng):
+    """Reference item-level walk of one trial; returns its 8 confusion counts.
+
+    One uniform per item and step, each compared with a strict ``<``: ground
+    truth, first classifier, then fix, break and second classifier over the
+    positive-labeled items. A fixed item is cleared unless it is also broken;
+    a broken item is vulnerable.
+    """
+    vulnerable = rng.random(n) < P
+    u = rng.random(n)
+    tp1, tn1 = vulnerable & (u < rec), ~vulnerable & (u < spec)
+    fn1, fp1 = vulnerable & ~tp1, ~vulnerable & ~tn1
+    was_vulnerable = vulnerable[tp1 | fp1]
+    m = was_vulnerable.size
+    fixed = rng.random(m) < f
+    broken = rng.random(m) < b
+    post = broken | (was_vulnerable & ~fixed)
+    u2 = rng.random(m)
+    tp2, tn2 = post & (u2 < rec), ~post & (u2 < spec)
+    fn2, fp2 = post & ~tp2, ~post & ~tn2
+    return tuple(int(x.sum()) for x in (tp1, fn1, tn1, fp1, tp2, fn2, tn2, fp2))
+
+
+class TestItemWalkEquivalence:
+    """The count-level trial has the same count distribution as the item walk."""
+
+    TRIALS = 4000
+    N = 60
+
+    @pytest.mark.parametrize(
+        "P, rec, spec, f, b",
+        [
+            (0.5, 0.74, 0.3, 0.7, 0.2),  # filtering classifier, breaking fixer
+            (0.4, 0.6, 0.5, 0.0, 0.1),  # fixer repairs nothing
+            (0.6, 0.9, 0.2, 1.0, 0.0),  # fixer repairs everything
+            (0.3, 0.5, 0.4, 0.5, 1.0),  # fixer breaks everything
+            (0.5, 0.74, 0.0, 0.7, 0.0),  # the default sweep's classifier and fixer
+        ],
+    )
+    def test_counts_match_item_walk(self, P, rec, spec, f, b):
+        outs = [
+            trial(self.N, P, rec, spec, f, b, seed=trial_seed(3, STREAM_OPTIMISTIC, i))
+            for i in range(self.TRIALS)
+        ]
+        counts = np.array([astuple(o.counts_first) + astuple(o.counts_second) for o in outs])
+        rng = np.random.default_rng(4)
+        walked = np.array([item_walk(self.N, P, rec, spec, f, b, rng) for _ in range(self.TRIALS)])
+        for column in range(8):
+            assert ks_2samp(counts[:, column], walked[:, column]).pvalue >= 1e-4, column
 
 
 class TestGroundTruth:
     def test_zero_prevalence(self):
-        items = generate_ground_truth(DomainSpec(100, 0.0), seed=1)
-        assert not items.truly_vulnerable.any()
+        assert trial(100, 0.0, 0.7).counts_first.positives == 0
 
     def test_full_prevalence(self):
-        items = generate_ground_truth(DomainSpec(100, 1.0), seed=1)
-        assert items.truly_vulnerable.all()
+        assert trial(100, 1.0, 0.7).counts_first.positives == 100
 
     def test_empty_domain_rejected(self):
         with pytest.raises(InvalidParameterError):
-            generate_ground_truth(DomainSpec(0, 0.5), seed=1)
+            trial(0, 0.5, 0.7)
 
     def test_binomial_moments(self):
         n = 1_000_000
-        items = generate_ground_truth(DomainSpec(n, 0.5), seed=3)
-        count = int(items.truly_vulnerable.sum())
+        count = trial(n, 0.5, 0.7, seed=3).counts_first.positives
         assert abs(count - n / 2) < 3 * math.sqrt(n * 0.25)
 
     def test_deterministic(self):
-        a = generate_ground_truth(DomainSpec(500, 0.3), seed=9)
-        b = generate_ground_truth(DomainSpec(500, 0.3), seed=9)
-        assert np.array_equal(a.truly_vulnerable, b.truly_vulnerable)
-
-    def test_item_accessor(self):
-        items = generate_ground_truth(DomainSpec(10, 1.0), seed=0)
-        item = items.item(3)
-        assert item.id == 3
-        assert item.truly_vulnerable
-        assert item.stage_label is StageLabel.UNVISITED
-        assert not (item.went_through_fixer or item.fixed or item.broken)
+        assert trial(500, 0.3, 0.7, seed=9).counts_first == trial(500, 0.3, 0.7, seed=9).counts_first
 
 
 class TestClassify:
     def test_perfect_recall_labels_all_tp(self):
-        items = generate_ground_truth(DomainSpec(200, 1.0), seed=1)
-        counts = classify(items, ClassifierProfile(1.0), seed=2)
+        counts = trial(200, 1.0, 1.0).counts_first
         assert counts.tp == 200 and counts.fn == 0
-        assert np.all(items.stage_label == StageLabel.TP)
 
     def test_zero_recall_labels_all_fn(self):
-        items = generate_ground_truth(DomainSpec(200, 1.0), seed=1)
-        counts = classify(items, ClassifierProfile(0.0), seed=2)
+        counts = trial(200, 1.0, 0.0).counts_first
         assert counts.fn == 200 and counts.tp == 0
 
     def test_zero_specificity_flags_every_clean_item(self):
-        items = generate_ground_truth(DomainSpec(200, 0.0), seed=1)
-        counts = classify(items, ClassifierProfile(0.5, specificity=0.0), seed=2)
+        counts = trial(200, 0.0, 0.5, specificity=0.0).counts_first
         assert counts.fp == 200 and counts.tn == 0
 
     def test_full_specificity_clears_every_clean_item(self):
-        items = generate_ground_truth(DomainSpec(200, 0.0), seed=1)
-        counts = classify(items, ClassifierProfile(0.5, specificity=1.0), seed=2)
+        counts = trial(200, 0.0, 0.5, specificity=1.0).counts_first
         assert counts.tn == 200 and counts.fp == 0
-
-    def test_counts_match_labels(self):
-        items = generate_ground_truth(DomainSpec(500, 0.4), seed=5)
-        counts = classify(items, ClassifierProfile(0.6, specificity=0.3), seed=6)
-        labels = items.stage_label
-        assert counts.tp == int((labels == StageLabel.TP).sum())
-        assert counts.fn == int((labels == StageLabel.FN).sum())
-        assert counts.tn == int((labels == StageLabel.TN).sum())
-        assert counts.fp == int((labels == StageLabel.FP).sum())
-        assert counts.total == 500
 
 
 class TestApplyFixer:
-    def _positives(self, n, vulnerable_frac, seed):
-        items = generate_ground_truth(DomainSpec(n, vulnerable_frac), seed=seed)
-        classify(items, ClassifierProfile(1.0, specificity=0.0), seed=seed + 1)
-        return items
-
-    def test_rejects_unlabeled_items(self):
-        items = generate_ground_truth(DomainSpec(10, 0.5), seed=1)
-        with pytest.raises(InvalidParameterError):
-            apply_fixer(items, FixerSpec(0.5), seed=2)
-
     def test_perfect_fixer_clears_vulnerable_items(self):
-        items = self._positives(300, 1.0, seed=7)
-        apply_fixer(items, FixerSpec(1.0, 0.0), seed=8)
-        assert not items.truly_vulnerable.any()
-        assert items.fixed.all() and items.went_through_fixer.all()
-        assert not items.broken.any()
+        out = trial(300, 1.0, 1.0, fix_rate=1.0, break_rate=0.0, seed=7)
+        assert out.counts_second.positives == 0
+        assert out.counts_second.total == 300
 
     def test_zero_fix_rate_changes_nothing(self):
-        items = self._positives(300, 0.5, seed=7)
-        before = items.truly_vulnerable.copy()
-        apply_fixer(items, FixerSpec(0.0, 0.0), seed=8)
-        assert np.array_equal(items.truly_vulnerable, before)
-        assert not items.fixed.any()
-        assert items.went_through_fixer.all()
+        for seed in range(5):
+            out = trial(300, 0.5, 0.7, specificity=0.3, fix_rate=0.0, break_rate=0.0, seed=seed)
+            assert out.counts_second.positives == out.counts_first.tp
+            assert out.counts_second.total == out.counts_first.tp + out.counts_first.fp
 
     def test_false_positives_stay_clean_without_breakage(self):
-        items = self._positives(300, 0.0, seed=7)  # all FP
-        apply_fixer(items, FixerSpec(1.0, 0.0), seed=8)
-        assert not items.truly_vulnerable.any()
+        out = trial(300, 0.0, 1.0, fix_rate=1.0, break_rate=0.0, seed=7)  # all FP
+        assert out.counts_first.fp == 300
+        assert out.counts_second.positives == 0
 
     def test_breakage_sets_vulnerability(self):
-        items = self._positives(300, 0.0, seed=7)
-        apply_fixer(items, FixerSpec(0.5, 1.0), seed=8)
-        assert items.truly_vulnerable.all()
-        assert items.broken.all()
+        for seed in range(5):
+            out = trial(300, 0.0, 0.7, specificity=0.0, fix_rate=0.5, break_rate=1.0, seed=seed)
+            assert out.counts_second.positives == out.counts_first.fp == 300
 
     def test_fix_count_binomial(self):
         n = 1_000_000
-        items = self._positives(n, 1.0, seed=11)
-        apply_fixer(items, FixerSpec(0.5, 0.0), seed=12)
-        fixed = int(items.fixed.sum())
+        out = trial(n, 1.0, 1.0, fix_rate=0.5, break_rate=0.0, seed=11)
+        fixed = n - out.counts_second.positives
         assert abs(fixed - n / 2) < 3 * math.sqrt(n * 0.25)
 
 
 class TestChainInvariants:
     def test_no_breaking(self):
-        domain = DomainSpec(5000, 0.5)
         for seed in range(3):
-            items, *_, ground = chain(domain, ClassifierProfile(0.7), FixerSpec(0.6, 0.0), seed)
-            became_vulnerable = ~ground & items.truly_vulnerable
-            assert not became_vulnerable.any()
+            out = trial(5000, 0.5, 0.7, specificity=0.3, fix_rate=0.6, break_rate=0.0, seed=seed)
+            assert out.counts_second.positives <= out.counts_first.tp
 
     def test_no_degradation_fixed_items_never_positive(self):
-        domain = DomainSpec(5000, 0.5)
-        items, *_ , _ = chain(domain, ClassifierProfile(0.7), FixerSpec(0.6, 0.0), seed=4)
-        fixed_labels = items.stage_label[items.fixed & ~items.broken]
-        assert np.all((fixed_labels == StageLabel.TN) | (fixed_labels == StageLabel.FP))
+        for seed in range(3):
+            out = trial(5000, 0.5, 0.7, specificity=0.3, fix_rate=1.0, break_rate=0.0, seed=seed)
+            assert out.counts_second.tp == out.counts_second.fn == 0
 
     def test_items_conserved(self):
-        domain = DomainSpec(3000, 0.4)
-        _, c1, c2, _ = chain(domain, ClassifierProfile(0.6), FixerSpec(0.5), seed=5)
+        out = trial(3000, 0.4, 0.6, fix_rate=0.5, seed=5)
+        c1, c2 = out.counts_first, out.counts_second
         assert c2.total + c1.fn + c1.tn == 3000
 
 
