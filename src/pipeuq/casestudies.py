@@ -13,12 +13,11 @@ end-to-end fix rate in the interval implied by a recall p-box.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from statistics import NormalDist
 
 from .errors import EvidenceFormatError, InvalidParameterError
-from .evidence import DEFAULT_RECALL_PBOX
+from .evidence import DEFAULT_RECALL_PBOX, _read_headed_csv
 from .core import round_half_away
 from .pbox import Interval, PBoxParams, stream_mean_optimistic, stream_mean_pessimistic
 
@@ -224,39 +223,15 @@ _TOOL_HEADER = ["name", "correct", "generated"]
 
 
 def load_tool_records(source) -> tuple[ToolRecord, ...]:
-    """Parse tool records from a CSV (``name,correct,generated`` header,
-    ``#`` comments allowed)."""
-    own = not hasattr(source, "read")
-    fh = open(source, encoding="utf-8", newline="") if own else source
-    try:
-        records = []
-        saw_header = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = [cell.strip() for cell in next(csv.reader([line]))]
-            except csv.Error as exc:
-                raise EvidenceFormatError(str(exc), lineno) from exc
-            if not saw_header:
-                if row != _TOOL_HEADER:
-                    raise EvidenceFormatError(
-                        f"expected header {','.join(_TOOL_HEADER)!r}, got {line!r}", lineno
-                    )
-                saw_header = True
-                continue
-            if len(row) != 3:
-                raise EvidenceFormatError(f"expected 3 columns, got {len(row)}", lineno)
-            name, correct_text, generated_text = row
-            try:
-                correct, generated = int(correct_text), int(generated_text)
-            except ValueError as exc:
-                raise EvidenceFormatError(f"counts must be integers, got {line!r}", lineno) from exc
-            records.append(ToolRecord(name, correct, generated))
-        if not saw_header:
-            raise EvidenceFormatError(f"missing header {','.join(_TOOL_HEADER)!r}")
-        return tuple(records)
-    finally:
-        if own:
-            fh.close()
+    """Parse tool records from a CSV path or text stream
+    (``name,correct,generated`` header, ``#`` comments allowed)."""
+    records = []
+    for lineno, (name, correct_text, generated_text) in _read_headed_csv(source, _TOOL_HEADER):
+        try:
+            correct, generated = int(correct_text), int(generated_text)
+        except ValueError as exc:
+            raise EvidenceFormatError(
+                f"counts must be integers, got {correct_text!r} and {generated_text!r}", lineno
+            ) from exc
+        records.append(ToolRecord(name, correct, generated))
+    return tuple(records)

@@ -25,32 +25,23 @@ import io
 import json
 import sys
 import traceback
+from collections import defaultdict
 from dataclasses import asdict, dataclass
+from typing import Callable, Iterable
+
+import numpy as np
 
 from . import __version__
 from .config import (
     CI_METHODS,
-    COMMANDS,
     MODES,
     OUTLIER_POLICIES,
     OUTPUTS,
     RunConfig,
     build_config,
 )
-from .core import (
-    ClassifierProfile,
-    DomainSpec,
-    FixerSpec,
-    pipeline_false_negatives,
-    pipeline_false_positives,
-    pipeline_far,
-    pipeline_fix_rate,
-    pipeline_prevalence,
-    pipeline_true_positives,
-    pipeline_tpr,
-    fixer_load,
-)
-from .errors import DegenerateDomainError, PipeUQError
+from .core import ClassifierProfile, DomainSpec, FixerSpec, pipeline_outcome
+from .errors import PipeUQError
 from .evidence import group_by_metric, load_samples, remove_outliers, summarize, to_pbox
 from .casestudies import (
     DEFAULT_TOOL_RECORDS,
@@ -74,19 +65,27 @@ __all__ = [
 
 @dataclass
 class ReportEnvelope:
-    """A command's full result: version, config echo and payload."""
+    """A command's full result: version, config echo and payload.
+
+    ``columns`` and ``rows`` give the payload as one tidy table, which the csv
+    output writes as it stands and the table output formats. ``rows`` is a
+    zero-argument callable that yields the rows afresh on every call, so a
+    large payload is never copied.
+    """
 
     version: str
     command: str
     config: dict
     results: dict
+    columns: tuple[str, ...]
+    rows: Callable[[], Iterable[list]]
 
     def to_json(self) -> str:
         doc = {"version": self.version, "config": self.config, "results": self.results}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _envelope(command: str, cfg: RunConfig, results: dict) -> ReportEnvelope:
+def _envelope(command: str, cfg: RunConfig, results: dict, columns, rows) -> ReportEnvelope:
     # the output destination is not part of the experiment: identical configs
     # must yield identical reports wherever they are written
     config = {"command": command, **asdict(cfg)}
@@ -96,6 +95,8 @@ def _envelope(command: str, cfg: RunConfig, results: dict) -> ReportEnvelope:
         command=command,
         config=config,
         results=results,
+        columns=columns,
+        rows=rows,
     )
 
 
@@ -112,55 +113,51 @@ def _resolve_pbox(cfg: RunConfig) -> PBoxParams:
 # ---------------------------------------------------------------------------
 # commands
 
-_ANALYTIC_METRICS = (
-    "real_fix_rate",
-    "final_prevalence",
-    "tpr",
-    "far",
-    "fn_ratio",
-    "fn_final",
-    "tp_final",
-    "fp_final",
-    "fixer_load",
-)
+# report column -> PipelineOutcome field
+_ANALYTIC_METRICS = {
+    "real_fix_rate": "fix_rate_actual",
+    "final_prevalence": "prevalence_final",
+    "tpr": "tpr_final",
+    "far": "far_final",
+    "fn_ratio": "fn_ratio",
+    "fn_final": "fn_final",
+    "tp_final": "tp_final",
+    "fp_final": "fp_final",
+    "fixer_load": "fixer_load",
+}
 
 
 def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     """Closed-form metrics for every (prevalence, fix_rate) grid cell at the
-    configured point recall.
+    configured point recall, evaluated as one call over the whole grid.
 
     The realized fix rate is reported as undefined (null / "n/a") when
     prevalence is 0, and the false-alert rate when the domain degenerates to
     no negatives.
     """
-    profile = ClassifierProfile(cfg.recall, cfg.precision, cfg.specificity)
-    results: dict = {m: [] for m in _ANALYTIC_METRICS}
-    for p_r in cfg.prevalence:
-        domain = DomainSpec(cfg.n_items, p_r)
-        for f_r in cfg.fix_rate:
-            fixer = FixerSpec(f_r, cfg.break_rate)
-            rec = cfg.recall
-            fn_final, fn_ratio = pipeline_false_negatives(domain, fixer, rec)
-            try:
-                far = pipeline_far(profile, domain, fixer)
-            except DegenerateDomainError:
-                far = None
-            cell = {
-                "real_fix_rate": pipeline_fix_rate(fixer, rec) if p_r > 0 else None,
-                "final_prevalence": pipeline_prevalence(domain, fixer, rec),
-                "tpr": pipeline_tpr(rec, fixer),
-                "far": far,
-                "fn_ratio": fn_ratio,
-                "fn_final": fn_final,
-                "tp_final": pipeline_true_positives(domain, fixer, rec),
-                "fp_final": pipeline_false_positives(profile, domain, fixer),
-                "fixer_load": fixer_load(profile, domain),
-            }
-            for metric in _ANALYTIC_METRICS:
-                results[metric].append(
-                    {"prevalence": p_r, "fix_rate": f_r, "value": cell[metric]}
-                )
-    return _envelope("analytic", cfg, results)
+    prevalence, fix_rate = (
+        a.ravel() for a in np.meshgrid(cfg.prevalence, cfg.fix_rate, indexing="ij")
+    )
+    out = pipeline_outcome(
+        ClassifierProfile(cfg.recall, cfg.precision, cfg.specificity),
+        DomainSpec(cfg.n_items, prevalence),
+        FixerSpec(fix_rate),
+    )
+    values = [getattr(out, field) for field in _ANALYTIC_METRICS.values()]
+    values[0] = np.where(prevalence > 0, values[0], np.nan)  # nothing to fix at P = 0
+    # tolist() yields Python floats, whose repr the csv output relies on;
+    # NaN marks an undefined cell
+    table = [
+        [p, f, *(None if v != v else v for v in cell)]
+        for p, f, *cell in zip(prevalence.tolist(), fix_rate.tolist(), *(v.tolist() for v in values))
+    ]
+    results = {
+        metric: [{"prevalence": row[0], "fix_rate": row[1], "value": row[i]} for row in table]
+        for i, metric in enumerate(_ANALYTIC_METRICS, start=2)
+    }
+    return _envelope(
+        "analytic", cfg, results, ("prevalence", "fix_rate", *_ANALYTIC_METRICS), lambda: table
+    )
 
 
 def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
@@ -173,7 +170,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     profile = ClassifierProfile(1.0, cfg.precision, cfg.specificity)
     modes = ("extremes", "means") if cfg.mode == "both" else (cfg.mode,)
     results: dict = {m: [] for m in METRICS}
-    results["pbox"] = {"minimum": pbox.minimum, "maximum": pbox.maximum, "mean": pbox.mean}
+    results["pbox"] = asdict(pbox)
     for p_r in cfg.prevalence:
         domain = DomainSpec(cfg.n_items, p_r)
         for f_r in cfg.fix_rate:
@@ -199,7 +196,18 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
                     if cfg.trace:
                         entry["trials"] = [getattr(o, metric) for o in report.outcomes()]
                     results[metric].append(entry)
-    return _envelope("simulate", cfg, results)
+    columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
+    return _envelope(
+        "simulate",
+        cfg,
+        results,
+        columns,
+        lambda: (
+            [metric, e["mode"], e["prevalence"], e["fix_rate"], e["lo"], e["hi"], e.get("undefined")]
+            for metric in METRICS
+            for e in results[metric]
+        ),
+    )
 
 
 def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
@@ -211,26 +219,26 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
         "outlier_policy": cfg.outlier_policy,
         "outlier_k": cfg.outlier_k,
     }
+    columns = ("metric", "count", "publications", "min", "max", "mean", "removed")
+    table = []
     for metric, metric_samples in groups.items():
         if not metric_samples:
             results[metric] = None
             continue
         kept, removed = remove_outliers(metric_samples, cfg.outlier_policy, cfg.outlier_k)
         stats = summarize(kept)
-        pbox = to_pbox(stats)
+        row = [metric, stats.count, stats.publications, stats.minimum, stats.maximum, stats.mean,
+               len(removed)]
+        table.append(row)
         results[metric] = {
-            "count": stats.count,
-            "publications": stats.publications,
-            "min": stats.minimum,
-            "max": stats.maximum,
-            "mean": stats.mean,
-            "pbox": {"minimum": pbox.minimum, "maximum": pbox.maximum, "mean": pbox.mean},
+            **dict(zip(columns[1:6], row[1:6])),
+            "pbox": asdict(to_pbox(stats)),
             "removed": [
                 {"source_id": s.source_id, "metric": s.metric, "value": s.value}
                 for s in removed
             ],
         }
-    return _envelope("evidence", cfg, results)
+    return _envelope("evidence", cfg, results, columns, lambda: table)
 
 
 def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
@@ -238,42 +246,33 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
     if which == "rule-based":
         tools = load_tool_records(cfg.tools) if cfg.tools else DEFAULT_TOOL_RECORDS
         rows = rule_based_case_study(tools, cfg.confidence, cfg.method)
+        columns = ("name", "correct", "generated", "point", "lo", "hi")
+        table = [
+            [t.name, t.correct, t.generated, row.point, row.ci.lo, row.ci.hi]
+            for t, row in zip(tools, rows)
+        ]
         results = {
             "confidence": cfg.confidence,
             "method": cfg.method,
-            "tools": [
-                {
-                    "name": t.name,
-                    "correct": t.correct,
-                    "generated": t.generated,
-                    "point": row.point,
-                    "lo": row.ci.lo,
-                    "hi": row.ci.hi,
-                }
-                for t, row in zip(tools, rows)
-            ],
+            "tools": [dict(zip(columns, line)) for line in table],
         }
-        return _envelope("case-study", cfg, results)
+        return _envelope("case-study", cfg, results, columns, lambda: table)
     if which == "composed":
         report = composed_pipeline_case(
             cfg.case_n_items, cfg.case_recall, cfg.case_accuracy, _resolve_pbox(cfg)
         )
+        extremes, means = report.fix_rate_extremes, report.fix_rate_means
+        chain = ("n_items", "detected", "fixed", "residual")
+        columns = (*chain, "extremes_lo", "extremes_hi", "means_lo", "means_hi")
+        table = [[*(getattr(report, c) for c in chain), extremes.lo, extremes.hi, means.lo, means.hi]]
         results = {
-            "chain": {
-                "n_items": report.n_items,
-                "detected": report.detected,
-                "fixed": report.fixed,
-                "residual": report.residual,
-            },
+            "chain": dict(zip(chain, table[0])),
             "detector_recall": report.detector_recall,
             "repair_accuracy": report.repair_accuracy,
-            "fix_rate": {
-                "extremes": {"lo": report.fix_rate_extremes.lo, "hi": report.fix_rate_extremes.hi},
-                "means": {"lo": report.fix_rate_means.lo, "hi": report.fix_rate_means.hi},
-            },
+            "fix_rate": {"extremes": asdict(extremes), "means": asdict(means)},
             "notes": list(report.notes),
         }
-        return _envelope("case-study", cfg, results)
+        return _envelope("case-study", cfg, results, columns, lambda: table)
     raise PipeUQError(f"unknown case study {which!r}")  # pragma: no cover - argparse guards
 
 
@@ -289,14 +288,25 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
             "mean": float(values.mean()),
         }
     results = {
-        "pbox": {"minimum": pbox.minimum, "maximum": pbox.maximum, "mean": pbox.mean},
+        "pbox": asdict(pbox),
         "count": len(streams),
         "summary": summary,
-        "p_values": [float(v) for v in streams.p_values],
-        "optimistic": [float(v) for v in streams.optimistic],
-        "pessimistic": [float(v) for v in streams.pessimistic],
+        "p_values": streams.p_values.tolist(),
+        "optimistic": streams.optimistic.tolist(),
+        "pessimistic": streams.pessimistic.tolist(),
     }
-    return _envelope("pbox-sample", cfg, results)
+    return _envelope(
+        "pbox-sample",
+        cfg,
+        results,
+        ("index", "p", "optimistic", "pessimistic"),
+        lambda: (
+            [i, *draw]
+            for i, draw in enumerate(
+                zip(results["p_values"], results["optimistic"], results["pessimistic"])
+            )
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,221 +329,110 @@ def _format_columns(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
 
 
+def _titled(title: str, rows: list[list[str]]) -> str:
+    return title + "\n\n" + _format_columns(rows) + "\n"
+
+
 def _render_analytic_table(env: ReportEnvelope) -> str:
     cfg = env.config
-    head = (
+    title = (
         f"analytic pipeline metrics (recall={cfg['recall']}, precision={cfg['precision']}, "
         f"specificity={cfg['specificity']}, n_items={cfg['n_items']})"
     )
-    table_metrics = ("real_fix_rate", "final_prevalence", "tpr", "far", "fn_ratio")
-    rows = [["prevalence", "fix_rate", *table_metrics]]
-    cells = env.results["real_fix_rate"]
-    for i, cell in enumerate(cells):
-        rows.append(
-            [
-                f"{cell['prevalence']:.2f}",
-                f"{cell['fix_rate']:.2f}",
-                *[_fmt(env.results[m][i]["value"]) for m in table_metrics],
-            ]
-        )
-    return head + "\n\n" + _format_columns(rows) + "\n"
+    # the first five metrics: prevalence, fix_rate, real_fix_rate ... fn_ratio
+    rows = [list(env.columns[:7])]
+    rows += [[f"{p:.2f}", f"{f:.2f}", *map(_fmt, values[:5])] for p, f, *values in env.rows()]
+    return _titled(title, rows)
 
 
 def _render_simulate_table(env: ReportEnvelope) -> str:
-    results = env.results
-    pbox = results["pbox"]
+    pbox = env.results["pbox"]
     blocks = [
         f"simulation intervals (trials={env.config['trials']}, n_items={env.config['n_items']}, "
         f"seed={env.config['seed']}, pbox=({pbox['minimum']:.4g}, {pbox['maximum']:.4g}, {pbox['mean']:.4g}))"
     ]
+    cells, undefined = {}, defaultdict(int)
+    for metric, mode, p, f, lo, hi, n_undefined in env.rows():
+        cells[metric, mode, p, f] = _fmt_interval(lo, hi)
+        if mode == "extremes":
+            undefined[metric] += n_undefined or 0
+    modes = {key[1] for key in cells}
+    prevalences = sorted({key[2] for key in cells})
+    fix_rates = sorted({key[3] for key in cells})
     for metric in METRICS:
-        entries = results[metric]
-        for mode in ("extremes", "means"):
-            mode_entries = [e for e in entries if e["mode"] == mode]
-            if not mode_entries:
+        for mode, label in (("extremes", "per-trial extremes"), ("means", "stream means")):
+            if mode not in modes:
                 continue
-            prevalences = sorted({e["prevalence"] for e in mode_entries})
-            fix_rates = sorted({e["fix_rate"] for e in mode_entries})
-            label = "per-trial extremes" if mode == "extremes" else "stream means"
             rows = [["prevalence \\ fix_rate", *[f"{f:.2f}" for f in fix_rates]]]
-            for p in prevalences:
-                row = [f"{p:.2f}"]
-                for f in fix_rates:
-                    e = next(
-                        x for x in mode_entries if x["prevalence"] == p and x["fix_rate"] == f
-                    )
-                    row.append(_fmt_interval(e["lo"], e["hi"]))
-                rows.append(row)
+            rows += [[f"{p:.2f}", *[cells[metric, mode, p, f] for f in fix_rates]] for p in prevalences]
             blocks.append(f"-- {metric} ({label}) --\n" + _format_columns(rows))
-            undefined = sum(e.get("undefined", 0) for e in mode_entries if mode == "extremes")
-            if undefined:
-                blocks.append(f"   ({undefined} trial(s) with undefined {metric} excluded)")
+            if mode == "extremes" and undefined[metric]:
+                blocks.append(f"   ({undefined[metric]} trial(s) with undefined {metric} excluded)")
     return "\n\n".join(blocks) + "\n"
 
 
 def _render_evidence_table(env: ReportEnvelope) -> str:
     results = env.results
-    lines = [
-        f"evidence summary (outlier policy={results['outlier_policy']}, k={results['outlier_k']})"
-    ]
+    title = f"evidence summary (outlier policy={results['outlier_policy']}, k={results['outlier_k']})"
+    summarized = {row[0]: row for row in env.rows()}
     rows = [["metric", "samples", "publications", "min", "max", "mean", "removed"]]
-    removed_lines = []
     for metric in ("recall", "precision"):
-        entry = results.get(metric)
-        if entry is None:
+        if metric not in summarized:
             rows.append([metric, "-", "-", "-", "-", "-", "-"])
             continue
-        rows.append(
-            [
-                metric,
-                str(entry["count"]),
-                str(entry["publications"]),
-                _fmt(entry["min"]),
-                _fmt(entry["max"]),
-                _fmt(entry["mean"]),
-                str(len(entry["removed"])),
-            ]
-        )
-        for s in entry["removed"]:
-            removed_lines.append(f"  removed: {s['source_id']},{s['metric']},{s['value']}")
-    lines.append(_format_columns(rows))
-    recall_entry = results.get("recall")
-    if recall_entry:
-        pb = recall_entry["pbox"]
+        _, count, publications, lo, hi, mean, n_removed = summarized[metric]
+        rows.append([metric, str(count), str(publications), _fmt(lo), _fmt(hi), _fmt(mean), str(n_removed)])
+    lines = []
+    if "recall" in summarized:
+        pb = results["recall"]["pbox"]
         lines.append(
             f"recall p-box: (min={pb['minimum']:.4g}, max={pb['maximum']:.4g}, mean={pb['mean']:.4g})"
         )
-    lines.extend(removed_lines)
-    return "\n\n".join(lines[:2]) + ("\n" + "\n".join(lines[2:]) if lines[2:] else "") + "\n"
+    for metric in summarized:
+        lines += [f"  removed: {s['source_id']},{s['metric']},{s['value']}" for s in results[metric]["removed"]]
+    return _titled(title, rows) + "".join(line + "\n" for line in lines)
 
 
 def _render_case_table(env: ReportEnvelope) -> str:
     results = env.results
     if "tools" in results:
-        lines = [
+        title = (
             f"repair-tool confidence intervals "
             f"(method={results['method']}, confidence={results['confidence']:.0%})"
-        ]
+        )
         rows = [["tool", "correct/generated", "point", "lower", "upper"]]
-        for t in results["tools"]:
-            rows.append(
-                [
-                    t["name"],
-                    f"{t['correct']}/{t['generated']}",
-                    f"{t['point']:.2%}",
-                    f"{t['lo']:.2%}",
-                    f"{t['hi']:.2%}",
-                ]
-            )
-        return lines[0] + "\n\n" + _format_columns(rows) + "\n"
-    chain = results["chain"]
-    fr = results["fix_rate"]
+        rows += [
+            [name, f"{correct}/{generated}", f"{point:.2%}", f"{lo:.2%}", f"{hi:.2%}"]
+            for name, correct, generated, point, lo, hi in env.rows()
+        ]
+        return _titled(title, rows)
+    [(n_items, detected, fixed, residual, ext_lo, ext_hi, means_lo, means_hi)] = env.rows()
     lines = [
         "composed pipeline case",
         "",
-        f"items      {chain['n_items']}",
-        f"detected   {chain['detected']}  (detector recall {results['detector_recall']})",
-        f"fixed      {chain['fixed']}  (repair accuracy {results['repair_accuracy']})",
-        f"residual   {chain['residual']}",
-        f"fix-rate interval (per-trial extremes): "
-        + _fmt_interval(fr["extremes"]["lo"], fr["extremes"]["hi"]),
-        f"fix-rate interval (stream means):       "
-        + _fmt_interval(fr["means"]["lo"], fr["means"]["hi"]),
+        f"items      {n_items}",
+        f"detected   {detected}  (detector recall {results['detector_recall']})",
+        f"fixed      {fixed}  (repair accuracy {results['repair_accuracy']})",
+        f"residual   {residual}",
+        "fix-rate interval (per-trial extremes): " + _fmt_interval(ext_lo, ext_hi),
+        "fix-rate interval (stream means):       " + _fmt_interval(means_lo, means_hi),
     ]
-    for note in results["notes"]:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in results["notes"]]
     return "\n".join(lines) + "\n"
 
 
 def _render_pbox_table(env: ReportEnvelope) -> str:
     results = env.results
     pb = results["pbox"]
-    lines = [
+    title = (
         f"p-box samples (n={results['count']}, seed={env.config['seed']}, "
         f"pbox=({pb['minimum']:.4g}, {pb['maximum']:.4g}, {pb['mean']:.4g}))"
-    ]
+    )
     rows = [["stream", "min", "max", "mean"]]
     for name in ("optimistic", "pessimistic"):
         s = results["summary"][name]
         rows.append([name, _fmt(s["min"]), _fmt(s["max"]), _fmt(s["mean"])])
-    return lines[0] + "\n\n" + _format_columns(rows) + "\n"
-
-
-def _render_csv(env: ReportEnvelope) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    results = env.results
-    if env.command == "analytic":
-        writer.writerow(["prevalence", "fix_rate", *_ANALYTIC_METRICS])
-        for i, cell in enumerate(results["real_fix_rate"]):
-            row = [cell["prevalence"], cell["fix_rate"]]
-            for metric in _ANALYTIC_METRICS:
-                v = results[metric][i]["value"]
-                row.append("" if v is None else repr(v))
-            writer.writerow(row)
-    elif env.command == "simulate":
-        writer.writerow(["metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined"])
-        for metric in METRICS:
-            for e in results[metric]:
-                writer.writerow(
-                    [
-                        metric,
-                        e["mode"],
-                        e["prevalence"],
-                        e["fix_rate"],
-                        "" if e["lo"] is None else repr(e["lo"]),
-                        "" if e["hi"] is None else repr(e["hi"]),
-                        e.get("undefined", ""),
-                    ]
-                )
-    elif env.command == "evidence":
-        writer.writerow(["metric", "count", "publications", "min", "max", "mean", "removed"])
-        for metric in ("recall", "precision"):
-            entry = results.get(metric)
-            if entry is None:
-                continue
-            writer.writerow(
-                [
-                    metric,
-                    entry["count"],
-                    entry["publications"],
-                    repr(entry["min"]),
-                    repr(entry["max"]),
-                    repr(entry["mean"]),
-                    len(entry["removed"]),
-                ]
-            )
-    elif env.command == "case-study":
-        if "tools" in results:
-            writer.writerow(["name", "correct", "generated", "point", "lo", "hi"])
-            for t in results["tools"]:
-                writer.writerow(
-                    [t["name"], t["correct"], t["generated"], repr(t["point"]), repr(t["lo"]), repr(t["hi"])]
-                )
-        else:
-            chain, fr = results["chain"], results["fix_rate"]
-            writer.writerow(
-                ["n_items", "detected", "fixed", "residual", "extremes_lo", "extremes_hi", "means_lo", "means_hi"]
-            )
-            writer.writerow(
-                [
-                    chain["n_items"],
-                    chain["detected"],
-                    chain["fixed"],
-                    chain["residual"],
-                    repr(fr["extremes"]["lo"]),
-                    repr(fr["extremes"]["hi"]),
-                    repr(fr["means"]["lo"]),
-                    repr(fr["means"]["hi"]),
-                ]
-            )
-    elif env.command == "pbox-sample":
-        writer.writerow(["index", "p", "optimistic", "pessimistic"])
-        for i, (p, o, q) in enumerate(
-            zip(results["p_values"], results["optimistic"], results["pessimistic"])
-        ):
-            writer.writerow([i, repr(p), repr(o), repr(q)])
-    return buf.getvalue()
+    return _titled(title, rows)
 
 
 _TABLE_RENDERERS = {
@@ -549,7 +448,12 @@ def render(env: ReportEnvelope, output: str) -> str:
     if output == "json":
         return env.to_json()
     if output == "csv":
-        return _render_csv(env)
+        # csv writes None as an empty field and a float as its repr
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(env.columns)
+        writer.writerows(env.rows())
+        return buf.getvalue()
     return _TABLE_RENDERERS[env.command](env)
 
 
@@ -584,7 +488,6 @@ def _add_grid(sp) -> None:
     sp.add_argument("--prevalence", type=_float_list, metavar="LIST")
     sp.add_argument("--fix-rate", type=_float_list, dest="fix_rate", metavar="LIST")
     sp.add_argument("--specificity", type=float)
-    sp.add_argument("--break-rate", type=float, dest="break_rate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,6 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_grid(p)
     _add_pbox(p)
+    p.add_argument("--break-rate", type=float, dest="break_rate")
     p.add_argument("--trials", type=int, metavar="INT")
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--trace", action="store_const", const=True, help="embed per-trial values in the report")
@@ -623,12 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case-n-items", type=int, dest="case_n_items", metavar="INT")
     p.add_argument("--case-recall", type=float, dest="case_recall", metavar="X")
     p.add_argument("--case-accuracy", type=float, dest="case_accuracy", metavar="X")
-    p.add_argument("--pbox-min", type=float, dest="pbox_min", metavar="X")
-    p.add_argument("--pbox-max", type=float, dest="pbox_max", metavar="X")
-    p.add_argument("--pbox-mean", type=float, dest="pbox_mean", metavar="X")
-    p.add_argument("--evidence", metavar="PATH")
-    p.add_argument("--outlier-policy", choices=OUTLIER_POLICIES, dest="outlier_policy")
-    p.add_argument("--outlier-k", type=float, dest="outlier_k", metavar="K")
+    _add_pbox(p)
 
     p = sub.add_parser("pbox-sample", help="draw paired recall streams from a p-box")
     _add_common(p)

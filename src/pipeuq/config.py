@@ -32,6 +32,7 @@ OUTPUTS = ("table", "csv", "json")
 MODES = ("extremes", "means", "both")
 OUTLIER_POLICIES = ("none", "iqr")
 CI_METHODS = ("agresti-coull", "wilson")
+MAX_ITEMS = 2**63 - 1
 
 
 @dataclass
@@ -140,14 +141,15 @@ def _unit(errors, cfg, name, *, open_zero=False, open_one=False):
 def validate_config(cfg: RunConfig, command: str) -> None:
     """Validate every numeric field's semantic range; raise listing offenders."""
     errors: list[str] = []
-    if cfg.n_items < 1:
-        errors.append(f"n_items: must be >= 1, got {cfg.n_items!r}")
+    for name in ("n_items", "case_n_items"):
+        # binomial draws and float arithmetic need a count that fits in int64
+        v = getattr(cfg, name)
+        if not 1 <= v <= MAX_ITEMS:
+            errors.append(f"{name}: must lie in [1, 2**63 - 1], got {v!r}")
     if cfg.trials < 1:
         errors.append(f"trials: must be >= 1, got {cfg.trials!r}")
     if cfg.seed < 0:
         errors.append(f"seed: must be >= 0, got {cfg.seed!r}")
-    if cfg.case_n_items < 1:
-        errors.append(f"case_n_items: must be >= 1, got {cfg.case_n_items!r}")
     for name in ("prevalence", "fix_rate"):
         values = getattr(cfg, name)
         if not values:
@@ -178,6 +180,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         errors.append(f"outlier_k: must be >= 0, got {cfg.outlier_k!r}")
     if cfg.method not in CI_METHODS:
         errors.append(f"method: must be one of {CI_METHODS}, got {cfg.method!r}")
+    if command == "analytic" and cfg.break_rate != 0.0:
+        errors.append(f"break_rate: the closed forms assume 0, got {cfg.break_rate!r}")
     if command == "evidence" and not cfg.evidence:
         errors.append("evidence: a CSV path is required")
     if errors:

@@ -14,8 +14,10 @@ Key identities (all derivable from the confusion-matrix algebra):
     end-to-end recall        TPR' = rec^2 * (1 - fix_rate) / (1 - fix_rate * rec)
     false-negative growth    FN' = [1 + (1 - fix_rate) * rec] * FN_first
 
-Functions taking an explicit ``recall`` argument accept a float or an ndarray
-and broadcast, which keeps grid sweeps and interval propagation vectorised.
+Prevalence, fix rate and recall may each be a float or an ndarray, and every
+metric broadcasts over them, so a whole prevalence x fix-rate x recall grid is
+one call. Scalar inputs give Python floats. An array false-alert rate is NaN
+at the cells where it is undefined.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ def _check_unit(value, name: str) -> None:
     arr = np.asarray(value, dtype=float)
     if arr.size == 0 or not bool(np.all((arr >= 0.0) & (arr <= 1.0))):
         raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _unwrap(arr: np.ndarray):
+    """A 0-d result as a Python float, anything else unchanged."""
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def round_half_away(x: float) -> int:
@@ -220,10 +227,11 @@ def pipeline_tpr(recall, fixer: FixerSpec):
     flagged. The ``fix_rate = recall = 1`` limit is therefore defined as 0.
     """
     _check_unit(recall, "recall")
+    rec = np.asarray(recall, dtype=float)
     f = fixer.fix_rate
-    if f == 1.0:
-        return np.zeros_like(recall, dtype=float) if isinstance(recall, np.ndarray) else 0.0
-    return recall * recall * (1.0 - f) / (1.0 - f * recall)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tpr = rec * rec * (1.0 - f) / (1.0 - f * rec)
+    return _unwrap(np.where(f == 1.0, 0.0, tpr))
 
 
 def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None):
@@ -232,23 +240,27 @@ def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpe
         rec^2 * (1 - prec)/prec * (1 - fix_rate) * P / (1 - (1 - fix_rate*rec) * P)
 
     Undefined when the pipeline ends with no negatives, which happens only for
-    ``P = 1`` with ``fix_rate * rec = 0``; that case raises
-    :class:`DegenerateDomainError` so callers cannot misread a 0.
+    ``P = 1`` with ``fix_rate * rec = 0``. A scalar cell raises
+    :class:`DegenerateDomainError` there, so callers cannot misread a 0; an
+    array result is NaN at such cells.
 
-    ``recall`` overrides ``profile.recall`` when given (scalar or array).
+    ``recall`` overrides ``profile.recall`` when given. Prevalence, fix rate
+    and recall broadcast.
     """
     rec = profile.recall if recall is None else recall
     _check_unit(rec, "recall")
     prec = profile.precision
     p_r = domain.prevalence
     f = fixer.fix_rate
-    denom = 1.0 - (1.0 - f * rec) * p_r
-    if np.any(np.asarray(denom) == 0.0):
+    denom = np.asarray(1.0 - (1.0 - f * rec) * p_r)
+    if denom.ndim == 0 and denom == 0.0:
         raise DegenerateDomainError(
             "false alert rate undefined: prevalence 1 with no realized fixing "
             "leaves no negatives"
         )
-    return rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p_r / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p_r / denom
+    return _unwrap(np.where(denom == 0.0, np.nan, far))
 
 
 def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
@@ -299,15 +311,17 @@ def pipeline_outcome(
     profile: ClassifierProfile,
     domain: DomainSpec,
     fixer: FixerSpec,
-    recall: float | None = None,
+    recall=None,
 ) -> PipelineOutcome:
     """Bundle every end-to-end metric into one record.
 
     ``recall`` overrides ``profile.recall`` when given, which lets callers
-    sweep recall values against a fixed profile. Errors from constituent
-    metrics (e.g. a degenerate false-alert rate) propagate.
+    sweep recall values against a fixed profile. Prevalence, fix rate and
+    recall broadcast, so a grid gives one array per field; ``far_final`` is
+    NaN at its degenerate cells. A scalar degenerate cell raises
+    :class:`DegenerateDomainError`.
     """
-    rec = profile.recall if recall is None else float(recall)
+    rec = profile.recall if recall is None else recall
     _check_unit(rec, "recall")
     fn_final, fn_ratio = pipeline_false_negatives(domain, fixer, rec)
     return PipelineOutcome(

@@ -77,40 +77,39 @@ DEFAULT_RECALL_STATS = SummaryStats(2328, 115, 0.07, 1.00, 0.74)
 DEFAULT_PRECISION_STATS = SummaryStats(2043, 100, 0.00, 1.00, 0.71)
 
 
-def _parse_stream(fh) -> list[EvidenceSample]:
-    samples: list[EvidenceSample] = []
+def _read_headed_csv(source, header: list[str]):
+    """Yield ``(lineno, cells)`` for each data row of a CSV file, given as a
+    path or an open text stream.
+
+    Blank lines and ``#`` comments are skipped. The first other line must be
+    ``header``, and every later one must have as many cells; otherwise
+    :class:`EvidenceFormatError` names the offending line.
+    """
+    if not hasattr(source, "read"):
+        with open(source, encoding="utf-8", newline="") as fh:
+            yield from _read_headed_csv(fh, header)
+        return
     saw_header = False
-    for lineno, raw in enumerate(fh, start=1):
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            row = next(csv.reader([line]))
+            row = [cell.strip() for cell in next(csv.reader([line]))]
         except csv.Error as exc:
             raise EvidenceFormatError(str(exc), lineno) from exc
-        row = [cell.strip() for cell in row]
         if not saw_header:
-            if row != _HEADER:
+            if row != header:
                 raise EvidenceFormatError(
-                    f"expected header {','.join(_HEADER)!r}, got {line!r}", lineno
+                    f"expected header {','.join(header)!r}, got {line!r}", lineno
                 )
             saw_header = True
             continue
-        if len(row) != 3:
-            raise EvidenceFormatError(f"expected 3 columns, got {len(row)}", lineno)
-        source_id, metric, value_text = row
-        if metric not in METRICS:
-            raise EvidenceFormatError(f"unknown metric {metric!r}", lineno)
-        try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise EvidenceFormatError(f"value {value_text!r} is not a number", lineno) from exc
-        if not 0.0 <= value <= 1.0:
-            raise InvalidParameterError(f"line {lineno}: value {value} outside [0, 1]")
-        samples.append(EvidenceSample(source_id, metric, value))
+        if len(row) != len(header):
+            raise EvidenceFormatError(f"expected {len(header)} columns, got {len(row)}", lineno)
+        yield lineno, row
     if not saw_header:
-        raise EvidenceFormatError(f"missing header {','.join(_HEADER)!r}")
-    return samples
+        raise EvidenceFormatError(f"missing header {','.join(header)!r}")
 
 
 def load_samples(source) -> list[EvidenceSample]:
@@ -120,10 +119,18 @@ def load_samples(source) -> list[EvidenceSample]:
     rows and :class:`InvalidParameterError` for out-of-range values. A
     header-only file yields an empty list.
     """
-    if hasattr(source, "read"):
-        return _parse_stream(source)
-    with open(source, encoding="utf-8", newline="") as fh:
-        return _parse_stream(fh)
+    samples: list[EvidenceSample] = []
+    for lineno, (source_id, metric, value_text) in _read_headed_csv(source, _HEADER):
+        if metric not in METRICS:
+            raise EvidenceFormatError(f"unknown metric {metric!r}", lineno)
+        try:
+            value = float(value_text)
+        except ValueError as exc:
+            raise EvidenceFormatError(f"value {value_text!r} is not a number", lineno) from exc
+        if not 0.0 <= value <= 1.0:
+            raise InvalidParameterError(f"line {lineno}: value {value} outside [0, 1]")
+        samples.append(EvidenceSample(source_id, metric, value))
+    return samples
 
 
 def dump_samples(samples, dest) -> None:
@@ -206,4 +213,4 @@ DEFAULT_RECALL_PBOX = to_pbox(DEFAULT_RECALL_STATS)
 
 def loads_samples(text: str) -> list[EvidenceSample]:
     """Parse samples from an in-memory CSV string."""
-    return _parse_stream(io.StringIO(text))
+    return load_samples(io.StringIO(text))

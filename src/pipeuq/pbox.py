@@ -244,7 +244,6 @@ def stream_mean_pessimistic(params: PBoxParams) -> float:
 
 
 def propagate_interval(
-    params: PBoxParams,
     domain: DomainSpec,
     fixer: FixerSpec,
     streams: RecallStreams,
@@ -257,9 +256,6 @@ def propagate_interval(
     the mean recall of each stream and orients the two results as lo <= hi;
     the optimistic stream supplies the low-prevalence / high-fix-rate
     endpoints.
-
-    ``params`` identifies the box the streams were drawn from (echoed for
-    provenance; the arithmetic needs only the streams).
     """
     if len(streams) == 0:
         raise InvalidParameterError("streams must be nonempty")

@@ -57,6 +57,18 @@ class TestAnalytic:
             expected = (1 - cell["fix_rate"]) * cell["prevalence"]
             assert cell["value"] == pytest.approx(expected, abs=1e-12)
 
+    def test_break_rate_flag_rejected(self, capsys):
+        # the closed forms assume a fixer that never breaks an item
+        argv = ["analytic", "--break-rate", "0.5", "--prevalence", "0.5", "--fix-rate", "0.5"]
+        assert main(argv) == 2
+        assert "--break-rate" in capsys.readouterr().err
+
+    def test_break_rate_from_config_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[analytic]\nbreak_rate = 0.3\n")
+        assert main(["analytic", "--config", str(ini)]) == 2
+        assert "break_rate" in capsys.readouterr().err
+
     def test_golden_table_rendering(self, capsys):
         assert main(["analytic", "--prevalence", "0.5", "--fix-rate", "0.5", "--n-items", "100"]) == 0
         assert capsys.readouterr().out == (
@@ -247,6 +259,9 @@ class TestExitCodes:
         assert main(["simulate", "--mode", "weird"]) == 2
         assert main(["simulate", "--seed", "-1"]) == 2
         assert main(["pbox-sample", "--seed", "-1"]) == 2
+        assert main(["simulate", "--n-items", str(10**20), "--trials", "2"]) == 2
+        assert main(["analytic", "--n-items", str(10**400)]) == 2
+        assert main(["case-study", "composed", "--case-n-items", str(10**400)]) == 2
 
     def test_out_path_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"

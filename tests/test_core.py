@@ -277,5 +277,36 @@ class TestArrayBroadcast:
         fn, ratio = pipeline_false_negatives(domain, fixer, rec)
         assert fn.shape == ratio.shape == rec.shape
 
+    def test_grid_call_matches_scalar_calls(self):
+        profile = ClassifierProfile(0.8, 0.7)
+        p_r, f = (a.ravel() for a in np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"))
+        grid = pipeline_outcome(profile, DomainSpec(100, p_r), FixerSpec(f))
+        for i in range(p_r.size):
+            domain, fixer = DomainSpec(100, float(p_r[i])), FixerSpec(float(f[i]))
+            if p_r[i] == 1.0 and f[i] == 0.0:
+                assert np.isnan(grid.far_final[i])
+                with pytest.raises(DegenerateDomainError):
+                    pipeline_outcome(profile, domain, fixer)
+                continue
+            cell = pipeline_outcome(profile, domain, fixer)
+            assert grid.tpr_final[i] == cell.tpr_final
+            assert grid.fn_final[i] == cell.fn_final
+            assert grid.far_final[i] == cell.far_final
+
+    def test_array_far_is_nan_at_degenerate_cells(self):
+        rec = np.array([0.0, 0.5])
+        far = pipeline_far(ClassifierProfile(1.0, 0.5), DomainSpec(100, 1.0), FixerSpec(0.5), rec)
+        assert np.isnan(far[0]) and far[1] == pytest.approx(0.25 * 0.5 / 0.25)
+
+    def test_tpr_grid_over_fix_rate(self):
+        got = pipeline_tpr(np.array([1.0, 0.8]), FixerSpec(np.array([1.0, 0.5])))
+        assert got[0] == 0.0 and got[1] == pytest.approx(0.64 * 0.5 / 0.6)
+
     def test_scalars_stay_scalar(self):
         assert isinstance(pipeline_fix_rate(FixerSpec(0.5), 0.5), float)
+
+    def test_tpr_and_far_scalars_are_floats(self):
+        assert type(pipeline_tpr(1.0, FixerSpec(1.0))) is float
+        assert type(pipeline_tpr(0.5, FixerSpec(0.5))) is float
+        far = pipeline_far(ClassifierProfile(0.5, 0.5), DomainSpec(100, 0.5), FixerSpec(0.5))
+        assert type(far) is float

@@ -219,12 +219,12 @@ class TestPropagation:
 
     def test_perfect_fixer_ratio_interval_is_unit(self):
         streams = sample_recall_streams(BOX, 500, seed=3)
-        bundle = propagate_interval(BOX, self.DOMAIN, FixerSpec(1.0), streams, MODE_EXTREMES)
+        bundle = propagate_interval(self.DOMAIN, FixerSpec(1.0), streams, MODE_EXTREMES)
         assert bundle.fn_ratio == Interval(1.0, 1.0)
 
     def test_half_fixer_fix_rate_extremes(self):
         streams = sample_recall_streams(BOX, 2000, seed=3)
-        bundle = propagate_interval(BOX, self.DOMAIN, FixerSpec(0.5), streams, MODE_EXTREMES)
+        bundle = propagate_interval(self.DOMAIN, FixerSpec(0.5), streams, MODE_EXTREMES)
         assert bundle.fix_rate.lo == pytest.approx(0.035, abs=1e-9)
         assert bundle.fix_rate.hi == pytest.approx(0.50, abs=1e-9)
 
@@ -232,13 +232,13 @@ class TestPropagation:
         box = PBoxParams(0.74, 0.74, 0.74)
         streams = sample_recall_streams(box, 50, seed=5)
         for mode in (MODE_EXTREMES, MODE_MEANS):
-            bundle = propagate_interval(box, self.DOMAIN, FixerSpec(0.5), streams, mode)
+            bundle = propagate_interval(self.DOMAIN, FixerSpec(0.5), streams, mode)
             assert bundle.prevalence.lo == bundle.prevalence.hi == pytest.approx(0.315)
 
     def test_pointwise_soundness(self):
         streams = sample_recall_streams(BOX, 300, seed=11)
         fixer = FixerSpec(0.7)
-        bundle = propagate_interval(BOX, self.DOMAIN, fixer, streams, MODE_EXTREMES)
+        bundle = propagate_interval(self.DOMAIN, fixer, streams, MODE_EXTREMES)
         for rec in np.concatenate([streams.optimistic, streams.pessimistic]):
             assert bundle.prevalence.contains((1 - fixer.fix_rate * rec) * 0.5, tol=1e-12)
             assert bundle.fix_rate.contains(fixer.fix_rate * rec, tol=1e-12)
@@ -246,7 +246,7 @@ class TestPropagation:
 
     def test_means_mode_orientation(self):
         streams = sample_recall_streams(BOX, 1000, seed=13)
-        bundle = propagate_interval(BOX, self.DOMAIN, FixerSpec(0.5), streams, MODE_MEANS)
+        bundle = propagate_interval(self.DOMAIN, FixerSpec(0.5), streams, MODE_MEANS)
         # optimistic stream (higher recall) gives the lower prevalence endpoint
         m_opt = float(np.mean(streams.optimistic))
         assert bundle.prevalence.lo == pytest.approx((1 - 0.5 * m_opt) * 0.5)
@@ -255,9 +255,9 @@ class TestPropagation:
     def test_empty_streams_rejected(self):
         empty = RecallStreams(np.array([]), np.array([]), np.array([]), seed=0)
         with pytest.raises(InvalidParameterError):
-            propagate_interval(BOX, self.DOMAIN, FixerSpec(0.5), empty)
+            propagate_interval(self.DOMAIN, FixerSpec(0.5), empty)
 
     def test_unknown_mode_rejected(self):
         streams = sample_recall_streams(BOX, 5, seed=1)
         with pytest.raises(InvalidParameterError):
-            propagate_interval(BOX, self.DOMAIN, FixerSpec(0.5), streams, "median")
+            propagate_interval(self.DOMAIN, FixerSpec(0.5), streams, "median")
