@@ -84,8 +84,9 @@ DEFAULT_TOOL_RECORDS = (
 
 
 def _z_two_sided(confidence: float) -> float:
-    if not 0.0 < confidence < 1.0:
-        raise InvalidParameterError(f"confidence must lie in (0, 1), got {confidence!r}")
+    # at 1 - 2**-53, the largest float below 1, 0.5 + confidence/2 rounds to 1
+    if not 0.0 < confidence < 1.0 - 2.0**-53:
+        raise InvalidParameterError(f"confidence must lie in (0, 1 - 2**-53), got {confidence!r}")
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 import traceback
@@ -65,39 +66,28 @@ __all__ = [
 
 @dataclass
 class ReportEnvelope:
-    """A command's full result: version, config echo and payload.
+    """A command's full result: config echo, payload and table renderer.
 
+    ``results`` is the JSON payload; numpy arrays in it are written as lists.
     ``columns`` and ``rows`` give the payload as one tidy table, which the csv
-    output writes as it stands and the table output formats. ``rows`` is a
+    output writes as it stands and ``table(envelope)`` formats. ``rows`` is a
     zero-argument callable that yields the rows afresh on every call, so a
     large payload is never copied.
     """
 
-    version: str
-    command: str
     config: dict
     results: dict
     columns: tuple[str, ...]
     rows: Callable[[], Iterable[list]]
-
-    def to_json(self) -> str:
-        doc = {"version": self.version, "config": self.config, "results": self.results}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    table: Callable[["ReportEnvelope"], str]
 
 
-def _envelope(command: str, cfg: RunConfig, results: dict, columns, rows) -> ReportEnvelope:
+def _envelope(command: str, cfg: RunConfig, results: dict, columns, rows, table) -> ReportEnvelope:
     # the output destination is not part of the experiment: identical configs
     # must yield identical reports wherever they are written
     config = {"command": command, **asdict(cfg)}
     del config["out"]
-    return ReportEnvelope(
-        version=__version__,
-        command=command,
-        config=config,
-        results=results,
-        columns=columns,
-        rows=rows,
-    )
+    return ReportEnvelope(config, results, columns, rows, table)
 
 
 def _resolve_pbox(cfg: RunConfig) -> PBoxParams:
@@ -155,9 +145,8 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
         metric: [{"prevalence": row[0], "fix_rate": row[1], "value": row[i]} for row in table]
         for i, metric in enumerate(_ANALYTIC_METRICS, start=2)
     }
-    return _envelope(
-        "analytic", cfg, results, ("prevalence", "fix_rate", *_ANALYTIC_METRICS), lambda: table
-    )
+    columns = ("prevalence", "fix_rate", *_ANALYTIC_METRICS)
+    return _envelope("analytic", cfg, results, columns, lambda: table, _render_analytic_table)
 
 
 def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
@@ -181,7 +170,9 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
                 "real_fix_rate": report.undefined_real_fix_rate,
                 "fn_ratio": report.undefined_fn_ratio,
             }
+            outcomes = report.outcomes() if cfg.trace else ()
             for metric in METRICS:
+                trials = [getattr(o, metric) for o in outcomes]  # shared by both modes
                 for mode in modes:
                     interval = report.intervals[metric][mode]
                     entry = {
@@ -194,7 +185,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
                     if metric in undefined:
                         entry["undefined"] = undefined[metric]
                     if cfg.trace:
-                        entry["trials"] = [getattr(o, metric) for o in report.outcomes()]
+                        entry["trials"] = trials
                     results[metric].append(entry)
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
     return _envelope(
@@ -207,6 +198,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
             for metric in METRICS
             for e in results[metric]
         ),
+        _render_simulate_table,
     )
 
 
@@ -238,7 +230,7 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
                 for s in removed
             ],
         }
-    return _envelope("evidence", cfg, results, columns, lambda: table)
+    return _envelope("evidence", cfg, results, columns, lambda: table, _render_evidence_table)
 
 
 def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
@@ -256,7 +248,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
             "method": cfg.method,
             "tools": [dict(zip(columns, line)) for line in table],
         }
-        return _envelope("case-study", cfg, results, columns, lambda: table)
+        return _envelope("case-study", cfg, results, columns, lambda: table, _render_tools_table)
     if which == "composed":
         report = composed_pipeline_case(
             cfg.case_n_items, cfg.case_recall, cfg.case_accuracy, _resolve_pbox(cfg)
@@ -272,7 +264,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
             "fix_rate": {"extremes": asdict(extremes), "means": asdict(means)},
             "notes": list(report.notes),
         }
-        return _envelope("case-study", cfg, results, columns, lambda: table)
+        return _envelope("case-study", cfg, results, columns, lambda: table, _render_composed_table)
     raise PipeUQError(f"unknown case study {which!r}")  # pragma: no cover - argparse guards
 
 
@@ -280,32 +272,25 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     """Draw paired recall streams from the configured p-box."""
     pbox = _resolve_pbox(cfg)
     streams = sample_recall_streams(pbox, cfg.trials, cfg.seed)
-    summary = {}
-    for name, values in (("optimistic", streams.optimistic), ("pessimistic", streams.pessimistic)):
-        summary[name] = {
-            "min": float(values.min()),
-            "max": float(values.max()),
-            "mean": float(values.mean()),
-        }
-    results = {
-        "pbox": asdict(pbox),
-        "count": len(streams),
-        "summary": summary,
-        "p_values": streams.p_values.tolist(),
-        "optimistic": streams.optimistic.tolist(),
-        "pessimistic": streams.pessimistic.tolist(),
+    arrays = {
+        "p_values": streams.p_values,
+        "optimistic": streams.optimistic,
+        "pessimistic": streams.pessimistic,
     }
+    summary = {
+        name: {stat: float(getattr(arrays[name], stat)()) for stat in ("min", "max", "mean")}
+        for name in ("optimistic", "pessimistic")
+    }
+    results = {"pbox": asdict(pbox), "count": len(streams), "summary": summary, **arrays}
     return _envelope(
         "pbox-sample",
         cfg,
         results,
         ("index", "p", "optimistic", "pessimistic"),
-        lambda: (
-            [i, *draw]
-            for i, draw in enumerate(
-                zip(results["p_values"], results["optimistic"], results["pessimistic"])
-            )
-        ),
+        # a memoryview yields each float64 as a Python float, whose repr the
+        # csv output writes, without copying the array
+        lambda: ([i, *draw] for i, draw in enumerate(zip(*map(memoryview, arrays.values())))),
+        _render_pbox_table,
     )
 
 
@@ -393,19 +378,22 @@ def _render_evidence_table(env: ReportEnvelope) -> str:
     return _titled(title, rows) + "".join(line + "\n" for line in lines)
 
 
-def _render_case_table(env: ReportEnvelope) -> str:
+def _render_tools_table(env: ReportEnvelope) -> str:
     results = env.results
-    if "tools" in results:
-        title = (
-            f"repair-tool confidence intervals "
-            f"(method={results['method']}, confidence={results['confidence']:.0%})"
-        )
-        rows = [["tool", "correct/generated", "point", "lower", "upper"]]
-        rows += [
-            [name, f"{correct}/{generated}", f"{point:.2%}", f"{lo:.2%}", f"{hi:.2%}"]
-            for name, correct, generated, point, lo, hi in env.rows()
-        ]
-        return _titled(title, rows)
+    title = (
+        f"repair-tool confidence intervals "
+        f"(method={results['method']}, confidence={results['confidence']:.0%})"
+    )
+    rows = [["tool", "correct/generated", "point", "lower", "upper"]]
+    rows += [
+        [name, f"{correct}/{generated}", f"{point:.2%}", f"{lo:.2%}", f"{hi:.2%}"]
+        for name, correct, generated, point, lo, hi in env.rows()
+    ]
+    return _titled(title, rows)
+
+
+def _render_composed_table(env: ReportEnvelope) -> str:
+    results = env.results
     [(n_items, detected, fixed, residual, ext_lo, ext_hi, means_lo, means_hi)] = env.rows()
     lines = [
         "composed pipeline case",
@@ -435,26 +423,30 @@ def _render_pbox_table(env: ReportEnvelope) -> str:
     return _titled(title, rows)
 
 
-_TABLE_RENDERERS = {
-    "analytic": _render_analytic_table,
-    "simulate": _render_simulate_table,
-    "evidence": _render_evidence_table,
-    "case-study": _render_case_table,
-    "pbox-sample": _render_pbox_table,
-}
-
-
 def render(env: ReportEnvelope, output: str) -> str:
-    if output == "json":
-        return env.to_json()
+    """The report as ``table``, ``csv`` or ``json`` text.
+
+    The table comes from the command's renderer. csv and JSON are written into
+    one buffer; the JSON document holds ``version``, ``config`` and ``results``.
+    """
+    if output == "table":
+        return env.table(env)
+    buf = io.StringIO()
     if output == "csv":
         # csv writes None as an empty field and a float as its repr
-        buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(env.columns)
         writer.writerows(env.rows())
         return buf.getvalue()
-    return _TABLE_RENDERERS[env.command](env)
+    doc = {"version": __version__, "config": env.config, "results": env.results}
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=np.ndarray.tolist).iterencode(doc)
+    # json.dumps keeps every chunk in one list before joining it, and json.dump
+    # or writelines make one write call per chunk (about 10% more CPU on a
+    # 100k-sample report); joined batches avoid both
+    while piece := "".join(itertools.islice(chunks, 4096)):
+        buf.write(piece)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -99,19 +99,23 @@ def _parse_value(name: str, text: str, target_type):
 
 def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
     known = {f.name: f for f in fields(RunConfig)}
-    for section in ("common", command):
-        if not parser.has_section(section):
-            continue
-        for key, text in parser.items(section):
-            key = key.replace("-", "_")
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            default = getattr(RunConfig(), key)
-            target = type(default) if default is not None else str
-            setattr(cfg, key, _parse_value(key, text, target))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        for section in ("common", command):
+            if not parser.has_section(section):
+                continue
+            for key, text in parser.items(section):  # items() interpolates
+                key = key.replace("-", "_")
+                if key not in known:
+                    raise ConfigError(f"unknown config key {key!r} in section [{section}]")
+                default = getattr(RunConfig(), key)
+                target = type(default) if default is not None else str
+                setattr(cfg, key, _parse_value(key, text, target))
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # some configparser messages span lines; the report is one line
+        raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
 
 
 def build_config(args, command: str) -> RunConfig:
@@ -141,13 +145,11 @@ def _unit(errors, cfg, name, *, open_zero=False, open_one=False):
 def validate_config(cfg: RunConfig, command: str) -> None:
     """Validate every numeric field's semantic range; raise listing offenders."""
     errors: list[str] = []
-    for name in ("n_items", "case_n_items"):
-        # binomial draws and float arithmetic need a count that fits in int64
+    for name in ("n_items", "case_n_items", "trials"):
+        # binomial draws, float arithmetic and array sizes need an int64 count
         v = getattr(cfg, name)
         if not 1 <= v <= MAX_ITEMS:
             errors.append(f"{name}: must lie in [1, 2**63 - 1], got {v!r}")
-    if cfg.trials < 1:
-        errors.append(f"trials: must be >= 1, got {cfg.trials!r}")
     if cfg.seed < 0:
         errors.append(f"seed: must be >= 0, got {cfg.seed!r}")
     for name in ("prevalence", "fix_rate"):
@@ -176,7 +178,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         errors.append(f"output: must be one of {OUTPUTS}, got {cfg.output!r}")
     if cfg.outlier_policy not in OUTLIER_POLICIES:
         errors.append(f"outlier_policy: must be one of {OUTLIER_POLICIES}, got {cfg.outlier_policy!r}")
-    if cfg.outlier_k < 0:
+    if not cfg.outlier_k >= 0:  # also rejects NaN
         errors.append(f"outlier_k: must be >= 0, got {cfg.outlier_k!r}")
     if cfg.method not in CI_METHODS:
         errors.append(f"method: must be one of {CI_METHODS}, got {cfg.method!r}")

@@ -86,8 +86,11 @@ def _read_headed_csv(source, header: list[str]):
     :class:`EvidenceFormatError` names the offending line.
     """
     if not hasattr(source, "read"):
-        with open(source, encoding="utf-8", newline="") as fh:
-            yield from _read_headed_csv(fh, header)
+        try:
+            with open(source, encoding="utf-8", newline="") as fh:
+                yield from _read_headed_csv(fh, header)
+        except UnicodeDecodeError as exc:
+            raise EvidenceFormatError(f"{source} is not UTF-8 text ({exc.reason})") from None
         return
     saw_header = False
     for lineno, raw in enumerate(source, start=1):
@@ -167,7 +170,7 @@ def remove_outliers(samples, policy: str = "iqr", k: float = 1.5):
         return samples, []
     if policy != "iqr":
         raise InvalidParameterError(f"policy must be 'none' or 'iqr', got {policy!r}")
-    if k < 0:
+    if not k >= 0:  # also rejects NaN
         raise InvalidParameterError(f"k must be nonnegative, got {k!r}")
     if not samples:
         raise EmptyEvidenceError("iqr outlier removal needs at least one sample")

@@ -10,13 +10,13 @@ p-box. Inverting the two bounding CDFs gives two quantile functions:
 
 Both inverses share one threshold ``t = (max - mean) / (max - min)``:
 
-    inverse_lower(p) = uniform draw on [min, mean]      p = 0
-                       (p*min - mean) / (p - 1)         0 < p < t
-                       max                              t <= p <= 1
+    inverse_lower(p) = uniform draw on [min, mean]          p = 0
+                       max(min, (p*min - mean) / (p - 1))   0 < p < t
+                       max                                  t <= p <= 1
 
-    inverse_upper(p) = min                              0 <= p <= t
-                       max - (max - mean) / p           t < p < 1
-                       uniform draw on [mean, max]      p = 1
+    inverse_upper(p) = min                                  0 <= p <= t
+                       max - (max - mean) / p               t < p < 1
+                       uniform draw on [mean, max]          p = 1
 
 Sampling both streams from one shared list of uniform p values and pushing
 each recall through the closed-form pipeline metrics bounds the residual
@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainSpec, FixerSpec, pipeline_false_negatives, pipeline_fix_rate, pipeline_prevalence
+from .core import (
+    DomainSpec, FixerSpec, _check_unit, pipeline_false_negatives, pipeline_fix_rate, pipeline_prevalence
+)
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -141,56 +143,43 @@ class IntervalBundle:
     mode: str
 
 
-def _as_p_array(p, name="p"):
-    arr = np.asarray(p, dtype=float)
-    if arr.size == 0 or not bool(np.all((arr >= 0.0) & (arr <= 1.0))):
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {p!r}")
-    return arr
-
-
-def _scalar_in(p) -> bool:
-    return np.ndim(p) == 0
-
-
 def inverse_lower(params: PBoxParams, p, rng=None):
     """Invert the lower CDF bound at probability ``p`` (scalar or array).
 
     ``p = 0`` is set-valued and resolved by a uniform draw on [min, mean];
-    ``rng`` (seed or ``numpy.random.Generator``) is consulted only then.
+    ``rng`` (seed or ``numpy.random.Generator``) is consulted only then, also
+    on a degenerate box, where the draw is ``min``. The middle branch is
+    clamped at ``min``, which rounding could otherwise undercut by an ulp.
     """
-    arr = np.atleast_1d(_as_p_array(p))
-    a, b, mu = params.minimum, params.maximum, params.mean
-    if params.degenerate:
-        out = np.full(arr.shape, a)
-    else:
-        t = params.threshold
-        out = np.full(arr.shape, b)
-        mid = (arr > 0.0) & (arr < t)
-        out[mid] = (arr[mid] * a - mu) / (arr[mid] - 1.0)
-        zero = arr == 0.0
-        if zero.any():
-            out[zero] = np.random.default_rng(rng).uniform(a, mu, int(zero.sum()))
-    return out if not _scalar_in(p) else float(out[0])
+    _check_unit(p, "p")
+    arr = np.atleast_1d(np.asarray(p, dtype=float))
+    a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
+    out = np.full(arr.shape, b)
+    mid = (arr > 0.0) & (arr < t)
+    x = (arr[mid] * a - mu) / (arr[mid] - 1.0)
+    out[mid] = np.where(x < a, a, x)  # a tie keeps x, so -0.0 stays -0.0
+    zero = arr == 0.0
+    if zero.any():
+        out[zero] = np.random.default_rng(rng).uniform(a, mu, int(zero.sum()))
+    return float(out[0]) if np.ndim(p) == 0 else out
 
 
 def inverse_upper(params: PBoxParams, p, rng=None):
     """Invert the upper CDF bound at probability ``p`` (scalar or array).
 
     ``p = 1`` is set-valued and resolved by a uniform draw on [mean, max].
+    On a degenerate box every branch gives ``min``.
     """
-    arr = np.atleast_1d(_as_p_array(p))
-    a, b, mu = params.minimum, params.maximum, params.mean
-    if params.degenerate:
-        out = np.full(arr.shape, a)
-    else:
-        t = params.threshold
-        out = np.full(arr.shape, a)
-        mid = (arr > t) & (arr < 1.0)
-        out[mid] = b - (b - mu) / arr[mid]
-        one = (arr == 1.0) & (arr > t)
-        if one.any():
-            out[one] = np.random.default_rng(rng).uniform(mu, b, int(one.sum()))
-    return out if not _scalar_in(p) else float(out[0])
+    _check_unit(p, "p")
+    arr = np.atleast_1d(np.asarray(p, dtype=float))
+    a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
+    out = np.full(arr.shape, a)
+    mid = (arr > t) & (arr < 1.0)
+    out[mid] = b - (b - mu) / arr[mid]
+    one = (arr == 1.0) & (arr > t)
+    if one.any():
+        out[one] = np.random.default_rng(rng).uniform(mu, b, int(one.sum()))
+    return float(out[0]) if np.ndim(p) == 0 else out
 
 
 def sample_recall_streams(params: PBoxParams, n: int, seed: int) -> RecallStreams:
@@ -216,13 +205,8 @@ def stream_mean_optimistic(params: PBoxParams) -> float:
     ``a*t + (a - mu)*log(1 - t) + (1 - t)*b`` with the usual threshold ``t``
     (the set-valued endpoint at p = 0 has measure zero).
     """
-    a, b, mu = params.minimum, params.maximum, params.mean
-    if params.degenerate:
-        return a
-    t = params.threshold
-    if t == 0.0:
-        return b
-    if t == 1.0:  # mean == minimum: the middle branch is constant at a
+    a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
+    if t == 1.0:  # mean == minimum: the middle branch is constant at a, log1p(-1) raises
         return a
     return a * t + (a - mu) * math.log1p(-t) + (1.0 - t) * b
 
@@ -232,14 +216,9 @@ def stream_mean_pessimistic(params: PBoxParams) -> float:
 
     Closed form: ``a*t + b*(1 - t) + (b - mu)*log(t)``.
     """
-    a, b, mu = params.minimum, params.maximum, params.mean
-    if params.degenerate:
-        return a
-    t = params.threshold
-    if t == 0.0:
+    a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
+    if t == 0.0:  # mean == maximum, or a degenerate box: log(0) raises
         return b
-    if t == 1.0:
-        return a
     return a * t + b * (1.0 - t) + (b - mu) * math.log(t)
 
 

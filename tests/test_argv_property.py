@@ -1,0 +1,146 @@
+"""Property test over the command line.
+
+Each example picks a subcommand and some of its flags, each flag with a value
+from a small pool of valid and invalid values, among them well-formed and
+malformed input files. Whatever the argv, ``main`` must exit 0 (success),
+2 (bad input) or 3 (I/O error), never 4 (internal error), and must print no
+traceback. A run that succeeds must give the same stdout when repeated.
+
+``--trials`` and ``--n-items`` are always small or invalid, so every example
+runs in milliseconds.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pipeuq.cli import main
+
+# Input files; a pool value "{name}" becomes the file's path. "{missing}" is a
+# path that does not exist.
+FILES = {
+    "good.ini": b"[common]\nseed = 5\n\n[simulate]\nmode = means\ntrials = 2\n",
+    "no_bracket.ini": b"[common\nseed = 3\n",
+    "duplicate_key.ini": b"[common]\nseed = 1\nseed = 2\n",
+    "duplicate_section.ini": b"[common]\nseed = 1\n[common]\nseed = 2\n",
+    "interpolation.ini": b"[common]\nout = a%b\n",
+    "latin1.ini": b"[common]\nseed = 1 \xff\n",
+    "unknown_key.ini": b"[common]\ncolour = red\n",
+    "bad_values.ini": b"[common]\nseed = x\ntrace = maybe\nprevalence = a, b\n",
+    "evidence.csv": (
+        b"source_id,metric,value\np1,recall,0.62\np1,recall,0.65\np2,recall,0.70\n"
+        b"p3,recall,0.10\np1,precision,0.71\n"
+    ),
+    "one_recall.csv": b"source_id,metric,value\np1,recall,0.4\n",
+    "precision_only.csv": b"source_id,metric,value\np1,precision,0.4\n",
+    "header_only.csv": b"source_id,metric,value\n",
+    "bad_header.csv": b"id,metric,value\np1,recall,0.4\n",
+    "bad_value.csv": b"source_id,metric,value\np1,recall,1.5\np2,recall,x\n",
+    "latin1_evidence.csv": b"source_id,metric,value\np1,recall,0.5\xe9\n",
+    "tools.csv": b"name,correct,generated\nA,7,20\nB,0,5\n",
+    "bad_tools.csv": b"name,correct,generated\nA,9,2\nB,x,5\n",
+    "zero_tools.csv": b"name,correct,generated\nA,0,0\n",
+    "latin1_tools.csv": b"name,correct,generated\nA\xff,1,2\n",
+}
+
+UNIT = ["0", "0.5", "1", "nan", "-0.1", "1.5", "inf"]
+GRID = ["0.5", "0,0.5,1", "", "nan", "1.5", "x"]
+INI = ["{" + name + "}" for name in FILES if name.endswith(".ini")] + ["{missing}"]
+EVIDENCE = ["{" + name + "}" for name in FILES if "tools" not in name and name.endswith(".csv")]
+EVIDENCE.append("{missing}")
+TOOLS = ["{tools.csv}", "{bad_tools.csv}", "{zero_tools.csv}", "{latin1_tools.csv}", "{missing}"]
+
+POOLS = {
+    "--config": INI,
+    "--seed": ["-1", "0", "7", str(2**70)],
+    "--output": ["table", "csv", "json", "xml"],
+    "--n-items": ["1", "50", "0", str(10**20), "x"],
+    "--prevalence": GRID,
+    "--fix-rate": GRID,
+    "--specificity": UNIT,
+    "--recall": UNIT,
+    "--precision": UNIT,
+    "--pbox-min": UNIT,
+    "--pbox-max": UNIT,
+    "--pbox-mean": UNIT,
+    "--evidence": EVIDENCE,
+    "--outlier-policy": ["none", "iqr", "median"],
+    "--outlier-k": ["0", "1.5", "-1", "nan", "inf"],
+    "--break-rate": UNIT,
+    "--trials": ["1", "3", "0", "-1", str(2**63), "x"],
+    "--mode": ["extremes", "means", "both", "median"],
+    "--tools": TOOLS,
+    "--confidence": ["0.5", "0.95", "0.9999999999999999", "0", "1", "nan"],
+    "--method": ["agresti-coull", "wilson", "wald"],
+    "--case-n-items": ["1", "879", "0", str(10**400)],
+    "--case-recall": UNIT,
+    "--case-accuracy": UNIT,
+}
+
+COMMON = ["--config", "--seed", "--output"]
+GRID_FLAGS = ["--n-items", "--prevalence", "--fix-rate", "--specificity"]
+PBOX_FLAGS = ["--pbox-min", "--pbox-max", "--pbox-mean", "--evidence", "--outlier-policy", "--outlier-k"]
+
+# subcommand -> (a pool per positional, flags always given, optional flags);
+# None in a positional's pool leaves it out
+COMMANDS = {
+    "analytic": ([], [], [*COMMON, *GRID_FLAGS, "--recall", "--precision"]),
+    "simulate": (
+        [], ["--trials"],
+        [*COMMON, *GRID_FLAGS, *PBOX_FLAGS, "--break-rate", "--mode", "--trace"],
+    ),
+    "evidence": ([[*EVIDENCE, None]], [], [*COMMON, "--outlier-policy", "--outlier-k"]),
+    "case-study": (
+        [["rule-based", "composed", "both"]], [],
+        [*COMMON, *PBOX_FLAGS, "--tools", "--confidence", "--method", "--case-n-items",
+         "--case-recall", "--case-accuracy"],
+    ),
+    "pbox-sample": ([], ["--trials"], [*COMMON, *PBOX_FLAGS]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, required, optional = COMMANDS[command]
+    argv = [command]
+    for pool in positionals:
+        value = draw(st.sampled_from(pool))
+        if value is not None:
+            argv.append(value)
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True, max_size=6))
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--trace":
+            argv.append(draw(st.sampled_from(POOLS[flag])))
+    return argv
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("argv-inputs")
+    for name, content in FILES.items():
+        directory.joinpath(name).write_bytes(content)
+    names = [*FILES, "missing"]
+    return {"{" + name + "}": str(directory / name) for name in names}
+
+
+@settings(max_examples=150, deadline=None)
+@given(template=argvs())
+def test_any_argv_exits_typed_and_reruns_identically(paths, template):
+    argv = [paths.get(token, token) for token in template]
+    code, out, err = run(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+    if code == 0:
+        assert run(argv) == (0, out, err), argv

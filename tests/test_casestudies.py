@@ -43,6 +43,9 @@ class TestQuantile:
     def test_confidence_range_enforced(self):
         with pytest.raises(InvalidParameterError):
             _z_two_sided(1.0)
+        # below 1, but 0.5 + confidence/2 rounds to 1
+        with pytest.raises(InvalidParameterError):
+            _z_two_sided(0.9999999999999999)
 
 
 class TestAgrestiCoull:

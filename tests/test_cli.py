@@ -210,6 +210,15 @@ class TestPboxSample:
         assert "optimistic" in text and "pessimistic" in text
 
 
+    def test_mean_at_minimum(self, tmp_path):
+        doc = run_json(tmp_path, ["pbox-sample", "--pbox-min", "0.2", "--pbox-max", "0.8",
+                                  "--pbox-mean", "0.2"])
+        assert all(lo <= hi for lo, hi in zip(doc["results"]["pessimistic"], doc["results"]["optimistic"]))
+        assert min(doc["results"]["optimistic"]) == 0.2
+        assert main(["simulate", "--pbox-min", "0.2", "--pbox-max", "0.8", "--pbox-mean", "0.2",
+                     "--trials", "50", "--prevalence", "0.5", "--fix-rate", "0.5"]) == 0
+
+
 class TestConfigHandling:
     def test_file_then_flag_precedence(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -255,13 +264,42 @@ class TestExitCodes:
     def test_success(self):
         assert main(["analytic", "--prevalence", "0.5", "--fix-rate", "0.5"]) == 0
 
-    def test_usage_error(self):
+    def test_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--mode", "weird"]) == 2
         assert main(["simulate", "--seed", "-1"]) == 2
         assert main(["pbox-sample", "--seed", "-1"]) == 2
         assert main(["simulate", "--n-items", str(10**20), "--trials", "2"]) == 2
         assert main(["analytic", "--n-items", str(10**400)]) == 2
         assert main(["case-study", "composed", "--case-n-items", str(10**400)]) == 2
+        capsys.readouterr()
+        files = {
+            "no_bracket.ini": b"[common\nseed = 3\n",
+            "duplicate_key.ini": b"[common]\nseed = 1\nseed = 2\n",
+            "duplicate_section.ini": b"[common]\nseed = 1\n[common]\nseed = 2\n",
+            "interpolation.ini": b"[common]\nout = a%b\n",
+            "latin1.ini": b"[common]\nseed = 1 \xff\n",
+            "latin1_evidence.csv": b"source_id,metric,value\np1,recall,0.5\xe9\n",
+            "latin1_tools.csv": b"name,correct,generated\nA\xff,1,2\n",
+            "evidence.csv": b"source_id,metric,value\np1,recall,0.5\np2,recall,0.7\n",
+        }
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        path = {name: str(tmp_path / name) for name in files}
+        argvs = [
+            *(["analytic", "--config", path[name]] for name in files if name.endswith(".ini")),
+            ["evidence", path["latin1_evidence.csv"]],
+            ["simulate", "--trials", "2", "--evidence", path["latin1_evidence.csv"]],
+            ["case-study", "rule-based", "--tools", path["latin1_tools.csv"]],
+            ["simulate", "--trials", str(2**63)],
+            ["pbox-sample", "--trials", str(2**63)],
+            ["case-study", "rule-based", "--confidence", "0.9999999999999999"],
+            ["evidence", path["evidence.csv"], "--outlier-k", "nan"],
+        ]
+        for argv in argvs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "outlier_k" in err
 
     def test_out_path_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"

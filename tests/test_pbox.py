@@ -168,6 +168,27 @@ class TestSampling:
         assert np.all(streams.optimistic == 0.74)
         assert np.all(streams.pessimistic == 0.74)
 
+    def test_mean_at_minimum_keeps_streams_ordered(self):
+        # the middle branch of inverse_lower can round an ulp below the
+        # minimum, where the pessimistic stream sits exactly at it
+        grid = np.linspace(0.0, 1.0, 21)
+        for a in grid:
+            for b in grid[grid > a]:
+                for mu in (a, np.nextafter(a, 1.0)):
+                    streams = sample_recall_streams(PBoxParams(a, b, mu), 1000, seed=42)
+                    assert np.all(streams.optimistic >= a)
+                    assert np.all(streams.pessimistic <= streams.optimistic)
+
+    def test_closed_form_means_at_branch_ends(self):
+        # t = 1 (mean at minimum), t = 0 (mean at maximum) and a point box
+        for box, expected in (
+            (PBoxParams(0.2, 0.8, 0.2), 0.2),
+            (PBoxParams(0.2, 0.8, 0.8), 0.8),
+            (PBoxParams(0.5, 0.5, 0.5), 0.5),
+        ):
+            assert stream_mean_optimistic(box) == expected
+            assert stream_mean_pessimistic(box) == expected
+
     def test_deterministic_given_seed(self):
         s1 = sample_recall_streams(BOX, 100, seed=99)
         s2 = sample_recall_streams(BOX, 100, seed=99)
