@@ -33,14 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import __version__
-from .config import (
-    CI_METHODS,
-    MODES,
-    OUTLIER_POLICIES,
-    OUTPUTS,
-    RunConfig,
-    build_config,
-)
+from .config import CHOICES, COMMON, FLAGS, HELP, PARSERS, RunConfig, build_config
 from .core import ClassifierProfile, DomainSpec, FixerSpec, pipeline_outcome
 from .errors import PipeUQError
 from .evidence import group_by_metric, load_samples, remove_outliers, summarize, to_pbox
@@ -452,95 +445,41 @@ def render(env: ReportEnvelope, output: str) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _add_common(sp) -> None:
-    sp.add_argument("--config", metavar="PATH", help="INI config file")
-    sp.add_argument("--seed", type=int, metavar="INT")
-    sp.add_argument("--output", choices=OUTPUTS)
-    sp.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-
-
-def _add_pbox(sp, with_triple=True) -> None:
-    if with_triple:
-        sp.add_argument("--pbox-min", type=float, dest="pbox_min", metavar="X")
-        sp.add_argument("--pbox-max", type=float, dest="pbox_max", metavar="X")
-        sp.add_argument("--pbox-mean", type=float, dest="pbox_mean", metavar="X")
-        sp.add_argument(
-            "--evidence", metavar="PATH", help="derive the recall p-box from this evidence CSV"
-        )
-    sp.add_argument("--outlier-policy", choices=OUTLIER_POLICIES, dest="outlier_policy")
-    sp.add_argument("--outlier-k", type=float, dest="outlier_k", metavar="K")
-
-
-def _add_grid(sp) -> None:
-    sp.add_argument("--n-items", type=int, dest="n_items", metavar="INT")
-    sp.add_argument("--prevalence", type=_float_list, metavar="LIST")
-    sp.add_argument("--fix-rate", type=_float_list, dest="fix_rate", metavar="LIST")
-    sp.add_argument("--specificity", type=float)
+# help metavar by a field's type, read from its default (None: a path)
+_METAVARS = {int: "INT", float: "X", list: "LIST", type(None): "PATH"}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command in ``FLAGS``, one ``--flag`` per field it takes."""
     parser = argparse.ArgumentParser(
         prog="pipeuq",
         description="Uncertainty propagation for detect-fix-redetect security pipelines.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analytic", help="closed-form grid of pipeline metrics")
-    _add_common(p)
-    _add_grid(p)
-    p.add_argument("--recall", type=float)
-    p.add_argument("--precision", type=float)
-
-    p = sub.add_parser("simulate", help="Monte Carlo experiment per grid cell")
-    _add_common(p)
-    _add_grid(p)
-    _add_pbox(p)
-    p.add_argument("--break-rate", type=float, dest="break_rate")
-    p.add_argument("--trials", type=int, metavar="INT")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--trace", action="store_const", const=True, help="embed per-trial values in the report")
-
-    p = sub.add_parser("evidence", help="summarize an evidence CSV into p-box parameters")
-    _add_common(p)
-    p.add_argument("evidence", nargs="?", metavar="CSV", help="evidence file to ingest")
-    _add_pbox(p, with_triple=False)
-
-    p = sub.add_parser("case-study", help="tool CI table or composed pipeline example")
-    _add_common(p)
-    p.add_argument("which", choices=("rule-based", "composed"))
-    p.add_argument("--tools", metavar="PATH", help="tool records CSV (name,correct,generated)")
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--method", choices=CI_METHODS)
-    p.add_argument("--case-n-items", type=int, dest="case_n_items", metavar="INT")
-    p.add_argument("--case-recall", type=float, dest="case_recall", metavar="X")
-    p.add_argument("--case-accuracy", type=float, dest="case_accuracy", metavar="X")
-    _add_pbox(p)
-
-    p = sub.add_parser("pbox-sample", help="draw paired recall streams from a p-box")
-    _add_common(p)
-    _add_pbox(p)
-    p.add_argument("--trials", type=int, metavar="INT", help="number of samples")
-
+    defaults = RunConfig()
+    for command, (help_text, names) in FLAGS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="PATH", help=HELP["config"])
+        if command == "evidence":
+            p.add_argument("evidence", nargs="?", metavar="CSV", help="evidence file to ingest")
+        if command == "case-study":
+            p.add_argument("which", choices=("rule-based", "composed"))
+        for name in (*COMMON, *names):
+            flag = "--" + name.replace("_", "-")
+            help_ = HELP.get((command, name), HELP.get(name))
+            kind = type(getattr(defaults, name))
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True, help=help_)
+                continue
+            p.add_argument(
+                flag,
+                type=PARSERS[kind][0] if kind in PARSERS else None,
+                choices=CHOICES.get(name),
+                metavar=_METAVARS.get(kind),
+                help=help_,
+            )
     return parser
-
-
-def _dispatch(args, cfg: RunConfig) -> ReportEnvelope:
-    if args.command == "analytic":
-        return cmd_analytic(cfg)
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    if args.command == "evidence":
-        return cmd_evidence(cfg)
-    if args.command == "case-study":
-        return cmd_case_study(cfg, args.which)
-    if args.command == "pbox-sample":
-        return cmd_pbox_sample(cfg)
-    raise PipeUQError(f"unknown command {args.command!r}")  # pragma: no cover
 
 
 def main(argv=None) -> int:
@@ -551,7 +490,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args, args.command)
-        env = _dispatch(args, cfg)
+        # looked up on every run, so a wrapper set on the module takes effect
+        run = globals()["cmd_" + args.command.replace("-", "_")]
+        env = run(cfg, args.which) if args.command == "case-study" else run(cfg)
         text = render(env, cfg.output)
         if cfg.out:
             with open(cfg.out, "w", encoding="utf-8") as fh:

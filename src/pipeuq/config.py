@@ -2,7 +2,8 @@
 
 Precedence is CLI flags > config file > built-in defaults. Config files use
 INI sections: ``[common]`` applies to every command, ``[<command>]`` to one.
-Keys are the flag names with underscores, e.g.::
+Keys are ``RunConfig`` field names, which are the flag names with underscores;
+any section may set any field, e.g.::
 
     [common]
     seed = 7
@@ -24,14 +25,8 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "build_config", "validate_config", "COMMANDS"]
+__all__ = ["RunConfig", "FLAGS", "COMMON", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
-COMMANDS = ("analytic", "simulate", "evidence", "case-study", "pbox-sample")
-
-OUTPUTS = ("table", "csv", "json")
-MODES = ("extremes", "means", "both")
-OUTLIER_POLICIES = ("none", "iqr")
-CI_METHODS = ("agresti-coull", "wilson")
 MAX_ITEMS = 2**63 - 1
 
 
@@ -69,37 +64,80 @@ class RunConfig:
     trace: bool = False
 
 
-_LIST_FIELDS = {"prevalence", "fix_rate"}
-_BOOL_FIELDS = {"trace"}
+_GRID = ("n_items", "prevalence", "fix_rate", "specificity")
+_PBOX = ("pbox_min", "pbox_max", "pbox_mean", "evidence", "outlier_policy", "outlier_k")
+# command -> (its help line, the RunConfig fields it takes as flags besides
+# COMMON); every command also takes --config
+FLAGS = {
+    "analytic": ("closed-form grid of pipeline metrics", (*_GRID, "recall", "precision")),
+    "simulate": (
+        "Monte Carlo experiment per grid cell",
+        (*_GRID, *_PBOX, "break_rate", "trials", "mode", "trace"),
+    ),
+    "evidence": ("summarize an evidence CSV into p-box parameters", ("outlier_policy", "outlier_k")),
+    "case-study": (
+        "tool CI table or composed pipeline example",
+        ("tools", "confidence", "method", "case_n_items", "case_recall", "case_accuracy", *_PBOX),
+    ),
+    "pbox-sample": ("draw paired recall streams from a p-box", (*_PBOX, "trials")),
+}
+COMMON = ("seed", "output", "out")
+
+CHOICES = {
+    "mode": ("extremes", "means", "both"),
+    "output": ("table", "csv", "json"),
+    "outlier_policy": ("none", "iqr"),
+    "method": ("agresti-coull", "wilson"),
+}
+
+# flag help; a (command, field) key overrides the field's own
+HELP = {
+    "config": "INI config file",
+    "out": "write the report here instead of stdout",
+    "evidence": "derive the recall p-box from this evidence CSV",
+    "trace": "embed per-trial values in the report",
+    "tools": "tool records CSV (name,correct,generated)",
+    ("pbox-sample", "trials"): "number of samples",
+}
 
 
-def _parse_value(name: str, text: str, target_type):
-    text = text.strip()
-    if name in _LIST_FIELDS:
-        try:
-            return [float(tok) for tok in text.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"{name}: expected a list of numbers, got {text!r}") from None
-    if name in _BOOL_FIELDS:
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {text!r}")
+def float_list(text: str) -> list[float]:
+    """Numbers separated by commas and/or whitespace, e.g. ``"0.1, 0.5 1"``."""
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def _boolean(text: str) -> bool:
     try:
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+# a field's type, read from its default -> (text parser, what the text must be);
+# a field absent here takes the text as it stands
+PARSERS = {
+    int: (int, "a number"),
+    float: (float, "a number"),
+    list: (float_list, "a list of numbers"),
+    bool: (_boolean, "a boolean"),
+}
+
+
+def _parse_value(name: str, text: str, default):
+    text = text.strip()
+    if type(default) not in PARSERS:
+        return text
+    parse, expected = PARSERS[type(default)]
+    try:
+        return parse(text)
     except ValueError:
-        raise ConfigError(f"{name}: expected a number, got {text!r}") from None
-    return text
+        raise ConfigError(f"{name}: expected {expected}, got {text!r}") from None
 
 
 def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    known = {f.name: f for f in fields(RunConfig)}
+    known = {f.name for f in fields(RunConfig)}
+    defaults = RunConfig()
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -110,9 +148,7 @@ def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
                 key = key.replace("-", "_")
                 if key not in known:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-                default = getattr(RunConfig(), key)
-                target = type(default) if default is not None else str
-                setattr(cfg, key, _parse_value(key, text, target))
+                setattr(cfg, key, _parse_value(key, text, getattr(defaults, key)))
     except (configparser.Error, UnicodeDecodeError) as exc:
         # some configparser messages span lines; the report is one line
         raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
@@ -172,16 +208,11 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             f"pbox: need pbox_min <= pbox_mean <= pbox_max, got "
             f"({cfg.pbox_min}, {cfg.pbox_mean}, {cfg.pbox_max})"
         )
-    if cfg.mode not in MODES:
-        errors.append(f"mode: must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.output not in OUTPUTS:
-        errors.append(f"output: must be one of {OUTPUTS}, got {cfg.output!r}")
-    if cfg.outlier_policy not in OUTLIER_POLICIES:
-        errors.append(f"outlier_policy: must be one of {OUTLIER_POLICIES}, got {cfg.outlier_policy!r}")
+    for name, allowed in CHOICES.items():
+        if getattr(cfg, name) not in allowed:
+            errors.append(f"{name}: must be one of {allowed}, got {getattr(cfg, name)!r}")
     if not cfg.outlier_k >= 0:  # also rejects NaN
         errors.append(f"outlier_k: must be >= 0, got {cfg.outlier_k!r}")
-    if cfg.method not in CI_METHODS:
-        errors.append(f"method: must be one of {CI_METHODS}, got {cfg.method!r}")
     if command == "analytic" and cfg.break_rate != 0.0:
         errors.append(f"break_rate: the closed forms assume 0, got {cfg.break_rate!r}")
     if command == "evidence" and not cfg.evidence:

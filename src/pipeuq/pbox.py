@@ -71,6 +71,8 @@ class PBoxParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0 and math.isfinite(v)):
                 raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+            if math.copysign(1.0, v) < 0.0:  # -0.0; numpy's uniform rejects the range (0.0, -0.0)
+                object.__setattr__(self, name, 0.0)
         if not self.minimum <= self.mean <= self.maximum:
             raise InvalidParameterError(
                 f"p-box needs minimum <= mean <= maximum, got "
@@ -157,7 +159,7 @@ def inverse_lower(params: PBoxParams, p, rng=None):
     out = np.full(arr.shape, b)
     mid = (arr > 0.0) & (arr < t)
     x = (arr[mid] * a - mu) / (arr[mid] - 1.0)
-    out[mid] = np.where(x < a, a, x)  # a tie keeps x, so -0.0 stays -0.0
+    out[mid] = np.where(x <= a, a, x)  # a tie gives a: (p*0 - 0) / (p - 1) is -0.0
     zero = arr == 0.0
     if zero.any():
         out[zero] = np.random.default_rng(rng).uniform(a, mu, int(zero.sum()))
@@ -192,7 +194,10 @@ def sample_recall_streams(params: PBoxParams, n: int, seed: int) -> RecallStream
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
-    p = rng.random(int(n))
+    try:
+        p = rng.random(int(n))
+    except (MemoryError, ValueError):  # numpy: "array is too big"
+        raise InvalidParameterError(f"{n} samples do not fit in memory") from None
     optimistic = inverse_lower(params, p, rng)
     pessimistic = inverse_upper(params, p, rng)
     return RecallStreams(optimistic, pessimistic, p, int(seed))

@@ -72,19 +72,12 @@ class TrialOutcome:
     real_fix_rate: float | None
     fn_ratio: float | None
     recall_used: float
-    seed_used: int
 
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Everything one experiment produced, plus the configuration to redo it."""
+    """Per-trial outcomes of one experiment and the intervals they give."""
 
-    domain: DomainSpec
-    profile: ClassifierProfile
-    fixer: FixerSpec
-    pbox: PBoxParams
-    trials: int
-    master_seed: int
     outcomes_optimistic: tuple[TrialOutcome, ...]
     outcomes_pessimistic: tuple[TrialOutcome, ...]
     intervals: dict
@@ -152,7 +145,6 @@ def run_trial(
         real_fix_rate=real_fix_rate,
         fn_ratio=fn_ratio,
         recall_used=recall,
-        seed_used=int(seed),
     )
 
 
@@ -220,12 +212,6 @@ def run_experiment(
         )
     intervals, undefined_fix, undefined_ratio = _aggregate(outcomes)
     return SimulationReport(
-        domain=domain,
-        profile=profile,
-        fixer=fixer,
-        pbox=pbox,
-        trials=int(trials),
-        master_seed=int(master_seed),
         outcomes_optimistic=outcomes[STREAM_OPTIMISTIC],
         outcomes_pessimistic=outcomes[STREAM_PESSIMISTIC],
         intervals=intervals,

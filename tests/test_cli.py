@@ -292,6 +292,10 @@ class TestExitCodes:
             ["case-study", "rule-based", "--tools", path["latin1_tools.csv"]],
             ["simulate", "--trials", str(2**63)],
             ["pbox-sample", "--trials", str(2**63)],
+            # accepted counts whose arrays exceed the address space, so they
+            # fail before any memory is touched
+            *([command, "--trials", str(n)]
+              for command in ("simulate", "pbox-sample") for n in (2**59, 2**63 - 1)),
             ["case-study", "rule-based", "--confidence", "0.9999999999999999"],
             ["evidence", path["evidence.csv"], "--outlier-k", "nan"],
         ]

@@ -69,6 +69,18 @@ class TestParams:
     def test_threshold_value(self):
         assert BOX.threshold == pytest.approx(0.26 / 0.93)
 
+    def test_negative_zero_becomes_zero(self):
+        box = PBoxParams(-0.0, 1.0, -0.0)
+        assert math.copysign(1.0, box.minimum) == math.copysign(1.0, box.mean) == 1.0
+        assert inverse_lower(PBoxParams(0.0, 1.0, -0.0), 0.0) == 0.0
+        # the middle branch at min = mean = 0 computes 0 / (p - 1) = -0.0
+        streams = sample_recall_streams(PBoxParams(-0.0, 1.0, 0.0), 20, seed=1)
+        assert all(math.copysign(1.0, v) == 1.0 for v in [*streams.optimistic, *streams.pessimistic])
+        # every other value stays as given, ints included
+        kept = PBoxParams(0, 1, 0.25)
+        assert (kept.minimum, kept.maximum, kept.mean) == (0, 1, 0.25)
+        assert type(kept.minimum) is int and type(kept.maximum) is int
+
     def test_interval_ordering(self):
         with pytest.raises(InvalidParameterError):
             Interval(0.5, 0.4)
