@@ -5,7 +5,7 @@ through a classifier/fixer/classifier pipeline: closed-form metrics, p-box
 interval bounds, and a seeded Monte Carlo simulator, with a CLI on top.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ConfigError,

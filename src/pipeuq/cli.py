@@ -153,33 +153,22 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     modes = ("extremes", "means") if cfg.mode == "both" else (cfg.mode,)
     results: dict = {m: [] for m in METRICS}
     results["pbox"] = asdict(pbox)
-    for p_r in cfg.prevalence:
-        domain = DomainSpec(cfg.n_items, p_r)
-        for f_r in cfg.fix_rate:
-            report = run_experiment(
-                domain, profile, FixerSpec(f_r, cfg.break_rate), pbox, cfg.trials, cfg.seed
-            )
-            undefined = {
-                "real_fix_rate": report.undefined_real_fix_rate,
-                "fn_ratio": report.undefined_fn_ratio,
-            }
-            outcomes = report.outcomes() if cfg.trace else ()
-            for metric in METRICS:
-                trials = [getattr(o, metric) for o in outcomes]  # shared by both modes
-                for mode in modes:
-                    interval = report.intervals[metric][mode]
-                    entry = {
-                        "prevalence": p_r,
-                        "fix_rate": f_r,
-                        "mode": mode,
-                        "lo": None if interval is None else interval.lo,
-                        "hi": None if interval is None else interval.hi,
-                    }
-                    if metric in undefined:
-                        entry["undefined"] = undefined[metric]
-                    if cfg.trace:
-                        entry["trials"] = trials
-                    results[metric].append(entry)
+    for p_r, f_r in itertools.product(cfg.prevalence, cfg.fix_rate):
+        domain, fixer = DomainSpec(cfg.n_items, p_r), FixerSpec(f_r, cfg.break_rate)
+        report = run_experiment(domain, profile, fixer, pbox, cfg.trials, cfg.seed)
+        trials = {metric: [] for metric in METRICS}  # shared by both modes
+        for *_, values in report.chunks() if cfg.trace else ():
+            for metric in METRICS:  # NaN marks an undefined trial
+                trials[metric] += [None if v != v else v for v in values[metric].tolist()]
+        for metric, mode in itertools.product(METRICS, modes):
+            interval = report.intervals[metric][mode]
+            entry = {"prevalence": p_r, "fix_rate": f_r, "mode": mode, "lo": None, "hi": None}
+            entry.update(asdict(interval) if interval else {})
+            if metric in report.undefined:
+                entry["undefined"] = report.undefined[metric]
+            if cfg.trace:
+                entry["trials"] = trials[metric]
+            results[metric].append(entry)
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
     return _envelope(
         "simulate",

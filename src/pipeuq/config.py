@@ -28,6 +28,9 @@ from .errors import ConfigError
 __all__ = ["RunConfig", "FLAGS", "COMMON", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
 MAX_ITEMS = 2**63 - 1
+# `simulate --trace` embeds 2 x trials floats per metric (3) per grid cell;
+# 2**20 of them take about 170 MB to report
+MAX_TRACE_FLOATS = 2**20
 
 
 @dataclass
@@ -186,6 +189,9 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         v = getattr(cfg, name)
         if not 1 <= v <= MAX_ITEMS:
             errors.append(f"{name}: must lie in [1, 2**63 - 1], got {v!r}")
+    floats = 6 * cfg.trials * len(cfg.prevalence) * len(cfg.fix_rate)
+    if command == "simulate" and cfg.trace and floats > MAX_TRACE_FLOATS:
+        errors.append(f"trace: {floats} trial values exceed the limit of 2**20; lower trials or the grid")
     if cfg.seed < 0:
         errors.append(f"seed: must be >= 0, got {cfg.seed!r}")
     for name in ("prevalence", "fix_rate"):

@@ -110,10 +110,6 @@ class DomainSpec:
     def positives(self) -> float:
         return self.prevalence * self.n_items
 
-    @property
-    def negatives(self) -> float:
-        return self.n_items - self.positives
-
 
 @dataclass(frozen=True)
 class FixerSpec:

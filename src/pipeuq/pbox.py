@@ -40,15 +40,19 @@ __all__ = [
     "Interval",
     "RecallStreams",
     "IntervalBundle",
+    "CHUNK",
     "MODE_EXTREMES",
     "MODE_MEANS",
     "inverse_lower",
     "inverse_upper",
+    "recall_chunks",
     "sample_recall_streams",
     "stream_mean_optimistic",
     "stream_mean_pessimistic",
     "propagate_interval",
 ]
+
+CHUNK = 2**16  # recall samples and simulated trials are drawn this many at a time
 
 MODE_EXTREMES = "extremes"
 MODE_MEANS = "means"
@@ -156,7 +160,7 @@ def inverse_lower(params: PBoxParams, p, rng=None):
     _check_unit(p, "p")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
-    out = np.full(arr.shape, b)
+    out = np.full(arr.shape, b, dtype=float)
     mid = (arr > 0.0) & (arr < t)
     x = (arr[mid] * a - mu) / (arr[mid] - 1.0)
     out[mid] = np.where(x <= a, a, x)  # a tie gives a: (p*0 - 0) / (p - 1) is -0.0
@@ -175,7 +179,7 @@ def inverse_upper(params: PBoxParams, p, rng=None):
     _check_unit(p, "p")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
-    out = np.full(arr.shape, a)
+    out = np.full(arr.shape, a, dtype=float)
     mid = (arr > t) & (arr < 1.0)
     out[mid] = b - (b - mu) / arr[mid]
     one = (arr == 1.0) & (arr > t)
@@ -184,23 +188,31 @@ def inverse_upper(params: PBoxParams, p, rng=None):
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def sample_recall_streams(params: PBoxParams, n: int, seed: int) -> RecallStreams:
-    """Draw ``n`` paired recall samples from both inverses.
+def recall_chunks(params: PBoxParams, n: int, seed: int):
+    """Yield ``n`` paired recall samples from both inverses, ``CHUNK`` at a time.
 
-    One list of p values is drawn i.i.d. uniform(0, 1) from a generator seeded
-    with ``seed`` and fed to both inverses, so results are deterministic given
-    (params, n, seed).
+    The p values are successive ``random`` calls on one ``default_rng(seed)``.
+    Chunk ``k`` resolves its p = 0 and p = 1 ties with a child generator,
+    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
+    for k, start in enumerate(range(0, n, CHUNK)):
+        p = rng.random(min(CHUNK, n - start))
+        ties = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        yield RecallStreams(inverse_lower(params, p, ties), inverse_upper(params, p, ties), p, seed)
+
+
+def sample_recall_streams(params: PBoxParams, n: int, seed: int) -> RecallStreams:
+    """All ``n`` samples of ``recall_chunks`` in one ``RecallStreams``."""
     try:
-        p = rng.random(int(n))
+        out = np.empty((3, max(int(n), 0)))
     except (MemoryError, ValueError):  # numpy: "array is too big"
         raise InvalidParameterError(f"{n} samples do not fit in memory") from None
-    optimistic = inverse_lower(params, p, rng)
-    pessimistic = inverse_upper(params, p, rng)
-    return RecallStreams(optimistic, pessimistic, p, int(seed))
+    for k, chunk in enumerate(recall_chunks(params, n, seed)):  # raises for n < 1
+        out[:, k * CHUNK:k * CHUNK + len(chunk)] = chunk.optimistic, chunk.pessimistic, chunk.p_values
+    return RecallStreams(*out, int(seed))
 
 
 def stream_mean_optimistic(params: PBoxParams) -> float:

@@ -20,25 +20,28 @@ binomial, and one trial is seven binomial draws in this order:
    fp_out = fp2; final prevalence = (tp_out + fn_out) / n_items; realized fix
    rate = 1 - final_prevalence / prevalence; fn growth = fn_out / fn1.
 
-A trial's time and memory do not depend on ``n_items``.
-
-Reproducibility contract: a trial makes its seven draws in the order above
-from one ``numpy.random.default_rng(seed)``, and every trial's integer seed is
-derived from ``(master_seed, stream_code, trial_index)`` via ``numpy.random
-.SeedSequence``. A trial therefore depends only on its coordinates, and
-reports are identical for a given master seed regardless of execution order
-or trial scheduling.
+Reproducibility contract: trials run in chunks of ``CHUNK = 2**16``, each of
+the seven draws one ``rng.binomial`` call over a chunk's arrays. Chunk ``k``
+of stream code 1 (optimistic) or 2 (pessimistic) draws, in the order above,
+from ``default_rng(SeedSequence((master_seed, stream_code, k)))`` at the
+recalls of chunk ``k`` of ``pbox.recall_chunks(pbox, trials, master_seed)``,
+whose p = 0 and p = 1 ties come from a child generator per chunk. Every grid
+cell reuses these seeds (common random numbers), so a report depends only on
+its config: never on the other cells, the execution order or the memory.
+Running sums aggregate the chunks, so memory does not grow with ``trials``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .core import ClassifierProfile, ConfusionCounts, DomainSpec, FixerSpec, _check_unit
 from .errors import InvalidParameterError
-from .pbox import Interval, PBoxParams, sample_recall_streams
+from .pbox import Interval, PBoxParams, recall_chunks
 
 __all__ = [
     "TrialOutcome",
@@ -74,25 +77,47 @@ class TrialOutcome:
     recall_used: float
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    """Per-trial outcomes of one experiment and the intervals they give."""
-
-    outcomes_optimistic: tuple[TrialOutcome, ...]
-    outcomes_pessimistic: tuple[TrialOutcome, ...]
-    intervals: dict
-    undefined_real_fix_rate: int
-    undefined_fn_ratio: int
-
-    def outcomes(self) -> tuple[TrialOutcome, ...]:
-        return self.outcomes_optimistic + self.outcomes_pessimistic
+def _detect(rng, vulnerable, total, recall, specificity):
+    """One classifier pass: two draws, then (tp, fn, tn, fp) of ``total`` items."""
+    tp = rng.binomial(vulnerable, recall)
+    tn = rng.binomial(total - vulnerable, specificity)
+    return tp, vulnerable - tp, tn, total - vulnerable - tn
 
 
-def _detect(rng, vulnerable: int, clean: int, recall: float, specificity: float) -> ConfusionCounts:
-    """One classifier pass over ``vulnerable`` and ``clean`` items: two draws."""
-    tp = int(rng.binomial(vulnerable, recall))
-    tn = int(rng.binomial(clean, specificity))
-    return ConfusionCounts(tp, vulnerable - tp, tn, clean - tn)
+def _draw(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall: np.ndarray):
+    """The seven draws of a chunk of trials, one array entry per trial.
+
+    Returns the eight counts (tp1, fn1, tn1, fp1, tp2, fn2, tn2, fp2) and the
+    metrics keyed as ``METRICS``, NaN where undefined. Intermediate arrays
+    live inside ``_detect``, so a chunk's peak memory stays near its results.
+    """
+    _check_unit(recall, "recall")
+    n, prevalence, spec = domain.n_items, domain.prevalence, profile.specificity
+    if n < 1:
+        raise InvalidParameterError("a trial needs at least one item")
+    tp1, fn1, tn1, fp1 = _detect(rng, rng.binomial(n, prevalence, recall.size), n, recall, spec)
+    # a detected vulnerability survives unless repaired and not broken; a
+    # false alarm becomes vulnerable only when broken
+    survives = 1.0 - (1.0 - fixer.break_rate) * fixer.fix_rate
+    vulnerable_after = rng.binomial(tp1, survives) + rng.binomial(fp1, fixer.break_rate)
+    tp2, fn2, tn2, fp2 = _detect(rng, vulnerable_after, tp1 + fp1, recall, spec)
+
+    fn_out = fn1 + fn2
+    final_prevalence = (tp2 + fn_out) / n
+    real_fix_rate = 1.0 - final_prevalence / prevalence if prevalence > 0.0 else np.full(recall.size, np.nan)
+    # without first-stage misses the growth is undefined, or vacuously 1 if
+    # the second stage missed nothing either
+    fn_ratio = np.divide(fn_out, fn1, out=np.full(recall.size, np.nan), where=fn1 > 0)
+    fn_ratio[fn_out == 0] = 1.0
+    counts = (tp1, fn1, tn1, fp1, tp2, fn2, tn2, fp2)
+    return counts, dict(zip(METRICS, (final_prevalence, real_fix_rate, fn_ratio)))
+
+
+def _outcomes(recall: np.ndarray, counts, metrics: dict):
+    """The trials of one chunk as ``TrialOutcome`` records, in order."""
+    values = [[None if v != v else v for v in metrics[m].tolist()] for m in METRICS]
+    for rec, row, final, fix, ratio in zip(recall.tolist(), zip(*(c.tolist() for c in counts)), *values):
+        yield TrialOutcome(ConfusionCounts(*row[:4]), ConfusionCounts(*row[4:]), final, fix, ratio, rec)
 
 
 def run_trial(
@@ -102,83 +127,50 @@ def run_trial(
     recall: float,
     seed: int,
 ) -> TrialOutcome:
-    """One full pipeline pass at a fixed recall.
+    """One full pipeline pass at a fixed recall: a chunk of one trial.
 
     ``recall`` overrides ``profile.recall`` (the profile still supplies the
     specificity). The seven draws share one generator seeded with ``seed``.
     """
-    _check_unit(recall, "recall")
-    n = domain.n_items
-    if n < 1:
-        raise InvalidParameterError("a trial needs at least one item")
-    recall, spec = float(recall), profile.specificity
-    rng = np.random.default_rng(int(seed))
-    vulnerable = int(rng.binomial(n, domain.prevalence))
-    counts_first = _detect(rng, vulnerable, n - vulnerable, recall, spec)
-    sent = counts_first.tp + counts_first.fp
-    # a detected vulnerability survives unless repaired and not broken; a
-    # false alarm becomes vulnerable only when broken
-    survives = 1.0 - (1.0 - fixer.break_rate) * fixer.fix_rate
-    vulnerable_after = int(rng.binomial(counts_first.tp, survives)) + int(
-        rng.binomial(counts_first.fp, fixer.break_rate)
-    )
-    counts_second = _detect(rng, vulnerable_after, sent - vulnerable_after, recall, spec)
-
-    tp_out = counts_second.tp
-    fn_out = counts_first.fn + counts_second.fn
-    final_prevalence = (tp_out + fn_out) / n
-    if domain.prevalence > 0.0:
-        real_fix_rate = 1.0 - final_prevalence / domain.prevalence
-    else:
-        real_fix_rate = None
-    fn1, fn2 = counts_first.fn, counts_second.fn
-    if fn1 > 0:
-        fn_ratio = fn_out / fn1
-    elif fn2 == 0:
-        fn_ratio = 1.0  # vacuously no growth
-    else:
-        fn_ratio = None
-    return TrialOutcome(
-        counts_first=counts_first,
-        counts_second=counts_second,
-        final_prevalence=final_prevalence,
-        real_fix_rate=real_fix_rate,
-        fn_ratio=fn_ratio,
-        recall_used=recall,
-    )
+    recall = np.array([recall], dtype=float)
+    return next(_outcomes(recall, *_draw(np.random.default_rng(int(seed)), domain, profile, fixer, recall)))
 
 
 def trial_seed(master_seed: int, stream: str, index: int) -> int:
-    """Stable per-trial integer seed.
-
-    Hash of ``(master_seed, stream_code, trial_index)`` via
-    ``numpy.random.SeedSequence`` (a documented, platform-stable mix), so a
-    trial's randomness depends only on its coordinates, never on execution
-    order or on how many other trials run.
-    """
+    """Stable integer seed for ``run_trial``: a hash of ``(master_seed,
+    stream_code, index)`` by ``numpy.random.SeedSequence`` (documented, platform-stable)."""
     code = _STREAM_CODES[stream]
     ss = np.random.SeedSequence(entropy=(int(master_seed), code, int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _aggregate(report_outcomes: dict) -> tuple[dict, int, int]:
-    intervals: dict = {}
-    all_outcomes = report_outcomes[STREAM_OPTIMISTIC] + report_outcomes[STREAM_PESSIMISTIC]
-    for metric in METRICS:
-        defined = [v for o in all_outcomes if (v := getattr(o, metric)) is not None]
-        extremes = Interval(min(defined), max(defined)) if defined else None
-        means = []
-        for stream in (STREAM_OPTIMISTIC, STREAM_PESSIMISTIC):
-            vals = [v for o in report_outcomes[stream] if (v := getattr(o, metric)) is not None]
-            means.append(float(np.mean(vals)) if vals else None)
-        if None in means:
-            mean_interval = None
-        else:
-            mean_interval = Interval(min(means), max(means))
-        intervals[metric] = {"extremes": extremes, "means": mean_interval}
-    undefined_fix = sum(1 for o in all_outcomes if o.real_fix_rate is None)
-    undefined_ratio = sum(1 for o in all_outcomes if o.fn_ratio is None)
-    return intervals, undefined_fix, undefined_ratio
+@dataclass(frozen=True)
+class SimulationReport:
+    """Intervals of one experiment, and the inputs that re-draw its trials;
+    ``undefined`` maps real_fix_rate and fn_ratio to their undefined trials."""
+
+    intervals: dict
+    undefined: dict
+    domain: DomainSpec
+    profile: ClassifierProfile
+    fixer: FixerSpec
+    pbox: PBoxParams
+    trials: int
+    master_seed: int
+
+    def chunks(self):
+        """Re-draw every chunk as ``(stream, recall, counts, metrics)``, the
+        optimistic stream first; counts and metrics as ``_draw`` gives them."""
+        for stream, code in _STREAM_CODES.items():
+            recalls = map(attrgetter(stream), recall_chunks(self.pbox, self.trials, self.master_seed))
+            for k, recall in enumerate(recalls):
+                rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, code, k)))
+                yield (stream, recall, *_draw(rng, self.domain, self.profile, self.fixer, recall))
+
+    def outcomes(self):
+        """Re-draw every trial as a ``TrialOutcome``, the optimistic stream first."""
+        for _, recall, counts, metrics in self.chunks():
+            yield from _outcomes(recall, counts, metrics)
 
 
 def run_experiment(
@@ -191,30 +183,32 @@ def run_experiment(
 ) -> SimulationReport:
     """Run ``trials`` pipeline passes per recall stream and aggregate intervals.
 
-    Recall streams of length ``trials`` are sampled from the p-box with
-    ``master_seed``; each trial then runs under its own derived seed. The
-    report carries per-trial outcomes plus, for each metric, the per-trial
-    extremes interval and the stream-means interval (mean of each stream's
-    per-trial values, oriented lo <= hi). Trials whose metric is undefined are
-    excluded from aggregation and counted.
+    For each metric, the per-trial extremes interval and the stream-means
+    interval (each stream's mean, oriented lo <= hi), from running sums.
+    Trials whose metric is undefined are excluded and counted.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials!r}")
-    streams = sample_recall_streams(pbox, trials, master_seed)
-    outcomes: dict[str, tuple[TrialOutcome, ...]] = {}
-    for stream, values in (
-        (STREAM_OPTIMISTIC, streams.optimistic),
-        (STREAM_PESSIMISTIC, streams.pessimistic),
-    ):
-        outcomes[stream] = tuple(
-            run_trial(domain, profile, fixer, float(rec), trial_seed(master_seed, stream, i))
-            for i, rec in enumerate(values)
-        )
-    intervals, undefined_fix, undefined_ratio = _aggregate(outcomes)
-    return SimulationReport(
-        outcomes_optimistic=outcomes[STREAM_OPTIMISTIC],
-        outcomes_pessimistic=outcomes[STREAM_PESSIMISTIC],
-        intervals=intervals,
-        undefined_real_fix_rate=undefined_fix,
-        undefined_fn_ratio=undefined_ratio,
-    )
+    if not 1 <= trials <= 2**53:  # a stream mean divides by its count, exact in a float64 up to 2**53
+        raise InvalidParameterError(f"trials must lie in [1, 2**53], got {trials!r}")
+    report = SimulationReport({}, {}, domain, profile, fixer, pbox, trials, master_seed)
+    # per (stream, metric): min, max, count and sum of the defined values
+    sums = {(s, m): (math.inf, -math.inf, 0, 0.0) for s in _STREAM_CODES for m in METRICS}
+    for stream, recall, counts, metrics in report.chunks():
+        for metric, values in metrics.items():  # fmin, fmax and nansum skip NaN
+            lo, hi, count, total = sums[stream, metric]
+            sums[stream, metric] = (
+                float(np.fmin.reduce(values, initial=lo)),
+                float(np.fmax.reduce(values, initial=hi)),
+                count + int(np.count_nonzero(values == values)),
+                total + float(np.nansum(values)),
+            )
+        del recall, counts, metrics, values  # free the chunk before the next one is drawn
+    for metric in METRICS:
+        (lo1, hi1, n1, sum1), (lo2, hi2, n2, sum2) = (sums[s, metric] for s in _STREAM_CODES)
+        means = (sum1 / n1, sum2 / n2) if n1 and n2 else None
+        report.intervals[metric] = {
+            "extremes": Interval(min(lo1, lo2), max(hi1, hi2)) if n1 or n2 else None,
+            "means": Interval(min(means), max(means)) if means else None,
+        }
+        if metric != "final_prevalence":  # never undefined
+            report.undefined[metric] = 2 * trials - n1 - n2
+    return report

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +300,9 @@ class TestExitCodes:
             # fail before any memory is touched
             *([command, "--trials", str(n)]
               for command in ("simulate", "pbox-sample") for n in (2**59, 2**63 - 1)),
+            # a trace above 2**20 floats: 6 x 14564 x 12 default cells, 6 x 174763 x 1
+            ["simulate", "--trace", "--trials", "14564"],
+            ["simulate", "--trace", "--prevalence", "0.5", "--fix-rate", "0.5", "--trials", "174763"],
             ["case-study", "rule-based", "--confidence", "0.9999999999999999"],
             ["evidence", path["evidence.csv"], "--outlier-k", "nan"],
         ]
@@ -305,6 +312,33 @@ class TestExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "outlier_k" in err
 
+    def test_trace_limit_is_exact(self):
+        cell = {"prevalence": [0.5], "fix_rate": [0.5], "trace": True}
+        validate_config(RunConfig(trials=174762, **cell), "simulate")
+        with pytest.raises(ConfigError, match="trace"):
+            validate_config(RunConfig(trials=174763, **cell), "simulate")
+        # a trace set in a config file binds only the command that embeds one
+        validate_config(RunConfig(trials=10**6, **cell), "pbox-sample")
+
     def test_out_path_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"
         assert main([*FAST_SIM, "--out", str(target)]) == 3
+
+
+def peak_rss_mb(argv) -> float:
+    """Peak resident memory of ``pipeuq <argv>`` run in a child process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen([sys.executable, "-m", "pipeuq.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, argv
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def test_simulate_memory_does_not_grow_with_trials():
+    # 300 000 trials span five chunks per stream; running sums keep one chunk
+    cell = ["simulate", "--prevalence", "0.5", "--fix-rate", "0.5", "--n-items", "100", "--output", "csv"]
+    small = peak_rss_mb([*cell, "--trials", "1000"])
+    large = peak_rss_mb([*cell, "--trials", "300000"])
+    assert large - small <= 10.0, (small, large)

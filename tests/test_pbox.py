@@ -20,7 +20,7 @@ from pipeuq import (
     stream_mean_optimistic,
     stream_mean_pessimistic,
 )
-from pipeuq.pbox import MODE_EXTREMES, MODE_MEANS
+from pipeuq.pbox import CHUNK, MODE_EXTREMES, MODE_MEANS, recall_chunks
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
 
@@ -80,6 +80,14 @@ class TestParams:
         kept = PBoxParams(0, 1, 0.25)
         assert (kept.minimum, kept.maximum, kept.mean) == (0, 1, 0.25)
         assert type(kept.minimum) is int and type(kept.maximum) is int
+
+    def test_integer_bounds_give_float_samples(self):
+        # an int bound once made the output array int, truncating every
+        # middle-branch value to 0
+        int_box, float_box = PBoxParams(0, 1, 0.74), PBoxParams(0.0, 1.0, 0.74)
+        p = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(inverse_lower(int_box, p, 1), inverse_lower(float_box, p, 1))
+        assert np.array_equal(inverse_upper(int_box, p, 1), inverse_upper(float_box, p, 1))
 
     def test_interval_ordering(self):
         with pytest.raises(InvalidParameterError):
@@ -207,6 +215,15 @@ class TestSampling:
         assert np.array_equal(s1.p_values, s2.p_values)
         assert np.array_equal(s1.optimistic, s2.optimistic)
         assert np.array_equal(s1.pessimistic, s2.pessimistic)
+
+    def test_chunked_p_values_match_one_draw(self):
+        n = 2 * CHUNK + 5
+        streams = sample_recall_streams(BOX, n, seed=99)
+        assert np.array_equal(streams.p_values, np.random.default_rng(99).random(n))
+        chunks = list(recall_chunks(BOX, n, seed=99))
+        assert [len(c) for c in chunks] == [CHUNK, CHUNK, 5]
+        assert np.array_equal(np.concatenate([c.optimistic for c in chunks]), streams.optimistic)
+        assert np.array_equal(np.concatenate([c.pessimistic for c in chunks]), streams.pessimistic)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -3,6 +3,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from pipeuq import (
@@ -10,11 +12,13 @@ from pipeuq import (
     DomainSpec,
     FixerSpec,
     InvalidParameterError,
+    Interval,
     PBoxParams,
     run_experiment,
     run_trial,
     trial_seed,
 )
+from pipeuq.pbox import CHUNK, sample_recall_streams
 from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
@@ -59,22 +63,34 @@ class TestItemWalkEquivalence:
     TRIALS = 4000
     N = 60
 
-    @pytest.mark.parametrize(
-        "P, rec, spec, f, b",
-        [
-            (0.5, 0.74, 0.3, 0.7, 0.2),  # filtering classifier, breaking fixer
-            (0.4, 0.6, 0.5, 0.0, 0.1),  # fixer repairs nothing
-            (0.6, 0.9, 0.2, 1.0, 0.0),  # fixer repairs everything
-            (0.3, 0.5, 0.4, 0.5, 1.0),  # fixer breaks everything
-            (0.5, 0.74, 0.0, 0.7, 0.0),  # the default sweep's classifier and fixer
-        ],
-    )
+    GRID = [
+        (0.5, 0.74, 0.3, 0.7, 0.2),  # filtering classifier, breaking fixer
+        (0.4, 0.6, 0.5, 0.0, 0.1),  # fixer repairs nothing
+        (0.6, 0.9, 0.2, 1.0, 0.0),  # fixer repairs everything
+        (0.3, 0.5, 0.4, 0.5, 1.0),  # fixer breaks everything
+        (0.5, 0.74, 0.0, 0.7, 0.0),  # the default sweep's classifier and fixer
+    ]
+
+    @pytest.mark.parametrize("P, rec, spec, f, b", GRID)
     def test_counts_match_item_walk(self, P, rec, spec, f, b):
         outs = [
             trial(self.N, P, rec, spec, f, b, seed=trial_seed(3, STREAM_OPTIMISTIC, i))
             for i in range(self.TRIALS)
         ]
         counts = np.array([astuple(o.counts_first) + astuple(o.counts_second) for o in outs])
+        self.check(counts, P, rec, spec, f, b)
+
+    @pytest.mark.parametrize("P, rec, spec, f, b", GRID)
+    def test_chunk_counts_match_item_walk(self, P, rec, spec, f, b):
+        # the same kernel over whole chunks: a point p-box fixes every recall
+        report = run_experiment(
+            DomainSpec(self.N, P), ClassifierProfile(1.0, specificity=spec), FixerSpec(f, b),
+            PBoxParams(rec, rec, rec), self.TRIALS // 2, master_seed=3,
+        )
+        counts = np.array([astuple(o.counts_first) + astuple(o.counts_second) for o in report.outcomes()])
+        self.check(counts, P, rec, spec, f, b)
+
+    def check(self, counts, P, rec, spec, f, b):
         rng = np.random.default_rng(4)
         walked = np.array([item_walk(self.N, P, rec, spec, f, b, rng) for _ in range(self.TRIALS)])
         for column in range(8):
@@ -290,7 +306,7 @@ class TestRunExperiment:
         report = run_experiment(
             DomainSpec(50, 0.0), self.PROFILE, FixerSpec(0.5), BOX, 10, master_seed=1
         )
-        assert report.undefined_real_fix_rate == 20
+        assert report.undefined == {"real_fix_rate": 20, "fn_ratio": 0}
         assert report.intervals["real_fix_rate"]["extremes"] is None
         assert report.intervals["real_fix_rate"]["means"] is None
         assert report.intervals["final_prevalence"]["extremes"] == report.intervals[
@@ -299,7 +315,51 @@ class TestRunExperiment:
 
     def test_recall_streams_drive_trials(self):
         report = run_experiment(self.DOMAIN, self.PROFILE, FixerSpec(1.0), BOX, 30, master_seed=11)
-        opt = [o.recall_used for o in report.outcomes_optimistic]
-        pess = [o.recall_used for o in report.outcomes_pessimistic]
+        recalls = [o.recall_used for o in report.outcomes()]  # optimistic stream first
+        opt, pess = recalls[:30], recalls[30:]
         assert all(p <= o for p, o in zip(pess, opt))
         assert all(0.07 <= r <= 1.0 for r in opt + pess)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10**6), P=unit, rec=unit, spec=unit, f=unit, b=unit)
+def test_chunk_mean_final_prevalence_matches_exact_expectation(n, P, rec, spec, f, b):
+    # every item ends vulnerable independently with probability q, so the
+    # final count is Bin(n, q) and a chunk's mean has standard error
+    # sqrt(q (1 - q) / (n CHUNK))
+    q = P * (1 - rec) + P * rec * (b + (1 - b) * (1 - f)) + (1 - P) * (1 - spec) * b
+    report = run_experiment(
+        DomainSpec(n, P), ClassifierProfile(1.0, specificity=spec), FixerSpec(f, b),
+        PBoxParams(rec, rec, rec), CHUNK, master_seed=17,
+    )
+    means = report.intervals["final_prevalence"]["means"]
+    tol = 5 * math.sqrt(q * (1 - q) / (n * CHUNK)) + 1e-12
+    assert abs(means.lo - q) <= tol and abs(means.hi - q) <= tol, (means, q, tol)
+
+
+def test_running_sums_match_outcomes_across_a_chunk_boundary():
+    trials, seed = CHUNK + 7, 5
+    args = (DomainSpec(3, 0.5), ClassifierProfile(1.0, specificity=0.5), FixerSpec(0.3, 0.2), BOX)
+    report = run_experiment(*args, trials, master_seed=seed)
+    assert report == run_experiment(*args, trials, master_seed=seed)
+    outcomes = list(report.outcomes())
+    assert len(outcomes) == 2 * trials
+    streams = (outcomes[:trials], outcomes[trials:])  # optimistic first
+    recalls = sample_recall_streams(BOX, trials, seed)
+    assert [o.recall_used for o in streams[0]] == recalls.optimistic.tolist()
+    assert [o.recall_used for o in streams[1]] == recalls.pessimistic.tolist()
+    for metric in METRICS:
+        defined = [[v for o in s if (v := getattr(o, metric)) is not None] for s in streams]
+        everything = defined[0] + defined[1]
+        assert report.intervals[metric]["extremes"] == Interval(min(everything), max(everything))
+        means = sorted(math.fsum(v) / len(v) for v in defined)
+        got = report.intervals[metric]["means"]
+        assert (got.lo, got.hi) == pytest.approx(means, rel=1e-12, abs=1e-15)
+    assert report.undefined == {
+        "real_fix_rate": 0,
+        "fn_ratio": sum(o.fn_ratio is None for o in outcomes),
+    }
+    assert report.undefined["fn_ratio"] > 0
