@@ -104,7 +104,8 @@ def _draw(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec,
 
     fn_out = fn1 + fn2
     final_prevalence = (tp2 + fn_out) / n
-    real_fix_rate = 1.0 - final_prevalence / prevalence if prevalence > 0.0 else np.full(recall.size, np.nan)
+    with np.errstate(over="ignore"):  # a subnormal prevalence gives -inf, as float division does
+        real_fix_rate = 1.0 - final_prevalence / prevalence if prevalence > 0.0 else np.full(recall.size, np.nan)
     # without first-stage misses the growth is undefined, or vacuously 1 if
     # the second stage missed nothing either
     fn_ratio = np.divide(fn_out, fn1, out=np.full(recall.size, np.nan), where=fn1 > 0)
