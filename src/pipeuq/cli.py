@@ -11,7 +11,13 @@ Subcommands:
 
 Reports serialize as ``table`` (human), ``csv``, or ``json``. The JSON
 document has top-level keys ``version``, ``config``, ``results`` and is
-byte-stable: rerunning the embedded config reproduces it exactly.
+byte-stable: rerunning the embedded config reproduces it exactly. It is strict
+JSON (RFC 8259): no ``NaN`` or ``Infinity`` token, undefined values are null.
+
+A report is written to its destination as it is encoded, so ``pbox-sample``
+needs about 24 bytes per sample plus a constant. ``--out PATH`` writes
+``PATH.tmp`` and renames it over ``PATH`` at the end: a failed run leaves
+neither a partial report nor a changed ``PATH``.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
 4 internal invariant violation.
@@ -21,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
+import os
 import sys
 import traceback
 from collections import defaultdict
@@ -53,6 +61,7 @@ __all__ = [
     "cmd_evidence",
     "cmd_case_study",
     "cmd_pbox_sample",
+    "write_report",
     "main",
 ]
 
@@ -405,30 +414,78 @@ def _render_pbox_table(env: ReportEnvelope) -> str:
     return _titled(title, rows)
 
 
-def render(env: ReportEnvelope, output: str) -> str:
-    """The report as ``table``, ``csv`` or ``json`` text.
+# rows per csv flush and elements per JSON array slice
+_BATCH = 4096
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
-    The table comes from the command's renderer. csv and JSON are written into
-    one buffer; the JSON document holds ``version``, ``config`` and ``results``.
+
+@functools.cache
+def _encoder(pad: str) -> json.JSONEncoder:
+    # the stdlib's C encoder; the item separator "," + pad makes one flat
+    # container at indentation ``pad`` read exactly as ``indent=2`` writes it
+    return json.JSONEncoder(separators=("," + pad, ": "), sort_keys=True, allow_nan=False)
+
+
+def _json_chunks(value, indent: str = "\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)`` in pieces, for str keys.
+
+    ``indent`` is the newline plus indentation of ``value``'s own level. A
+    dict or list holding containers is walked here; a flat one goes to the C
+    encoder, a long list or 1-D array ``_BATCH`` elements at a time.
+    """
+    pad = indent + "  "
+    encode = _encoder(pad).encode
+    if isinstance(value, np.ndarray) and value.ndim != 1:
+        value = value.tolist()
+    if isinstance(value, dict) and any(isinstance(v, _CONTAINERS) for v in value.values()):
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + pad + encode(key) + ": "
+            yield from _json_chunks(value[key], pad)
+        yield indent + "}"
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, _CONTAINERS) for v in value):
+        for i, item in enumerate(value):
+            yield ("," if i else "[") + pad
+            yield from _json_chunks(item, pad)
+        yield indent + "]"
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for i in range(0, len(value), _BATCH):
+            part = value[i:i + _BATCH]
+            text = encode(part.tolist() if isinstance(part, np.ndarray) else part)
+            yield ("," if i else "[") + pad + text[1:-1]
+        yield indent + "]" if len(value) else "[]"
+    elif isinstance(value, dict) and value:
+        yield "{" + pad + encode(value)[1:-1] + indent + "}"
+    else:  # a scalar or an empty dict
+        yield encode(value)
+
+
+def write_report(env: ReportEnvelope, output: str, fh) -> None:
+    """Write the report to the text stream ``fh`` as ``table``, ``csv`` or ``json``.
+
+    Every format is written as it is produced, so memory does not grow with
+    the report's size. The table comes from the command's renderer; csv rows go
+    through a small buffer flushed every ``_BATCH`` rows; the JSON document
+    holds ``version``, ``config`` and ``results``, with the bytes of
+    ``indent=2, sort_keys=True``, and a NaN or infinity in it raises
+    ``ValueError`` (no ``NaN``/``Infinity`` tokens, RFC 8259).
     """
     if output == "table":
-        return env.table(env)
-    buf = io.StringIO()
-    if output == "csv":
-        # csv writes None as an empty field and a float as its repr
+        fh.write(env.table(env))
+    elif output == "csv":
+        # csv writes None as an empty field and a float as its repr; a write
+        # per row to the text stream costs about 15% more CPU
+        buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(env.columns)
-        writer.writerows(env.rows())
-        return buf.getvalue()
-    doc = {"version": __version__, "config": env.config, "results": env.results}
-    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=np.ndarray.tolist).iterencode(doc)
-    # json.dumps keeps every chunk in one list before joining it, and json.dump
-    # or writelines make one write call per chunk (about 10% more CPU on a
-    # 100k-sample report); joined batches avoid both
-    while piece := "".join(itertools.islice(chunks, 4096)):
-        buf.write(piece)
-    buf.write("\n")
-    return buf.getvalue()
+        rows = itertools.chain([env.columns], env.rows())
+        while batch := list(itertools.islice(rows, _BATCH)):
+            writer.writerows(batch)
+            fh.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+    else:
+        doc = {"version": __version__, "config": env.config, "results": env.results}
+        fh.writelines(_json_chunks(doc))
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +539,20 @@ def main(argv=None) -> int:
         # looked up on every run, so a wrapper set on the module takes effect
         run = globals()["cmd_" + args.command.replace("-", "_")]
         env = run(cfg, args.which) if args.command == "case-study" else run(cfg)
-        text = render(env, cfg.output)
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        if not cfg.out:
+            write_report(env, cfg.output, sys.stdout)
+            return 0
+        # written beside the target and renamed over it at the end, so a
+        # failure leaves neither a partial report nor a changed <out>
+        tmp = cfg.out + ".tmp"
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                write_report(env, cfg.output, fh)
+            os.replace(tmp, cfg.out)
+        except BaseException:
+            os.remove(tmp)
+            raise
         return 0
     except PipeUQError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,8 @@ Built-in defaults ship the reference experiment grid (prevalence 0.10/0.50/
 from __future__ import annotations
 
 import configparser
+import math
+import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -29,7 +31,7 @@ __all__ = ["RunConfig", "FLAGS", "COMMON", "CHOICES", "HELP", "PARSERS", "build_
 
 MAX_ITEMS = 2**63 - 1
 # `simulate --trace` embeds 2 x trials floats per metric (3) per grid cell;
-# 2**20 of them take about 170 MB to report
+# 2**20 of them peak at about 90 MB
 MAX_TRACE_FLOATS = 2**20
 
 
@@ -200,6 +202,9 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             errors.append(f"{name}: grid must be nonempty")
         elif not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in values):
             errors.append(f"{name}: {values!r} has entries outside [0, 1]")
+        elif name == "prevalence" and any(0.0 < v < sys.float_info.min for v in values):
+            # the realized fix rate divides by it and would overflow to -inf
+            errors.append(f"prevalence: {values!r} has a positive entry below {sys.float_info.min!r}")
     _unit(errors, cfg, "recall")
     _unit(errors, cfg, "precision", open_zero=True)
     _unit(errors, cfg, "specificity")
@@ -217,8 +222,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     for name, allowed in CHOICES.items():
         if getattr(cfg, name) not in allowed:
             errors.append(f"{name}: must be one of {allowed}, got {getattr(cfg, name)!r}")
-    if not cfg.outlier_k >= 0:  # also rejects NaN
-        errors.append(f"outlier_k: must be >= 0, got {cfg.outlier_k!r}")
+    if not 0 <= cfg.outlier_k < math.inf:  # also rejects NaN
+        errors.append(f"outlier_k: must be finite and >= 0, got {cfg.outlier_k!r}")
     if command == "analytic" and cfg.break_rate != 0.0:
         errors.append(f"break_rate: the closed forms assume 0, got {cfg.break_rate!r}")
     if command == "evidence" and not cfg.evidence:

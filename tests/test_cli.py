@@ -304,6 +304,11 @@ class TestExitCodes:
             ["simulate", "--trace", "--trials", "14564"],
             ["simulate", "--trace", "--prevalence", "0.5", "--fix-rate", "0.5", "--trials", "174763"],
             ["case-study", "rule-based", "--confidence", "0.9999999999999999"],
+            # a subnormal prevalence or an infinite k would print a
+            # non-JSON -Infinity or Infinity
+            ["simulate", "--prevalence", "1e-320", "--fix-rate", "0.5", "--break-rate", "0.5",
+             "--trials", "3", "--n-items", "10", "--output", "json"],
+            ["evidence", path["evidence.csv"], "--outlier-k", "inf", "--output", "json"],
             ["evidence", path["evidence.csv"], "--outlier-k", "nan"],
         ]
         for argv in argvs:
@@ -323,22 +328,53 @@ class TestExitCodes:
     def test_out_path_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"
         assert main([*FAST_SIM, "--out", str(target)]) == 3
+        assert not target.parent.exists()
+        # the report is written, but cannot be renamed over a directory
+        target = tmp_path / "a-dir"
+        target.mkdir()
+        assert main([*FAST_SIM, "--out", str(target)]) == 3
+        assert target.is_dir() and not (tmp_path / "a-dir.tmp").exists()
+
+
+# Started from pytest, a child's ru_maxrss would include pytest's own peak RSS:
+# subprocess starts it with vfork, and the kernel keeps the parent's high-water
+# mark across exec. This launcher is a small interpreter that starts the real
+# child and reports its exit code and peak RSS (KiB) from os.wait4.
+_LAUNCHER = """
+import os, sys
+quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ, file_actions=quiet)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def peak_rss_mb(argv) -> float:
     """Peak resident memory of ``pipeuq <argv>`` run in a child process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.Popen([sys.executable, "-m", "pipeuq.cli", *argv], env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0, argv
-    return usage.ru_maxrss / 1024  # KiB on Linux
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, "-m", "pipeuq.cli", *argv], env=env,
+                              capture_output=True, text=True, check=True)
+    code, kib = map(int, launched.stdout.split())
+    assert code == 0, argv
+    return kib / 1024  # KiB on Linux
 
 
 def test_simulate_memory_does_not_grow_with_trials():
+    # an inherited reading would be the test runner's own peak, far above this
+    assert peak_rss_mb(["--version"]) < 40.0
     # 300 000 trials span five chunks per stream; running sums keep one chunk
     cell = ["simulate", "--prevalence", "0.5", "--fix-rate", "0.5", "--n-items", "100", "--output", "csv"]
     small = peak_rss_mb([*cell, "--trials", "1000"])
     large = peak_rss_mb([*cell, "--trials", "300000"])
     assert large - small <= 10.0, (small, large)
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_pbox_sample_memory_is_arrays_plus_constant(output):
+    # the report is written as it is encoded: beyond a constant, only the
+    # three float64 sample arrays (24 B per sample) stay in memory
+    n = 10**6
+    small = peak_rss_mb(["pbox-sample", "--trials", "1000", "--output", output])
+    large = peak_rss_mb(["pbox-sample", "--trials", str(n), "--output", output])
+    assert large - small <= 24 * n / 2**20 + 8.0, (small, large)
