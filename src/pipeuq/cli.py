@@ -427,16 +427,15 @@ def _encoder(pad: str) -> json.JSONEncoder:
 
 
 def _json_chunks(value, indent: str = "\n"):
-    """``json.dumps(value, indent=2, sort_keys=True)`` in pieces, for str keys.
+    """``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
-    ``indent`` is the newline plus indentation of ``value``'s own level. A
-    dict or list holding containers is walked here; a flat one goes to the C
-    encoder, a long list or 1-D array ``_BATCH`` elements at a time.
+    Keys are str, and a numpy array is 1-D and written as a list. ``indent``
+    is the newline plus indentation of ``value``'s own level. A dict or list
+    holding containers is walked here; a flat one goes to the C encoder, a
+    long list or array ``_BATCH`` elements at a time.
     """
     pad = indent + "  "
     encode = _encoder(pad).encode
-    if isinstance(value, np.ndarray) and value.ndim != 1:
-        value = value.tolist()
     if isinstance(value, dict) and any(isinstance(v, _CONTAINERS) for v in value.values()):
         for i, key in enumerate(sorted(value)):
             yield ("," if i else "{") + pad + encode(key) + ": "
@@ -472,16 +471,16 @@ def write_report(env: ReportEnvelope, output: str, fh) -> None:
     if output == "table":
         fh.write(env.table(env))
     elif output == "csv":
-        # csv writes None as an empty field and a float as its repr; a write
-        # per row to the text stream costs about 15% more CPU
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        # csv writes None as an empty field and a float as its repr. A write
+        # per row to the text stream costs about 20% more CPU, and a fresh
+        # buffer per batch stays in StringIO's fast append mode
         rows = itertools.chain([env.columns], env.rows())
-        while batch := list(itertools.islice(rows, _BATCH)):
-            writer.writerows(batch)
+        while True:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(itertools.islice(rows, _BATCH))
+            if not buf.tell():
+                break
             fh.write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
     else:
         doc = {"version": __version__, "config": env.config, "results": env.results}
         fh.writelines(_json_chunks(doc))

@@ -61,6 +61,7 @@ documents = st.recursive(
     st.one_of(scalars, flat, st.just({}), st.just([])),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
         st.dictionaries(st.text(), children, max_size=4),
     ),
     max_leaves=12,
