@@ -80,7 +80,7 @@ class ReportEnvelope:
     config: dict
     results: dict
     columns: tuple[str, ...]
-    rows: Callable[[], Iterable[list]]
+    rows: Callable[[], Iterable[Iterable]]
     table: Callable[["ReportEnvelope"], str]
 
 
@@ -279,8 +279,8 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
         results,
         ("index", "p", "optimistic", "pessimistic"),
         # a memoryview yields each float64 as a Python float, whose repr the
-        # csv output writes, without copying the array
-        lambda: ([i, *draw] for i, draw in enumerate(zip(*map(memoryview, arrays.values())))),
+        # csv output writes, without copying the array; zip's tuples are the rows
+        lambda: zip(itertools.count(), *map(memoryview, arrays.values())),
         _render_pbox_table,
     )
 
