@@ -329,11 +329,11 @@ class TestExitCodes:
         target = tmp_path / "missing-dir" / "x.json"
         assert main([*FAST_SIM, "--out", str(target)]) == 3
         assert not target.parent.exists()
-        # the report is written, but cannot be renamed over a directory
+        # a directory is opened in place, which fails before any write
         target = tmp_path / "a-dir"
         target.mkdir()
         assert main([*FAST_SIM, "--out", str(target)]) == 3
-        assert target.is_dir() and not (tmp_path / "a-dir.tmp").exists()
+        assert target.is_dir() and sorted(p.name for p in tmp_path.iterdir()) == ["a-dir"]
 
 
 # Started from pytest, a child's ru_maxrss would include pytest's own peak RSS:

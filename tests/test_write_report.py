@@ -1,12 +1,15 @@
-"""The streaming report writer: JSON bytes, strict numbers, atomic ``--out``."""
+"""The streaming report writer: JSON bytes, strict numbers, ``--out`` destinations."""
 
 import io
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pipeuq import __version__, cli
@@ -68,19 +71,22 @@ documents = st.recursive(
 )
 
 
+def around_a_slice(length: int):
+    values = sample_array(length, "float64", length)
+    results = {"array": values, "list": values.tolist(), "rows": [{"x": values, "y": [values, -0.0]}]}
+    return example(config={"k": [0.5, None]}, results=results)
+
+
 # no shrinking: a failing example holds arrays of thousands of elements, and
 # each shrink step re-encodes them in pure Python
 @settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(config=st.dictionaries(st.text(), documents, max_size=4), results=documents)
+@around_a_slice(0)
+@around_a_slice(1)
+@around_a_slice(4096)
+@around_a_slice(4097)
 def test_json_matches_indented_dumps(config, results):
     assert written(config, results) == oracle(config, results)
-
-
-@pytest.mark.parametrize("length", LENGTHS)
-def test_arrays_around_a_slice(length):
-    values = sample_array(length, "float64", length)
-    results = {"array": values, "list": values.tolist(), "rows": [{"x": values, "y": [values, -0.0]}]}
-    assert written({"k": [0.5, None]}, results) == oracle({"k": [0.5, None]}, results)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -127,3 +133,65 @@ def test_failed_write_keeps_existing_out(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert json.loads(target.read_text())["results"]["count"] == 5000
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+SAMPLE = ["pbox-sample", "--trials", "5000", "--output", "json"]
+
+
+def assert_report(text: str):
+    assert json.loads(text)["results"]["count"] == 5000
+
+
+def test_out_keeps_mode_and_other_files(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+    target.chmod(0o640)
+    (tmp_path / "report.json.tmp").write_text("the user's own file\n")
+    assert main([*SAMPLE, "--out", str(target)]) == 0
+    assert_report(target.read_text())
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert (tmp_path / "report.json.tmp").read_text() == "the user's own file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]
+
+
+def test_new_out_takes_umask_mode(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        assert main([*SAMPLE, "--out", str(tmp_path / "new.json")]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
+
+
+def test_out_to_devnull_writes_in_place():
+    assert main([*SAMPLE, "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_through_symlink_and_hard_link(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("previous report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main([*SAMPLE, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert_report(target.read_text())
+
+    other = tmp_path / "other.json"
+    os.link(target, other)
+    assert main([*SAMPLE, "--out", str(other), "--seed", "3"]) == 0
+    assert os.path.samefile(target, other)
+    assert json.loads(target.read_text())["config"]["seed"] == 3
+
+
+def test_out_to_fifo(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    # a daemon: if main never opens the FIFO, the reader is left blocked
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main([*SAMPLE, "--out", str(fifo)]) == 0
+    reader.join(10)
+    assert_report(received[0])
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
