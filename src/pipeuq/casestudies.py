@@ -14,7 +14,6 @@ end-to-end fix rate in the interval implied by a recall p-box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 from .errors import EvidenceFormatError, InvalidParameterError
 from .evidence import DEFAULT_RECALL_PBOX, _read_headed_csv
@@ -87,6 +86,8 @@ def _z_two_sided(confidence: float) -> float:
     # at 1 - 2**-53, the largest float below 1, 0.5 + confidence/2 rounds to 1
     if not 0.0 < confidence < 1.0 - 2.0**-53:
         raise InvalidParameterError(f"confidence must lie in (0, 1 - 2**-53), got {confidence!r}")
+    from statistics import NormalDist  # statistics loads fractions and decimal
+
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 

@@ -43,23 +43,20 @@ import tempfile
 import traceback
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from . import __version__
 from .config import CHOICES, COMMON, FLAGS, HELP, PARSERS, RunConfig, build_config
-from .core import ClassifierProfile, DomainSpec, FixerSpec, pipeline_outcome
 from .errors import PipeUQError
-from .evidence import group_by_metric, load_samples, remove_outliers, summarize, to_pbox
-from .casestudies import (
-    DEFAULT_TOOL_RECORDS,
-    composed_pipeline_case,
-    load_tool_records,
-    rule_based_case_study,
-)
-from .pbox import PBoxParams, sample_recall_streams
-from .simulator import METRICS, run_experiment
+
+if TYPE_CHECKING:
+    from .pbox import PBoxParams
+
+# Each command imports the library modules it runs, so a command loads only
+# those: `analytic` never loads the simulator, the evidence reader or the
+# case studies.
 
 __all__ = [
     "ReportEnvelope",
@@ -102,7 +99,11 @@ def _envelope(command: str, cfg: RunConfig, results: dict, columns, rows, table)
 def _resolve_pbox(cfg: RunConfig) -> PBoxParams:
     """The recall p-box: derived from an evidence CSV when given, else the
     configured (min, max, mean) triple."""
+    from .pbox import PBoxParams
+
     if cfg.evidence:
+        from .evidence import group_by_metric, load_samples, remove_outliers, summarize, to_pbox
+
         samples = group_by_metric(load_samples(cfg.evidence))["recall"]
         kept, _ = remove_outliers(samples, cfg.outlier_policy, cfg.outlier_k)
         return to_pbox(summarize(kept))
@@ -134,6 +135,8 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     prevalence is 0, and the false-alert rate when the domain degenerates to
     no negatives.
     """
+    from .core import ClassifierProfile, DomainSpec, FixerSpec, pipeline_outcome
+
     prevalence, fix_rate = (
         a.ravel() for a in np.meshgrid(cfg.prevalence, cfg.fix_rate, indexing="ij")
     )
@@ -164,6 +167,9 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     Every cell runs under the same master seed, so recall streams are paired
     across cells and the whole report is reproducible from the config alone.
     """
+    from .core import ClassifierProfile, DomainSpec, FixerSpec
+    from .simulator import METRICS, run_experiment
+
     pbox = _resolve_pbox(cfg)
     profile = ClassifierProfile(1.0, cfg.precision, cfg.specificity)
     modes = ("extremes", "means") if cfg.mode == "both" else (cfg.mode,)
@@ -203,6 +209,8 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
 def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
     """Summarize an evidence CSV: per-metric statistics, outlier partition,
     and the derived p-box parameters."""
+    from .evidence import group_by_metric, load_samples, remove_outliers, summarize, to_pbox
+
     samples = load_samples(cfg.evidence)
     groups = group_by_metric(samples)
     results: dict = {
@@ -234,6 +242,8 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
 def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
     """Either the rule-based tool CI table or the composed-pipeline example."""
     if which == "rule-based":
+        from .casestudies import DEFAULT_TOOL_RECORDS, load_tool_records, rule_based_case_study
+
         tools = load_tool_records(cfg.tools) if cfg.tools else DEFAULT_TOOL_RECORDS
         rows = rule_based_case_study(tools, cfg.confidence, cfg.method)
         columns = ("name", "correct", "generated", "point", "lo", "hi")
@@ -248,6 +258,8 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
         }
         return _envelope("case-study", cfg, results, columns, lambda: table, _render_tools_table)
     if which == "composed":
+        from .casestudies import composed_pipeline_case
+
         report = composed_pipeline_case(
             cfg.case_n_items, cfg.case_recall, cfg.case_accuracy, _resolve_pbox(cfg)
         )
@@ -268,6 +280,8 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
 
 def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     """Draw paired recall streams from the configured p-box."""
+    from .pbox import sample_recall_streams
+
     pbox = _resolve_pbox(cfg)
     streams = sample_recall_streams(pbox, cfg.trials, cfg.seed)
     arrays = {
@@ -329,6 +343,8 @@ def _render_analytic_table(env: ReportEnvelope) -> str:
 
 
 def _render_simulate_table(env: ReportEnvelope) -> str:
+    from .simulator import METRICS
+
     pbox = env.results["pbox"]
     blocks = [
         f"simulation intervals (trials={env.config['trials']}, n_items={env.config['n_items']}, "

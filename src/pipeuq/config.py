@@ -20,7 +20,6 @@ Built-in defaults ship the reference experiment grid (prevalence 0.10/0.50/
 
 from __future__ import annotations
 
-import configparser
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -112,6 +111,8 @@ def float_list(text: str) -> list[float]:
 
 
 def _boolean(text: str) -> bool:
+    import configparser  # loaded only when a boolean or a config file is read
+
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
@@ -140,6 +141,8 @@ def _parse_value(name: str, text: str, default):
 
 
 def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
+    import configparser
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     known = {f.name for f in fields(RunConfig)}
     defaults = RunConfig()
@@ -205,6 +208,16 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         elif name == "prevalence" and any(0.0 < v < sys.float_info.min for v in values):
             # the realized fix rate divides by it and would overflow to -inf
             errors.append(f"prevalence: {values!r} has a positive entry below {sys.float_info.min!r}")
+        elif name == "prevalence" and command == "simulate" and any(
+            0.0 < v and v * (sys.float_info.max / 2) < cfg.trials for v in values
+        ):
+            # a trial's realized fix rate lies in [1 - 1/P, 1], so a stream's sum
+            # overflows once trials / P nears the largest float; half leaves
+            # room for rounding
+            errors.append(
+                f"prevalence: {values!r} has a positive entry P with trials / P above "
+                f"{sys.float_info.max / 2!r}, where the sum of realized fix rates would overflow"
+            )
     _unit(errors, cfg, "recall")
     _unit(errors, cfg, "precision", open_zero=True)
     _unit(errors, cfg, "specificity")

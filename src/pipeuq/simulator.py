@@ -196,11 +196,13 @@ def run_experiment(
     for stream, recall, counts, metrics in report.chunks():
         for metric, values in metrics.items():  # fmin, fmax and nansum skip NaN
             lo, hi, count, total = sums[stream, metric]
+            with np.errstate(over="ignore"):  # a tiny prevalence sums to -inf, as in _draw
+                chunk_total = float(np.nansum(values))
             sums[stream, metric] = (
                 float(np.fmin.reduce(values, initial=lo)),
                 float(np.fmax.reduce(values, initial=hi)),
                 count + int(np.count_nonzero(values == values)),
-                total + float(np.nansum(values)),
+                total + chunk_total,
             )
         del recall, counts, metrics, values  # free the chunk before the next one is drawn
     for metric in METRICS:

@@ -308,6 +308,10 @@ class TestExitCodes:
             # non-JSON -Infinity or Infinity
             ["simulate", "--prevalence", "1e-320", "--fix-rate", "0.5", "--break-rate", "0.5",
              "--trials", "3", "--n-items", "10", "--output", "json"],
+            # a normal prevalence whose realized fix rates, about -1e305 each,
+            # would overflow their sum over 65536 trials to -Infinity
+            ["simulate", "--prevalence", "1e-305", "--fix-rate", "0.5", "--break-rate", "1",
+             "--n-items", "1", "--trials", "65536", "--output", "json"],
             ["evidence", path["evidence.csv"], "--outlier-k", "inf", "--output", "json"],
             ["evidence", path["evidence.csv"], "--outlier-k", "nan"],
         ]
@@ -324,6 +328,13 @@ class TestExitCodes:
             validate_config(RunConfig(trials=174763, **cell), "simulate")
         # a trace set in a config file binds only the command that embeds one
         validate_config(RunConfig(trials=10**6, **cell), "pbox-sample")
+
+    def test_tiny_prevalence_limit_binds_simulate_only(self):
+        cell = {"prevalence": [1e-305], "fix_rate": [0.5]}
+        validate_config(RunConfig(trials=8, **cell), "simulate")
+        with pytest.raises(ConfigError, match="prevalence"):
+            validate_config(RunConfig(trials=65536, **cell), "simulate")
+        validate_config(RunConfig(trials=65536, **cell), "analytic")
 
     def test_out_path_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"
@@ -349,11 +360,15 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def child_env() -> dict:
+    """This environment with the package's sources first on the import path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def peak_rss_mb(argv) -> float:
     """Peak resident memory of ``pipeuq <argv>`` run in a child process."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, "-m", "pipeuq.cli", *argv], env=env,
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, "-m", "pipeuq.cli", *argv], env=child_env(),
                               capture_output=True, text=True, check=True)
     code, kib = map(int, launched.stdout.split())
     assert code == 0, argv
@@ -378,3 +393,49 @@ def test_pbox_sample_memory_is_arrays_plus_constant(output):
     small = peak_rss_mb(["pbox-sample", "--trials", "1000", "--output", output])
     large = peak_rss_mb(["pbox-sample", "--trials", str(n), "--output", output])
     assert large - small <= 24 * n / 2**20 + 8.0, (small, large)
+
+
+# Runs ``pipeuq <argv>`` (or only ``import pipeuq`` when argv is empty) and
+# prints every module the interpreter has loaded.
+_MODULES = """
+import contextlib, io, sys
+if sys.argv[1:]:
+    from pipeuq.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+else:
+    import pipeuq
+print(*sys.modules)
+"""
+
+LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"}
+# argv -> modules it must load, modules it must not load; every command but
+# case-study must also leave statistics, and every one without --config
+# configparser, unloaded. {csv} and {ini} stand for an evidence file and a
+# config file
+LOADS = {
+    "": (set(), {"numpy"}),  # nor any pipeuq submodule
+    "analytic --output csv": ({"pipeuq.core"}, LIBRARY - {"pipeuq.core"}),
+    "analytic --config {ini}": ({"pipeuq.core", "configparser"}, LIBRARY - {"pipeuq.core"}),
+    "simulate --trials 5 --n-items 50": ({"pipeuq.simulator"}, {"pipeuq.evidence", "pipeuq.casestudies"}),
+    "simulate --trials 5 --evidence {csv}": ({"pipeuq.simulator", "pipeuq.evidence"}, {"pipeuq.casestudies"}),
+    "pbox-sample --trials 5": ({"pipeuq.pbox"}, {"pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"}),
+    "evidence {csv}": ({"pipeuq.evidence"}, {"pipeuq.simulator", "pipeuq.casestudies"}),
+    "case-study rule-based": ({"pipeuq.casestudies", "statistics"}, {"pipeuq.simulator"}),
+    "case-study composed": ({"pipeuq.casestudies"}, {"pipeuq.simulator"}),
+}
+
+
+@pytest.mark.parametrize("command", LOADS, ids=lambda command: command or "import pipeuq")
+def test_each_command_loads_only_what_it_runs(command, tmp_path):
+    (tmp_path / "ev.csv").write_text(TestEvidence.CSV)
+    (tmp_path / "run.ini").write_text("[common]\nseed = 3\n")
+    argv = command.format(csv=tmp_path / "ev.csv", ini=tmp_path / "run.ini").split()
+    child = subprocess.run([sys.executable, "-c", _MODULES, *argv], env=child_env(),
+                           capture_output=True, text=True, check=True)
+    loaded = set(child.stdout.split())
+    must, must_not = LOADS[command]
+    must_not = must_not | {"statistics", "configparser"} - must
+    assert must <= loaded and not must_not & loaded, (must - loaded, must_not & loaded)
+    if not argv:
+        assert not any(name.startswith("pipeuq.") for name in loaded)

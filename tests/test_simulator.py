@@ -1,9 +1,10 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -326,6 +327,8 @@ unit = st.floats(0.0, 1.0)
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 10**6), P=unit, rec=unit, spec=unit, f=unit, b=unit)
+# a subnormal P: every realized fix rate is about -1/P, and their sum overflows
+@example(n=1, P=1.1125369292536007e-308, rec=0.0, spec=0.0, f=0.0, b=1.0)
 def test_chunk_mean_final_prevalence_matches_exact_expectation(n, P, rec, spec, f, b):
     # every item ends vulnerable independently with probability q, so the
     # final count is Bin(n, q) and a chunk's mean has standard error
@@ -338,6 +341,20 @@ def test_chunk_mean_final_prevalence_matches_exact_expectation(n, P, rec, spec, 
     means = report.intervals["final_prevalence"]["means"]
     tol = 5 * math.sqrt(q * (1 - q) / (n * CHUNK)) + 1e-12
     assert abs(means.lo - q) <= tol and abs(means.hi - q) <= tol, (means, q, tol)
+
+
+def test_tiny_prevalence_sums_to_minus_infinity_without_a_warning():
+    # at specificity 0 and break rate 1 the one item always ends vulnerable,
+    # so every realized fix rate is 1 - 1/P = -1e305 and a chunk's sum overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(
+            DomainSpec(1, 1e-305), ClassifierProfile(1.0, specificity=0.0), FixerSpec(0.5, 1.0),
+            PBoxParams(0.5, 0.5, 0.5), CHUNK, 17,
+        )
+    fix_rate = report.intervals["real_fix_rate"]
+    assert fix_rate["means"] == Interval(-math.inf, -math.inf)
+    assert fix_rate["extremes"] == Interval(1.0 - 1e305, 1.0 - 1e305)
 
 
 def test_running_sums_match_outcomes_across_a_chunk_boundary():
