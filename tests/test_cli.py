@@ -1,11 +1,14 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from pipeuq import __version__
 from pipeuq.cli import cmd_simulate, main
 from pipeuq.config import RunConfig, build_config, validate_config
 from pipeuq.errors import ConfigError
@@ -439,3 +442,88 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     assert must <= loaded and not must_not & loaded, (must - loaded, must_not & loaded)
     if not argv:
         assert not any(name.startswith("pipeuq.") for name in loaded)
+
+
+# The process entry, run as `python -m pipeuq.cli`. PYTHONUNBUFFERED would make
+# stdout write-through, so a write too small to fill the buffer would fail
+# inside main and not, as it does by default, at the last flush.
+def run_entry(argv, **kwargs) -> subprocess.CompletedProcess:
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "pipeuq.cli", *argv], env=env, **kwargs)
+
+
+def full_device() -> int:
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+def closed_pipe() -> int:
+    # every write to it fails with EPIPE, from the first one on
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("sink", [full_device, closed_pipe], ids=["dev-full", "closed-pipe"])
+@pytest.mark.parametrize(
+    "argv",
+    [["analytic"], ["pbox-sample", "--trials", "100000", "--output", "json"], ["--version"]],
+    ids=["fails-at-last-flush", "fails-while-written", "argparse-output"],
+)
+def test_failed_stdout_write_exits_3_with_one_line(argv, sink):
+    fd = sink()
+    try:
+        child = run_entry(argv, stdout=fd, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(fd)
+    lines = child.stderr.splitlines()
+    assert child.returncode == 3, child.stderr
+    assert len(lines) == 1 and lines[0].startswith("i/o error:"), child.stderr
+    assert "Exception ignored" not in child.stderr
+
+
+def test_entry_with_stdout_closed_at_startup():
+    # sys.stdout is None, and argparse writes the version to stderr
+    child = subprocess.run(["sh", "-c", 'exec "$0" -m pipeuq.cli --version >&-', sys.executable],
+                           env=child_env(), capture_output=True, text=True)
+    assert (child.returncode, child.stderr) == (0, f"pipeuq {__version__}\n")
+
+
+def test_console_script_is_the_main_block_entry():
+    root = Path(__file__).resolve().parent.parent
+    script = re.search(r'^\[project\.scripts\]\npipeuq = "pipeuq\.cli:(\w+)"$',
+                       (root / "pyproject.toml").read_text(), re.M)
+    block = re.search(r'^if __name__ == "__main__":\n    sys\.exit\((\w+)\(\)\)$',
+                      (root / "src" / "pipeuq" / "cli.py").read_text(), re.M)
+    assert script and block and script[1] == block[1], (script, block)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--trials", "60", "--output", "json"], 0),
+    (["simulate", "--trials", "0"], 2),
+    (["evidence", "{missing}"], 3),
+])
+def test_entry_child_matches_in_process_main(argv, code, tmp_path, capsysbinary):
+    argv = [arg.format(missing=tmp_path / "missing.csv") for arg in argv]
+    assert main(argv) == code
+    expected = capsysbinary.readouterr()
+    child = run_entry(argv, capture_output=True)
+    assert (child.returncode, child.stdout, child.stderr) == (code, expected.out, expected.err)
+
+
+def test_entry_child_out_file_is_complete(tmp_path):
+    argv = ["pbox-sample", "--trials", "100000", "--output", "json", "--out"]
+    assert run_entry([*argv, str(tmp_path / "child.json")]).returncode == 0
+    assert main([*argv, str(tmp_path / "main.json")]) == 0
+    assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_only_the_entry_freezes_the_heap(capsys):
+    assert main(["analytic"]) == 0
+    assert gc.get_freeze_count() == 0
+    check = "import gc, sys; from pipeuq.cli import entry; print(entry(), gc.get_freeze_count() > 0, file=sys.stderr)"
+    child = subprocess.run([sys.executable, "-c", check, "analytic"], env=child_env(), capture_output=True,
+                           text=True, check=True)
+    assert child.stderr == "0 True\n"
