@@ -30,7 +30,6 @@ _SUBMODULES = {
         "DomainSpec",
         "FixerSpec",
         "PipelineOutcome",
-        "derive_confusion",
         "fixer_load",
         "pipeline_false_negatives",
         "pipeline_false_positives",
@@ -44,26 +43,21 @@ _SUBMODULES = {
     ),
     "pbox": (
         "Interval",
-        "IntervalBundle",
         "PBoxParams",
         "RecallStreams",
         "inverse_lower",
         "inverse_upper",
-        "propagate_interval",
         "sample_recall_streams",
         "stream_mean_optimistic",
         "stream_mean_pessimistic",
     ),
     "evidence": (
-        "DEFAULT_PRECISION_STATS",
         "DEFAULT_RECALL_PBOX",
         "DEFAULT_RECALL_STATS",
         "EvidenceSample",
         "SummaryStats",
-        "dump_samples",
         "group_by_metric",
         "load_samples",
-        "loads_samples",
         "remove_outliers",
         "summarize",
         "to_pbox",
@@ -77,7 +71,6 @@ _SUBMODULES = {
     ),
     "casestudies": (
         "DEFAULT_TOOL_RECORDS",
-        "CaseStudyRow",
         "ComposedPipelineReport",
         "ProportionCI",
         "ToolRecord",

@@ -6,8 +6,8 @@ worked example with an uncertainty wrap.
 selectable variant. Both clamp to [0, 1].
 
 ``composed_pipeline_case`` chains a detector and a repair model over a fully
-vulnerable code corpus with sequential rounding at each stage (counts are
-rounded half away from zero before feeding the next stage), then wraps the
+vulnerable code corpus with sequential rounding at each stage (each count
+rounds half away from zero before it feeds the next stage), then wraps the
 end-to-end fix rate in the interval implied by a recall p-box.
 """
 
@@ -23,7 +23,6 @@ from .pbox import Interval, PBoxParams, stream_mean_optimistic, stream_mean_pess
 __all__ = [
     "ToolRecord",
     "ProportionCI",
-    "CaseStudyRow",
     "ComposedPipelineReport",
     "DEFAULT_TOOL_RECORDS",
     "INTERVAL_METHODS",
@@ -61,13 +60,6 @@ class ProportionCI:
     lo: float
     hi: float
     confidence: float
-
-
-@dataclass(frozen=True)
-class CaseStudyRow:
-    name: str
-    point: float
-    ci: ProportionCI
 
 
 # Bundled example: correct/generated patch counts reported for six automated
@@ -146,23 +138,20 @@ def rule_based_case_study(
     tools=DEFAULT_TOOL_RECORDS,
     confidence: float = 0.95,
     method: str = "agresti-coull",
-) -> tuple[CaseStudyRow, ...]:
-    """Confidence-interval table for a list of tool records."""
+) -> tuple[ProportionCI, ...]:
+    """One confidence interval per tool record, in the records' order."""
     try:
         interval = INTERVAL_METHODS[method]
     except KeyError:
         raise InvalidParameterError(
             f"method must be one of {sorted(INTERVAL_METHODS)}, got {method!r}"
         ) from None
-    return tuple(
-        CaseStudyRow(t.name, t.correct / t.generated, interval(t.correct, t.generated, confidence))
-        for t in tools
-    )
+    return tuple(interval(t.correct, t.generated, confidence) for t in tools)
 
 
 @dataclass(frozen=True)
 class ComposedPipelineReport:
-    """Sequentially rounded detect/fix chain plus the fix-rate uncertainty wrap."""
+    """Detect/fix chain, rounding at each stage, plus the fix-rate uncertainty wrap."""
 
     n_items: int
     detector_recall: float

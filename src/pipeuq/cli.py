@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import gc
 import io
@@ -257,8 +258,8 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
         rows = rule_based_case_study(tools, cfg.confidence, cfg.method)
         columns = ("name", "correct", "generated", "point", "lo", "hi")
         table = [
-            [t.name, t.correct, t.generated, row.point, row.ci.lo, row.ci.hi]
-            for t, row in zip(tools, rows)
+            [t.name, t.correct, t.generated, ci.point, ci.lo, ci.hi]
+            for t, ci in zip(tools, rows)
         ]
         results = {
             "confidence": cfg.confidence,
@@ -618,6 +619,8 @@ def main(argv=None) -> int:
         run = globals()["cmd_" + args.command.replace("-", "_")]
         env = run(cfg, args.which) if args.command == "case-study" else run(cfg)
         if not cfg.out:
+            if sys.stdout is None:  # fd 1 was closed at startup
+                raise OSError(errno.EBADF, "stdout is closed")
             write_report(env, cfg.output, sys.stdout)
             # a report smaller than the buffer would otherwise meet a full
             # disk or a closed pipe only at interpreter teardown

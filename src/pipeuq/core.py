@@ -36,7 +36,6 @@ __all__ = [
     "ConfusionCounts",
     "PipelineOutcome",
     "round_half_away",
-    "derive_confusion",
     "pipeline_fix_rate",
     "pipeline_prevalence",
     "pipeline_tpr",
@@ -130,36 +129,20 @@ class FixerSpec:
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """One stage's confusion tallies.
+    """One classifier pass's simulated confusion counts (integers)."""
 
-    Values are continuous expectations in the analytic path and integers in
-    the simulated path. This is a plain record: analytic inputs that imply an
-    infeasible classifier (more false positives than negatives exist) yield a
-    negative ``tn`` rather than an error, and the conservation identities
-    still hold.
-    """
-
-    tp: float
-    fn: float
-    tn: float
-    fp: float
+    tp: int
+    fn: int
+    tn: int
+    fp: int
 
     @property
-    def total(self) -> float:
+    def total(self) -> int:
         return self.tp + self.fn + self.tn + self.fp
 
     @property
-    def positives(self) -> float:
+    def positives(self) -> int:
         return self.tp + self.fn
-
-    def rounded(self) -> "ConfusionCounts":
-        """Integer presentation, each field rounded half away from zero."""
-        return ConfusionCounts(
-            round_half_away(self.tp),
-            round_half_away(self.fn),
-            round_half_away(self.tn),
-            round_half_away(self.fp),
-        )
 
 
 @dataclass(frozen=True)
@@ -175,26 +158,6 @@ class PipelineOutcome:
     tp_final: float
     fixer_load: float
     fp_final: float
-
-
-def derive_confusion(profile: ClassifierProfile, domain: DomainSpec) -> ConfusionCounts:
-    """Expected confusion counts of one classifier pass over the domain.
-
-        TP = rec * P * N
-        FN = (1 - rec) * P * N
-        FP = rec * (1 - prec) / prec * P * N
-        TN = N - TP - FN - FP
-
-    Values are continuous; use :meth:`ConfusionCounts.rounded` for integer
-    presentation.
-    """
-    rec, prec = profile.recall, profile.precision
-    pos = domain.positives
-    tp = rec * pos
-    fn = (1.0 - rec) * pos
-    fp = rec * (1.0 - prec) / prec * pos
-    tn = domain.n_items - tp - fn - fp
-    return ConfusionCounts(tp, fn, tn, fp)
 
 
 def pipeline_fix_rate(fixer: FixerSpec, recall):
@@ -318,8 +281,7 @@ def pipeline_outcome(
     :class:`DegenerateDomainError`.
     """
     rec = profile.recall if recall is None else recall
-    _check_unit(rec, "recall")
-    fn_final, fn_ratio = pipeline_false_negatives(domain, fixer, rec)
+    fn_final, fn_ratio = pipeline_false_negatives(domain, fixer, rec)  # checks rec
     return PipelineOutcome(
         fix_rate_actual=pipeline_fix_rate(fixer, rec),
         prevalence_final=pipeline_prevalence(domain, fixer, rec),

@@ -17,7 +17,6 @@ and summarized for completeness but feed nothing downstream.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +29,11 @@ __all__ = [
     "EvidenceSample",
     "SummaryStats",
     "load_samples",
-    "loads_samples",
-    "dump_samples",
     "group_by_metric",
     "remove_outliers",
     "summarize",
     "to_pbox",
     "DEFAULT_RECALL_STATS",
-    "DEFAULT_PRECISION_STATS",
     "DEFAULT_RECALL_PBOX",
 ]
 
@@ -74,7 +70,6 @@ class SummaryStats:
 
 
 DEFAULT_RECALL_STATS = SummaryStats(2328, 115, 0.07, 1.00, 0.74)
-DEFAULT_PRECISION_STATS = SummaryStats(2043, 100, 0.00, 1.00, 0.71)
 
 
 def _read_headed_csv(source, header: list[str]):
@@ -136,20 +131,6 @@ def load_samples(source) -> list[EvidenceSample]:
     return samples
 
 
-def dump_samples(samples, dest) -> None:
-    """Write samples back out in the same CSV schema (round-trip safe)."""
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for s in samples:
-            writer.writerow([s.source_id, s.metric, repr(s.value)])
-    finally:
-        if own:
-            fh.close()
-
-
 def group_by_metric(samples) -> dict[str, list[EvidenceSample]]:
     groups: dict[str, list[EvidenceSample]] = {m: [] for m in METRICS}
     for s in samples:
@@ -203,17 +184,7 @@ def summarize(samples) -> SummaryStats:
 
 def to_pbox(stats: SummaryStats) -> PBoxParams:
     """Build p-box parameters from summary statistics: (min, max, mean)."""
-    if not stats.minimum <= stats.mean <= stats.maximum:
-        raise InvalidParameterError(
-            f"stats need minimum <= mean <= maximum, got "
-            f"({stats.minimum}, {stats.mean}, {stats.maximum})"
-        )
     return PBoxParams(stats.minimum, stats.maximum, stats.mean)
 
 
 DEFAULT_RECALL_PBOX = to_pbox(DEFAULT_RECALL_STATS)
-
-
-def loads_samples(text: str) -> list[EvidenceSample]:
-    """Parse samples from an in-memory CSV string."""
-    return load_samples(io.StringIO(text))

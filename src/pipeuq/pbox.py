@@ -1,4 +1,4 @@
-"""Inverse p-box sampling and interval propagation of uncertain recall.
+"""Inverse p-box sampling of uncertain recall.
 
 A (min, max, mean) triple bounds the unknown CDF of a detector's recall with a
 p-box. Inverting the two bounding CDFs gives two quantile functions:
@@ -18,9 +18,12 @@ Both inverses share one threshold ``t = (max - mean) / (max - min)``:
                        max - (max - mean) / p               t < p < 1
                        uniform draw on [mean, max]          p = 1
 
-Sampling both streams from one shared list of uniform p values and pushing
-each recall through the closed-form pipeline metrics bounds the residual
-prevalence, realized fix rate, and false-negative growth.
+Both streams are sampled from one shared list of uniform p values, so the
+pessimistic recall never exceeds the optimistic one. The simulator draws its
+trials' recalls from them, and each stream's mean has a closed form. Every
+closed-form pipeline metric is monotone in recall, so its bracket over the box
+needs no samples: ``pipeline_outcome(..., recall=np.array([box.minimum,
+box.maximum]))`` evaluates it at both ends in one call.
 """
 
 from __future__ import annotations
@@ -30,32 +33,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DomainSpec, FixerSpec, _check_unit, pipeline_false_negatives, pipeline_fix_rate, pipeline_prevalence
-)
+from .core import _check_unit
 from .errors import InvalidParameterError
 
 __all__ = [
     "PBoxParams",
     "Interval",
     "RecallStreams",
-    "IntervalBundle",
     "CHUNK",
-    "MODE_EXTREMES",
-    "MODE_MEANS",
     "inverse_lower",
     "inverse_upper",
     "recall_chunks",
     "sample_recall_streams",
     "stream_mean_optimistic",
     "stream_mean_pessimistic",
-    "propagate_interval",
 ]
 
 CHUNK = 2**16  # recall samples and simulated trials are drawn this many at a time
-
-MODE_EXTREMES = "extremes"
-MODE_MEANS = "means"
 
 
 @dataclass(frozen=True)
@@ -106,10 +100,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise InvalidParameterError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, value: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= value <= self.hi + tol
 
@@ -127,7 +117,6 @@ class RecallStreams:
     optimistic: np.ndarray
     pessimistic: np.ndarray
     p_values: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if not (len(self.optimistic) == len(self.pessimistic) == len(self.p_values)):
@@ -137,16 +126,6 @@ class RecallStreams:
 
     def __len__(self) -> int:
         return len(self.p_values)
-
-
-@dataclass(frozen=True)
-class IntervalBundle:
-    """Propagated intervals for the three headline pipeline metrics."""
-
-    prevalence: Interval
-    fix_rate: Interval
-    fn_ratio: Interval
-    mode: str
 
 
 def inverse_lower(params: PBoxParams, p, rng=None):
@@ -201,7 +180,7 @@ def recall_chunks(params: PBoxParams, n: int, seed: int):
     for k, start in enumerate(range(0, n, CHUNK)):
         p = rng.random(min(CHUNK, n - start))
         ties = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        yield RecallStreams(inverse_lower(params, p, ties), inverse_upper(params, p, ties), p, seed)
+        yield RecallStreams(inverse_lower(params, p, ties), inverse_upper(params, p, ties), p)
 
 
 def sample_recall_streams(params: PBoxParams, n: int, seed: int) -> RecallStreams:
@@ -212,7 +191,7 @@ def sample_recall_streams(params: PBoxParams, n: int, seed: int) -> RecallStream
         raise InvalidParameterError(f"{n} samples do not fit in memory") from None
     for k, chunk in enumerate(recall_chunks(params, n, seed)):  # raises for n < 1
         out[:, k * CHUNK:k * CHUNK + len(chunk)] = chunk.optimistic, chunk.pessimistic, chunk.p_values
-    return RecallStreams(*out, int(seed))
+    return RecallStreams(*out)
 
 
 def stream_mean_optimistic(params: PBoxParams) -> float:
@@ -237,38 +216,3 @@ def stream_mean_pessimistic(params: PBoxParams) -> float:
     if t == 0.0:  # mean == maximum, or a degenerate box: log(0) raises
         return b
     return a * t + b * (1.0 - t) + (b - mu) * math.log(t)
-
-
-def propagate_interval(
-    domain: DomainSpec,
-    fixer: FixerSpec,
-    streams: RecallStreams,
-    mode: str = MODE_EXTREMES,
-) -> IntervalBundle:
-    """Push sampled recall streams through the closed-form pipeline metrics.
-
-    ``mode="extremes"`` evaluates every recall value in both streams and
-    returns [min, max] per metric. ``mode="means"`` evaluates each metric at
-    the mean recall of each stream and orients the two results as lo <= hi;
-    the optimistic stream supplies the low-prevalence / high-fix-rate
-    endpoints.
-    """
-    if len(streams) == 0:
-        raise InvalidParameterError("streams must be nonempty")
-    if mode == MODE_EXTREMES:
-        rec = np.concatenate([np.asarray(streams.optimistic), np.asarray(streams.pessimistic)])
-    elif mode == MODE_MEANS:
-        rec = np.array(
-            [float(np.mean(streams.optimistic)), float(np.mean(streams.pessimistic))]
-        )
-    else:
-        raise InvalidParameterError(f"mode must be one of {MODE_EXTREMES!r}, {MODE_MEANS!r}")
-    prev = pipeline_prevalence(domain, fixer, rec)
-    fix = pipeline_fix_rate(fixer, rec)
-    _, ratio = pipeline_false_negatives(domain, fixer, rec)
-    return IntervalBundle(
-        prevalence=Interval(float(prev.min()), float(prev.max())),
-        fix_rate=Interval(float(fix.min()), float(fix.max())),
-        fn_ratio=Interval(float(ratio.min()), float(ratio.max())),
-        mode=mode,
-    )

@@ -107,21 +107,21 @@ class TestWilsonVariant:
 
 class TestRuleBasedCaseStudy:
     def test_reference_table_within_tolerance(self):
-        rows = {r.name: r for r in rule_based_case_study()}
+        rows = {t.name: ci for t, ci in zip(DEFAULT_TOOL_RECORDS, rule_based_case_study())}
         for name, (correct, generated, lo, hi) in REFERENCE_ROWS.items():
             row = rows[name]
             assert row.point == pytest.approx(correct / generated)
-            assert row.ci.lo == pytest.approx(lo, abs=0.02)
-            assert row.ci.hi == pytest.approx(hi, abs=0.02)
+            assert row.lo == pytest.approx(lo, abs=0.02)
+            assert row.hi == pytest.approx(hi, abs=0.02)
 
     def test_point_estimates(self):
-        rows = {r.name: r for r in rule_based_case_study()}
+        rows = {t.name: ci for t, ci in zip(DEFAULT_TOOL_RECORDS, rule_based_case_study())}
         assert rows["ACS"].point == pytest.approx(0.727, abs=5e-4)
         assert rows["Kali-A"].point == pytest.approx(0.046, abs=5e-4)
 
     def test_method_selectable(self):
         rows = rule_based_case_study(method="wilson")
-        assert rows[0].ci.lo == pytest.approx(0.5184827, abs=1e-6)
+        assert rows[0].lo == pytest.approx(0.5184827, abs=1e-6)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -176,7 +176,7 @@ class TestComposedCase:
         box = PBoxParams(0.86, 0.86, 0.86)
         report = composed_pipeline_case(879, 0.86, 0.44, box)
         assert report.fix_rate_extremes == Interval(0.44 * 0.86, 0.44 * 0.86)
-        assert report.fix_rate_means.width == pytest.approx(0.0, abs=1e-12)
+        assert report.fix_rate_means.hi - report.fix_rate_means.lo == pytest.approx(0.0, abs=1e-12)
         assert (report.detected, report.fixed, report.residual) == (756, 333, 423)
 
     def test_model_maximum_flagged(self):

@@ -484,11 +484,20 @@ def test_failed_stdout_write_exits_3_with_one_line(argv, sink):
     assert "Exception ignored" not in child.stderr
 
 
-def test_entry_with_stdout_closed_at_startup():
-    # sys.stdout is None, and argparse writes the version to stderr
-    child = subprocess.run(["sh", "-c", 'exec "$0" -m pipeuq.cli --version >&-', sys.executable],
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["--version"], 0, f"pipeuq {re.escape(__version__)}\n"),  # argparse writes it to stderr
+    (["analytic"], 3, "i/o error: .*\n"),
+    (["analytic", "--out", "{out}"], 0, ""),
+], ids=["version", "report", "out-file"])
+def test_entry_with_stdout_closed_at_startup(argv, code, stderr, tmp_path):
+    # fd 1 closed before the interpreter starts leaves sys.stdout None
+    argv = [arg.format(out=tmp_path / "child.txt") for arg in argv]
+    child = subprocess.run(["sh", "-c", 'exec "$0" -m pipeuq.cli "$@" >&-', sys.executable, *argv],
                            env=child_env(), capture_output=True, text=True)
-    assert (child.returncode, child.stderr) == (0, f"pipeuq {__version__}\n")
+    assert child.returncode == code and re.fullmatch(stderr, child.stderr), child.stderr
+    if "--out" in argv:
+        assert main(["analytic", "--out", str(tmp_path / "main.txt")]) == 0
+        assert (tmp_path / "child.txt").read_bytes() == (tmp_path / "main.txt").read_bytes()
 
 
 def test_console_script_is_the_main_block_entry():

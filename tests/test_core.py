@@ -12,7 +12,6 @@ from pipeuq import (
     DomainSpec,
     FixerSpec,
     InvalidParameterError,
-    derive_confusion,
     fixer_load,
     pipeline_false_negatives,
     pipeline_false_positives,
@@ -62,30 +61,6 @@ class TestRounding:
     )
     def test_round_half_away(self, value, expected):
         assert round_half_away(value) == expected
-
-
-class TestDeriveConfusion:
-    def test_fully_vulnerable_corpus(self):
-        counts = derive_confusion(ClassifierProfile(0.86, 1.0), DomainSpec(879, 1.0))
-        assert counts.tp == pytest.approx(755.94)
-        assert counts.rounded().tp == 756
-
-    def test_perfect_classifier(self):
-        counts = derive_confusion(ClassifierProfile(1.0, 1.0), DomainSpec(100, 0.5))
-        assert (counts.tp, counts.fn, counts.fp, counts.tn) == (50, 0, 0, 50)
-
-    def test_hand_evaluated_cell(self):
-        counts = derive_confusion(ClassifierProfile(0.5, 0.5), DomainSpec(1000, 0.2))
-        assert counts.tp == pytest.approx(100)
-        assert counts.fn == pytest.approx(100)
-        assert counts.fp == pytest.approx(100)
-        assert counts.tn == pytest.approx(700)
-
-    @given(rec=UNIT, prec=PREC, p_r=UNIT, n=st.integers(min_value=1, max_value=10**6))
-    def test_conservation(self, rec, prec, p_r, n):
-        counts = derive_confusion(ClassifierProfile(rec, prec), DomainSpec(n, p_r))
-        assert counts.total == pytest.approx(n, rel=1e-12, abs=1e-9)
-        assert counts.positives == pytest.approx(p_r * n, rel=1e-12, abs=1e-9)
 
 
 class TestFixRate:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import numpy as np
 
 from pipeuq import (
-    DEFAULT_PRECISION_STATS,
     DEFAULT_RECALL_PBOX,
     DEFAULT_RECALL_STATS,
     EmptyEvidenceError,
@@ -15,10 +14,8 @@ from pipeuq import (
     InvalidParameterError,
     PBoxParams,
     SummaryStats,
-    dump_samples,
     group_by_metric,
     load_samples,
-    loads_samples,
     remove_outliers,
     summarize,
     to_pbox,
@@ -30,35 +27,35 @@ HEADER = "source_id,metric,value\n"
 
 class TestLoad:
     def test_header_only_is_empty(self):
-        assert loads_samples(HEADER) == []
+        assert load_samples(io.StringIO(HEADER)) == []
 
     def test_single_row(self):
-        samples = loads_samples(HEADER + "p1,recall,0.74\n")
+        samples = load_samples(io.StringIO(HEADER + "p1,recall,0.74\n"))
         assert samples == [EvidenceSample("p1", "recall", 0.74)]
 
     def test_comments_and_blanks_skipped(self):
         text = "# harvested 2024\n" + HEADER + "\np1,recall,0.5\n# trailing note\n"
-        assert len(loads_samples(text)) == 1
+        assert len(load_samples(io.StringIO(text))) == 1
 
     def test_out_of_range_value(self):
         with pytest.raises(InvalidParameterError, match="line 2"):
-            loads_samples(HEADER + "p1,recall,1.5\n")
+            load_samples(io.StringIO(HEADER + "p1,recall,1.5\n"))
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(EvidenceFormatError, match="line 3"):
-            loads_samples(HEADER + "p1,recall,0.5\np2,recall\n")
+            load_samples(io.StringIO(HEADER + "p1,recall,0.5\np2,recall\n"))
 
     def test_bad_metric_reports_line(self):
         with pytest.raises(EvidenceFormatError, match="line 2"):
-            loads_samples(HEADER + "p1,accuracy,0.5\n")
+            load_samples(io.StringIO(HEADER + "p1,accuracy,0.5\n"))
 
     def test_non_numeric_value(self):
         with pytest.raises(EvidenceFormatError, match="line 2"):
-            loads_samples(HEADER + "p1,recall,high\n")
+            load_samples(io.StringIO(HEADER + "p1,recall,high\n"))
 
     def test_missing_header(self):
         with pytest.raises(EvidenceFormatError):
-            loads_samples("p1,recall,0.5\n")
+            load_samples(io.StringIO("p1,recall,0.5\n"))
 
     def test_path_roundtrip(self, tmp_path):
         path = tmp_path / "evidence.csv"
@@ -67,7 +64,7 @@ class TestLoad:
             EvidenceSample("p2", "recall", 0.74),
             EvidenceSample("p1", "precision", 0.5),
         ]
-        dump_samples(samples, path)
+        path.write_text(HEADER + "p1,recall,0.07\np2,recall,0.74\np1,precision,0.5\n", encoding="utf-8")
         again = load_samples(path)
         assert again == samples
         by_metric = group_by_metric(again)
@@ -150,4 +147,3 @@ class TestToPbox:
 class TestDefaults:
     def test_builtin_survey_statistics(self):
         assert DEFAULT_RECALL_STATS == SummaryStats(2328, 115, 0.07, 1.00, 0.74)
-        assert DEFAULT_PRECISION_STATS == SummaryStats(2043, 100, 0.00, 1.00, 0.71)

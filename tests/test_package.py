@@ -1,7 +1,9 @@
 import importlib
 import inspect
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +54,11 @@ assert wilson_interval is sys.modules["pipeuq.casestudies"].wilson_interval
 assert "wilson_interval" in vars(pipeuq)  # cached: no second lookup
 """
     subprocess.run([sys.executable, "-c", check], env=child_env(), check=True)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S)
+    assert example, "README.md has no python block under ## Library"
+    child = subprocess.run([sys.executable, "-c", example[1]], env=child_env(), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr

@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pipeuq import (
-    DomainSpec,
-    FixerSpec,
     Interval,
     InvalidParameterError,
     PBoxParams,
     RecallStreams,
     inverse_lower,
     inverse_upper,
-    propagate_interval,
     sample_recall_streams,
     stream_mean_optimistic,
     stream_mean_pessimistic,
 )
-from pipeuq.pbox import CHUNK, MODE_EXTREMES, MODE_MEANS, recall_chunks
+from pipeuq.pbox import CHUNK, recall_chunks
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
 
@@ -92,7 +89,6 @@ class TestParams:
     def test_interval_ordering(self):
         with pytest.raises(InvalidParameterError):
             Interval(0.5, 0.4)
-        assert Interval(0.1, 0.3).width == pytest.approx(0.2)
 
 
 class TestInverseLower:
@@ -231,9 +227,9 @@ class TestSampling:
 
     def test_stream_invariants_checked(self):
         with pytest.raises(InvalidParameterError):
-            RecallStreams(np.array([0.1]), np.array([0.2]), np.array([0.5]), seed=0)
+            RecallStreams(np.array([0.1]), np.array([0.2]), np.array([0.5]))
         with pytest.raises(InvalidParameterError):
-            RecallStreams(np.array([0.5, 0.6]), np.array([0.4]), np.array([0.5]), seed=0)
+            RecallStreams(np.array([0.5, 0.6]), np.array([0.4]), np.array([0.5]))
 
     def test_mean_convergence_against_quadrature(self):
         # oracle: numerical quadrature of the reference transcriptions,
@@ -263,51 +259,3 @@ class TestSampling:
         assert stream_mean_optimistic(box) == pytest.approx(expect_opt, abs=1e-7)
         assert stream_mean_pessimistic(box) == pytest.approx(expect_pess, abs=1e-7)
 
-
-class TestPropagation:
-    DOMAIN = DomainSpec(10_000, 0.5)
-
-    def test_perfect_fixer_ratio_interval_is_unit(self):
-        streams = sample_recall_streams(BOX, 500, seed=3)
-        bundle = propagate_interval(self.DOMAIN, FixerSpec(1.0), streams, MODE_EXTREMES)
-        assert bundle.fn_ratio == Interval(1.0, 1.0)
-
-    def test_half_fixer_fix_rate_extremes(self):
-        streams = sample_recall_streams(BOX, 2000, seed=3)
-        bundle = propagate_interval(self.DOMAIN, FixerSpec(0.5), streams, MODE_EXTREMES)
-        assert bundle.fix_rate.lo == pytest.approx(0.035, abs=1e-9)
-        assert bundle.fix_rate.hi == pytest.approx(0.50, abs=1e-9)
-
-    def test_degenerate_box_collapses_to_point(self):
-        box = PBoxParams(0.74, 0.74, 0.74)
-        streams = sample_recall_streams(box, 50, seed=5)
-        for mode in (MODE_EXTREMES, MODE_MEANS):
-            bundle = propagate_interval(self.DOMAIN, FixerSpec(0.5), streams, mode)
-            assert bundle.prevalence.lo == bundle.prevalence.hi == pytest.approx(0.315)
-
-    def test_pointwise_soundness(self):
-        streams = sample_recall_streams(BOX, 300, seed=11)
-        fixer = FixerSpec(0.7)
-        bundle = propagate_interval(self.DOMAIN, fixer, streams, MODE_EXTREMES)
-        for rec in np.concatenate([streams.optimistic, streams.pessimistic]):
-            assert bundle.prevalence.contains((1 - fixer.fix_rate * rec) * 0.5, tol=1e-12)
-            assert bundle.fix_rate.contains(fixer.fix_rate * rec, tol=1e-12)
-            assert bundle.fn_ratio.contains(1 + (1 - fixer.fix_rate) * rec, tol=1e-12)
-
-    def test_means_mode_orientation(self):
-        streams = sample_recall_streams(BOX, 1000, seed=13)
-        bundle = propagate_interval(self.DOMAIN, FixerSpec(0.5), streams, MODE_MEANS)
-        # optimistic stream (higher recall) gives the lower prevalence endpoint
-        m_opt = float(np.mean(streams.optimistic))
-        assert bundle.prevalence.lo == pytest.approx((1 - 0.5 * m_opt) * 0.5)
-        assert bundle.fix_rate.hi == pytest.approx(0.5 * m_opt)
-
-    def test_empty_streams_rejected(self):
-        empty = RecallStreams(np.array([]), np.array([]), np.array([]), seed=0)
-        with pytest.raises(InvalidParameterError):
-            propagate_interval(self.DOMAIN, FixerSpec(0.5), empty)
-
-    def test_unknown_mode_rejected(self):
-        streams = sample_recall_streams(BOX, 5, seed=1)
-        with pytest.raises(InvalidParameterError):
-            propagate_interval(self.DOMAIN, FixerSpec(0.5), streams, "median")

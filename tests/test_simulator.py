@@ -301,7 +301,7 @@ class TestRunExperiment:
             assert abs(means.lo - expected) < 4 * se + 1e-9
             assert abs(means.hi - expected) < 4 * se + 1e-9
             extremes = report.intervals[metric]["extremes"]
-            assert extremes.width < 8 * values.std(ddof=1) + 1e-9
+            assert extremes.hi - extremes.lo < 8 * values.std(ddof=1) + 1e-9
 
     def test_undefined_metrics_counted_not_raised(self):
         report = run_experiment(
