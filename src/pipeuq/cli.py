@@ -51,8 +51,9 @@ import sys
 import tempfile
 import traceback
 from collections import defaultdict
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -84,7 +85,7 @@ __all__ = [
 class ReportEnvelope:
     """A command's full result: config echo, payload and table renderer.
 
-    ``results`` is the JSON payload; numpy arrays in it are written as lists.
+    ``results`` is the JSON payload, its arrays and callables written as lists.
     ``columns`` and ``rows`` give the payload as one tidy table, which the csv
     output writes as it stands and ``table(envelope)`` formats. ``rows`` is a
     zero-argument callable that yields the rows afresh on every call, so a
@@ -143,7 +144,8 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
 
     The realized fix rate is reported as undefined (null / "n/a") when
     prevalence is 0, and the false-alert rate when the domain degenerates to
-    no negatives.
+    no negatives. The closed forms take false positives from precision, so
+    specificity is not read.
     """
     from .core import ClassifierProfile, DomainSpec, FixerSpec, pipeline_outcome
 
@@ -151,7 +153,7 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
         a.ravel() for a in np.meshgrid(cfg.prevalence, cfg.fix_rate, indexing="ij")
     )
     out = pipeline_outcome(
-        ClassifierProfile(cfg.recall, cfg.precision, cfg.specificity),
+        ClassifierProfile(cfg.recall, cfg.precision),
         DomainSpec(cfg.n_items, prevalence),
         FixerSpec(fix_rate),
     )
@@ -188,18 +190,16 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     for p_r, f_r in itertools.product(cfg.prevalence, cfg.fix_rate):
         domain, fixer = DomainSpec(cfg.n_items, p_r), FixerSpec(f_r, cfg.break_rate)
         report = run_experiment(domain, profile, fixer, pbox, cfg.trials, cfg.seed)
-        trials = {metric: [] for metric in METRICS}  # shared by both modes
-        for *_, values in report.chunks() if cfg.trace else ():
-            for metric in METRICS:  # NaN marks an undefined trial
-                trials[metric] += [None if v != v else v for v in values[metric].tolist()]
         for metric, mode in itertools.product(METRICS, modes):
             interval = report.intervals[metric][mode]
             entry = {"prevalence": p_r, "fix_rate": f_r, "mode": mode, "lo": None, "hi": None}
             entry.update(asdict(interval) if interval else {})
             if metric in report.undefined:
                 entry["undefined"] = report.undefined[metric]
-            if cfg.trace:
-                entry["trials"] = trials[metric]
+            if cfg.trace:  # re-drawn from the cell's seeds as it is written; NaN marks an undefined trial
+                entry["trials"] = lambda report=report, metric=metric: (
+                    [None if v != v else v for v in values[metric].tolist()] for *_, values in report.chunks()
+                )
             results[metric].append(entry)
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
     return _envelope(
@@ -360,10 +360,11 @@ def _render_simulate_table(env: ReportEnvelope) -> str:
         f"simulation intervals (trials={env.config['trials']}, n_items={env.config['n_items']}, "
         f"seed={env.config['seed']}, pbox=({pbox['minimum']:.4g}, {pbox['maximum']:.4g}, {pbox['mean']:.4g}))"
     ]
+    first = "means" if env.config["mode"] == "means" else "extremes"  # the block the undefined note follows
     cells, undefined = {}, defaultdict(int)
     for metric, mode, p, f, lo, hi, n_undefined in env.rows():
         cells[metric, mode, p, f] = _fmt_interval(lo, hi)
-        if mode == "extremes":
+        if mode == first:
             undefined[metric] += n_undefined or 0
     modes = {key[1] for key in cells}
     prevalences = sorted({key[2] for key in cells})
@@ -375,7 +376,7 @@ def _render_simulate_table(env: ReportEnvelope) -> str:
             rows = [["prevalence \\ fix_rate", *[f"{f:.2f}" for f in fix_rates]]]
             rows += [[f"{p:.2f}", *[cells[metric, mode, p, f] for f in fix_rates]] for p in prevalences]
             blocks.append(f"-- {metric} ({label}) --\n" + _format_columns(rows))
-            if mode == "extremes" and undefined[metric]:
+            if mode == first and undefined[metric]:
                 blocks.append(f"   ({undefined[metric]} trial(s) with undefined {metric} excluded)")
     return "\n\n".join(blocks) + "\n"
 
@@ -449,7 +450,8 @@ def _render_pbox_table(env: ReportEnvelope) -> str:
 
 # rows per csv flush and elements per JSON array slice
 _BATCH = 4096
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+_FLAT = (list, tuple, np.ndarray, Callable)
+_CONTAINERS = (dict, *_FLAT)
 
 
 @functools.cache
@@ -462,10 +464,11 @@ def _encoder(pad: str) -> json.JSONEncoder:
 def _json_chunks(value, indent: str = "\n"):
     """``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
-    Keys are str, and a numpy array is 1-D and written as a list. ``indent``
-    is the newline plus indentation of ``value``'s own level. A dict or list
-    holding containers is walked here; a flat one goes to the C encoder, a
-    long list or array ``_BATCH`` elements at a time.
+    Keys are str. A numpy array is 1-D, and a zero-argument callable yields
+    lists or arrays that are joined; both are written as lists. ``indent`` is
+    the newline plus indentation of ``value``'s own level. A dict or list
+    holding containers is walked here; a flat one goes to the C encoder,
+    ``_BATCH`` elements of a list, array or yielded part at a time.
     """
     pad = indent + "  "
     encode = _encoder(pad).encode
@@ -479,12 +482,14 @@ def _json_chunks(value, indent: str = "\n"):
             yield ("," if i else "[") + pad
             yield from _json_chunks(item, pad)
         yield indent + "]"
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        for i in range(0, len(value), _BATCH):
-            part = value[i:i + _BATCH]
-            text = encode(part.tolist() if isinstance(part, np.ndarray) else part)
-            yield ("," if i else "[") + pad + text[1:-1]
-        yield indent + "]" if len(value) else "[]"
+    elif isinstance(value, _FLAT):
+        sep = "["
+        for part in value() if callable(value) else [value]:
+            for i in range(0, len(part), _BATCH):
+                piece = part[i:i + _BATCH]
+                yield sep + pad + encode(piece.tolist() if isinstance(piece, np.ndarray) else piece)[1:-1]
+                sep = ","
+        yield "[]" if sep == "[" else indent + "]"
     elif isinstance(value, dict) and value:
         yield "{" + pad + encode(value)[1:-1] + indent + "}"
     else:  # a scalar or an empty dict

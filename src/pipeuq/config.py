@@ -29,9 +29,6 @@ from .errors import ConfigError
 __all__ = ["RunConfig", "FLAGS", "COMMON", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
 MAX_ITEMS = 2**63 - 1
-# `simulate --trace` embeds 2 x trials floats per metric (3) per grid cell;
-# 2**20 of them peak at about 90 MB
-MAX_TRACE_FLOATS = 2**20
 
 
 @dataclass
@@ -68,7 +65,7 @@ class RunConfig:
     trace: bool = False
 
 
-_GRID = ("n_items", "prevalence", "fix_rate", "specificity")
+_GRID = ("n_items", "prevalence", "fix_rate")
 _PBOX = ("pbox_min", "pbox_max", "pbox_mean", "evidence", "outlier_policy", "outlier_k")
 # command -> (its help line, the RunConfig fields it takes as flags besides
 # COMMON); every command also takes --config
@@ -76,7 +73,7 @@ FLAGS = {
     "analytic": ("closed-form grid of pipeline metrics", (*_GRID, "recall", "precision")),
     "simulate": (
         "Monte Carlo experiment per grid cell",
-        (*_GRID, *_PBOX, "break_rate", "trials", "mode", "trace"),
+        (*_GRID, "specificity", *_PBOX, "break_rate", "trials", "mode", "trace"),
     ),
     "evidence": ("summarize an evidence CSV into p-box parameters", ("outlier_policy", "outlier_k")),
     "case-study": (
@@ -194,9 +191,6 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         v = getattr(cfg, name)
         if not 1 <= v <= MAX_ITEMS:
             errors.append(f"{name}: must lie in [1, 2**63 - 1], got {v!r}")
-    floats = 6 * cfg.trials * len(cfg.prevalence) * len(cfg.fix_rate)
-    if command == "simulate" and cfg.trace and floats > MAX_TRACE_FLOATS:
-        errors.append(f"trace: {floats} trial values exceed the limit of 2**20; lower trials or the grid")
     if cfg.seed < 0:
         errors.append(f"seed: must be >= 0, got {cfg.seed!r}")
     for name in ("prevalence", "fix_rate"):

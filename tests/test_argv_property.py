@@ -81,7 +81,7 @@ POOLS = {
 }
 
 COMMON = ["--config", "--seed", "--output"]
-GRID_FLAGS = ["--n-items", "--prevalence", "--fix-rate", "--specificity"]
+GRID_FLAGS = ["--n-items", "--prevalence", "--fix-rate"]
 PBOX_FLAGS = ["--pbox-min", "--pbox-max", "--pbox-mean", "--evidence", "--outlier-policy", "--outlier-k"]
 
 # subcommand -> (a pool per positional, flags always given, optional flags);
@@ -90,7 +90,7 @@ COMMANDS = {
     "analytic": ([], [], [*COMMON, *GRID_FLAGS, "--recall", "--precision"]),
     "simulate": (
         [], ["--trials"],
-        [*COMMON, *GRID_FLAGS, *PBOX_FLAGS, "--break-rate", "--mode", "--trace"],
+        [*COMMON, *GRID_FLAGS, "--specificity", *PBOX_FLAGS, "--break-rate", "--mode", "--trace"],
     ),
     "evidence": ([[*EVIDENCE, None]], [], [*COMMON, "--outlier-policy", "--outlier-k"]),
     "case-study": (

@@ -11,7 +11,10 @@ import pytest
 from pipeuq import __version__
 from pipeuq.cli import cmd_simulate, main
 from pipeuq.config import RunConfig, build_config, validate_config
+from pipeuq.core import ClassifierProfile, DomainSpec, FixerSpec
 from pipeuq.errors import ConfigError
+from pipeuq.pbox import PBoxParams
+from pipeuq.simulator import METRICS, run_experiment
 
 FAST_SIM = [
     "simulate",
@@ -111,6 +114,38 @@ class TestSimulate:
         doc = run_json(tmp_path, [*FAST_SIM, "--trace"])
         entry = doc["results"]["final_prevalence"][0]
         assert len(entry["trials"]) == 20  # both streams
+
+    def test_trace_matches_outcomes_across_a_chunk_boundary(self, tmp_path):
+        # 70 000 trials span two chunks per stream; TrialOutcome is a second
+        # path from the draws to None for an undefined trial
+        argv = ["simulate", "--trace", "--prevalence", "0.5", "--fix-rate", "0.7", "--n-items", "20",
+                "--trials", "70000", "--mode", "both", "--seed", "7"]
+        doc = run_json(tmp_path, argv)
+        cfg = doc["config"]
+        report = run_experiment(
+            DomainSpec(20, 0.5),
+            ClassifierProfile(1.0, cfg["precision"], cfg["specificity"]),
+            FixerSpec(0.7, cfg["break_rate"]),
+            PBoxParams(cfg["pbox_min"], cfg["pbox_max"], cfg["pbox_mean"]),
+            70000,
+            7,
+        )
+        outcomes = list(report.outcomes())
+        for metric in METRICS:
+            extremes, means = doc["results"][metric]
+            assert (extremes["mode"], means["mode"]) == ("extremes", "means")
+            assert extremes["trials"] == means["trials"] == [getattr(o, metric) for o in outcomes]
+        assert None in doc["results"]["fn_ratio"][0]["trials"]
+
+    def test_means_table_notes_undefined_trials(self, capsys):
+        # the golden simulate-zero-prevalence case holds this grid's `both` table
+        argv = ["simulate", "--mode", "means", "--prevalence", "0,0.5", "--fix-rate", "0.5,1",
+                "--trials", "6", "--n-items", "100"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        note = "   (24 trial(s) with undefined real_fix_rate excluded)"
+        assert [line for line in text.splitlines() if "excluded" in line] == [note]
+        assert note in text.split("-- real_fix_rate (stream means) --")[1].split("-- fn_ratio")[0]
 
     def test_huge_population_runs_in_bounded_memory(self, capsys):
         argv = ["simulate", "--n-items", str(10**12), "--trials", "2",
@@ -303,9 +338,6 @@ class TestExitCodes:
             # fail before any memory is touched
             *([command, "--trials", str(n)]
               for command in ("simulate", "pbox-sample") for n in (2**59, 2**63 - 1)),
-            # a trace above 2**20 floats: 6 x 14564 x 12 default cells, 6 x 174763 x 1
-            ["simulate", "--trace", "--trials", "14564"],
-            ["simulate", "--trace", "--prevalence", "0.5", "--fix-rate", "0.5", "--trials", "174763"],
             ["case-study", "rule-based", "--confidence", "0.9999999999999999"],
             # a subnormal prevalence or an infinite k would print a
             # non-JSON -Infinity or Infinity
@@ -323,14 +355,6 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "outlier_k" in err
-
-    def test_trace_limit_is_exact(self):
-        cell = {"prevalence": [0.5], "fix_rate": [0.5], "trace": True}
-        validate_config(RunConfig(trials=174762, **cell), "simulate")
-        with pytest.raises(ConfigError, match="trace"):
-            validate_config(RunConfig(trials=174763, **cell), "simulate")
-        # a trace set in a config file binds only the command that embeds one
-        validate_config(RunConfig(trials=10**6, **cell), "pbox-sample")
 
     def test_tiny_prevalence_limit_binds_simulate_only(self):
         cell = {"prevalence": [1e-305], "fix_rate": [0.5]}
@@ -386,6 +410,12 @@ def test_simulate_memory_does_not_grow_with_trials():
     small = peak_rss_mb([*cell, "--trials", "1000"])
     large = peak_rss_mb([*cell, "--trials", "300000"])
     assert large - small <= 10.0, (small, large)
+    # a trace is re-drawn from the cell's seeds as it is written, never held
+    trace = ["simulate", "--trace", "--prevalence", "0.5", "--fix-rate", "0.5", "--n-items", "10",
+             "--mode", "extremes", "--output", "json"]
+    small = peak_rss_mb([*trace, "--trials", "140000"])
+    large = peak_rss_mb([*trace, "--trials", "400000"])
+    assert large - small <= 4.0, (small, large)
 
 
 @pytest.mark.parametrize("output", ["json", "csv"])

@@ -31,7 +31,6 @@ SURFACE = {
         "--n-items": "int",
         "--prevalence": "list",
         "--fix-rate": "list",
-        "--specificity": "float",
         "--recall": "float",
         "--precision": "float",
     },

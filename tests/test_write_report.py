@@ -30,7 +30,13 @@ def written(config, results) -> str:
 
 def oracle(config, results) -> str:
     doc = {"version": __version__, "config": config, "results": results}
-    return json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=as_list) + "\n"
+
+
+def as_list(value) -> list:
+    """An array, or the lists and arrays a callable yields joined, as one list."""
+    parts = value() if callable(value) else [value]
+    return [v for part in parts for v in (part.tolist() if isinstance(part, np.ndarray) else part)]
 
 
 def sample_array(length: int, dtype: str, seed: int) -> np.ndarray:
@@ -52,13 +58,17 @@ scalars = st.one_of(
     st.none(),
     st.text(),  # non-ASCII too, written as \u escapes
 )
+arrays = st.builds(sample_array, st.sampled_from(LENGTHS), st.sampled_from(["float64", "int64", "bool"]),
+                   st.integers(0, 2**32 - 1))
+# a flat list longer than one slice
+long_lists = st.builds(lambda length, seed: sample_array(length, "float64", seed).tolist(),
+                       st.sampled_from(LENGTHS), st.integers(0, 2**32 - 1))
 flat = st.one_of(
     st.lists(scalars, max_size=6),
-    st.builds(sample_array, st.sampled_from(LENGTHS), st.sampled_from(["float64", "int64", "bool"]),
-              st.integers(0, 2**32 - 1)),
-    # a flat list longer than one slice
-    st.builds(lambda length, seed: sample_array(length, "float64", seed).tolist(),
-              st.sampled_from(LENGTHS), st.integers(0, 2**32 - 1)),
+    arrays,
+    long_lists,
+    # a callable, written as one list joined from the lists and arrays it yields
+    st.lists(st.one_of(arrays, long_lists), max_size=3).map(lambda parts: lambda: iter(parts)),
 )
 documents = st.recursive(
     st.one_of(scalars, flat, st.just({}), st.just([])),
@@ -73,7 +83,8 @@ documents = st.recursive(
 
 def around_a_slice(length: int):
     values = sample_array(length, "float64", length)
-    results = {"array": values, "list": values.tolist(), "rows": [{"x": values, "y": [values, -0.0]}]}
+    results = {"array": values, "list": values.tolist(), "rows": [{"x": values, "y": [values, -0.0]}],
+               "parts": lambda: iter([values, [], values.tolist()])}
     return example(config={"k": [0.5, None]}, results=results)
 
 
@@ -90,7 +101,7 @@ def test_json_matches_indented_dumps(config, results):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["scalar", "leaf dict", "flat list", "long list", "array"])
+@pytest.mark.parametrize("where", ["scalar", "leaf dict", "flat list", "long list", "array", "callable"])
 def test_non_finite_number_raises(bad, where):
     tail = [0.25] * 5000 + [bad]
     results = {
@@ -99,6 +110,7 @@ def test_non_finite_number_raises(bad, where):
         "flat list": [0.5, bad, None],
         "long list": tail,
         "array": np.array(tail),
+        "callable": {"x": lambda: iter([[0.5], np.array(tail)])},
     }[where]
     with pytest.raises(ValueError):
         written({}, results)
