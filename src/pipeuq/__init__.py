@@ -4,10 +4,11 @@ Quantifies how uncertainty in a vulnerability detector's recall propagates
 through a classifier/fixer/classifier pipeline: closed-form metrics, p-box
 interval bounds, and a seeded Monte Carlo simulator, with a CLI on top.
 
-Every name in ``__all__`` loads its submodule, and numpy, on first use (a
-module ``__getattr__``, PEP 562), so ``import pipeuq`` itself loads neither.
-``from pipeuq import X``, ``from pipeuq import *`` and ``pipeuq.<submodule>``
-work as if everything had been imported up front.
+Every name in ``__all__`` loads its submodule on first use (a module
+``__getattr__``, PEP 562), so ``import pipeuq`` itself loads none, and only
+``core``, ``simulator`` and the array functions of ``pbox`` and ``evidence``
+load numpy. ``from pipeuq import X``, ``from pipeuq import *`` and
+``pipeuq.<submodule>`` work as if everything had been imported up front.
 """
 
 import importlib
@@ -39,7 +40,6 @@ _SUBMODULES = {
         "pipeline_prevalence",
         "pipeline_true_positives",
         "pipeline_tpr",
-        "round_half_away",
     ),
     "pbox": (
         "Interval",
@@ -77,6 +77,7 @@ _SUBMODULES = {
         "agresti_coull_interval",
         "composed_pipeline_case",
         "load_tool_records",
+        "round_half_away",
         "rule_based_case_study",
         "wilson_interval",
     ),

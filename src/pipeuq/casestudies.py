@@ -13,11 +13,11 @@ end-to-end fix rate in the interval implied by a recall p-box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import EvidenceFormatError, InvalidParameterError
 from .evidence import DEFAULT_RECALL_PBOX, _read_headed_csv
-from .core import round_half_away
 from .pbox import Interval, PBoxParams, stream_mean_optimistic, stream_mean_pessimistic
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "rule_based_case_study",
     "composed_pipeline_case",
     "load_tool_records",
+    "round_half_away",
 ]
 
 
@@ -147,6 +148,13 @@ def rule_based_case_study(
             f"method must be one of {sorted(INTERVAL_METHODS)}, got {method!r}"
         ) from None
     return tuple(interval(t.correct, t.generated, confidence) for t in tools)
+
+
+def round_half_away(x: float) -> int:
+    """Round to the nearest integer, ties away from zero (755.94 -> 756)."""
+    if x >= 0:
+        return int(math.floor(x + 0.5))
+    return int(math.ceil(x - 0.5))
 
 
 @dataclass(frozen=True)

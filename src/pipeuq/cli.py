@@ -55,8 +55,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__
 from .config import CHOICES, COMMON, FLAGS, HELP, PARSERS, RunConfig, build_config
 from .errors import PipeUQError
@@ -65,8 +63,8 @@ if TYPE_CHECKING:
     from .pbox import PBoxParams
 
 # Each command imports the library modules it runs, so a command loads only
-# those: `analytic` never loads the simulator, the evidence reader or the
-# case studies.
+# those: `analytic` never loads the simulator, the evidence reader or the case
+# studies. numpy comes with array code, which a case study runs only for --evidence.
 
 __all__ = [
     "ReportEnvelope",
@@ -147,6 +145,7 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     no negatives. The closed forms take false positives from precision, so
     specificity is not read.
     """
+    import numpy as np
     from .core import ClassifierProfile, DomainSpec, FixerSpec, pipeline_outcome
 
     prevalence, fix_rate = (
@@ -450,8 +449,6 @@ def _render_pbox_table(env: ReportEnvelope) -> str:
 
 # rows per csv flush and elements per JSON array slice
 _BATCH = 4096
-_FLAT = (list, tuple, np.ndarray, Callable)
-_CONTAINERS = (dict, *_FLAT)
 
 
 @functools.cache
@@ -472,22 +469,25 @@ def _json_chunks(value, indent: str = "\n"):
     """
     pad = indent + "  "
     encode = _encoder(pad).encode
-    if isinstance(value, dict) and any(isinstance(v, _CONTAINERS) for v in value.values()):
+    np = sys.modules.get("numpy")  # None or absent in a run that made no array
+    flat = (list, tuple, Callable) if np is None else (list, tuple, np.ndarray, Callable)
+    containers = (dict, *flat)
+    if isinstance(value, dict) and any(isinstance(v, containers) for v in value.values()):
         for i, key in enumerate(sorted(value)):
             yield ("," if i else "{") + pad + encode(key) + ": "
             yield from _json_chunks(value[key], pad)
         yield indent + "}"
-    elif isinstance(value, (list, tuple)) and any(isinstance(v, _CONTAINERS) for v in value):
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, containers) for v in value):
         for i, item in enumerate(value):
             yield ("," if i else "[") + pad
             yield from _json_chunks(item, pad)
         yield indent + "]"
-    elif isinstance(value, _FLAT):
+    elif isinstance(value, flat):
         sep = "["
         for part in value() if callable(value) else [value]:
             for i in range(0, len(part), _BATCH):
                 piece = part[i:i + _BATCH]
-                yield sep + pad + encode(piece.tolist() if isinstance(piece, np.ndarray) else piece)[1:-1]
+                yield sep + pad + encode(piece if isinstance(piece, (list, tuple)) else piece.tolist())[1:-1]
                 sep = ","
         yield "[]" if sep == "[" else indent + "]"
     elif isinstance(value, dict) and value:

@@ -233,6 +233,11 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         errors.append(f"outlier_k: must be finite and >= 0, got {cfg.outlier_k!r}")
     if command == "analytic" and cfg.break_rate != 0.0:
         errors.append(f"break_rate: the closed forms assume 0, got {cfg.break_rate!r}")
+    if command == "analytic" and cfg.specificity != 0.0:
+        errors.append(f"specificity: the closed forms take false positives from precision, got {cfg.specificity!r}")
+    # fixer load <= n_items / precision, false-alert rate <= 2**53 / precision (its denominator is 0 or >= 2**-53)
+    if command == "analytic" and 0.0 < cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
+        errors.append(f"precision: {cfg.precision!r} would overflow the fixer load or the false-alert rate")
     if command == "evidence" and not cfg.evidence:
         errors.append("evidence: a CSV path is required")
     if errors:

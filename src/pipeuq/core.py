@@ -22,7 +22,6 @@ at the cells where it is undefined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "FixerSpec",
     "ConfusionCounts",
     "PipelineOutcome",
-    "round_half_away",
     "pipeline_fix_rate",
     "pipeline_prevalence",
     "pipeline_tpr",
@@ -58,13 +56,6 @@ def _check_unit(value, name: str) -> None:
 def _unwrap(arr: np.ndarray):
     """A 0-d result as a Python float, anything else unchanged."""
     return float(arr) if arr.ndim == 0 else arr
-
-
-def round_half_away(x: float) -> int:
-    """Round to the nearest integer, ties away from zero (755.94 -> 756)."""
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
 
 
 @dataclass(frozen=True)

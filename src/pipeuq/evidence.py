@@ -19,8 +19,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError
 from .pbox import PBoxParams
 
@@ -155,6 +153,7 @@ def remove_outliers(samples, policy: str = "iqr", k: float = 1.5):
         raise InvalidParameterError(f"k must be nonnegative, got {k!r}")
     if not samples:
         raise EmptyEvidenceError("iqr outlier removal needs at least one sample")
+    import numpy as np
     values = np.array([s.value for s in samples])
     q1, q3 = np.percentile(values, [25.0, 75.0])
     lo = q1 - k * (q3 - q1)
@@ -169,6 +168,7 @@ def summarize(samples) -> SummaryStats:
     samples = list(samples)
     if not samples:
         raise EmptyEvidenceError("cannot summarize an empty sample set")
+    import numpy as np
     values = np.array([s.value for s in samples])
     vmin, vmax = float(values.min()), float(values.max())
     # summation rounding can push the mean a few ulp outside [min, max]

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import _check_unit
 from .errors import InvalidParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PBoxParams",
@@ -121,7 +122,7 @@ class RecallStreams:
     def __post_init__(self):
         if not (len(self.optimistic) == len(self.pessimistic) == len(self.p_values)):
             raise InvalidParameterError("recall streams must share one length")
-        if np.any(self.pessimistic > self.optimistic):
+        if (self.pessimistic > self.optimistic).any():
             raise InvalidParameterError("pessimistic stream must not exceed optimistic stream")
 
     def __len__(self) -> int:
@@ -136,6 +137,8 @@ def inverse_lower(params: PBoxParams, p, rng=None):
     on a degenerate box, where the draw is ``min``. The middle branch is
     clamped at ``min``, which rounding could otherwise undercut by an ulp.
     """
+    import numpy as np
+    from .core import _check_unit
     _check_unit(p, "p")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
@@ -155,6 +158,8 @@ def inverse_upper(params: PBoxParams, p, rng=None):
     ``p = 1`` is set-valued and resolved by a uniform draw on [mean, max].
     On a degenerate box every branch gives ``min``.
     """
+    import numpy as np
+    from .core import _check_unit
     _check_unit(p, "p")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
@@ -174,6 +179,7 @@ def recall_chunks(params: PBoxParams, n: int, seed: int):
     Chunk ``k`` resolves its p = 0 and p = 1 ties with a child generator,
     ``default_rng(SeedSequence(seed, spawn_key=(k,)))``.
     """
+    import numpy as np
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
@@ -185,6 +191,7 @@ def recall_chunks(params: PBoxParams, n: int, seed: int):
 
 def sample_recall_streams(params: PBoxParams, n: int, seed: int) -> RecallStreams:
     """All ``n`` samples of ``recall_chunks`` in one ``RecallStreams``."""
+    import numpy as np
     try:
         out = np.empty((3, max(int(n), 0)))
     except (MemoryError, ValueError):  # numpy: "array is too big"

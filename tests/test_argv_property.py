@@ -62,7 +62,8 @@ POOLS = {
     "--fix-rate": GRID,
     "--specificity": UNIT,
     "--recall": UNIT,
-    "--precision": UNIT,
+    # a subnormal or tiny precision would overflow the fixer load to inf
+    "--precision": [*UNIT, "5e-324", "1e-300"],
     "--pbox-min": UNIT,
     "--pbox-max": UNIT,
     "--pbox-mean": UNIT,

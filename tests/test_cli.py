@@ -79,6 +79,14 @@ class TestAnalytic:
         assert main(["analytic", "--config", str(ini)]) == 2
         assert "break_rate" in capsys.readouterr().err
 
+    def test_specificity_from_config_rejected(self, tmp_path, capsys):
+        # no closed form reads it, so the echo in the title would mislead
+        ini = tmp_path / "run.ini"
+        ini.write_text("[common]\nspecificity = 0.7\n")
+        assert main(["analytic", "--config", str(ini), "--prevalence", "0.5", "--fix-rate", "0.5"]) == 2
+        assert "specificity" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(ini), *FAST_SIM[1:]]) == 0
+
     def test_golden_table_rendering(self, capsys):
         assert main(["analytic", "--prevalence", "0.5", "--fix-rate", "0.5", "--n-items", "100"]) == 0
         assert capsys.readouterr().out == (
@@ -347,6 +355,9 @@ class TestExitCodes:
             # would overflow their sum over 65536 trials to -Infinity
             ["simulate", "--prevalence", "1e-305", "--fix-rate", "0.5", "--break-rate", "1",
              "--n-items", "1", "--trials", "65536", "--output", "json"],
+            # the fixer load, n_items / precision at recall 1, would overflow to Infinity
+            ["analytic", "--precision", "5e-324", "--output", "json"],
+            ["analytic", "--precision", "1e-300", "--n-items", str(2**63 - 1), "--output", "json"],
             ["evidence", path["evidence.csv"], "--outlier-k", "inf", "--output", "json"],
             ["evidence", path["evidence.csv"], "--outlier-k", "nan"],
         ]
@@ -428,34 +439,44 @@ def test_pbox_sample_memory_is_arrays_plus_constant(output):
     assert large - small <= 24 * n / 2**20 + 8.0, (small, large)
 
 
-# Runs ``pipeuq <argv>`` (or only ``import pipeuq`` when argv is empty) and
-# prints every module the interpreter has loaded.
+# Runs ``pipeuq <argv>`` (or only ``import pipeuq`` when argv is empty),
+# prints every module the interpreter has loaded and exits with main's code.
 _MODULES = """
 import contextlib, io, sys
+code = 0
 if sys.argv[1:]:
     from pipeuq.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(sys.argv[1:]) == 0
+        code = main(sys.argv[1:])
 else:
     import pipeuq
 print(*sys.modules)
+sys.exit(code)
 """
 
+USAGE_ERROR = "case-study sideways"  # argparse refuses it
 LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"}
 # argv -> modules it must load, modules it must not load; every command but
 # case-study must also leave statistics, and every one without --config
 # configparser, unloaded. {csv} and {ini} stand for an evidence file and a
-# config file
+# config file. Only the commands that compute with arrays load numpy
 LOADS = {
     "": (set(), {"numpy"}),  # nor any pipeuq submodule
-    "analytic --output csv": ({"pipeuq.core"}, LIBRARY - {"pipeuq.core"}),
-    "analytic --config {ini}": ({"pipeuq.core", "configparser"}, LIBRARY - {"pipeuq.core"}),
-    "simulate --trials 5 --n-items 50": ({"pipeuq.simulator"}, {"pipeuq.evidence", "pipeuq.casestudies"}),
-    "simulate --trials 5 --evidence {csv}": ({"pipeuq.simulator", "pipeuq.evidence"}, {"pipeuq.casestudies"}),
-    "pbox-sample --trials 5": ({"pipeuq.pbox"}, {"pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"}),
-    "evidence {csv}": ({"pipeuq.evidence"}, {"pipeuq.simulator", "pipeuq.casestudies"}),
-    "case-study rule-based": ({"pipeuq.casestudies", "statistics"}, {"pipeuq.simulator"}),
-    "case-study composed": ({"pipeuq.casestudies"}, {"pipeuq.simulator"}),
+    "--version": (set(), {"numpy", *LIBRARY}),
+    "--help": (set(), {"numpy", *LIBRARY}),
+    USAGE_ERROR: (set(), {"numpy", *LIBRARY}),
+    "analytic --output csv": ({"pipeuq.core", "numpy"}, LIBRARY - {"pipeuq.core"}),
+    "analytic --config {ini}": ({"pipeuq.core", "numpy", "configparser"}, LIBRARY - {"pipeuq.core"}),
+    "simulate --trials 5 --n-items 50": ({"pipeuq.simulator", "numpy"}, {"pipeuq.evidence", "pipeuq.casestudies"}),
+    "simulate --trials 5 --evidence {csv}": (
+        {"pipeuq.simulator", "pipeuq.evidence", "numpy"}, {"pipeuq.casestudies"},
+    ),
+    "pbox-sample --trials 5": (
+        {"pipeuq.pbox", "numpy"}, {"pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"},
+    ),
+    "evidence {csv}": ({"pipeuq.evidence", "numpy"}, {"pipeuq.simulator", "pipeuq.casestudies"}),
+    "case-study rule-based": ({"pipeuq.casestudies", "statistics"}, {"pipeuq.simulator", "pipeuq.core", "numpy"}),
+    "case-study composed": ({"pipeuq.casestudies"}, {"pipeuq.simulator", "pipeuq.core", "numpy"}),
 }
 
 
@@ -465,7 +486,8 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     (tmp_path / "run.ini").write_text("[common]\nseed = 3\n")
     argv = command.format(csv=tmp_path / "ev.csv", ini=tmp_path / "run.ini").split()
     child = subprocess.run([sys.executable, "-c", _MODULES, *argv], env=child_env(),
-                           capture_output=True, text=True, check=True)
+                           capture_output=True, text=True)
+    assert child.returncode == (2 if command == USAGE_ERROR else 0), child.stderr
     loaded = set(child.stdout.split())
     must, must_not = LOADS[command]
     must_not = must_not | {"statistics", "configparser"} - must

@@ -13,6 +13,8 @@ and review the diff.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -107,6 +109,32 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_output_matches_golden(golden, inputs, case, output):
     assert capture(case, output, inputs) == golden[f"{case}/{output}"]
+
+
+# Writes the case-study snapshots as one JSON object, with numpy made
+# unimportable before pipeuq is: a case study must not need it.
+_WITHOUT_NUMPY = """
+import json, sys
+from pathlib import Path
+sys.modules["numpy"] = None
+import test_golden
+cases = [case for case in test_golden.CASES if case.startswith("case-study")]
+directory = Path(sys.argv[1])
+test_golden.write_files(directory)
+print(json.dumps({f"{case}/{output}": test_golden.capture(case, output, directory)
+                  for case in cases for output in test_golden.OUTPUTS}))
+"""
+
+
+def test_case_studies_run_without_numpy(golden, tmp_path):
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
+                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    snapshots = json.loads(child.stdout)
+    assert len(snapshots) == 3 * len(OUTPUTS)
+    assert snapshots == {key: golden[key] for key in snapshots}
 
 
 if __name__ == "__main__":
