@@ -57,14 +57,14 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import CHOICES, COMMON, FLAGS, HELP, PARSERS, RunConfig, build_config
-from .errors import PipeUQError
+from .errors import EmptyEvidenceError, PipeUQError
 
 if TYPE_CHECKING:
     from .pbox import PBoxParams
 
 # Each command imports the library modules it runs, so a command loads only
 # those: `analytic` never loads the simulator, the evidence reader or the case
-# studies. numpy comes with array code, which a case study runs only for --evidence.
+# studies. Only `analytic`, `simulate` and `pbox-sample` compute with numpy.
 
 __all__ = [
     "ReportEnvelope",
@@ -114,6 +114,8 @@ def _resolve_pbox(cfg: RunConfig) -> PBoxParams:
         from .evidence import group_by_metric, load_samples, remove_outliers, summarize, to_pbox
 
         samples = group_by_metric(load_samples(cfg.evidence))["recall"]
+        if not samples:
+            raise EmptyEvidenceError(f"evidence file {cfg.evidence} has no recall samples")
         kept, _ = remove_outliers(samples, cfg.outlier_policy, cfg.outlier_k)
         return to_pbox(summarize(kept))
     return PBoxParams(cfg.pbox_min, cfg.pbox_max, cfg.pbox_mean)

@@ -144,7 +144,7 @@ def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
     known = {f.name for f in fields(RunConfig)}
     defaults = RunConfig()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
         for section in ("common", command):
             if not parser.has_section(section):

@@ -1,6 +1,6 @@
 """Ingest recall/precision samples harvested from the literature.
 
-CSV schema (UTF-8, header required, ``#`` starts a comment line):
+CSV schema (UTF-8, a leading BOM allowed, header required, ``#`` starts a comment line):
 
     source_id,metric,value
 
@@ -11,13 +11,17 @@ distinct sources.
 The bundled default statistics come from a survey of published AI vulnerability
 detectors (2328 recall samples across 115 publications after outlier removal),
 so every experiment runs without external data. Precision samples are ingested
-and summarized for completeness but feed nothing downstream.
+and summarized for completeness but feed nothing downstream. No numpy is loaded:
+quartiles and mean are plain Python, rounded bit for bit as ``np.percentile``
+(default ``linear`` method) and ``np.mean`` round them.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError
 from .pbox import PBoxParams
@@ -80,7 +84,7 @@ def _read_headed_csv(source, header: list[str]):
     """
     if not hasattr(source, "read"):
         try:
-            with open(source, encoding="utf-8", newline="") as fh:
+            with open(source, encoding="utf-8-sig", newline="") as fh:
                 yield from _read_headed_csv(fh, header)
         except UnicodeDecodeError as exc:
             raise EvidenceFormatError(f"{source} is not UTF-8 text ({exc.reason})") from None
@@ -136,6 +140,30 @@ def group_by_metric(samples) -> dict[str, list[EvidenceSample]]:
     return groups
 
 
+def _quantile(ordered: list[float], q: float) -> float:
+    """Hyndman & Fan's type 7 ``q`` quantile of sorted values, rounded as numpy's ``linear`` method."""
+    h = (len(ordered) - 1) * q
+    i = int(h)
+    g = h - i
+    a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's float64 ``add.reduce`` without its start value, bit for bit: pairwise
+    summation (Higham 1993) down to blocks of at most 128 values, each in eight
+    interleaved accumulators. Not ``sum``: from Python 3.12 it compensates rounding."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, values[j:m:8]) for j in range(8)]
+        return reduce(add, values[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 def remove_outliers(samples, policy: str = "iqr", k: float = 1.5):
     """Partition samples into (kept, removed) under an outlier policy.
 
@@ -153,9 +181,8 @@ def remove_outliers(samples, policy: str = "iqr", k: float = 1.5):
         raise InvalidParameterError(f"k must be nonnegative, got {k!r}")
     if not samples:
         raise EmptyEvidenceError("iqr outlier removal needs at least one sample")
-    import numpy as np
-    values = np.array([s.value for s in samples])
-    q1, q3 = np.percentile(values, [25.0, 75.0])
+    ordered = sorted(s.value for s in samples)
+    q1, q3 = _quantile(ordered, 0.25), _quantile(ordered, 0.75)
     lo = q1 - k * (q3 - q1)
     hi = q3 + k * (q3 - q1)
     kept = [s for s in samples if lo <= s.value <= hi]
@@ -168,11 +195,12 @@ def summarize(samples) -> SummaryStats:
     samples = list(samples)
     if not samples:
         raise EmptyEvidenceError("cannot summarize an empty sample set")
-    import numpy as np
-    values = np.array([s.value for s in samples])
-    vmin, vmax = float(values.min()), float(values.max())
-    # summation rounding can push the mean a few ulp outside [min, max]
-    mean = min(max(float(values.mean()), vmin), vmax)
+    values = [float(s.value) for s in samples]
+    backwards = values[::-1]  # of tied 0.0 and -0.0 the later, as numpy's scalar min/max loop keeps
+    vmin, vmax = (backwards[backwards.index(pick(backwards))] for pick in (min, max))
+    # numpy's sum starts at 0.0 (so all -0.0 sums to 0.0), and its rounding can
+    # push the mean a few ulp outside [min, max]
+    mean = min(max((0.0 + _pairwise_sum(values)) / len(values), vmin), vmax)
     return SummaryStats(
         count=len(samples),
         publications=len({s.source_id for s in samples}),

@@ -208,6 +208,23 @@ class TestEvidence:
         assert "evidence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("ev.csv", TestEvidence.CSV, ["evidence"]),
+    ("tools.csv", "name,correct,generated\nMyTool,5,10\n", ["case-study", "rule-based", "--tools"]),
+    ("run.ini", "[common]\nseed = 3\n[analytic]\nprevalence = 0.2\n", ["analytic", "--config"]),
+], ids=["evidence", "tools", "config"])
+def test_byte_order_mark_is_skipped(name, text, argv, tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+    path = tmp_path / name
+    reports = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(text, encoding=encoding)
+        assert main([*argv, str(path), "--output", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reports[0] == reports[1]
+
+
 class TestCaseStudy:
     def test_rule_based_table(self, capsys):
         assert main(["case-study", "rule-based"]) == 0
@@ -374,6 +391,14 @@ class TestExitCodes:
             validate_config(RunConfig(trials=65536, **cell), "simulate")
         validate_config(RunConfig(trials=65536, **cell), "analytic")
 
+    @pytest.mark.parametrize("policy", ["iqr", "none"])
+    @pytest.mark.parametrize("command", [["simulate", "--trials", "2"], ["case-study", "composed"]])
+    def test_evidence_without_recall_samples(self, command, policy, tmp_path, capsys):
+        path = tmp_path / "precision-only.csv"
+        path.write_text("source_id,metric,value\np1,precision,0.5\n")
+        assert main([*command, "--evidence", str(path), "--outlier-policy", policy]) == 2
+        assert capsys.readouterr().err == f"error: evidence file {path} has no recall samples\n"
+
     def test_out_path_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"
         assert main([*FAST_SIM, "--out", str(target)]) == 3
@@ -457,9 +482,10 @@ sys.exit(code)
 USAGE_ERROR = "case-study sideways"  # argparse refuses it
 LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"}
 # argv -> modules it must load, modules it must not load; every command but
-# case-study must also leave statistics, and every one without --config
-# configparser, unloaded. {csv} and {ini} stand for an evidence file and a
-# config file. Only the commands that compute with arrays load numpy
+# case-study must also leave statistics, every one without --config
+# configparser, and every one numpy.ma (which np.percentile loads) unloaded.
+# {csv} and {ini} stand for an evidence file and a config file. Only the
+# commands that compute with arrays load numpy
 LOADS = {
     "": (set(), {"numpy"}),  # nor any pipeuq submodule
     "--version": (set(), {"numpy", *LIBRARY}),
@@ -474,9 +500,12 @@ LOADS = {
     "pbox-sample --trials 5": (
         {"pipeuq.pbox", "numpy"}, {"pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"},
     ),
-    "evidence {csv}": ({"pipeuq.evidence", "numpy"}, {"pipeuq.simulator", "pipeuq.casestudies"}),
+    "evidence {csv}": ({"pipeuq.evidence"}, {"pipeuq.simulator", "pipeuq.casestudies", "numpy"}),
     "case-study rule-based": ({"pipeuq.casestudies", "statistics"}, {"pipeuq.simulator", "pipeuq.core", "numpy"}),
     "case-study composed": ({"pipeuq.casestudies"}, {"pipeuq.simulator", "pipeuq.core", "numpy"}),
+    "case-study composed --evidence {csv}": (
+        {"pipeuq.casestudies", "pipeuq.evidence"}, {"pipeuq.simulator", "pipeuq.core", "numpy"},
+    ),
 }
 
 
@@ -490,7 +519,7 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     assert child.returncode == (2 if command == USAGE_ERROR else 0), child.stderr
     loaded = set(child.stdout.split())
     must, must_not = LOADS[command]
-    must_not = must_not | {"statistics", "configparser"} - must
+    must_not = must_not | {"statistics", "configparser", "numpy.ma"} - must
     assert must <= loaded and not must_not & loaded, (must - loaded, must_not & loaded)
     if not argv:
         assert not any(name.startswith("pipeuq.") for name in loaded)

@@ -1,7 +1,9 @@
 import io
+import random
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -20,6 +22,7 @@ from pipeuq import (
     summarize,
     to_pbox,
 )
+from pipeuq import evidence
 from pipeuq.errors import EvidenceFormatError
 
 HEADER = "source_id,metric,value\n"
@@ -123,6 +126,69 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(EmptyEvidenceError):
             summarize([])
+
+
+def same_bits(x: float, y: float) -> bool:
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+# both zeros, values like the paper's (4 decimals), and any float in [0, 1]
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.integers(0, 10_000).map(lambda i: i / 10_000),
+    st.floats(0.0, 1.0),
+)
+# the short loop, one block of 8 accumulators and either side of it, the
+# paper's 2328 samples, and more than numpy's 8192-element buffer
+LENGTHS = st.one_of(st.integers(1, 9), st.integers(127, 129), st.sampled_from([2328, 9000]))
+
+
+class TestNumpyOracle:
+    """``remove_outliers`` and ``summarize`` compute in plain Python; numpy is
+    the independent oracle they must match bit for bit."""
+
+    @settings(deadline=None)
+    # a quartile halfway between 0.0283 and 0.0939 rounds differently from each end
+    @example(pool=[0.0283, 0.0939], n=3, fresh=0.0, seed=1)
+    @given(
+        pool=st.lists(VALUES, min_size=1, max_size=12),
+        n=LENGTHS,
+        fresh=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy(self, pool, n, fresh, seed):
+        # a share `fresh` of random 4-decimal values, the rest from a small
+        # pool, so that values repeat and zeros tie
+        rng = random.Random(seed)
+        values = [round(rng.random(), 4) if rng.random() < fresh else rng.choice(pool) for _ in range(n)]
+        samples = [EvidenceSample("p", "recall", v) for v in values]
+        array = np.array(values)
+        q1, q3 = np.percentile(array, [25.0, 75.0])
+        lo, hi = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+        kept, removed = remove_outliers(samples)
+        assert kept == [s for s in samples if lo <= s.value <= hi]
+        assert removed == [s for s in samples if not lo <= s.value <= hi]
+        # both quartiles; a zero's sign is not compared: numpy's partition
+        # leaves tied 0.0 and -0.0 in no fixed order, and the sign moves no bound
+        ordered = sorted(values)
+        assert (evidence._quantile(ordered, 0.25), evidence._quantile(ordered, 0.75)) == (q1, q3)
+        stats = summarize(samples)
+        assert same_bits(stats.mean, min(max(float(array.mean()), array.min()), array.max()))
+        # numpy keeps the later of tied 0.0 and -0.0 in its scalar loop, which
+        # runs to 2 values on every CPU; beyond, its SIMD lanes decide
+        for ours, theirs in ((stats.minimum, array.min()), (stats.maximum, array.max())):
+            assert same_bits(ours, theirs) if ours != 0 or n <= 2 else ours == theirs
+
+    @pytest.mark.parametrize("values, minimum, maximum", [
+        ([0.0, -0.0], -0.0, -0.0),
+        ([-0.0, 0.0], 0.0, 0.0),
+        ([-0.0, -0.0], -0.0, -0.0),
+        ([0.0, 0.5, -0.0], -0.0, 0.5),
+    ])
+    def test_tied_zeros_keep_the_later(self, values, minimum, maximum):
+        stats = summarize([EvidenceSample("p", "recall", v) for v in values])
+        assert same_bits(stats.minimum, minimum) and same_bits(stats.maximum, maximum)
+        assert same_bits(stats.mean, float(np.mean(values)))
 
 
 class TestToPbox:
