@@ -14,7 +14,8 @@ end-to-end fix rate in the interval implied by a recall p-box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import EvidenceFormatError, InvalidParameterError
 from .evidence import DEFAULT_RECALL_PBOX, _read_headed_csv
@@ -35,26 +36,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToolRecord:
+class ToolRecord(namedtuple("ToolRecord", "name correct generated")):
     """Patch counts for one repair tool: ``correct`` out of ``generated``."""
 
-    name: str
-    correct: int
-    generated: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.generated < 1:
-            raise InvalidParameterError(f"{self.name}: generated must be >= 1")
-        if not 0 <= self.correct <= self.generated:
-            raise InvalidParameterError(
-                f"{self.name}: need 0 <= correct <= generated, got "
-                f"{self.correct}/{self.generated}"
-            )
+    def __new__(cls, name: str, correct: int, generated: int):
+        if generated < 1:
+            raise InvalidParameterError(f"{name}: generated must be >= 1")
+        if not 0 <= correct <= generated:
+            raise InvalidParameterError(f"{name}: need 0 <= correct <= generated, got {correct}/{generated}")
+        return super().__new__(cls, name, correct, generated)
 
 
-@dataclass(frozen=True)
-class ProportionCI:
+class ProportionCI(NamedTuple):
     """Point estimate with a clamped two-sided confidence interval."""
 
     point: float
@@ -157,8 +153,7 @@ def round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-@dataclass(frozen=True)
-class ComposedPipelineReport:
+class ComposedPipelineReport(NamedTuple):
     """Detect/fix chain, rounding at each stage, plus the fix-rate uncertainty wrap."""
 
     n_items: int

@@ -49,14 +49,12 @@ import os
 import stat
 import sys
 import tempfile
-import traceback
 from collections import defaultdict
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .config import CHOICES, COMMON, FLAGS, HELP, PARSERS, RunConfig, build_config
+from .config import CHOICES, COMMON, DEFAULTS, FLAGS, HELP, PARSERS, RunConfig, build_config
 from .errors import EmptyEvidenceError, PipeUQError
 
 if TYPE_CHECKING:
@@ -79,8 +77,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ReportEnvelope:
+class ReportEnvelope(NamedTuple):
     """A command's full result: config echo, payload and table renderer.
 
     ``results`` is the JSON payload, its arrays and callables written as lists.
@@ -100,8 +97,7 @@ class ReportEnvelope:
 def _envelope(command: str, cfg: RunConfig, results: dict, columns, rows, table) -> ReportEnvelope:
     # the output destination is not part of the experiment: identical configs
     # must yield identical reports wherever they are written
-    config = {"command": command, **asdict(cfg)}
-    del config["out"]
+    config = {"command": command, **{name: getattr(cfg, name) for name in DEFAULTS if name != "out"}}
     return ReportEnvelope(config, results, columns, rows, table)
 
 
@@ -111,14 +107,27 @@ def _resolve_pbox(cfg: RunConfig) -> PBoxParams:
     from .pbox import PBoxParams
 
     if cfg.evidence:
-        from .evidence import group_by_metric, load_samples, remove_outliers, summarize, to_pbox
+        from .evidence import group_by_metric, load_samples, to_pbox
 
         samples = group_by_metric(load_samples(cfg.evidence))["recall"]
         if not samples:
             raise EmptyEvidenceError(f"evidence file {cfg.evidence} has no recall samples")
-        kept, _ = remove_outliers(samples, cfg.outlier_policy, cfg.outlier_k)
-        return to_pbox(summarize(kept))
+        return to_pbox(_summarize(cfg, "recall", samples)[0])
     return PBoxParams(cfg.pbox_min, cfg.pbox_max, cfg.pbox_mean)
+
+
+def _summarize(cfg: RunConfig, metric: str, samples):
+    """``(SummaryStats, removed samples)`` of one metric's evidence samples
+    under the configured outlier rule."""
+    from .evidence import remove_outliers, summarize
+
+    kept, removed = remove_outliers(samples, cfg.outlier_policy, cfg.outlier_k)
+    if not kept:
+        raise EmptyEvidenceError(
+            f"evidence file {cfg.evidence}: outlier policy {cfg.outlier_policy} with "
+            f"k={cfg.outlier_k} removes every {metric} sample"
+        )
+    return summarize(kept), removed
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +196,14 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     profile = ClassifierProfile(1.0, cfg.precision, cfg.specificity)
     modes = ("extremes", "means") if cfg.mode == "both" else (cfg.mode,)
     results: dict = {m: [] for m in METRICS}
-    results["pbox"] = asdict(pbox)
+    results["pbox"] = pbox._asdict()
     for p_r, f_r in itertools.product(cfg.prevalence, cfg.fix_rate):
         domain, fixer = DomainSpec(cfg.n_items, p_r), FixerSpec(f_r, cfg.break_rate)
         report = run_experiment(domain, profile, fixer, pbox, cfg.trials, cfg.seed)
         for metric, mode in itertools.product(METRICS, modes):
             interval = report.intervals[metric][mode]
             entry = {"prevalence": p_r, "fix_rate": f_r, "mode": mode, "lo": None, "hi": None}
-            entry.update(asdict(interval) if interval else {})
+            entry.update(interval._asdict() if interval else {})
             if metric in report.undefined:
                 entry["undefined"] = report.undefined[metric]
             if cfg.trace:  # re-drawn from the cell's seeds as it is written; NaN marks an undefined trial
@@ -220,7 +229,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
 def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
     """Summarize an evidence CSV: per-metric statistics, outlier partition,
     and the derived p-box parameters."""
-    from .evidence import group_by_metric, load_samples, remove_outliers, summarize, to_pbox
+    from .evidence import group_by_metric, load_samples, to_pbox
 
     samples = load_samples(cfg.evidence)
     groups = group_by_metric(samples)
@@ -234,14 +243,13 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
         if not metric_samples:
             results[metric] = None
             continue
-        kept, removed = remove_outliers(metric_samples, cfg.outlier_policy, cfg.outlier_k)
-        stats = summarize(kept)
+        stats, removed = _summarize(cfg, metric, metric_samples)
         row = [metric, stats.count, stats.publications, stats.minimum, stats.maximum, stats.mean,
                len(removed)]
         table.append(row)
         results[metric] = {
             **dict(zip(columns[1:6], row[1:6])),
-            "pbox": asdict(to_pbox(stats)),
+            "pbox": to_pbox(stats)._asdict(),
             "removed": [
                 {"source_id": s.source_id, "metric": s.metric, "value": s.value}
                 for s in removed
@@ -282,7 +290,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
             "chain": dict(zip(chain, table[0])),
             "detector_recall": report.detector_recall,
             "repair_accuracy": report.repair_accuracy,
-            "fix_rate": {"extremes": asdict(extremes), "means": asdict(means)},
+            "fix_rate": {"extremes": extremes._asdict(), "means": means._asdict()},
             "notes": list(report.notes),
         }
         return _envelope("case-study", cfg, results, columns, lambda: table, _render_composed_table)
@@ -304,7 +312,7 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
         name: {stat: float(getattr(arrays[name], stat)()) for stat in ("min", "max", "mean")}
         for name in ("optimistic", "pessimistic")
     }
-    results = {"pbox": asdict(pbox), "count": len(streams), "summary": summary, **arrays}
+    results = {"pbox": pbox._asdict(), "count": len(streams), "summary": summary, **arrays}
     return _envelope(
         "pbox-sample",
         cfg,
@@ -589,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig()
     for command, (help_text, names) in FLAGS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", metavar="PATH", help=HELP["config"])
@@ -600,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in (*COMMON, *names):
             flag = "--" + name.replace("_", "-")
             help_ = HELP.get((command, name), HELP.get(name))
-            kind = type(getattr(defaults, name))
+            kind = type(DEFAULTS[name])
             if kind is bool:
                 p.add_argument(flag, action="store_const", const=True, help=help_)
                 continue
@@ -643,6 +650,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except Exception:  # internal invariant violation
+        import traceback
+
         traceback.print_exc()
         return 4
 

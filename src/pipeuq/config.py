@@ -22,47 +22,62 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "FLAGS", "COMMON", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
+__all__ = ["RunConfig", "DEFAULTS", "FLAGS", "COMMON", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
 MAX_ITEMS = 2**63 - 1
 
 
-@dataclass
-class RunConfig:
+# RunConfig's fields and their defaults; a field's type is its default's
+DEFAULTS = {
     # population / pipeline
-    n_items: int = 10_000
-    prevalence: list = field(default_factory=lambda: [0.10, 0.50, 1.00])
-    fix_rate: list = field(default_factory=lambda: [0.50, 0.70, 0.90, 1.00])
-    recall: float = 1.0
-    precision: float = 1.0
-    specificity: float = 0.0
-    break_rate: float = 0.0
+    "n_items": 10_000,
+    "prevalence": [0.10, 0.50, 1.00],
+    "fix_rate": [0.50, 0.70, 0.90, 1.00],
+    "recall": 1.0,
+    "precision": 1.0,
+    "specificity": 0.0,
+    "break_rate": 0.0,
     # recall uncertainty source
-    pbox_min: float = 0.07
-    pbox_max: float = 1.00
-    pbox_mean: float = 0.74
-    evidence: str | None = None
-    outlier_policy: str = "iqr"
-    outlier_k: float = 1.5
+    "pbox_min": 0.07,
+    "pbox_max": 1.00,
+    "pbox_mean": 0.74,
+    "evidence": None,
+    "outlier_policy": "iqr",
+    "outlier_k": 1.5,
     # experiment control
-    trials: int = 1000
-    seed: int = 42
-    mode: str = "both"
+    "trials": 1000,
+    "seed": 42,
+    "mode": "both",
     # case studies
-    confidence: float = 0.95
-    method: str = "agresti-coull"
-    tools: str | None = None
-    case_n_items: int = 879
-    case_recall: float = 0.86
-    case_accuracy: float = 0.44
+    "confidence": 0.95,
+    "method": "agresti-coull",
+    "tools": None,
+    "case_n_items": 879,
+    "case_recall": 0.86,
+    "case_accuracy": 0.44,
     # output
-    output: str = "table"
-    out: str | None = None
-    trace: bool = False
+    "output": "table",
+    "out": None,
+    "trace": False,
+}
+
+
+class RunConfig:
+    """Every option of every command: ``DEFAULTS`` overridden by keyword."""
+
+    __slots__ = tuple(DEFAULTS)
+
+    def __init__(self, **values):
+        unknown = values.keys() - DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"RunConfig got unexpected keyword arguments {sorted(unknown)}")
+        for name, default in DEFAULTS.items():
+            if name not in values and type(default) is list:
+                default = default.copy()  # each instance gets its own lists
+            setattr(self, name, values.get(name, default))
 
 
 _GRID = ("n_items", "prevalence", "fix_rate")
@@ -141,8 +156,6 @@ def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
     import configparser
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    known = {f.name for f in fields(RunConfig)}
-    defaults = RunConfig()
     try:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
@@ -151,9 +164,9 @@ def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
                 continue
             for key, text in parser.items(section):  # items() interpolates
                 key = key.replace("-", "_")
-                if key not in known:
+                if key not in DEFAULTS:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-                setattr(cfg, key, _parse_value(key, text, getattr(defaults, key)))
+                setattr(cfg, key, _parse_value(key, text, DEFAULTS[key]))
     except (configparser.Error, UnicodeDecodeError) as exc:
         # some configparser messages span lines; the report is one line
         raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
@@ -165,10 +178,10 @@ def build_config(args, command: str) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         _apply_file(cfg, config_path, command)
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+    for name in DEFAULTS:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, f.name, value)
+            setattr(cfg, name, value)
     validate_config(cfg, command)
     return cfg
 

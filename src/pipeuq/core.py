@@ -14,6 +14,15 @@ Key identities (all derivable from the confusion-matrix algebra):
     end-to-end recall        TPR' = rec^2 * (1 - fix_rate) / (1 - fix_rate * rec)
     false-negative growth    FN' = [1 + (1 - fix_rate) * rec] * FN_first
 
+The second stage's false positives ``fp_final``, and the false-alert rate
+``far_final`` built on them, assume that it keeps the first stage's precision:
+``fp_final = tp_final * (1 - prec) / prec``. The simulator instead keeps the
+specificity, and sends the repaired, now clean, items through the second
+classifier, where each is a false positive with probability ``1 - spec``. At
+N = 10 000, P = 0.5, rec = 0.8, spec = 0.6 (prec = 2/3) and fix_rate = 0.5,
+``fp_final`` is 800 here and the simulator's mean is 1600; ``tp_final``,
+``fn_final`` and ``fixer_load`` agree.
+
 Prevalence, fix rate and recall may each be a float or an ndarray, and every
 metric broadcasts over them, so a whole prevalence x fix-rate x recall grid is
 one call. Scalar inputs give Python floats. An array false-alert rate is NaN
@@ -22,7 +31,8 @@ at the cells where it is undefined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +68,7 @@ def _unwrap(arr: np.ndarray):
     return float(arr) if arr.ndim == 0 else arr
 
 
-@dataclass(frozen=True)
-class ClassifierProfile:
+class ClassifierProfile(namedtuple("ClassifierProfile", "recall precision specificity")):
     """Operating point of one detector.
 
     ``precision`` defaults to 1.0: the headline pipeline metrics (residual
@@ -69,40 +78,37 @@ class ClassifierProfile:
     is flagged and piped through the fixer.
     """
 
-    recall: float
-    precision: float = 1.0
-    specificity: float = 0.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        _check_unit(self.recall, "recall")
-        _check_unit(self.specificity, "specificity")
-        _check_unit(self.precision, "precision")
-        if self.precision == 0.0:
+    def __new__(cls, recall: float, precision: float = 1.0, specificity: float = 0.0):
+        _check_unit(recall, "recall")
+        _check_unit(specificity, "specificity")
+        _check_unit(precision, "precision")
+        if precision == 0.0:
             raise InvalidParameterError("precision must be strictly positive")
+        return super().__new__(cls, recall, precision, specificity)
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(namedtuple("DomainSpec", "n_items prevalence")):
     """Population under analysis: ``n_items`` items, a fraction ``prevalence``
     of which is truly vulnerable."""
 
-    n_items: int
-    prevalence: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        if int(self.n_items) != self.n_items or self.n_items < 0:
-            raise InvalidParameterError(
-                f"n_items must be a nonnegative integer, got {self.n_items!r}"
-            )
-        _check_unit(self.prevalence, "prevalence")
+    def __new__(cls, n_items: int, prevalence: float):
+        if int(n_items) != n_items or n_items < 0:
+            raise InvalidParameterError(f"n_items must be a nonnegative integer, got {n_items!r}")
+        _check_unit(prevalence, "prevalence")
+        return super().__new__(cls, n_items, prevalence)
 
     @property
     def positives(self) -> float:
         return self.prevalence * self.n_items
 
 
-@dataclass(frozen=True)
-class FixerSpec:
+class FixerSpec(namedtuple("FixerSpec", "fix_rate break_rate")):
     """Repair stage: fixes each received item with probability ``fix_rate``.
 
     ``break_rate`` is the probability of re-introducing a vulnerability while
@@ -110,16 +116,16 @@ class FixerSpec:
     exercises nonzero values.
     """
 
-    fix_rate: float
-    break_rate: float = 0.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        _check_unit(self.fix_rate, "fix_rate")
-        _check_unit(self.break_rate, "break_rate")
+    def __new__(cls, fix_rate: float, break_rate: float = 0.0):
+        _check_unit(fix_rate, "fix_rate")
+        _check_unit(break_rate, "break_rate")
+        return super().__new__(cls, fix_rate, break_rate)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     """One classifier pass's simulated confusion counts (integers)."""
 
     tp: int
@@ -136,8 +142,7 @@ class ConfusionCounts:
         return self.tp + self.fn
 
 
-@dataclass(frozen=True)
-class PipelineOutcome:
+class PipelineOutcome(NamedTuple):
     """End-to-end metrics of the composed pipeline at a fixed recall."""
 
     fix_rate_actual: float

@@ -19,9 +19,10 @@ quartiles and mean are plain Python, rounded bit for bit as ``np.percentile``
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError
 from .pbox import PBoxParams
@@ -43,21 +44,19 @@ METRICS = ("recall", "precision")
 _HEADER = ["source_id", "metric", "value"]
 
 
-@dataclass(frozen=True)
-class EvidenceSample:
-    source_id: str
-    metric: str
-    value: float
+class EvidenceSample(namedtuple("EvidenceSample", "source_id metric value")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.metric not in METRICS:
-            raise InvalidParameterError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if not 0.0 <= self.value <= 1.0:
-            raise InvalidParameterError(f"value must lie in [0, 1], got {self.value!r}")
+    def __new__(cls, source_id: str, metric: str, value: float):
+        if metric not in METRICS:
+            raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
+        if not 0.0 <= value <= 1.0:
+            raise InvalidParameterError(f"value must lie in [0, 1], got {value!r}")
+        return super().__new__(cls, source_id, metric, value)
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     """Descriptive statistics of one metric's sample set.
 
     Plain record; ``summarize`` guarantees ``minimum <= mean <= maximum`` and

@@ -29,7 +29,7 @@ box.maximum]))`` evaluates it at both ends in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError
@@ -53,30 +53,29 @@ __all__ = [
 CHUNK = 2**16  # recall samples and simulated trials are drawn this many at a time
 
 
-@dataclass(frozen=True)
-class PBoxParams:
+class PBoxParams(namedtuple("PBoxParams", "minimum maximum mean")):
     """(min, max, mean) triple bounding an unknown CDF on [0, 1].
 
     The degenerate case ``minimum == maximum == mean`` is permitted and makes
     every sample equal to that point.
     """
 
-    minimum: float
-    maximum: float
-    mean: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        for name in ("minimum", "maximum", "mean"):
-            v = getattr(self, name)
+    def __new__(cls, minimum: float, maximum: float, mean: float):
+        values = (minimum, maximum, mean)
+        for name, v in zip(cls._fields, values):
             if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0 and math.isfinite(v)):
                 raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
-            if math.copysign(1.0, v) < 0.0:  # -0.0; numpy's uniform rejects the range (0.0, -0.0)
-                object.__setattr__(self, name, 0.0)
+        # -0.0 becomes 0.0: numpy's uniform rejects the range (0.0, -0.0)
+        self = super().__new__(cls, *(0.0 if math.copysign(1.0, v) < 0.0 else v for v in values))
         if not self.minimum <= self.mean <= self.maximum:
             raise InvalidParameterError(
                 f"p-box needs minimum <= mean <= maximum, got "
                 f"({self.minimum}, {self.mean}, {self.maximum})"
             )
+        return self
 
     @property
     def degenerate(self) -> bool:
@@ -90,22 +89,21 @@ class PBoxParams:
         return (self.maximum - self.mean) / (self.maximum - self.minimum)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi")):
     """Closed interval with ``lo <= hi``."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise InvalidParameterError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: float, hi: float):
+        if not lo <= hi:
+            raise InvalidParameterError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     def contains(self, value: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= value <= self.hi + tol
 
 
-@dataclass(frozen=True, eq=False)
 class RecallStreams:
     """Paired recall samples from the two p-box inverses.
 
@@ -115,15 +113,14 @@ class RecallStreams:
     ``pessimistic[i] <= optimistic[i]`` holds pointwise.
     """
 
-    optimistic: np.ndarray
-    pessimistic: np.ndarray
-    p_values: np.ndarray
+    __slots__ = ("optimistic", "pessimistic", "p_values")
 
-    def __post_init__(self):
-        if not (len(self.optimistic) == len(self.pessimistic) == len(self.p_values)):
+    def __init__(self, optimistic: np.ndarray, pessimistic: np.ndarray, p_values: np.ndarray):
+        if not (len(optimistic) == len(pessimistic) == len(p_values)):
             raise InvalidParameterError("recall streams must share one length")
-        if (self.pessimistic > self.optimistic).any():
+        if (pessimistic > optimistic).any():
             raise InvalidParameterError("pessimistic stream must not exceed optimistic stream")
+        self.optimistic, self.pessimistic, self.p_values = optimistic, pessimistic, p_values
 
     def __len__(self) -> int:
         return len(self.p_values)

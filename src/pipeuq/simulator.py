@@ -34,8 +34,8 @@ Running sums aggregate the chunks, so memory does not grow with ``trials``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ STREAM_PESSIMISTIC = "pessimistic"
 _STREAM_CODES = {STREAM_OPTIMISTIC: 1, STREAM_PESSIMISTIC: 2}
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     """Counts and headline metrics of one simulated pipeline pass.
 
     ``real_fix_rate`` is None when prevalence is zero (nothing to fix);
@@ -145,8 +144,7 @@ def trial_seed(master_seed: int, stream: str, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Intervals of one experiment, and the inputs that re-draw its trials;
     ``undefined`` maps real_fix_rate and fn_ratio to their undefined trials."""
 

@@ -399,6 +399,18 @@ class TestExitCodes:
         assert main([*command, "--evidence", str(path), "--outlier-policy", policy]) == 2
         assert capsys.readouterr().err == f"error: evidence file {path} has no recall samples\n"
 
+    @pytest.mark.parametrize("command", [
+        ["evidence"], ["simulate", "--trials", "2", "--evidence"], ["case-study", "composed", "--evidence"],
+    ], ids=["evidence", "simulate", "case-study"])
+    def test_outlier_rule_that_removes_every_sample(self, command, tmp_path, capsys):
+        # with k = 0 the rule keeps [Q1, Q3] = [0.3, 0.5], which holds neither sample
+        path = tmp_path / "two.csv"
+        path.write_text("source_id,metric,value\np1,recall,0.2\np2,recall,0.6\n")
+        assert main([*command, str(path), "--outlier-k", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: evidence file {path}: outlier policy iqr with k=0.0 removes every recall sample\n"
+        )
+
     def test_out_path_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"
         assert main([*FAST_SIM, "--out", str(target)]) == 3
@@ -483,9 +495,10 @@ USAGE_ERROR = "case-study sideways"  # argparse refuses it
 LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"}
 # argv -> modules it must load, modules it must not load; every command but
 # case-study must also leave statistics, every one without --config
-# configparser, and every one numpy.ma (which np.percentile loads) unloaded.
-# {csv} and {ini} stand for an evidence file and a config file. Only the
-# commands that compute with arrays load numpy
+# configparser, and every one numpy.ma (which np.percentile loads) and
+# dataclasses unloaded. {csv} and {ini} stand for an evidence file and a config
+# file. Only the commands that compute with arrays load numpy, and one that
+# does not must also leave inspect (which numpy loads) and traceback unloaded
 LOADS = {
     "": (set(), {"numpy"}),  # nor any pipeuq submodule
     "--version": (set(), {"numpy", *LIBRARY}),
@@ -519,7 +532,9 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     assert child.returncode == (2 if command == USAGE_ERROR else 0), child.stderr
     loaded = set(child.stdout.split())
     must, must_not = LOADS[command]
-    must_not = must_not | {"statistics", "configparser", "numpy.ma"} - must
+    must_not = must_not | {"statistics", "configparser", "numpy.ma", "dataclasses"} - must
+    if "numpy" in must_not:
+        must_not |= {"inspect", "traceback"}
     assert must <= loaded and not must_not & loaded, (must - loaded, must_not & loaded)
     if not argv:
         assert not any(name.startswith("pipeuq.") for name in loaded)

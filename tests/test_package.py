@@ -62,3 +62,46 @@ def test_readme_library_example_runs():
     assert example, "README.md has no python block under ## Library"
     child = subprocess.run([sys.executable, "-c", example[1]], env=child_env(), capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
+
+
+def _records():
+    """One instance of every public record."""
+    from pipeuq.cli import ReportEnvelope
+
+    counts, interval = pipeuq.ConfusionCounts(1, 2, 3, 4), pipeuq.Interval(0.1, 0.2)
+    profile, domain, fixer = pipeuq.ClassifierProfile(0.8, 0.9, 0.5), pipeuq.DomainSpec(100, 0.5), pipeuq.FixerSpec(0.5)
+    box = pipeuq.PBoxParams(0.1, 0.9, 0.5)
+    return [
+        profile, domain, fixer, counts, pipeuq.PipelineOutcome(*[0.5] * 9), box, interval,
+        pipeuq.EvidenceSample("p1", "recall", 0.5), pipeuq.SummaryStats(2, 1, 0.1, 0.9, 0.5),
+        pipeuq.TrialOutcome(counts, counts, 0.5, 0.5, None, 0.8),
+        pipeuq.SimulationReport({}, {}, domain, profile, fixer, box, 10, 42),
+        pipeuq.ToolRecord("A", 1, 2), pipeuq.ProportionCI(0.5, 0.4, 0.6, 0.95),
+        pipeuq.ComposedPipelineReport(879, 0.86, 0.44, 756, 333, 423, interval, interval, ("note",)),
+        ReportEnvelope({}, {}, ("a",), list, str),
+    ]
+
+
+RECORDS = _records()
+
+
+def test_every_public_record_is_checked():
+    exported = {name for name in pipeuq.__all__ if inspect.isclass(getattr(pipeuq, name))}
+    records = {name for name in exported if issubclass(getattr(pipeuq, name), tuple)}
+    assert records == {type(r).__name__ for r in RECORDS} - {"ReportEnvelope"}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_immutable_values(record):
+    fields = record._asdict()
+    copy = type(record)(**fields)
+    assert copy == record and copy is not record
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+def test_replace_checks_a_validated_record():
+    assert pipeuq.PBoxParams(0.1, 0.9, 0.5)._replace(minimum=-0.0) == (0.0, 0.9, 0.5)
+    with pytest.raises(pipeuq.InvalidParameterError, match="lo <= hi"):
+        pipeuq.Interval(0.1, 0.2)._replace(lo=0.5)

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -78,7 +77,7 @@ class TestItemWalkEquivalence:
             trial(self.N, P, rec, spec, f, b, seed=trial_seed(3, STREAM_OPTIMISTIC, i))
             for i in range(self.TRIALS)
         ]
-        counts = np.array([astuple(o.counts_first) + astuple(o.counts_second) for o in outs])
+        counts = np.array([tuple(o.counts_first) + tuple(o.counts_second) for o in outs])
         self.check(counts, P, rec, spec, f, b)
 
     @pytest.mark.parametrize("P, rec, spec, f, b", GRID)
@@ -88,7 +87,7 @@ class TestItemWalkEquivalence:
             DomainSpec(self.N, P), ClassifierProfile(1.0, specificity=spec), FixerSpec(f, b),
             PBoxParams(rec, rec, rec), self.TRIALS // 2, master_seed=3,
         )
-        counts = np.array([astuple(o.counts_first) + astuple(o.counts_second) for o in report.outcomes()])
+        counts = np.array([tuple(o.counts_first) + tuple(o.counts_second) for o in report.outcomes()])
         self.check(counts, P, rec, spec, f, b)
 
     def check(self, counts, P, rec, spec, f, b):
