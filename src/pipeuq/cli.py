@@ -54,7 +54,7 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .config import CHOICES, COMMON, DEFAULTS, FLAGS, HELP, PARSERS, RunConfig, build_config
+from .config import CHOICES, DEFAULTS, FLAGS, HELP, OPTIONS, PARSERS, RunConfig, build_config
 from .errors import EmptyEvidenceError, PipeUQError
 
 if TYPE_CHECKING:
@@ -94,11 +94,11 @@ class ReportEnvelope(NamedTuple):
     table: Callable[["ReportEnvelope"], str]
 
 
-def _envelope(command: str, cfg: RunConfig, results: dict, columns, rows, table) -> ReportEnvelope:
-    # the output destination is not part of the experiment: identical configs
-    # must yield identical reports wherever they are written
-    config = {"command": command, **{name: getattr(cfg, name) for name in DEFAULTS if name != "out"}}
-    return ReportEnvelope(config, results, columns, rows, table)
+def _envelope(command: str, cfg: RunConfig, results: dict, columns, rows, table, **positionals) -> ReportEnvelope:
+    # the command's positionals and options; not the output destination: identical
+    # configs must yield identical reports wherever they are written
+    options = {name: getattr(cfg, name) for name in OPTIONS[command] if name != "out"}
+    return ReportEnvelope({"command": command, **positionals, **options}, results, columns, rows, table)
 
 
 def _resolve_pbox(cfg: RunConfig) -> PBoxParams:
@@ -193,7 +193,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     from .simulator import METRICS, run_experiment
 
     pbox = _resolve_pbox(cfg)
-    profile = ClassifierProfile(1.0, cfg.precision, cfg.specificity)
+    profile = ClassifierProfile(1.0, specificity=cfg.specificity)
     modes = ("extremes", "means") if cfg.mode == "both" else (cfg.mode,)
     results: dict = {m: [] for m in METRICS}
     results["pbox"] = pbox._asdict()
@@ -206,7 +206,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
             entry.update(interval._asdict() if interval else {})
             if metric in report.undefined:
                 entry["undefined"] = report.undefined[metric]
-            if cfg.trace:  # re-drawn from the cell's seeds as it is written; NaN marks an undefined trial
+            if cfg.trace and mode == modes[0]:  # once per cell, re-drawn as written; NaN: an undefined trial
                 entry["trials"] = lambda report=report, metric=metric: (
                     [None if v != v else v for v in values[metric].tolist()] for *_, values in report.chunks()
                 )
@@ -275,7 +275,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
             "method": cfg.method,
             "tools": [dict(zip(columns, line)) for line in table],
         }
-        return _envelope("case-study", cfg, results, columns, lambda: table, _render_tools_table)
+        return _envelope("case-study", cfg, results, columns, lambda: table, _render_tools_table, which=which)
     if which == "composed":
         from .casestudies import composed_pipeline_case
 
@@ -293,7 +293,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
             "fix_rate": {"extremes": extremes._asdict(), "means": means._asdict()},
             "notes": list(report.notes),
         }
-        return _envelope("case-study", cfg, results, columns, lambda: table, _render_composed_table)
+        return _envelope("case-study", cfg, results, columns, lambda: table, _render_composed_table, which=which)
     raise PipeUQError(f"unknown case study {which!r}")  # pragma: no cover - argparse guards
 
 
@@ -351,10 +351,8 @@ def _titled(title: str, rows: list[list[str]]) -> str:
 
 def _render_analytic_table(env: ReportEnvelope) -> str:
     cfg = env.config
-    title = (
-        f"analytic pipeline metrics (recall={cfg['recall']}, precision={cfg['precision']}, "
-        f"specificity={cfg['specificity']}, n_items={cfg['n_items']})"
-    )
+    title = (f"analytic pipeline metrics (recall={cfg['recall']}, precision={cfg['precision']}, "
+             f"n_items={cfg['n_items']})")
     # the first five metrics: prevalence, fix_rate, real_fix_rate ... fn_ratio
     rows = [list(env.columns[:7])]
     rows += [[f"{p:.2f}", f"{f:.2f}", *map(_fmt, values[:5])] for p, f, *values in env.rows()]
@@ -597,27 +595,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names) in FLAGS.items():
+    for command, (help_text, _) in FLAGS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", metavar="PATH", help=HELP["config"])
-        if command == "evidence":
-            p.add_argument("evidence", nargs="?", metavar="CSV", help="evidence file to ingest")
         if command == "case-study":
             p.add_argument("which", choices=("rule-based", "composed"))
-        for name in (*COMMON, *names):
+        for name in OPTIONS[command]:
             flag = "--" + name.replace("_", "-")
             help_ = HELP.get((command, name), HELP.get(name))
             kind = type(DEFAULTS[name])
-            if kind is bool:
+            if name == command:  # evidence's CSV
+                p.add_argument(name, nargs="?", metavar="CSV", help=help_)
+            elif kind is bool:
                 p.add_argument(flag, action="store_const", const=True, help=help_)
-                continue
-            p.add_argument(
-                flag,
-                type=PARSERS[kind][0] if kind in PARSERS else None,
-                choices=CHOICES.get(name),
-                metavar=_METAVARS.get(kind),
-                help=help_,
-            )
+            else:
+                parse = PARSERS[kind][0] if kind in PARSERS else None
+                p.add_argument(flag, type=parse, choices=CHOICES.get(name), metavar=_METAVARS.get(kind), help=help_)
     return parser
 
 

@@ -1,9 +1,11 @@
 """Run configuration: defaults, INI config files, and validation.
 
-Precedence is CLI flags > config file > built-in defaults. Config files use
-INI sections: ``[common]`` applies to every command, ``[<command>]`` to one.
-Keys are ``RunConfig`` field names, which are the flag names with underscores;
-any section may set any field, e.g.::
+Precedence is CLI flags > config file > built-in defaults. A command's
+options, ``OPTIONS[command]``, are its flags, its config keys and its report's
+config echo. Config files use INI sections whose keys are the flag names with
+underscores. ``[common]`` sets each key for the commands that take it, so one
+file serves every command; ``[<command>]`` sets one command's, and a key it
+does not take is an error, e.g.::
 
     [common]
     seed = 7
@@ -25,7 +27,7 @@ import sys
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "DEFAULTS", "FLAGS", "COMMON", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
+__all__ = ["RunConfig", "DEFAULTS", "FLAGS", "OPTIONS", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
 MAX_ITEMS = 2**63 - 1
 
@@ -66,7 +68,7 @@ DEFAULTS = {
 
 
 class RunConfig:
-    """Every option of every command: ``DEFAULTS`` overridden by keyword."""
+    """The options of every command: ``DEFAULTS`` overridden by keyword."""
 
     __slots__ = tuple(DEFAULTS)
 
@@ -80,24 +82,27 @@ class RunConfig:
             setattr(self, name, values.get(name, default))
 
 
+_COMMON = ("seed", "output", "out")
 _GRID = ("n_items", "prevalence", "fix_rate")
 _PBOX = ("pbox_min", "pbox_max", "pbox_mean", "evidence", "outlier_policy", "outlier_k")
-# command -> (its help line, the RunConfig fields it takes as flags besides
-# COMMON); every command also takes --config
+# command -> (its help line, the RunConfig fields it takes besides _COMMON,
+# each as a flag but the one named as the command, its positional); every
+# command also takes --config
 FLAGS = {
     "analytic": ("closed-form grid of pipeline metrics", (*_GRID, "recall", "precision")),
     "simulate": (
         "Monte Carlo experiment per grid cell",
         (*_GRID, "specificity", *_PBOX, "break_rate", "trials", "mode", "trace"),
     ),
-    "evidence": ("summarize an evidence CSV into p-box parameters", ("outlier_policy", "outlier_k")),
+    "evidence": ("summarize an evidence CSV into p-box parameters", ("evidence", "outlier_policy", "outlier_k")),
     "case-study": (
         "tool CI table or composed pipeline example",
         ("tools", "confidence", "method", "case_n_items", "case_recall", "case_accuracy", *_PBOX),
     ),
     "pbox-sample": ("draw paired recall streams from a p-box", (*_PBOX, "trials")),
 }
-COMMON = ("seed", "output", "out")
+# command -> every RunConfig field it takes
+OPTIONS = {command: (*_COMMON, *names) for command, (_, names) in FLAGS.items()}
 
 CHOICES = {
     "mode": ("extremes", "means", "both"),
@@ -111,6 +116,7 @@ HELP = {
     "config": "INI config file",
     "out": "write the report here instead of stdout",
     "evidence": "derive the recall p-box from this evidence CSV",
+    ("evidence", "evidence"): "evidence file to ingest",
     "trace": "embed per-trial values in the report",
     "tools": "tool records CSV (name,correct,generated)",
     ("pbox-sample", "trials"): "number of samples",
@@ -164,9 +170,10 @@ def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
                 continue
             for key, text in parser.items(section):  # items() interpolates
                 key = key.replace("-", "_")
-                if key not in DEFAULTS:
+                if key not in (OPTIONS[command] if section == command else DEFAULTS):
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-                setattr(cfg, key, _parse_value(key, text, DEFAULTS[key]))
+                if key in OPTIONS[command]:  # [common] sets a key for the commands that take it
+                    setattr(cfg, key, _parse_value(key, text, DEFAULTS[key]))
     except (configparser.Error, UnicodeDecodeError) as exc:
         # some configparser messages span lines; the report is one line
         raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
@@ -178,7 +185,7 @@ def build_config(args, command: str) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         _apply_file(cfg, config_path, command)
-    for name in DEFAULTS:
+    for name in OPTIONS[command]:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -244,10 +251,6 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             errors.append(f"{name}: must be one of {allowed}, got {getattr(cfg, name)!r}")
     if not 0 <= cfg.outlier_k < math.inf:  # also rejects NaN
         errors.append(f"outlier_k: must be finite and >= 0, got {cfg.outlier_k!r}")
-    if command == "analytic" and cfg.break_rate != 0.0:
-        errors.append(f"break_rate: the closed forms assume 0, got {cfg.break_rate!r}")
-    if command == "analytic" and cfg.specificity != 0.0:
-        errors.append(f"specificity: the closed forms take false positives from precision, got {cfg.specificity!r}")
     # fixer load <= n_items / precision, false-alert rate <= 2**53 / precision (its denominator is 0 or >= 2**-53)
     if command == "analytic" and 0.0 < cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
         errors.append(f"precision: {cfg.precision!r} would overflow the fixer load or the false-alert rate")

@@ -20,9 +20,14 @@ from hypothesis import strategies as st
 from pipeuq.cli import main
 
 # Input files; a pool value "{name}" becomes the file's path. "{missing}" is a
-# path that does not exist.
+# path that does not exist. "{dir}" in a file is the directory of them all.
 FILES = {
     "good.ini": b"[common]\nseed = 5\n\n[simulate]\nmode = means\ntrials = 2\n",
+    # every key but the command's own is skipped, so each command runs on it
+    "shared.ini": (
+        b"[common]\nbreak_rate = 0.1\nspecificity = 0.9\ntrials = 2\nmode = means\n"
+        b"tools = {dir}/tools.csv\ncase_recall = 0.8\n"
+    ),
     "no_bracket.ini": b"[common\nseed = 3\n",
     "duplicate_key.ini": b"[common]\nseed = 1\nseed = 2\n",
     "duplicate_section.ini": b"[common]\nseed = 1\n[common]\nseed = 2\n",
@@ -131,7 +136,7 @@ def run(argv):
 def paths(tmp_path_factory):
     directory = tmp_path_factory.mktemp("argv-inputs")
     for name, content in FILES.items():
-        directory.joinpath(name).write_bytes(content)
+        directory.joinpath(name).write_bytes(content.replace(b"{dir}", bytes(directory)))
     names = [*FILES, "missing"]
     return {"{" + name + "}": str(directory / name) for name in names}
 

@@ -74,23 +74,31 @@ class TestAnalytic:
         assert "--break-rate" in capsys.readouterr().err
 
     def test_break_rate_from_config_rejected(self, tmp_path, capsys):
+        # analytic takes neither, so its own section may not set them
         ini = tmp_path / "run.ini"
-        ini.write_text("[analytic]\nbreak_rate = 0.3\n")
-        assert main(["analytic", "--config", str(ini)]) == 2
-        assert "break_rate" in capsys.readouterr().err
+        for key in ("break_rate", "specificity"):
+            ini.write_text(f"[analytic]\n{key} = 0.3\n")
+            assert main(["analytic", "--config", str(ini)]) == 2
+            assert capsys.readouterr().err == f"error: unknown config key '{key}' in section [analytic]\n"
 
     def test_specificity_from_config_rejected(self, tmp_path, capsys):
-        # no closed form reads it, so the echo in the title would mislead
+        # [common] sets it only for the commands that take it: analytic reads
+        # and echoes nothing of it, simulate runs with it
         ini = tmp_path / "run.ini"
-        ini.write_text("[common]\nspecificity = 0.7\n")
-        assert main(["analytic", "--config", str(ini), "--prevalence", "0.5", "--fix-rate", "0.5"]) == 2
-        assert "specificity" in capsys.readouterr().err
-        assert main(["simulate", "--config", str(ini), *FAST_SIM[1:]]) == 0
+        ini.write_text("[common]\nspecificity = 0.7\nbreak_rate = 0.3\n")
+        argv = ["analytic", "--prevalence", "0.5", "--fix-rate", "0.5", "--output", "json"]
+        assert main([*argv, "--config", str(ini)]) == 0
+        with_file = capsys.readouterr().out
+        assert main(argv) == 0
+        assert with_file == capsys.readouterr().out
+        assert "specificity" not in with_file and "break_rate" not in with_file
+        doc = run_json(tmp_path, ["simulate", "--config", str(ini), *FAST_SIM[1:]])
+        assert (doc["config"]["specificity"], doc["config"]["break_rate"]) == (0.7, 0.3)
 
     def test_golden_table_rendering(self, capsys):
         assert main(["analytic", "--prevalence", "0.5", "--fix-rate", "0.5", "--n-items", "100"]) == 0
         assert capsys.readouterr().out == (
-            "analytic pipeline metrics (recall=1.0, precision=1.0, specificity=0.0, n_items=100)\n"
+            "analytic pipeline metrics (recall=1.0, precision=1.0, n_items=100)\n"
             "\n"
             "prevalence  fix_rate  real_fix_rate  final_prevalence  tpr     far     fn_ratio\n"
             "0.50        0.50      0.5000         0.2500            1.0000  0.0000  1.5000\n"
@@ -125,14 +133,15 @@ class TestSimulate:
 
     def test_trace_matches_outcomes_across_a_chunk_boundary(self, tmp_path):
         # 70 000 trials span two chunks per stream; TrialOutcome is a second
-        # path from the draws to None for an undefined trial
+        # path from the draws to None for an undefined trial. A cell's trace is
+        # written once, in its first entry
         argv = ["simulate", "--trace", "--prevalence", "0.5", "--fix-rate", "0.7", "--n-items", "20",
                 "--trials", "70000", "--mode", "both", "--seed", "7"]
         doc = run_json(tmp_path, argv)
         cfg = doc["config"]
         report = run_experiment(
             DomainSpec(20, 0.5),
-            ClassifierProfile(1.0, cfg["precision"], cfg["specificity"]),
+            ClassifierProfile(1.0, specificity=cfg["specificity"]),
             FixerSpec(0.7, cfg["break_rate"]),
             PBoxParams(cfg["pbox_min"], cfg["pbox_max"], cfg["pbox_mean"]),
             70000,
@@ -142,7 +151,8 @@ class TestSimulate:
         for metric in METRICS:
             extremes, means = doc["results"][metric]
             assert (extremes["mode"], means["mode"]) == ("extremes", "means")
-            assert extremes["trials"] == means["trials"] == [getattr(o, metric) for o in outcomes]
+            assert extremes["trials"] == [getattr(o, metric) for o in outcomes]
+            assert "trials" not in means
         assert None in doc["results"]["fn_ratio"][0]["trials"]
 
     def test_means_table_notes_undefined_trials(self, capsys):
@@ -299,6 +309,34 @@ class TestConfigHandling:
         assert doc["config"]["seed"] == 5  # from file
         assert doc["config"]["n_items"] == 123  # from file
         assert doc["config"]["trials"] == 6  # flag wins
+
+    def test_one_common_section_serves_every_command(self, tmp_path, capsys):
+        # a [common] key sets the commands that take it and is skipped by the rest
+        (tmp_path / "tools.csv").write_text("name,correct,generated\nMyTool,5,10\n")
+        (tmp_path / "ev.csv").write_text(TestEvidence.CSV)
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[common]\nbreak_rate = 0.1\nspecificity = 0.9\ntrials = 20\nmode = means\n"
+            f"tools = {tmp_path / 'tools.csv'}\ncase_recall = 0.8\n"
+        )
+        config = ["--config", str(ini)]
+        for output in ("table", "csv", "json"):
+            assert main(["analytic", "--output", output, *config]) == 0
+            with_file = capsys.readouterr().out
+            assert main(["analytic", "--output", output]) == 0
+            assert with_file == capsys.readouterr().out
+        sim = run_json(tmp_path, ["simulate", *config, "--n-items", "50", "--prevalence", "0.5", "--fix-rate", "0.5"])
+        assert {k: sim["config"][k] for k in ("break_rate", "specificity", "trials", "mode")} == {
+            "break_rate": 0.1, "specificity": 0.9, "trials": 20, "mode": "means"}
+        assert run_json(tmp_path, ["evidence", str(tmp_path / "ev.csv"), *config])["results"]["recall"]["count"] == 2
+        tools = run_json(tmp_path, ["case-study", "rule-based", *config])["results"]["tools"]
+        assert [t["name"] for t in tools] == ["MyTool"]
+        assert run_json(tmp_path, ["case-study", "composed", *config])["results"]["detector_recall"] == 0.8
+        assert run_json(tmp_path, ["pbox-sample", *config])["results"]["count"] == 20
+
+    def test_case_study_echo_names_its_study(self, tmp_path):
+        echoes = {which: run_json(tmp_path, ["case-study", which])["config"] for which in ("rule-based", "composed")}
+        assert echoes["rule-based"] == {**echoes["composed"], "which": "rule-based"}
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

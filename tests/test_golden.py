@@ -69,8 +69,8 @@ CASES = {
 OUTPUTS = ("table", "csv", "json")
 
 
-def capture(case: str, output: str, directory: Path) -> str:
-    """The bytes compared for one case and output format."""
+def run(case: str, output: str, directory: Path) -> str:
+    """One case's stdout, its input files in ``directory``."""
     from pipeuq.cli import main
 
     argv = [directory.joinpath(tok[1:-1]).as_posix() if tok[1:-1] in FILES else tok
@@ -78,8 +78,13 @@ def capture(case: str, output: str, directory: Path) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main([*argv, "--output", output]) == 0, (case, output)
-    text = buf.getvalue()
-    if output == "json" and argv != CASES[case]:  # config echoes an input path
+    return buf.getvalue()
+
+
+def capture(case: str, output: str, directory: Path) -> str:
+    """The bytes compared for one case and output format."""
+    text = run(case, output, directory)
+    if output == "json" and any(tok[1:-1] in FILES for tok in CASES[case]):  # config echoes an input path
         return json.dumps(json.loads(text)["results"], indent=2, sort_keys=True) + "\n"
     return text
 
@@ -109,6 +114,16 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_output_matches_golden(golden, inputs, case, output):
     assert capture(case, output, inputs) == golden[f"{case}/{output}"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_config_echoes_only_the_command_options(inputs, case):
+    # the command, its flags and positionals from the pinned surface, but
+    # --config and --out, which say where the inputs and report are
+    from test_cli_surface import SURFACE
+
+    options = {name.lstrip("-").replace("-", "_") for name in SURFACE[CASES[case][0]]} - {"config", "out"}
+    assert set(json.loads(run(case, "json", inputs))["config"]) == {"command", *options}
 
 
 # Writes the case-study snapshots as one JSON object, with numpy made
