@@ -605,12 +605,17 @@ def build_parser() -> argparse.ArgumentParser:
             help_ = HELP.get((command, name), HELP.get(name))
             kind = type(DEFAULTS[name])
             if name == command:  # evidence's CSV
-                p.add_argument(name, nargs="?", metavar="CSV", help=help_)
+                p.add_argument(name, nargs="?", metavar="CSV", help="evidence file to ingest")
             elif kind is bool:
                 p.add_argument(flag, action="store_const", const=True, help=help_)
             else:
-                parse = PARSERS[kind][0] if kind in PARSERS else None
-                p.add_argument(flag, type=parse, choices=CHOICES.get(name), metavar=_METAVARS.get(kind), help=help_)
+                p.add_argument(
+                    flag,
+                    type=PARSERS[kind][0] if kind in PARSERS else None,
+                    choices=CHOICES.get(name),
+                    metavar=_METAVARS.get(kind),
+                    help=help_,
+                )
     return parser
 
 

@@ -1,11 +1,10 @@
 """Run configuration: defaults, INI config files, and validation.
 
-Precedence is CLI flags > config file > built-in defaults. A command's
-options, ``OPTIONS[command]``, are its flags, its config keys and its report's
-config echo. Config files use INI sections whose keys are the flag names with
-underscores. ``[common]`` sets each key for the commands that take it, so one
-file serves every command; ``[<command>]`` sets one command's, and a key it
-does not take is an error, e.g.::
+Precedence is CLI flags > config file > built-in defaults. ``OPTIONS[command]``
+lists a command's flags, which are also its config keys (with underscores) and
+its report's config echo. In a config file, ``[common]`` sets each key for the
+commands that take it, so one file serves them all; ``[<command>]`` sets one
+command's, and a key it does not take is an error, e.g.::
 
     [common]
     seed = 7
@@ -85,9 +84,8 @@ class RunConfig:
 _COMMON = ("seed", "output", "out")
 _GRID = ("n_items", "prevalence", "fix_rate")
 _PBOX = ("pbox_min", "pbox_max", "pbox_mean", "evidence", "outlier_policy", "outlier_k")
-# command -> (its help line, the RunConfig fields it takes besides _COMMON,
-# each as a flag but the one named as the command, its positional); every
-# command also takes --config
+# command -> (its help line, the RunConfig fields it takes besides _COMMON, each a
+# flag but the one named as the command, its positional); all take --config
 FLAGS = {
     "analytic": ("closed-form grid of pipeline metrics", (*_GRID, "recall", "precision")),
     "simulate": (
@@ -116,7 +114,6 @@ HELP = {
     "config": "INI config file",
     "out": "write the report here instead of stdout",
     "evidence": "derive the recall p-box from this evidence CSV",
-    ("evidence", "evidence"): "evidence file to ingest",
     "trace": "embed per-trial values in the report",
     "tools": "tool records CSV (name,correct,generated)",
     ("pbox-sample", "trials"): "number of samples",
@@ -252,7 +249,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     if not 0 <= cfg.outlier_k < math.inf:  # also rejects NaN
         errors.append(f"outlier_k: must be finite and >= 0, got {cfg.outlier_k!r}")
     # fixer load <= n_items / precision, false-alert rate <= 2**53 / precision (its denominator is 0 or >= 2**-53)
-    if command == "analytic" and 0.0 < cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
+    if 0.0 < cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
         errors.append(f"precision: {cfg.precision!r} would overflow the fixer load or the false-alert rate")
     if command == "evidence" and not cfg.evidence:
         errors.append("evidence: a CSV path is required")
