@@ -67,7 +67,7 @@ DEFAULTS = {
 
 
 class RunConfig:
-    """The options of every command: ``DEFAULTS`` overridden by keyword."""
+    """Every option of every command: ``DEFAULTS`` overridden by keyword."""
 
     __slots__ = tuple(DEFAULTS)
 
