@@ -13,7 +13,7 @@ work as if everything had been imported up front.
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # submodule -> the names it exports here
 _SUBMODULES = {
@@ -27,7 +27,6 @@ _SUBMODULES = {
     ),
     "core": (
         "ClassifierProfile",
-        "ConfusionCounts",
         "DomainSpec",
         "FixerSpec",
         "PipelineOutcome",

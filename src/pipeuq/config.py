@@ -171,8 +171,9 @@ def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
                 if key in OPTIONS[command]:  # [common] sets a key for the commands that take it
                     setattr(cfg, key, _parse_value(key, text, DEFAULTS[key]))
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        # some configparser messages span lines; the report is one line
+    except (configparser.Error, UnicodeDecodeError, ConfigError) as exc:
+        # name the file for every error in it; some configparser messages
+        # span lines, and the report is one line
         raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
 
 

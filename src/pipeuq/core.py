@@ -16,12 +16,13 @@ Key identities (all derivable from the confusion-matrix algebra):
 
 The second stage's false positives ``fp_final``, and the false-alert rate
 ``far_final`` built on them, assume that it keeps the first stage's precision:
-``fp_final = tp_final * (1 - prec) / prec``. The simulator instead keeps the
-specificity, and sends the repaired, now clean, items through the second
-classifier, where each is a false positive with probability ``1 - spec``. At
-N = 10 000, P = 0.5, rec = 0.8, spec = 0.6 (prec = 2/3) and fix_rate = 0.5,
-``fp_final`` is 800 here and the simulator's mean is 1600; ``tp_final``,
-``fn_final`` and ``fixer_load`` agree.
+``fp_final = tp_final * (1 - prec) / prec``. The simulator's model instead
+keeps the specificity, and sends the repaired, now clean, items through the
+second classifier, where each is a false positive with probability
+``1 - spec``. At N = 10 000, P = 0.5, rec = 0.8, spec = 0.6 (prec = 2/3) and
+fix_rate = 0.5, ``fp_final`` is 800 here, while that model expects 1600: 4000
+clean items reach the second classifier, each flagged with probability 0.4.
+Its expected ``tp_final``, ``fn_final`` and ``fixer_load`` agree.
 
 Prevalence, fix rate and recall may each be a float or an ndarray, and every
 metric broadcasts over them, so a whole prevalence x fix-rate x recall grid is
@@ -42,7 +43,6 @@ __all__ = [
     "ClassifierProfile",
     "DomainSpec",
     "FixerSpec",
-    "ConfusionCounts",
     "PipelineOutcome",
     "pipeline_fix_rate",
     "pipeline_prevalence",
@@ -123,23 +123,6 @@ class FixerSpec(namedtuple("FixerSpec", "fix_rate break_rate")):
         _check_unit(fix_rate, "fix_rate")
         _check_unit(break_rate, "break_rate")
         return super().__new__(cls, fix_rate, break_rate)
-
-
-class ConfusionCounts(NamedTuple):
-    """One classifier pass's simulated confusion counts (integers)."""
-
-    tp: int
-    fn: int
-    tn: int
-    fp: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fn + self.tn + self.fp
-
-    @property
-    def positives(self) -> int:
-        return self.tp + self.fn
 
 
 class PipelineOutcome(NamedTuple):

@@ -1,27 +1,26 @@
 """Seeded Monte Carlo simulation of the detect -> fix -> re-detect pipeline.
 
-The simulator is count-level. Every item of a trial goes through the same
-independent Bernoulli steps, so every stage's confusion counts are exactly
-binomial, and one trial is seven binomial draws in this order:
+The simulator is count-level. Each item is independently vulnerable with
+probability P; the first classifier (recall r, specificity spec) sends the
+items it flags to the fixer, which repairs each with probability f and
+independently breaks it with probability b; the same classifier then checks
+them again. So a trial's terminal counts are multinomial. With
+``s = 1 - (1 - b) * f``, an item is missed at the first stage with
+probability ``a = P * (1 - r)``, and is vulnerable after the fixer with
+probability ``w = P * r * s + (1 - P) * (1 - spec) * b``: a detected
+vulnerability stays unless repaired and not broken, and a false alarm turns
+vulnerable only when broken. One trial is three binomial draws, in order:
 
-1. ground truth: ``V ~ Bin(n_items, prevalence)`` vulnerable items;
-2. first classifier: ``TP1 ~ Bin(V, recall)`` and
-   ``TN1 ~ Bin(n_items - V, specificity)``; the rest are FN1 and FP1;
-3. fixer: every positive-labeled item (TP1 + FP1) is repaired with
-   probability ``fix_rate`` and independently broken with ``break_rate``.
-   A detected vulnerability stays vulnerable unless it is repaired and not
-   broken, a false alarm becomes vulnerable only when broken, so
-   ``V2 = Bin(TP1, 1 - (1 - break_rate) * fix_rate) + Bin(FP1, break_rate)``;
-4. second classifier: the same recall and specificity applied to the items
-   that went through the fixer, ``TP2 ~ Bin(V2, recall)`` and
-   ``TN2 ~ Bin(TP1 + FP1 - V2, specificity)``; items never sent keep their
-   first-stage labels;
-5. counter: tp_out = tp2, fn_out = fn1 + fn2, tn_out = tn1 + tn2,
-   fp_out = fp2; final prevalence = (tp_out + fn_out) / n_items; realized fix
-   rate = 1 - final_prevalence / prevalence; fn growth = fn_out / fn1.
+1. first-stage misses ``FN1 ~ Bin(n_items, a)``;
+2. vulnerable after the fixer ``W ~ Bin(n_items - FN1, min(w / (1 - a), 1))``,
+   the ratio 0 where a = 1;
+3. second-stage misses ``FN2 ~ Bin(W, 1 - r)``.
+
+Then final prevalence = (FN1 + W) / n_items; realized fix rate =
+1 - final_prevalence / prevalence; fn growth = (FN1 + FN2) / FN1.
 
 Reproducibility contract: trials run in chunks of ``CHUNK = 2**16``, each of
-the seven draws one ``rng.binomial`` call over a chunk's arrays. Chunk ``k``
+the three draws one ``rng.binomial`` call over a chunk's arrays. Chunk ``k``
 of stream code 1 (optimistic) or 2 (pessimistic) draws, in the order above,
 from ``default_rng(SeedSequence((master_seed, stream_code, k)))`` at the
 recalls of chunk ``k`` of ``pbox.recall_chunks(pbox, trials, master_seed)``,
@@ -39,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ClassifierProfile, ConfusionCounts, DomainSpec, FixerSpec, _check_unit
+from .core import ClassifierProfile, DomainSpec, FixerSpec, _check_unit
 from .errors import InvalidParameterError
 from .pbox import Interval, PBoxParams, recall_chunks
 
@@ -63,61 +62,59 @@ _STREAM_CODES = {STREAM_OPTIMISTIC: 1, STREAM_PESSIMISTIC: 2}
 class TrialOutcome(NamedTuple):
     """Counts and headline metrics of one simulated pipeline pass.
 
+    ``fn1`` counts the first-stage misses, ``vulnerable_out`` the items
+    vulnerable after the fixer and ``fn2`` the second-stage misses among them.
     ``real_fix_rate`` is None when prevalence is zero (nothing to fix);
     ``fn_ratio`` is None when the first stage produced no false negatives but
     the second stage did, leaving the growth ratio without a finite value.
     """
 
-    counts_first: ConfusionCounts
-    counts_second: ConfusionCounts
+    fn1: int
+    vulnerable_out: int
+    fn2: int
     final_prevalence: float
     real_fix_rate: float | None
     fn_ratio: float | None
     recall_used: float
 
 
-def _detect(rng, vulnerable, total, recall, specificity):
-    """One classifier pass: two draws, then (tp, fn, tn, fp) of ``total`` items."""
-    tp = rng.binomial(vulnerable, recall)
-    tn = rng.binomial(total - vulnerable, specificity)
-    return tp, vulnerable - tp, tn, total - vulnerable - tn
-
-
 def _draw(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall: np.ndarray):
-    """The seven draws of a chunk of trials, one array entry per trial.
+    """The three draws of a chunk of trials, one array entry per trial.
 
-    Returns the eight counts (tp1, fn1, tn1, fp1, tp2, fn2, tn2, fp2) and the
-    metrics keyed as ``METRICS``, NaN where undefined. Intermediate arrays
-    live inside ``_detect``, so a chunk's peak memory stays near its results.
+    Returns the counts (fn1, vulnerable_out, fn2) and the metrics keyed as
+    ``METRICS``, NaN where undefined.
     """
     _check_unit(recall, "recall")
     n, prevalence, spec = domain.n_items, domain.prevalence, profile.specificity
     if n < 1:
         raise InvalidParameterError("a trial needs at least one item")
-    tp1, fn1, tn1, fp1 = _detect(rng, rng.binomial(n, prevalence, recall.size), n, recall, spec)
-    # a detected vulnerability survives unless repaired and not broken; a
-    # false alarm becomes vulnerable only when broken
+    # per item: a, the chance of a first-stage miss, and w, of being vulnerable after the fixer
     survives = 1.0 - (1.0 - fixer.break_rate) * fixer.fix_rate
-    vulnerable_after = rng.binomial(tp1, survives) + rng.binomial(fp1, fixer.break_rate)
-    tp2, fn2, tn2, fp2 = _detect(rng, vulnerable_after, tp1 + fp1, recall, spec)
+    missed = prevalence * (1.0 - recall)
+    vulnerable = prevalence * recall * survives + (1.0 - prevalence) * (1.0 - spec) * fixer.break_rate
+    fn1 = rng.binomial(n, missed)
+    # w <= 1 - a, but the ratio can round to 1 + 2**-52; at a = 1 nothing is left to draw
+    kept = 1.0 - missed
+    ratio = np.divide(vulnerable, kept, out=np.zeros_like(kept), where=kept > 0.0)
+    vulnerable_out = rng.binomial(n - fn1, np.minimum(ratio, 1.0))
+    fn2 = rng.binomial(vulnerable_out, 1.0 - recall)
 
     fn_out = fn1 + fn2
-    final_prevalence = (tp2 + fn_out) / n
+    final_prevalence = (fn1 + vulnerable_out) / n
     with np.errstate(over="ignore"):  # a subnormal prevalence gives -inf, as float division does
         real_fix_rate = 1.0 - final_prevalence / prevalence if prevalence > 0.0 else np.full(recall.size, np.nan)
     # without first-stage misses the growth is undefined, or vacuously 1 if
     # the second stage missed nothing either
     fn_ratio = np.divide(fn_out, fn1, out=np.full(recall.size, np.nan), where=fn1 > 0)
     fn_ratio[fn_out == 0] = 1.0
-    counts = (tp1, fn1, tn1, fp1, tp2, fn2, tn2, fp2)
-    return counts, dict(zip(METRICS, (final_prevalence, real_fix_rate, fn_ratio)))
+    return (fn1, vulnerable_out, fn2), dict(zip(METRICS, (final_prevalence, real_fix_rate, fn_ratio)))
 
 
 def _outcomes(recall: np.ndarray, counts, metrics: dict):
     """The trials of one chunk as ``TrialOutcome`` records, in order."""
     values = [[None if v != v else v for v in metrics[m].tolist()] for m in METRICS]
     for rec, row, final, fix, ratio in zip(recall.tolist(), zip(*(c.tolist() for c in counts)), *values):
-        yield TrialOutcome(ConfusionCounts(*row[:4]), ConfusionCounts(*row[4:]), final, fix, ratio, rec)
+        yield TrialOutcome(*row, final, fix, ratio, rec)
 
 
 def run_trial(
@@ -130,7 +127,7 @@ def run_trial(
     """One full pipeline pass at a fixed recall: a chunk of one trial.
 
     ``recall`` overrides ``profile.recall`` (the profile still supplies the
-    specificity). The seven draws share one generator seeded with ``seed``.
+    specificity). The three draws share one generator seeded with ``seed``.
     """
     recall = np.array([recall], dtype=float)
     return next(_outcomes(recall, *_draw(np.random.default_rng(int(seed)), domain, profile, fixer, recall)))

@@ -79,7 +79,9 @@ class TestAnalytic:
         for key in ("break_rate", "specificity"):
             ini.write_text(f"[analytic]\n{key} = 0.3\n")
             assert main(["analytic", "--config", str(ini)]) == 2
-            assert capsys.readouterr().err == f"error: unknown config key '{key}' in section [analytic]\n"
+            assert capsys.readouterr().err == (
+                f"error: config file {ini}: unknown config key '{key}' in section [analytic]\n"
+            )
 
     def test_specificity_from_config_rejected(self, tmp_path, capsys):
         # [common] sets it only for the commands that take it: analytic reads
@@ -154,6 +156,16 @@ class TestSimulate:
             assert extremes["trials"] == [getattr(o, metric) for o in outcomes]
             assert "trials" not in means
         assert None in doc["results"]["fn_ratio"][0]["trials"]
+
+    def test_every_item_ends_vulnerable_where_the_draw_ratio_rounds_above_one(self, tmp_path):
+        # at specificity 0, break rate 1 and fix rate 0 every item ends
+        # vulnerable; at this prevalence and two of seed 14's six recalls,
+        # w / (1 - a) rounds to 1 + 2**-52
+        argv = ["simulate", "--prevalence", "0.9127555772777217", "--fix-rate", "0", "--specificity", "0",
+                "--break-rate", "1", "--n-items", "5", "--trials", "3", "--mode", "both", "--seed", "14"]
+        entries = run_json(tmp_path, argv)["results"]["final_prevalence"]
+        assert [e["mode"] for e in entries] == ["extremes", "means"]
+        assert all([e["lo"], e["hi"]] == [1.0, 1.0] for e in entries)
 
     def test_means_table_notes_undefined_trials(self, capsys):
         # the golden simulate-zero-prevalence case holds this grid's `both` table
@@ -343,6 +355,16 @@ class TestConfigHandling:
         ini.write_text("[common]\nspeed = 5\n")
         assert main(["simulate", "--config", str(ini)]) == 2
         assert "speed" in capsys.readouterr().err
+
+    def test_bad_value_and_unknown_key_name_the_file(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        for line, message in (
+            ("seed = x", "seed: expected a number, got 'x'"),
+            ("colour = red", "unknown config key 'colour' in section [common]"),
+        ):
+            ini.write_text(f"[common]\n{line}\n")
+            assert main(["analytic", "--config", str(ini)]) == 2
+            assert capsys.readouterr().err == f"error: config file {ini}: {message}\n"
 
     def test_validation_names_fields(self, capsys):
         assert main(["simulate", "--prevalence", "1.5", "--trials", "0"]) == 2

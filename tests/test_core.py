@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pipeuq import (
     ClassifierProfile,
-    ConfusionCounts,
     DegenerateDomainError,
     DomainSpec,
     FixerSpec,

@@ -68,13 +68,13 @@ def _records():
     """One instance of every public record."""
     from pipeuq.cli import ReportEnvelope
 
-    counts, interval = pipeuq.ConfusionCounts(1, 2, 3, 4), pipeuq.Interval(0.1, 0.2)
+    interval = pipeuq.Interval(0.1, 0.2)
     profile, domain, fixer = pipeuq.ClassifierProfile(0.8, 0.9, 0.5), pipeuq.DomainSpec(100, 0.5), pipeuq.FixerSpec(0.5)
     box = pipeuq.PBoxParams(0.1, 0.9, 0.5)
     return [
-        profile, domain, fixer, counts, pipeuq.PipelineOutcome(*[0.5] * 9), box, interval,
+        profile, domain, fixer, pipeuq.PipelineOutcome(*[0.5] * 9), box, interval,
         pipeuq.EvidenceSample("p1", "recall", 0.5), pipeuq.SummaryStats(2, 1, 0.1, 0.9, 0.5),
-        pipeuq.TrialOutcome(counts, counts, 0.5, 0.5, None, 0.8),
+        pipeuq.TrialOutcome(1, 2, 1, 0.5, 0.5, None, 0.8),
         pipeuq.SimulationReport({}, {}, domain, profile, fixer, box, 10, 42),
         pipeuq.ToolRecord("A", 1, 2), pipeuq.ProportionCI(0.5, 0.4, 0.6, 0.95),
         pipeuq.ComposedPipelineReport(879, 0.86, 0.44, 756, 333, 423, interval, interval, ("note",)),

@@ -58,10 +58,12 @@ def item_walk(n, P, rec, spec, f, b, rng):
 
 
 class TestItemWalkEquivalence:
-    """The count-level trial has the same count distribution as the item walk."""
+    """The count-level trial has the same distribution as the item walk: its
+    three counts and three metrics."""
 
     TRIALS = 4000
     N = 60
+    COLUMNS = ("fn1", "vulnerable_out", "fn2", *METRICS)
 
     GRID = [
         (0.5, 0.74, 0.3, 0.7, 0.2),  # filtering classifier, breaking fixer
@@ -77,8 +79,7 @@ class TestItemWalkEquivalence:
             trial(self.N, P, rec, spec, f, b, seed=trial_seed(3, STREAM_OPTIMISTIC, i))
             for i in range(self.TRIALS)
         ]
-        counts = np.array([tuple(o.counts_first) + tuple(o.counts_second) for o in outs])
-        self.check(counts, P, rec, spec, f, b)
+        self.check(outs, P, rec, spec, f, b)
 
     @pytest.mark.parametrize("P, rec, spec, f, b", GRID)
     def test_chunk_counts_match_item_walk(self, P, rec, spec, f, b):
@@ -87,98 +88,115 @@ class TestItemWalkEquivalence:
             DomainSpec(self.N, P), ClassifierProfile(1.0, specificity=spec), FixerSpec(f, b),
             PBoxParams(rec, rec, rec), self.TRIALS // 2, master_seed=3,
         )
-        counts = np.array([tuple(o.counts_first) + tuple(o.counts_second) for o in report.outcomes()])
-        self.check(counts, P, rec, spec, f, b)
+        self.check(list(report.outcomes()), P, rec, spec, f, b)
 
-    def check(self, counts, P, rec, spec, f, b):
+    def check(self, outs, P, rec, spec, f, b):
+        # None (an undefined metric) becomes NaN, and KS compares the defined values
+        got = np.array([[getattr(o, c) for c in self.COLUMNS] for o in outs], dtype=float)
         rng = np.random.default_rng(4)
         walked = np.array([item_walk(self.N, P, rec, spec, f, b, rng) for _ in range(self.TRIALS)])
-        for column in range(8):
-            assert ks_2samp(counts[:, column], walked[:, column]).pvalue >= 1e-4, column
+        _, fn1, _, _, tp2, fn2, _, _ = walked.T
+        final = (fn1 + tp2 + fn2) / self.N
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fn_ratio = np.where(fn1 > 0, (fn1 + fn2) / fn1, np.nan)
+        fn_ratio[fn1 + fn2 == 0] = 1.0
+        expected = (fn1, tp2 + fn2, fn2, final, 1 - final / P, fn_ratio)
+        for column, name in enumerate(self.COLUMNS):
+            x, y = got[:, column], expected[column]
+            assert ks_2samp(x[x == x], y[y == y]).pvalue >= 1e-4, name
 
 
 class TestGroundTruth:
     def test_zero_prevalence(self):
-        assert trial(100, 0.0, 0.7).counts_first.positives == 0
+        out = trial(100, 0.0, 0.7)
+        assert out.fn1 == out.vulnerable_out == 0
 
     def test_full_prevalence(self):
-        assert trial(100, 1.0, 0.7).counts_first.positives == 100
+        # without a fix every vulnerable item stays vulnerable
+        out = trial(100, 1.0, 0.7, fix_rate=0.0)
+        assert out.fn1 + out.vulnerable_out == 100
 
     def test_empty_domain_rejected(self):
         with pytest.raises(InvalidParameterError):
             trial(0, 0.5, 0.7)
 
     def test_binomial_moments(self):
+        # at recall 0 the first stage misses every vulnerable item
         n = 1_000_000
-        count = trial(n, 0.5, 0.7, seed=3).counts_first.positives
+        count = trial(n, 0.5, 0.0, seed=3).fn1
         assert abs(count - n / 2) < 3 * math.sqrt(n * 0.25)
 
     def test_deterministic(self):
-        assert trial(500, 0.3, 0.7, seed=9).counts_first == trial(500, 0.3, 0.7, seed=9).counts_first
+        assert trial(500, 0.3, 0.7, seed=9) == trial(500, 0.3, 0.7, seed=9)
 
 
 class TestClassify:
     def test_perfect_recall_labels_all_tp(self):
-        counts = trial(200, 1.0, 1.0).counts_first
-        assert counts.tp == 200 and counts.fn == 0
+        out = trial(200, 1.0, 1.0)
+        assert out.fn1 == out.fn2 == 0
 
     def test_zero_recall_labels_all_fn(self):
-        counts = trial(200, 1.0, 0.0).counts_first
-        assert counts.fn == 200 and counts.tp == 0
+        out = trial(200, 1.0, 0.0)
+        assert out.fn1 == 200 and out.vulnerable_out == 0
 
     def test_zero_specificity_flags_every_clean_item(self):
-        counts = trial(200, 0.0, 0.5, specificity=0.0).counts_first
-        assert counts.fp == 200 and counts.tn == 0
+        # every false alarm reaches the fixer, which breaks it
+        out = trial(200, 0.0, 0.5, specificity=0.0, break_rate=1.0)
+        assert out.vulnerable_out == 200
 
     def test_full_specificity_clears_every_clean_item(self):
-        counts = trial(200, 0.0, 0.5, specificity=1.0).counts_first
-        assert counts.tn == 200 and counts.fp == 0
+        # no clean item reaches the fixer, so none is broken
+        out = trial(200, 0.0, 0.5, specificity=1.0, break_rate=1.0)
+        assert out.vulnerable_out == 0
 
 
 class TestApplyFixer:
     def test_perfect_fixer_clears_vulnerable_items(self):
         out = trial(300, 1.0, 1.0, fix_rate=1.0, break_rate=0.0, seed=7)
-        assert out.counts_second.positives == 0
-        assert out.counts_second.total == 300
+        assert out.vulnerable_out == 0
+        assert out.final_prevalence == 0.0
 
     def test_zero_fix_rate_changes_nothing(self):
         for seed in range(5):
-            out = trial(300, 0.5, 0.7, specificity=0.3, fix_rate=0.0, break_rate=0.0, seed=seed)
-            assert out.counts_second.positives == out.counts_first.tp
-            assert out.counts_second.total == out.counts_first.tp + out.counts_first.fp
+            out = trial(300, 1.0, 0.7, specificity=0.3, fix_rate=0.0, break_rate=0.0, seed=seed)
+            assert out.fn1 + out.vulnerable_out == 300
 
     def test_false_positives_stay_clean_without_breakage(self):
         out = trial(300, 0.0, 1.0, fix_rate=1.0, break_rate=0.0, seed=7)  # all FP
-        assert out.counts_first.fp == 300
-        assert out.counts_second.positives == 0
+        assert out.vulnerable_out == 0
+        assert out.final_prevalence == 0.0
 
     def test_breakage_sets_vulnerability(self):
         for seed in range(5):
             out = trial(300, 0.0, 0.7, specificity=0.0, fix_rate=0.5, break_rate=1.0, seed=seed)
-            assert out.counts_second.positives == out.counts_first.fp == 300
+            assert out.vulnerable_out == 300
 
     def test_fix_count_binomial(self):
         n = 1_000_000
         out = trial(n, 1.0, 1.0, fix_rate=0.5, break_rate=0.0, seed=11)
-        fixed = n - out.counts_second.positives
+        fixed = n - out.vulnerable_out
         assert abs(fixed - n / 2) < 3 * math.sqrt(n * 0.25)
 
 
 class TestChainInvariants:
     def test_no_breaking(self):
+        # a clean domain stays clean whatever the classifier flags and the fixer touches
         for seed in range(3):
-            out = trial(5000, 0.5, 0.7, specificity=0.3, fix_rate=0.6, break_rate=0.0, seed=seed)
-            assert out.counts_second.positives <= out.counts_first.tp
+            out = trial(5000, 0.0, 0.7, specificity=0.3, fix_rate=0.6, break_rate=0.0, seed=seed)
+            assert out.fn1 == out.vulnerable_out == 0
 
     def test_no_degradation_fixed_items_never_positive(self):
         for seed in range(3):
             out = trial(5000, 0.5, 0.7, specificity=0.3, fix_rate=1.0, break_rate=0.0, seed=seed)
-            assert out.counts_second.tp == out.counts_second.fn == 0
+            assert out.vulnerable_out == out.fn2 == 0
 
     def test_items_conserved(self):
-        out = trial(3000, 0.4, 0.6, fix_rate=0.5, seed=5)
-        c1, c2 = out.counts_first, out.counts_second
-        assert c2.total + c1.fn + c1.tn == 3000
+        # first-stage misses and items vulnerable after the fixer are disjoint,
+        # and the second stage misses only vulnerable items
+        for seed in range(3):
+            out = trial(3000, 0.4, 0.6, specificity=0.2, fix_rate=0.5, break_rate=0.3, seed=seed)
+            assert out.fn1 + out.vulnerable_out <= 3000
+            assert 0 < out.fn2 <= out.vulnerable_out
 
 
 class TestRunTrial:
@@ -192,13 +210,10 @@ class TestRunTrial:
         domain = DomainSpec(777, 0.3)
         for seed in range(10):
             out = run_trial(domain, ClassifierProfile(0.5, specificity=0.2), FixerSpec(0.5, 0.1), 0.6, seed)
-            total = (
-                out.counts_second.total + out.counts_first.fn + out.counts_first.tn
-            )
-            assert total == 777
-            tp_out = out.counts_second.tp
-            fn_out = out.counts_first.fn + out.counts_second.fn
-            assert out.final_prevalence == pytest.approx((tp_out + fn_out) / 777)
+            assert out.fn1 + out.vulnerable_out <= 777 and out.fn2 <= out.vulnerable_out
+            assert out.final_prevalence == (out.fn1 + out.vulnerable_out) / 777
+            assert out.real_fix_rate == 1 - out.final_prevalence / 0.3
+            assert out.fn_ratio == (out.fn1 + out.fn2) / out.fn1
 
     def test_zero_prevalence_flags_fix_rate_undefined(self):
         out = run_trial(DomainSpec(100, 0.0), ClassifierProfile(1.0), FixerSpec(0.5), 0.5, seed=1)
@@ -210,7 +225,7 @@ class TestRunTrial:
         domain = DomainSpec(1, 1.0)
         for seed in range(200):
             out = run_trial(domain, ClassifierProfile(0.5), FixerSpec(0.0), 0.5, seed)
-            if out.counts_first.fn == 0 and out.counts_second.fn > 0:
+            if out.fn1 == 0 and out.fn2 > 0:
                 assert out.fn_ratio is None
                 break
         else:
@@ -328,6 +343,8 @@ unit = st.floats(0.0, 1.0)
 @given(n=st.integers(1, 10**6), P=unit, rec=unit, spec=unit, f=unit, b=unit)
 # a subnormal P: every realized fix rate is about -1/P, and their sum overflows
 @example(n=1, P=1.1125369292536007e-308, rec=0.0, spec=0.0, f=0.0, b=1.0)
+# w / (1 - a) rounds to 1 + 2**-52, above a binomial's largest probability
+@example(n=5, P=0.9127555772777217, rec=0.8500282042549004, spec=0.0, f=0.0, b=1.0)
 def test_chunk_mean_final_prevalence_matches_exact_expectation(n, P, rec, spec, f, b):
     # every item ends vulnerable independently with probability q, so the
     # final count is Bin(n, q) and a chunk's mean has standard error
