@@ -46,7 +46,6 @@ _SUBMODULES = {
         "RecallStreams",
         "inverse_lower",
         "inverse_upper",
-        "sample_recall_streams",
         "stream_mean_optimistic",
         "stream_mean_pessimistic",
     ),

@@ -25,7 +25,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError
-from .pbox import PBoxParams
+from .pbox import PBoxParams, pairwise_sum
 
 __all__ = [
     "METRICS",
@@ -148,19 +148,16 @@ def _quantile(ordered: list[float], q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's float64 ``add.reduce`` without its start value, bit for bit: pairwise
-    summation (Higham 1993) down to blocks of at most 128 values, each in eight
-    interleaved accumulators. Not ``sum``: from Python 3.12 it compensates rounding."""
+def _leaf_sum(values: list[float]) -> float:
+    """numpy's float64 ``add.reduce`` of at most 128 values without its start value,
+    bit for bit: in eight interleaved accumulators. Not ``sum``: from Python 3.12
+    it compensates rounding."""
     n = len(values)
     if n < 8:
         return reduce(add, values, 0.0)
-    if n <= 128:
-        m = n - n % 8
-        r = [reduce(add, values[j:m:8]) for j in range(8)]
-        return reduce(add, values[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    m = n - n % 8
+    r = [reduce(add, values[j:m:8]) for j in range(8)]
+    return reduce(add, values[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def remove_outliers(samples, policy: str = "iqr", k: float = 1.5):
@@ -199,7 +196,8 @@ def summarize(samples) -> SummaryStats:
     vmin, vmax = (backwards[backwards.index(pick(backwards))] for pick in (min, max))
     # numpy's sum starts at 0.0 (so all -0.0 sums to 0.0), and its rounding can
     # push the mean a few ulp outside [min, max]
-    mean = min(max((0.0 + _pairwise_sum(values)) / len(values), vmin), vmax)
+    total = pairwise_sum(len(values), lambda start, stop: _leaf_sum(values[start:stop]))
+    mean = min(max((0.0 + total) / len(values), vmin), vmax)
     return SummaryStats(
         count=len(samples),
         publications=len({s.source_id for s in samples}),

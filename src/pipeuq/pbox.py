@@ -45,7 +45,8 @@ __all__ = [
     "inverse_lower",
     "inverse_upper",
     "recall_chunks",
-    "sample_recall_streams",
+    "stream_summary",
+    "pairwise_sum",
     "stream_mean_optimistic",
     "stream_mean_pessimistic",
 ]
@@ -177,8 +178,8 @@ def recall_chunks(params: PBoxParams, n: int, seed: int):
     ``default_rng(SeedSequence(seed, spawn_key=(k,)))``.
     """
     import numpy as np
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n!r}")
+    if not 1 <= n <= 2**53:  # a stream mean divides by its count, exact in a float64 up to 2**53
+        raise InvalidParameterError(f"a recall stream needs 1 to 2**53 samples, got {n!r}")
     rng = np.random.default_rng(seed)
     for k, start in enumerate(range(0, n, CHUNK)):
         p = rng.random(min(CHUNK, n - start))
@@ -186,16 +187,39 @@ def recall_chunks(params: PBoxParams, n: int, seed: int):
         yield RecallStreams(inverse_lower(params, p, ties), inverse_upper(params, p, ties), p)
 
 
-def sample_recall_streams(params: PBoxParams, n: int, seed: int) -> RecallStreams:
-    """All ``n`` samples of ``recall_chunks`` in one ``RecallStreams``."""
+def pairwise_sum(n: int, leaf, start: int = 0, most: int = 128):
+    """numpy's float64 pairwise summation (Higham 1993) of positions [start, start + n), without numpy.
+
+    numpy halves a node of more than 128 values at ``n//2 - (n//2) % 8`` and sums a smaller
+    one in one block; ``leaf(start, stop)`` sums each node of at most ``most`` >= 128 values."""
+    if n <= most:
+        return leaf(start, start + n)
+    half = n // 2 - (n // 2) % 8
+    return pairwise_sum(half, leaf, start, most) + pairwise_sum(n - half, leaf, start + half, most)
+
+
+def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
+    """``min``, ``max`` and ``mean`` of each stream of ``recall_chunks(params, n, seed)``: numpy's
+    values for the whole arrays, bit for bit, from one pass holding two chunks at most. The
+    mean's ``pairwise_sum`` tree sums each node of at most ``CHUNK`` values with ``np.add.reduce``."""
     import numpy as np
-    try:
-        out = np.empty((3, max(int(n), 0)))
-    except (MemoryError, ValueError):  # numpy: "array is too big"
-        raise InvalidParameterError(f"{n} samples do not fit in memory") from None
-    for k, chunk in enumerate(recall_chunks(params, n, seed)):  # raises for n < 1
-        out[:, k * CHUNK:k * CHUNK + len(chunk)] = chunk.optimistic, chunk.pessimistic, chunk.p_values
-    return RecallStreams(*out)
+    chunks = (np.stack([c.optimistic, c.pessimistic]) for c in recall_chunks(params, n, seed))
+    window = next(chunks)  # both streams from position base on
+    base, lo, hi = 0, window.min(axis=1), window.max(axis=1)
+
+    def leaf(start, stop):
+        nonlocal window, base, lo, hi
+        while base + window.shape[1] < stop:  # nodes come left to right, so chunks are read in order
+            chunk = next(chunks)
+            lo, hi = np.fmin(lo, chunk.min(axis=1)), np.fmax(hi, chunk.max(axis=1))
+            window, base = np.concatenate([window[:, start - base:], chunk], axis=1), start
+        return np.add.reduce(window[:, start - base:stop - base], axis=1)
+
+    total = pairwise_sum(n, leaf, most=CHUNK)
+    return {
+        name: {"min": float(lo[i]), "max": float(hi[i]), "mean": float(total[i]) / n}
+        for i, name in enumerate(("optimistic", "pessimistic"))
+    }
 
 
 def stream_mean_optimistic(params: PBoxParams) -> float:

@@ -13,13 +13,19 @@ from pipeuq import (
     RecallStreams,
     inverse_lower,
     inverse_upper,
-    sample_recall_streams,
     stream_mean_optimistic,
     stream_mean_pessimistic,
 )
-from pipeuq.pbox import CHUNK, recall_chunks
+from pipeuq.pbox import CHUNK, recall_chunks, stream_summary
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
+
+
+def concatenated(box, n, seed) -> RecallStreams:
+    """Every chunk of ``recall_chunks(box, n, seed)`` joined into one ``RecallStreams``."""
+    chunks = list(recall_chunks(box, n, seed))
+    fields = ("optimistic", "pessimistic", "p_values")
+    return RecallStreams(*(np.concatenate([getattr(c, name) for c in chunks]) for name in fields))
 
 
 def reference_inverse_lower(box, p):
@@ -71,7 +77,7 @@ class TestParams:
         assert math.copysign(1.0, box.minimum) == math.copysign(1.0, box.mean) == 1.0
         assert inverse_lower(PBoxParams(0.0, 1.0, -0.0), 0.0) == 0.0
         # the middle branch at min = mean = 0 computes 0 / (p - 1) = -0.0
-        streams = sample_recall_streams(PBoxParams(-0.0, 1.0, 0.0), 20, seed=1)
+        streams = concatenated(PBoxParams(-0.0, 1.0, 0.0), 20, seed=1)
         assert all(math.copysign(1.0, v) == 1.0 for v in [*streams.optimistic, *streams.pessimistic])
         # every other value stays as given, ints included
         kept = PBoxParams(0, 1, 0.25)
@@ -180,7 +186,7 @@ class TestInverseProperties:
 
 class TestSampling:
     def test_degenerate_box_constant_streams(self):
-        streams = sample_recall_streams(PBoxParams(0.74, 0.74, 0.74), 5, seed=1)
+        streams = concatenated(PBoxParams(0.74, 0.74, 0.74), 5, seed=1)
         assert np.all(streams.optimistic == 0.74)
         assert np.all(streams.pessimistic == 0.74)
 
@@ -191,7 +197,7 @@ class TestSampling:
         for a in grid:
             for b in grid[grid > a]:
                 for mu in (a, np.nextafter(a, 1.0)):
-                    streams = sample_recall_streams(PBoxParams(a, b, mu), 1000, seed=42)
+                    streams = concatenated(PBoxParams(a, b, mu), 1000, seed=42)
                     assert np.all(streams.optimistic >= a)
                     assert np.all(streams.pessimistic <= streams.optimistic)
 
@@ -206,24 +212,29 @@ class TestSampling:
             assert stream_mean_pessimistic(box) == expected
 
     def test_deterministic_given_seed(self):
-        s1 = sample_recall_streams(BOX, 100, seed=99)
-        s2 = sample_recall_streams(BOX, 100, seed=99)
+        s1 = concatenated(BOX, 100, seed=99)
+        s2 = concatenated(BOX, 100, seed=99)
         assert np.array_equal(s1.p_values, s2.p_values)
         assert np.array_equal(s1.optimistic, s2.optimistic)
         assert np.array_equal(s1.pessimistic, s2.pessimistic)
 
     def test_chunked_p_values_match_one_draw(self):
         n = 2 * CHUNK + 5
-        streams = sample_recall_streams(BOX, n, seed=99)
-        assert np.array_equal(streams.p_values, np.random.default_rng(99).random(n))
         chunks = list(recall_chunks(BOX, n, seed=99))
+        assert np.array_equal(np.concatenate([c.p_values for c in chunks]), np.random.default_rng(99).random(n))
         assert [len(c) for c in chunks] == [CHUNK, CHUNK, 5]
-        assert np.array_equal(np.concatenate([c.optimistic for c in chunks]), streams.optimistic)
-        assert np.array_equal(np.concatenate([c.pessimistic for c in chunks]), streams.pessimistic)
+        # chunk k resolves its ties with its own child generator, the lower inverse first
+        for k, c in enumerate(chunks):
+            ties = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(k,)))
+            assert np.array_equal(c.optimistic, inverse_lower(BOX, c.p_values, ties))
+            assert np.array_equal(c.pessimistic, inverse_upper(BOX, c.p_values, ties))
 
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidParameterError):
-            sample_recall_streams(BOX, 0, seed=1)
+            next(recall_chunks(BOX, 0, 1))
+        # a stream mean divides by its count, exact in a float64 only up to 2**53
+        with pytest.raises(InvalidParameterError, match=r"1 to 2\*\*53 samples"):
+            next(recall_chunks(BOX, 2**53 + 1, 1))
 
     def test_stream_invariants_checked(self):
         with pytest.raises(InvalidParameterError):
@@ -243,10 +254,20 @@ class TestSampling:
         assert expect_opt == pytest.approx(0.9596976, abs=1e-6)
         assert expect_pess == pytest.approx(0.4086292, abs=1e-6)
         n = 100_000
-        streams = sample_recall_streams(BOX, n, seed=7)
+        streams = concatenated(BOX, n, seed=7)
         for values, expected in ((streams.optimistic, expect_opt), (streams.pessimistic, expect_pess)):
             margin = 3.0 * values.std() / math.sqrt(n)
             assert abs(values.mean() - expected) < margin
+
+    @pytest.mark.parametrize("box", [BOX, PBoxParams(0.2, 0.8, 0.2), PBoxParams(0.5, 0.5, 0.5)])
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, CHUNK, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK + 129])
+    def test_summary_is_numpy_whole_array_values_bit_for_bit(self, box, n):
+        # one pass over the chunks, against numpy on every sample at once
+        streams, summary = concatenated(box, n, seed=n), stream_summary(box, n, seed=n)
+        for name in ("optimistic", "pessimistic"):
+            values = getattr(streams, name)
+            expected = {stat: float(getattr(values, stat)()).hex() for stat in ("min", "max", "mean")}
+            assert {stat: v.hex() for stat, v in summary[name].items()} == expected, name
 
     @given(box=well_separated_boxes())
     def test_closed_form_stream_means_match_quadrature(self, box):

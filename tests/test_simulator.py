@@ -18,7 +18,7 @@ from pipeuq import (
     run_trial,
     trial_seed,
 )
-from pipeuq.pbox import CHUNK, sample_recall_streams
+from pipeuq.pbox import CHUNK, recall_chunks
 from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
@@ -381,9 +381,9 @@ def test_running_sums_match_outcomes_across_a_chunk_boundary():
     outcomes = list(report.outcomes())
     assert len(outcomes) == 2 * trials
     streams = (outcomes[:trials], outcomes[trials:])  # optimistic first
-    recalls = sample_recall_streams(BOX, trials, seed)
-    assert [o.recall_used for o in streams[0]] == recalls.optimistic.tolist()
-    assert [o.recall_used for o in streams[1]] == recalls.pessimistic.tolist()
+    chunks = list(recall_chunks(BOX, trials, seed))
+    assert [o.recall_used for o in streams[0]] == np.concatenate([c.optimistic for c in chunks]).tolist()
+    assert [o.recall_used for o in streams[1]] == np.concatenate([c.pessimistic for c in chunks]).tolist()
     for metric in METRICS:
         defined = [[v for o in s if (v := getattr(o, metric)) is not None] for s in streams]
         everything = defined[0] + defined[1]
