@@ -16,7 +16,7 @@ JSON (RFC 8259): no ``NaN`` or ``Infinity`` token, undefined values are null.
 
 A report is written to its destination as it is encoded, and ``pbox-sample``
 re-draws its streams as it writes them, so memory does not grow with
-``--trials`` (a 42 MB peak for 10^6 samples in JSON, 43 MB for 4*10^6 in csv).
+``--trials`` (a 42 MB peak for 10^6 samples in JSON, 39 MB for 4*10^6 in csv).
 ``--out PATH`` replaces a regular file, or creates a new one, atomically: the
 report goes to a fresh temporary file beside ``PATH`` that is renamed over it
 at the end, so a failed run leaves neither a partial report nor a changed
@@ -300,22 +300,24 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
 
 def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     """Draw paired recall streams from the configured p-box, re-drawn as they are written."""
-    from .pbox import CHUNK, recall_chunks, stream_summary
+    from .pbox import CHUNK, p_chunks, recall_chunks, stream_summary
 
     pbox = _resolve_pbox(cfg)
-    summary = stream_summary(pbox, cfg.trials, cfg.seed)  # also rejects a bad count before any output
+    summary = None if cfg.output == "csv" else stream_summary(pbox, cfg.trials, cfg.seed)  # csv writes none
     streams = {
         name: lambda name=name: (getattr(c, name) for c in recall_chunks(pbox, cfg.trials, cfg.seed))
-        for name in ("p_values", "optimistic", "pessimistic")
+        for name in ("optimistic", "pessimistic")
     }
+    streams["p_values"] = functools.partial(p_chunks, cfg.trials, cfg.seed)
     results = {"pbox": pbox._asdict(), "count": cfg.trials, "summary": summary, **streams}
     return _envelope(
         "pbox-sample",
         cfg,
         results,
         ("index", "p", "optimistic", "pessimistic"),
-        # one draw for all columns; a memoryview yields each float64 as a Python float,
-        # whose repr the csv output writes, without copying the chunk; zip's tuples are the rows
+        # one draw for all columns (a bad count raises before the first batch of rows is written);
+        # a memoryview yields each float64 as a Python float, whose repr the csv output writes,
+        # without copying the chunk; zip's tuples are the rows
         lambda: itertools.chain.from_iterable(
             zip(itertools.count(k * CHUNK), *map(memoryview, (c.p_values, c.optimistic, c.pessimistic)))
             for k, c in enumerate(recall_chunks(pbox, cfg.trials, cfg.seed))

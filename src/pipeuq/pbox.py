@@ -44,6 +44,7 @@ __all__ = [
     "CHUNK",
     "inverse_lower",
     "inverse_upper",
+    "p_chunks",
     "recall_chunks",
     "stream_summary",
     "pairwise_sum",
@@ -170,19 +171,24 @@ def inverse_upper(params: PBoxParams, p, rng=None):
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def recall_chunks(params: PBoxParams, n: int, seed: int):
-    """Yield ``n`` paired recall samples from both inverses, ``CHUNK`` at a time.
-
-    The p values are successive ``random`` calls on one ``default_rng(seed)``.
-    Chunk ``k`` resolves its p = 0 and p = 1 ties with a child generator,
-    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``.
-    """
+def p_chunks(n: int, seed: int):
+    """The uniform p values of ``n`` samples, ``CHUNK`` at a time: successive ``random``
+    calls on one ``default_rng(seed)``. ``n`` is checked at the call."""
     import numpy as np
     if not 1 <= n <= 2**53:  # a stream mean divides by its count, exact in a float64 up to 2**53
         raise InvalidParameterError(f"a recall stream needs 1 to 2**53 samples, got {n!r}")
     rng = np.random.default_rng(seed)
-    for k, start in enumerate(range(0, n, CHUNK)):
-        p = rng.random(min(CHUNK, n - start))
+    return (rng.random(min(CHUNK, n - start)) for start in range(0, n, CHUNK))
+
+
+def recall_chunks(params: PBoxParams, n: int, seed: int):
+    """Yield ``n`` paired recall samples from both inverses at ``p_chunks(n, seed)``.
+
+    Chunk ``k`` resolves its p = 0 and p = 1 ties with a child generator,
+    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``.
+    """
+    import numpy as np
+    for k, p in enumerate(p_chunks(n, seed)):
         ties = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         yield RecallStreams(inverse_lower(params, p, ties), inverse_upper(params, p, ties), p)
 
@@ -201,7 +207,8 @@ def pairwise_sum(n: int, leaf, start: int = 0, most: int = 128):
 def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
     """``min``, ``max`` and ``mean`` of each stream of ``recall_chunks(params, n, seed)``: numpy's
     values for the whole arrays, bit for bit, from one pass holding two chunks at most. The
-    mean's ``pairwise_sum`` tree sums each node of at most ``CHUNK`` values with ``np.add.reduce``."""
+    mean's ``pairwise_sum`` tree sums each node of at most ``CHUNK`` values with ``np.add.reduce``.
+    Needs numpy >= 2.3, whose sum is one tree over the whole array, not 8192-value blocks in turn."""
     import numpy as np
     chunks = (np.stack([c.optimistic, c.pessimistic]) for c in recall_chunks(params, n, seed))
     window = next(chunks)  # both streams from position base on

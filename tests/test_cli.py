@@ -423,6 +423,8 @@ class TestExitCodes:
             # divisor stops being exact in a float64: refused before any draw
             *([command, "--trials", str(n)]
               for command in ("simulate", "pbox-sample") for n in (2**53 + 1, 2**59, 2**63 - 1)),
+            # csv writes no summary, so no summary pass checks its count
+            ["pbox-sample", "--trials", str(2**53 + 1), "--output", "csv"],
             ["case-study", "rule-based", "--confidence", "0.9999999999999999"],
             # a subnormal prevalence or an infinite k would print a
             # non-JSON -Infinity or Infinity
@@ -440,8 +442,8 @@ class TestExitCodes:
         ]
         for argv in argvs:
             assert main(argv) == 2, argv
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, out, err)
         assert "outlier_k" in err
 
     def test_tiny_prevalence_limit_binds_simulate_only(self):

@@ -16,7 +16,7 @@ from pipeuq import (
     stream_mean_optimistic,
     stream_mean_pessimistic,
 )
-from pipeuq.pbox import CHUNK, recall_chunks, stream_summary
+from pipeuq.pbox import CHUNK, p_chunks, recall_chunks, stream_summary
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
 
@@ -222,6 +222,7 @@ class TestSampling:
         n = 2 * CHUNK + 5
         chunks = list(recall_chunks(BOX, n, seed=99))
         assert np.array_equal(np.concatenate([c.p_values for c in chunks]), np.random.default_rng(99).random(n))
+        assert np.array_equal(np.concatenate(list(p_chunks(n, 99))), np.random.default_rng(99).random(n))
         assert [len(c) for c in chunks] == [CHUNK, CHUNK, 5]
         # chunk k resolves its ties with its own child generator, the lower inverse first
         for k, c in enumerate(chunks):
@@ -235,6 +236,10 @@ class TestSampling:
         # a stream mean divides by its count, exact in a float64 only up to 2**53
         with pytest.raises(InvalidParameterError, match=r"1 to 2\*\*53 samples"):
             next(recall_chunks(BOX, 2**53 + 1, 1))
+        # p_chunks checks at the call, before anything is drawn
+        for n in (0, 2**53 + 1):
+            with pytest.raises(InvalidParameterError):
+                p_chunks(n, 1)
 
     def test_stream_invariants_checked(self):
         with pytest.raises(InvalidParameterError):
