@@ -134,20 +134,6 @@ def _summarize(cfg: RunConfig, metric: str, samples):
 # ---------------------------------------------------------------------------
 # commands
 
-# report column -> PipelineOutcome field
-_ANALYTIC_METRICS = {
-    "real_fix_rate": "fix_rate_actual",
-    "final_prevalence": "prevalence_final",
-    "tpr": "tpr_final",
-    "far": "far_final",
-    "fn_ratio": "fn_ratio",
-    "fn_final": "fn_final",
-    "tp_final": "tp_final",
-    "fp_final": "fp_final",
-    "fixer_load": "fixer_load",
-}
-
-
 def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     """Closed-form metrics for every (prevalence, fix_rate) grid cell at the
     configured point recall, evaluated as one call over the whole grid.
@@ -168,43 +154,44 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
         DomainSpec(cfg.n_items, prevalence),
         FixerSpec(fix_rate),
     )
-    values = [getattr(out, field) for field in _ANALYTIC_METRICS.values()]
-    values[0] = np.where(prevalence > 0, values[0], np.nan)  # nothing to fix at P = 0
+    out = out._replace(real_fix_rate=np.where(prevalence > 0, out.real_fix_rate, np.nan))  # nothing to fix at P = 0
     # tolist() yields Python floats, whose repr the csv output relies on;
     # NaN marks an undefined cell
     table = [
         [p, f, *(None if v != v else v for v in cell)]
-        for p, f, *cell in zip(prevalence.tolist(), fix_rate.tolist(), *(v.tolist() for v in values))
+        for p, f, *cell in zip(prevalence.tolist(), fix_rate.tolist(), *(v.tolist() for v in out))
     ]
+    # the report's metrics are PipelineOutcome's fields, by name and in order
     results = {
         metric: [{"prevalence": row[0], "fix_rate": row[1], "value": row[i]} for row in table]
-        for i, metric in enumerate(_ANALYTIC_METRICS, start=2)
+        for i, metric in enumerate(out._fields, start=2)
     }
-    columns = ("prevalence", "fix_rate", *_ANALYTIC_METRICS)
+    columns = ("prevalence", "fix_rate", *out._fields)
     return _envelope("analytic", cfg, results, columns, lambda: table, _render_analytic_table)
 
 
 def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
-    """Monte Carlo experiment per grid cell.
+    """Monte Carlo experiment over the grid: one ``run_grid`` call, a report per cell.
 
     Every cell runs under the same master seed, so recall streams are paired
-    across cells and the whole report is reproducible from the config alone.
+    across cells, each cell draws the numbers of its solo run, and the whole
+    report is reproducible from the config alone.
     """
     from .core import ClassifierProfile, DomainSpec, FixerSpec
-    from .simulator import METRICS, run_experiment
+    from .simulator import METRICS, run_grid
 
     pbox = _resolve_pbox(cfg)
     profile = ClassifierProfile(1.0, specificity=cfg.specificity)
+    domains = [DomainSpec(cfg.n_items, p_r) for p_r in cfg.prevalence]
+    fixers = [FixerSpec(f_r, cfg.break_rate) for f_r in cfg.fix_rate]
     modes = ("extremes", "means") if cfg.mode == "both" else (cfg.mode,)
     results: dict = {m: [] for m in METRICS}
     results["pbox"] = pbox._asdict()
-    for p_r, f_r in itertools.product(cfg.prevalence, cfg.fix_rate):
-        domain, fixer = DomainSpec(cfg.n_items, p_r), FixerSpec(f_r, cfg.break_rate)
-        report = run_experiment(domain, profile, fixer, pbox, cfg.trials, cfg.seed)
+    for report in run_grid(domains, profile, fixers, pbox, cfg.trials, cfg.seed):
         for metric, mode in itertools.product(METRICS, modes):
             interval = report.intervals[metric][mode]
-            entry = {"prevalence": p_r, "fix_rate": f_r, "mode": mode, "lo": None, "hi": None}
-            entry.update(interval._asdict() if interval else {})
+            entry = {"prevalence": report.domain.prevalence, "fix_rate": report.fixer.fix_rate, "mode": mode}
+            entry.update(interval._asdict() if interval else {"lo": None, "hi": None})
             if metric in report.undefined:
                 entry["undefined"] = report.undefined[metric]
             if cfg.trace and mode == modes[0]:  # once per cell, re-drawn as written; NaN: an undefined trial

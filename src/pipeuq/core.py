@@ -15,7 +15,7 @@ Key identities (all derivable from the confusion-matrix algebra):
     false-negative growth    FN' = [1 + (1 - fix_rate) * rec] * FN_first
 
 The second stage's false positives ``fp_final``, and the false-alert rate
-``far_final`` built on them, assume that it keeps the first stage's precision:
+``far`` built on them, assume that it keeps the first stage's precision:
 ``fp_final = tp_final * (1 - prec) / prec``. The simulator's model instead
 keeps the specificity, and sends the repaired, now clean, items through the
 second classifier, where each is a false positive with probability
@@ -128,15 +128,15 @@ class FixerSpec(namedtuple("FixerSpec", "fix_rate break_rate")):
 class PipelineOutcome(NamedTuple):
     """End-to-end metrics of the composed pipeline at a fixed recall."""
 
-    fix_rate_actual: float
-    prevalence_final: float
-    tpr_final: float
-    far_final: float
-    fn_final: float
+    real_fix_rate: float
+    final_prevalence: float
+    tpr: float
+    far: float
     fn_ratio: float
+    fn_final: float
     tp_final: float
-    fixer_load: float
     fp_final: float
+    fixer_load: float
 
 
 def pipeline_fix_rate(fixer: FixerSpec, recall):
@@ -255,17 +255,17 @@ def pipeline_outcome(
 
     ``recall`` overrides ``profile.recall`` when given, which lets callers
     sweep recall values against a fixed profile. Prevalence, fix rate and
-    recall broadcast, so a grid gives one array per field; ``far_final`` is
+    recall broadcast, so a grid gives one array per field; ``far`` is
     NaN at its degenerate cells. A scalar degenerate cell raises
     :class:`DegenerateDomainError`.
     """
     rec = profile.recall if recall is None else recall
     fn_final, fn_ratio = pipeline_false_negatives(domain, fixer, rec)  # checks rec
     return PipelineOutcome(
-        fix_rate_actual=pipeline_fix_rate(fixer, rec),
-        prevalence_final=pipeline_prevalence(domain, fixer, rec),
-        tpr_final=pipeline_tpr(rec, fixer),
-        far_final=pipeline_far(profile, domain, fixer, rec),
+        real_fix_rate=pipeline_fix_rate(fixer, rec),
+        final_prevalence=pipeline_prevalence(domain, fixer, rec),
+        tpr=pipeline_tpr(rec, fixer),
+        far=pipeline_far(profile, domain, fixer, rec),
         fn_final=fn_final,
         fn_ratio=fn_ratio,
         tp_final=pipeline_true_positives(domain, fixer, rec),

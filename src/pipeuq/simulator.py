@@ -25,9 +25,13 @@ of stream code 1 (optimistic) or 2 (pessimistic) draws, in the order above,
 from ``default_rng(SeedSequence((master_seed, stream_code, k)))`` at the
 recalls of chunk ``k`` of ``pbox.recall_chunks(pbox, trials, master_seed)``,
 whose p = 0 and p = 1 ties come from a child generator per chunk. Every grid
-cell reuses these seeds (common random numbers), so a report depends only on
-its config: never on the other cells, the execution order or the memory.
-Running sums aggregate the chunks, so memory does not grow with ``trials``.
+cell reuses these seeds (common random numbers) in one loop nest, stream ->
+chunk -> prevalence -> fix rate: one ``recall_chunks`` pass per stream; per
+prevalence, a fresh generator and FN1; per fix rate, W and FN2 from the
+generator's state just after FN1. So each cell draws the numbers of its solo
+run, and a report depends only on its config: never on the other cells, the
+execution order or the memory. Running sums aggregate the chunks, so memory
+does not grow with ``trials``.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "STREAM_PESSIMISTIC",
     "run_trial",
     "run_experiment",
+    "run_grid",
     "trial_seed",
 ]
 
@@ -78,21 +83,23 @@ class TrialOutcome(NamedTuple):
     recall_used: float
 
 
-def _draw(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall: np.ndarray):
-    """The three draws of a chunk of trials, one array entry per trial.
-
-    Returns the counts (fn1, vulnerable_out, fn2) and the metrics keyed as
-    ``METRICS``, NaN where undefined.
-    """
+def _first_stage(rng, domain: DomainSpec, recall: np.ndarray):
+    """``a``, the chance of a first-stage miss, and FN1 ~ Bin(n_items, a) of a chunk
+    of trials, one array entry per trial: what every fix rate of a prevalence shares."""
     _check_unit(recall, "recall")
-    n, prevalence, spec = domain.n_items, domain.prevalence, profile.specificity
-    if n < 1:
+    if domain.n_items < 1:
         raise InvalidParameterError("a trial needs at least one item")
-    # per item: a, the chance of a first-stage miss, and w, of being vulnerable after the fixer
+    missed = domain.prevalence * (1.0 - recall)
+    return missed, rng.binomial(domain.n_items, missed)
+
+
+def _second_stage(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall, missed, fn1):
+    """The draws W and FN2 of a chunk of trials whose first stage gave ``missed`` and ``fn1``:
+    the counts (fn1, vulnerable_out, fn2) and the metrics keyed as ``METRICS``, NaN where undefined."""
+    n, prevalence, spec = domain.n_items, domain.prevalence, profile.specificity
+    # per item: w, the chance of being vulnerable after the fixer
     survives = 1.0 - (1.0 - fixer.break_rate) * fixer.fix_rate
-    missed = prevalence * (1.0 - recall)
     vulnerable = prevalence * recall * survives + (1.0 - prevalence) * (1.0 - spec) * fixer.break_rate
-    fn1 = rng.binomial(n, missed)
     # w <= 1 - a, but the ratio can round to 1 + 2**-52; at a = 1 nothing is left to draw
     kept = 1.0 - missed
     ratio = np.divide(vulnerable, kept, out=np.zeros_like(kept), where=kept > 0.0)
@@ -108,6 +115,21 @@ def _draw(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec,
     fn_ratio = np.divide(fn_out, fn1, out=np.full(recall.size, np.nan), where=fn1 > 0)
     fn_ratio[fn_out == 0] = 1.0
     return (fn1, vulnerable_out, fn2), dict(zip(METRICS, (final_prevalence, real_fix_rate, fn_ratio)))
+
+
+def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trials: int, master_seed: int):
+    """Every chunk of every cell of the grid as ``(cell, stream, recall, counts, metrics)``,
+    ``cell`` counting domain-major: the one loop nest that draws."""
+    for stream, code in _STREAM_CODES.items():
+        recalls = map(attrgetter(stream), recall_chunks(pbox, trials, master_seed))
+        for k, recall in enumerate(recalls):
+            for i, domain in enumerate(domains):
+                rng = np.random.default_rng(np.random.SeedSequence((master_seed, code, k)))
+                first = _first_stage(rng, domain, recall)
+                after_fn1 = rng.bit_generator.state
+                for cell, fixer in enumerate(fixers, start=i * len(fixers)):
+                    rng.bit_generator.state = after_fn1  # each fix rate draws as if it were alone
+                    yield cell, stream, recall, *_second_stage(rng, domain, profile, fixer, recall, *first)
 
 
 def _outcomes(recall: np.ndarray, counts, metrics: dict):
@@ -130,7 +152,9 @@ def run_trial(
     specificity). The three draws share one generator seeded with ``seed``.
     """
     recall = np.array([recall], dtype=float)
-    return next(_outcomes(recall, *_draw(np.random.default_rng(int(seed)), domain, profile, fixer, recall)))
+    rng = np.random.default_rng(int(seed))
+    first = _first_stage(rng, domain, recall)
+    return next(_outcomes(recall, *_second_stage(rng, domain, profile, fixer, recall, *first)))
 
 
 def trial_seed(master_seed: int, stream: str, index: int) -> int:
@@ -156,17 +180,47 @@ class SimulationReport(NamedTuple):
 
     def chunks(self):
         """Re-draw every chunk as ``(stream, recall, counts, metrics)``, the
-        optimistic stream first; counts and metrics as ``_draw`` gives them."""
-        for stream, code in _STREAM_CODES.items():
-            recalls = map(attrgetter(stream), recall_chunks(self.pbox, self.trials, self.master_seed))
-            for k, recall in enumerate(recalls):
-                rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, code, k)))
-                yield (stream, recall, *_draw(rng, self.domain, self.profile, self.fixer, recall))
+        optimistic stream first; counts and metrics as ``_second_stage`` gives them."""
+        args = ([self.domain], self.profile, [self.fixer], self.pbox, self.trials, self.master_seed)
+        return (chunk[1:] for chunk in _chunks(*args))
 
     def outcomes(self):
         """Re-draw every trial as a ``TrialOutcome``, the optimistic stream first."""
         for _, recall, counts, metrics in self.chunks():
             yield from _outcomes(recall, counts, metrics)
+
+
+def run_grid(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trials: int,
+             master_seed: int) -> list[SimulationReport]:
+    """``run_experiment`` for every cell of the ``domains`` x ``fixers`` grid, drawn in one
+    pass: one report per cell, domain-major. For each metric, the per-trial extremes and the
+    stream-means interval (each stream's mean, oriented lo <= hi), from running sums; trials
+    whose metric is undefined are excluded and counted."""
+    reports = [SimulationReport({}, {}, d, profile, f, pbox, trials, master_seed) for d in domains for f in fixers]
+    sums = {}  # per (cell, stream, metric): min, max, count and sum of the defined values
+    for cell, stream, recall, counts, metrics in _chunks(domains, profile, fixers, pbox, trials, master_seed):
+        for metric, values in metrics.items():  # fmin, fmax and nansum skip NaN
+            lo, hi, count, total = sums.get((cell, stream, metric), (math.inf, -math.inf, 0, 0.0))
+            with np.errstate(over="ignore"):  # a tiny prevalence sums to -inf, as in _second_stage
+                chunk_total = float(np.nansum(values))
+            sums[cell, stream, metric] = (
+                float(np.fmin.reduce(values, initial=lo)),
+                float(np.fmax.reduce(values, initial=hi)),
+                count + int(np.count_nonzero(values == values)),
+                total + chunk_total,
+            )
+        del recall, counts, metrics, values  # free the cell's arrays before the next cell's are drawn
+    for cell, report in enumerate(reports):
+        for metric in METRICS:
+            (lo1, hi1, n1, sum1), (lo2, hi2, n2, sum2) = (sums[cell, s, metric] for s in _STREAM_CODES)
+            means = (sum1 / n1, sum2 / n2) if n1 and n2 else None
+            report.intervals[metric] = {
+                "extremes": Interval(min(lo1, lo2), max(hi1, hi2)) if n1 or n2 else None,
+                "means": Interval(min(means), max(means)) if means else None,
+            }
+            if metric != "final_prevalence":  # never undefined
+                report.undefined[metric] = 2 * trials - n1 - n2
+    return reports
 
 
 def run_experiment(
@@ -177,34 +231,7 @@ def run_experiment(
     trials: int,
     master_seed: int,
 ) -> SimulationReport:
-    """Run ``trials`` pipeline passes per recall stream and aggregate intervals.
-
-    For each metric, the per-trial extremes interval and the stream-means
-    interval (each stream's mean, oriented lo <= hi), from running sums.
-    Trials whose metric is undefined are excluded and counted.
-    """
-    report = SimulationReport({}, {}, domain, profile, fixer, pbox, trials, master_seed)
-    # per (stream, metric): min, max, count and sum of the defined values
-    sums = {(s, m): (math.inf, -math.inf, 0, 0.0) for s in _STREAM_CODES for m in METRICS}
-    for stream, recall, counts, metrics in report.chunks():
-        for metric, values in metrics.items():  # fmin, fmax and nansum skip NaN
-            lo, hi, count, total = sums[stream, metric]
-            with np.errstate(over="ignore"):  # a tiny prevalence sums to -inf, as in _draw
-                chunk_total = float(np.nansum(values))
-            sums[stream, metric] = (
-                float(np.fmin.reduce(values, initial=lo)),
-                float(np.fmax.reduce(values, initial=hi)),
-                count + int(np.count_nonzero(values == values)),
-                total + chunk_total,
-            )
-        del recall, counts, metrics, values  # free the chunk before the next one is drawn
-    for metric in METRICS:
-        (lo1, hi1, n1, sum1), (lo2, hi2, n2, sum2) = (sums[s, metric] for s in _STREAM_CODES)
-        means = (sum1 / n1, sum2 / n2) if n1 and n2 else None
-        report.intervals[metric] = {
-            "extremes": Interval(min(lo1, lo2), max(hi1, hi2)) if n1 or n2 else None,
-            "means": Interval(min(means), max(means)) if means else None,
-        }
-        if metric != "final_prevalence":  # never undefined
-            report.undefined[metric] = 2 * trials - n1 - n2
+    """Run ``trials`` pipeline passes per recall stream and aggregate intervals:
+    the report of the one-cell grid ``run_grid([domain], profile, [fixer], ...)``."""
+    (report,) = run_grid([domain], profile, [fixer], pbox, trials, master_seed)
     return report

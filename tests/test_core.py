@@ -210,23 +210,23 @@ class TestCounts:
 class TestPipelineOutcome:
     def test_perfect_pipeline(self):
         out = pipeline_outcome(ClassifierProfile(1.0, 1.0), DomainSpec(100, 0.5), FixerSpec(1.0))
-        assert out.prevalence_final == 0.0
+        assert out.final_prevalence == 0.0
         assert out.fn_ratio == pytest.approx(1.0)
-        assert out.tpr_final == 0.0
+        assert out.tpr == 0.0
 
     def test_survey_mean_recall_cell(self):
         out = pipeline_outcome(ClassifierProfile(0.74, 0.71), DomainSpec(10000, 0.5), FixerSpec(0.5))
-        assert out.prevalence_final == pytest.approx(0.315)
+        assert out.final_prevalence == pytest.approx(0.315)
 
     def test_composed_tooling_cell(self):
         out = pipeline_outcome(ClassifierProfile(0.86, 1.0), DomainSpec(879, 1.0), FixerSpec(0.44))
-        assert out.fix_rate_actual == pytest.approx(0.3784)
-        assert round_half_away(out.prevalence_final * 879) == 546
+        assert out.real_fix_rate == pytest.approx(0.3784)
+        assert round_half_away(out.final_prevalence * 879) == 546
 
     def test_recall_override(self):
         profile = ClassifierProfile(0.9, 0.8)
         out = pipeline_outcome(profile, DomainSpec(100, 0.5), FixerSpec(0.5), recall=0.2)
-        assert out.fix_rate_actual == pytest.approx(0.1)
+        assert out.real_fix_rate == pytest.approx(0.1)
 
     @given(rec=UNIT, prec=PREC, f=UNIT, p_r=st.floats(min_value=0.01, max_value=0.99))
     def test_internal_consistency(self, rec, prec, f, p_r):
@@ -234,10 +234,10 @@ class TestPipelineOutcome:
         out = pipeline_outcome(ClassifierProfile(rec, prec), DomainSpec(n, p_r), FixerSpec(f))
         # residual positives split into surviving TPs and final FNs
         assert out.tp_final + out.fn_final == pytest.approx(
-            out.prevalence_final * n, rel=1e-12, abs=1e-9
+            out.final_prevalence * n, rel=1e-12, abs=1e-9
         )
-        assert out.prevalence_final == pytest.approx(
-            (1.0 - out.fix_rate_actual) * p_r, rel=1e-12, abs=1e-12
+        assert out.final_prevalence == pytest.approx(
+            (1.0 - out.real_fix_rate) * p_r, rel=1e-12, abs=1e-12
         )
 
 
@@ -258,14 +258,14 @@ class TestArrayBroadcast:
         for i in range(p_r.size):
             domain, fixer = DomainSpec(100, float(p_r[i])), FixerSpec(float(f[i]))
             if p_r[i] == 1.0 and f[i] == 0.0:
-                assert np.isnan(grid.far_final[i])
+                assert np.isnan(grid.far[i])
                 with pytest.raises(DegenerateDomainError):
                     pipeline_outcome(profile, domain, fixer)
                 continue
             cell = pipeline_outcome(profile, domain, fixer)
-            assert grid.tpr_final[i] == cell.tpr_final
+            assert grid.tpr[i] == cell.tpr
             assert grid.fn_final[i] == cell.fn_final
-            assert grid.far_final[i] == cell.far_final
+            assert grid.far[i] == cell.far
 
     def test_array_far_is_nan_at_degenerate_cells(self):
         rec = np.array([0.0, 0.5])

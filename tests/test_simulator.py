@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -19,7 +20,7 @@ from pipeuq import (
     trial_seed,
 )
 from pipeuq.pbox import CHUNK, recall_chunks
-from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC
+from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC, _chunks, run_grid
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
 
@@ -396,3 +397,23 @@ def test_running_sums_match_outcomes_across_a_chunk_boundary():
         "fn_ratio": sum(o.fn_ratio is None for o in outcomes),
     }
     assert report.undefined["fn_ratio"] > 0
+
+
+def test_each_grid_cell_draws_the_numbers_of_its_solo_run():
+    # a repeated prevalence that is not adjacent, P = 0, P = 1, and two chunks per stream
+    domains = [DomainSpec(7, p) for p in (0.3, 0.0, 0.3, 1.0)]
+    fixers = [FixerSpec(f, 0.2) for f in (0.0, 0.7, 1.0)]
+    profile, trials, seed = ClassifierProfile(1.0, specificity=0.4), CHUNK + 5, 3
+    solos = [run_experiment(d, profile, f, BOX, trials, seed) for d, f in itertools.product(domains, fixers)]
+    assert run_grid(domains, profile, fixers, BOX, trials, seed) == solos  # intervals and undefined counts
+    # the grid's own draws, cell by cell, against each cell's solo re-draw
+    redraws = [solo.chunks() for solo in solos]
+    drawn = 0
+    for cell, stream, recall, counts, metrics in _chunks(domains, profile, fixers, BOX, trials, seed):
+        solo_stream, solo_recall, solo_counts, solo_metrics = next(redraws[cell])
+        assert stream == solo_stream and np.array_equal(recall, solo_recall)
+        assert all(np.array_equal(a, b) for a, b in zip(counts, solo_counts, strict=True))
+        assert all(np.array_equal(metrics[m], solo_metrics[m], equal_nan=True) for m in METRICS)
+        drawn += 1
+    assert drawn == len(solos) * 2 * 2  # cells x streams x chunks
+    assert all(next(r, None) is None for r in redraws)
