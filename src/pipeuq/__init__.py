@@ -6,7 +6,7 @@ interval bounds, and a seeded Monte Carlo simulator, with a CLI on top.
 
 Every name in ``__all__`` loads its submodule on first use (a module
 ``__getattr__``, PEP 562), so ``import pipeuq`` itself loads none, and only
-``core``, ``simulator`` and the samplers of ``pbox`` load numpy.
+``simulator``, the samplers of ``pbox`` and ``core`` handed an array load numpy.
 ``from pipeuq import X``, ``from pipeuq import *`` and ``pipeuq.<submodule>``
 work as if everything had been imported up front.
 """

@@ -63,7 +63,8 @@ if TYPE_CHECKING:
 
 # Each command imports the library modules it runs, so a command loads only
 # those: `analytic` never loads the simulator, the evidence reader or the case
-# studies. Only `analytic`, `simulate` and `pbox-sample` compute with numpy.
+# studies. Only `simulate` and `pbox-sample` compute with numpy; `analytic`
+# evaluates the closed forms on Python floats.
 
 __all__ = [
     "ReportEnvelope",
@@ -136,37 +137,31 @@ def _summarize(cfg: RunConfig, metric: str, samples):
 
 def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     """Closed-form metrics for every (prevalence, fix_rate) grid cell at the
-    configured point recall, evaluated as one call over the whole grid.
+    configured point recall, cell by cell on Python floats, so numpy is not
+    loaded.
 
     The realized fix rate is reported as undefined (null / "n/a") when
     prevalence is 0, and the false-alert rate when the domain degenerates to
     no negatives. The closed forms take false positives from precision, so
     specificity is not read.
     """
-    import numpy as np
-    from .core import ClassifierProfile, DomainSpec, FixerSpec, pipeline_outcome
+    from .core import ClassifierProfile, DomainSpec, FixerSpec, PipelineOutcome, _outcome
 
-    prevalence, fix_rate = (
-        a.ravel() for a in np.meshgrid(cfg.prevalence, cfg.fix_rate, indexing="ij")
-    )
-    out = pipeline_outcome(
-        ClassifierProfile(cfg.recall, cfg.precision),
-        DomainSpec(cfg.n_items, prevalence),
-        FixerSpec(fix_rate),
-    )
-    out = out._replace(real_fix_rate=np.where(prevalence > 0, out.real_fix_rate, np.nan))  # nothing to fix at P = 0
-    # tolist() yields Python floats, whose repr the csv output relies on;
-    # NaN marks an undefined cell
-    table = [
-        [p, f, *(None if v != v else v for v in cell)]
-        for p, f, *cell in zip(prevalence.tolist(), fix_rate.tolist(), *(v.tolist() for v in out))
-    ]
+    profile = ClassifierProfile(cfg.recall, cfg.precision)
+    # float(): a grid given as ints in code is written as floats, as on the command line
+    fixers = [FixerSpec(float(f)) for f in cfg.fix_rate]
+    table = []
+    for p in map(float, cfg.prevalence):
+        domain = DomainSpec(cfg.n_items, p)
+        for fixer in fixers:
+            real_fix_rate, *cell = _outcome(profile, domain, fixer)  # far is None where undefined
+            table.append([p, fixer.fix_rate, real_fix_rate if p > 0 else None, *cell])  # nothing to fix at P = 0
     # the report's metrics are PipelineOutcome's fields, by name and in order
     results = {
         metric: [{"prevalence": row[0], "fix_rate": row[1], "value": row[i]} for row in table]
-        for i, metric in enumerate(out._fields, start=2)
+        for i, metric in enumerate(PipelineOutcome._fields, start=2)
     }
-    columns = ("prevalence", "fix_rate", *out._fields)
+    columns = ("prevalence", "fix_rate", *PipelineOutcome._fields)
     return _envelope("analytic", cfg, results, columns, lambda: table, _render_analytic_table)
 
 

@@ -26,16 +26,17 @@ Its expected ``tp_final``, ``fn_final`` and ``fixer_load`` agree.
 
 Prevalence, fix rate and recall may each be a float or an ndarray, and every
 metric broadcasts over them, so a whole prevalence x fix-rate x recall grid is
-one call. Scalar inputs give Python floats. An array false-alert rate is NaN
-at the cells where it is undefined.
+one call. Scalar inputs give Python floats and load no numpy: each formula is
+written once, and the same operations in the same order round a float and an
+array element alike, bit for bit. numpy is imported only when an input is not
+a real scalar. An array false-alert rate is NaN at the cells where it is
+undefined.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateDomainError, InvalidParameterError
 
@@ -56,16 +57,44 @@ __all__ = [
 ]
 
 
+def _numpy(*values):
+    """None when every value is a real scalar (an int or a float), else numpy."""
+    for v in values:
+        if not isinstance(v, (int, float)):
+            import numpy
+
+            return numpy
+    return None
+
+
 def _check_unit(value, name: str) -> None:
     """Raise unless every element of ``value`` lies in [0, 1]."""
-    arr = np.asarray(value, dtype=float)
-    if arr.size == 0 or not bool(np.all((arr >= 0.0) & (arr <= 1.0))):
+    if isinstance(value, (int, float)):
+        ok = 0.0 <= value <= 1.0
+    else:
+        import numpy as np
+
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):  # a str, a ragged list
+            ok = False
+        else:
+            ok = arr.size > 0 and bool(np.all((arr >= 0.0) & (arr <= 1.0)))
+    if not ok:
         raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _unwrap(arr: np.ndarray):
-    """A 0-d result as a Python float, anything else unchanged."""
-    return float(arr) if arr.ndim == 0 else arr
+def _where(np, defined, formula, undefined):
+    """``formula()`` where ``defined`` holds, else ``undefined``.
+
+    With ``np`` None (scalar inputs) this is a conditional, and ``formula`` is
+    not evaluated at an undefined cell; otherwise ``np.where`` over the whole
+    grid, with numpy's division warnings off.
+    """
+    if np is None:
+        return formula() if defined else undefined
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(defined, formula(), undefined)
 
 
 class ClassifierProfile(namedtuple("ClassifierProfile", "recall precision specificity")):
@@ -98,7 +127,11 @@ class DomainSpec(namedtuple("DomainSpec", "n_items prevalence")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, n_items: int, prevalence: float):
-        if int(n_items) != n_items or n_items < 0:
+        try:
+            whole = int(n_items) == n_items
+        except (TypeError, ValueError, OverflowError):  # None, a str, NaN, infinity
+            whole = False
+        if not whole or n_items < 0:
             raise InvalidParameterError(f"n_items must be a nonnegative integer, got {n_items!r}")
         _check_unit(prevalence, "prevalence")
         return super().__new__(cls, n_items, prevalence)
@@ -165,11 +198,32 @@ def pipeline_tpr(recall, fixer: FixerSpec):
     flagged. The ``fix_rate = recall = 1`` limit is therefore defined as 0.
     """
     _check_unit(recall, "recall")
-    rec = np.asarray(recall, dtype=float)
     f = fixer.fix_rate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tpr = rec * rec * (1.0 - f) / (1.0 - f * rec)
-    return _unwrap(np.where(f == 1.0, 0.0, tpr))
+    np = _numpy(recall, f)
+    rec = recall if np is None else np.asarray(recall, dtype=float)
+    return _where(np, f != 1.0, lambda: rec * rec * (1.0 - f) / (1.0 - f * rec), 0.0)
+
+
+def _far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, rec):
+    """The false alert rate, None at a scalar cell where it is undefined and
+    NaN at such an array cell."""
+    prec = profile.precision
+    p_r = domain.prevalence
+    f = fixer.fix_rate
+    np = _numpy(rec, p_r, f)
+    denom = 1.0 - (1.0 - f * rec) * p_r
+    return _where(np, denom != 0.0, lambda: rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p_r / denom,
+                  None if np is None else np.nan)
+
+
+def _defined(far):
+    """``far``, or :class:`DegenerateDomainError` where it is undefined."""
+    if far is None:
+        raise DegenerateDomainError(
+            "false alert rate undefined: prevalence 1 with no realized fixing "
+            "leaves no negatives"
+        )
+    return far
 
 
 def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None):
@@ -178,7 +232,8 @@ def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpe
         rec^2 * (1 - prec)/prec * (1 - fix_rate) * P / (1 - (1 - fix_rate*rec) * P)
 
     Undefined when the pipeline ends with no negatives, which happens only for
-    ``P = 1`` with ``fix_rate * rec = 0``. A scalar cell raises
+    ``P = 1`` with ``fix_rate * rec = 0`` (in floats, at most ``2**-54``, which
+    ``1 - fix_rate * rec`` rounds away). A scalar cell raises
     :class:`DegenerateDomainError` there, so callers cannot misread a 0; an
     array result is NaN at such cells.
 
@@ -187,18 +242,7 @@ def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpe
     """
     rec = profile.recall if recall is None else recall
     _check_unit(rec, "recall")
-    prec = profile.precision
-    p_r = domain.prevalence
-    f = fixer.fix_rate
-    denom = np.asarray(1.0 - (1.0 - f * rec) * p_r)
-    if denom.ndim == 0 and denom == 0.0:
-        raise DegenerateDomainError(
-            "false alert rate undefined: prevalence 1 with no realized fixing "
-            "leaves no negatives"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        far = rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p_r / denom
-    return _unwrap(np.where(denom == 0.0, np.nan, far))
+    return _defined(_far(profile, domain, fixer, rec))
 
 
 def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
@@ -259,13 +303,20 @@ def pipeline_outcome(
     NaN at its degenerate cells. A scalar degenerate cell raises
     :class:`DegenerateDomainError`.
     """
+    out = _outcome(profile, domain, fixer, recall)
+    _defined(out.far)
+    return out
+
+
+def _outcome(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None) -> PipelineOutcome:
+    """``pipeline_outcome``, with ``far`` None at a scalar degenerate cell."""
     rec = profile.recall if recall is None else recall
     fn_final, fn_ratio = pipeline_false_negatives(domain, fixer, rec)  # checks rec
     return PipelineOutcome(
         real_fix_rate=pipeline_fix_rate(fixer, rec),
         final_prevalence=pipeline_prevalence(domain, fixer, rec),
         tpr=pipeline_tpr(rec, fixer),
-        far=pipeline_far(profile, domain, fixer, rec),
+        far=_far(profile, domain, fixer, rec),
         fn_final=fn_final,
         fn_ratio=fn_ratio,
         tp_final=pipeline_true_positives(domain, fixer, rec),

@@ -585,15 +585,21 @@ LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", 
 # case-study must also leave statistics, every one without --config
 # configparser, and every one numpy.ma (which np.percentile loads) and
 # dataclasses unloaded. {csv} and {ini} stand for an evidence file and a config
-# file. Only the commands that compute with arrays load numpy, and one that
-# does not must also leave inspect (which numpy loads) and traceback unloaded
+# file. Only the commands that compute with arrays load numpy (`analytic` runs
+# the closed forms on floats), and one that does not must also leave inspect
+# (which numpy loads) and traceback unloaded
 LOADS = {
     "": (set(), {"numpy"}),  # nor any pipeuq submodule
     "--version": (set(), {"numpy", *LIBRARY}),
     "--help": (set(), {"numpy", *LIBRARY}),
     USAGE_ERROR: (set(), {"numpy", *LIBRARY}),
-    "analytic --output csv": ({"pipeuq.core", "numpy"}, LIBRARY - {"pipeuq.core"}),
-    "analytic --config {ini}": ({"pipeuq.core", "numpy", "configparser"}, LIBRARY - {"pipeuq.core"}),
+    "analytic --output csv": ({"pipeuq.core"}, {"numpy", *LIBRARY} - {"pipeuq.core"}),
+    "analytic --output json": ({"pipeuq.core"}, {"numpy", *LIBRARY} - {"pipeuq.core"}),
+    # both null cells: no realized fix rate at P = 0, no false-alert rate at P = 1, f = 0
+    "analytic --prevalence 0,1 --fix-rate 0,0.5 --output table": (
+        {"pipeuq.core"}, {"numpy", *LIBRARY} - {"pipeuq.core"},
+    ),
+    "analytic --config {ini}": ({"pipeuq.core", "configparser"}, {"numpy", *LIBRARY} - {"pipeuq.core"}),
     "simulate --trials 5 --n-items 50": ({"pipeuq.simulator", "numpy"}, {"pipeuq.evidence", "pipeuq.casestudies"}),
     "simulate --trials 5 --evidence {csv}": (
         {"pipeuq.simulator", "pipeuq.evidence", "numpy"}, {"pipeuq.casestudies"},

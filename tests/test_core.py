@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ class TestValidation:
     def test_recall_argument_checked(self):
         with pytest.raises(InvalidParameterError):
             pipeline_fix_rate(FixerSpec(0.5), 1.2)
+
+    @pytest.mark.parametrize("n_items", [float("nan"), float("inf"), None, "10"])
+    def test_domain_rejects_a_count_that_is_no_integer(self, n_items):
+        with pytest.raises(InvalidParameterError):
+            DomainSpec(n_items, 0.5)
+
+    @pytest.mark.parametrize("recall", ["x", None, [0.2, 1.5], [], float("nan")])
+    def test_profile_rejects_a_recall_that_is_no_unit_number(self, recall):
+        with pytest.raises(InvalidParameterError):
+            ClassifierProfile(recall)
+
+    def test_list_recall_is_checked_as_an_array(self):
+        assert ClassifierProfile([0.2, 0.9]).recall == [0.2, 0.9]
 
 
 class TestRounding:
@@ -263,9 +277,8 @@ class TestArrayBroadcast:
                     pipeline_outcome(profile, domain, fixer)
                 continue
             cell = pipeline_outcome(profile, domain, fixer)
-            assert grid.tpr[i] == cell.tpr
-            assert grid.fn_final[i] == cell.fn_final
-            assert grid.far[i] == cell.far
+            for field in cell._fields:
+                assert getattr(grid, field)[i] == getattr(cell, field), field
 
     def test_array_far_is_nan_at_degenerate_cells(self):
         rec = np.array([0.0, 0.5])
@@ -284,3 +297,40 @@ class TestArrayBroadcast:
         assert type(pipeline_tpr(0.5, FixerSpec(0.5))) is float
         far = pipeline_far(ClassifierProfile(0.5, 0.5), DomainSpec(100, 0.5), FixerSpec(0.5))
         assert type(far) is float
+
+
+def same_bits(a, b) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+EDGE_OR_RANDOM = st.one_of(st.just(0.0), st.just(1.0), UNIT)
+
+
+class TestFloatPathOracle:
+    """The closed forms on Python floats against numpy's elementwise results."""
+
+    @given(
+        rec=EDGE_OR_RANDOM,
+        # at and above the smallest precision the CLI takes, no metric overflows
+        prec=st.one_of(st.just(1.0), st.floats(min_value=1e-290, max_value=1.0)),
+        n=st.one_of(st.just(2**40 + 3), st.integers(min_value=0, max_value=2**40 + 3)),
+        prevalence=st.lists(EDGE_OR_RANDOM, min_size=1, max_size=4),
+        fix_rate=st.lists(EDGE_OR_RANDOM, min_size=1, max_size=4),
+    )
+    def test_float_path_matches_array_path_bit_for_bit(self, rec, prec, n, prevalence, fix_rate):
+        profile = ClassifierProfile(rec, prec)
+        p_r, f = (a.ravel() for a in np.meshgrid(prevalence, fix_rate, indexing="ij"))
+        grid = pipeline_outcome(profile, DomainSpec(n, p_r), FixerSpec(f))
+        for i in range(p_r.size):
+            domain, fixer = DomainSpec(n, float(p_r[i])), FixerSpec(float(f[i]))
+            try:
+                cell = pipeline_outcome(profile, domain, fixer)
+            except DegenerateDomainError:
+                # no negatives left: P = 1 and a realized fix rate that 1 - f*rec rounds away
+                assert np.isnan(grid.far[i])
+                assert domain.prevalence == 1.0 and fixer.fix_rate * rec <= 2**-54
+                continue
+            for field in cell._fields:
+                value = getattr(cell, field)
+                assert type(value) is float, field
+                assert same_bits(value, getattr(grid, field)[i]), (field, value, getattr(grid, field)[i])
