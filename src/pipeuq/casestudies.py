@@ -177,24 +177,23 @@ def composed_pipeline_case(
 
     The chain rounds at each stage: ``detected = round(n * recall)``,
     ``fixed = round(detected * accuracy)``, ``residual = detected - fixed``.
-    The wrap applies the end-to-end fix-rate identity ``accuracy * recall``
-    over the recall p-box, in both aggregation modes: extremes uses the box's
-    min/max recall, means uses the analytic mean of each sampling stream.
+    The wrap is ``core.pipeline_fix_rate`` with fix rate ``accuracy`` over the
+    recall p-box, in both aggregation modes: extremes uses the box's min/max
+    recall, means uses the analytic mean of each sampling stream.
     """
+    from .core import FixerSpec, _check_unit, pipeline_fix_rate  # numpy-free on floats
+
     if n_items < 1:
         raise InvalidParameterError(f"n_items must be >= 1, got {n_items!r}")
-    for name, v in (("detector_recall", detector_recall), ("repair_accuracy", repair_accuracy)):
-        if not 0.0 <= v <= 1.0:
-            raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+    _check_unit(detector_recall, "detector_recall")
+    _check_unit(repair_accuracy, "repair_accuracy")
     detected = round_half_away(n_items * detector_recall)
     fixed = round_half_away(detected * repair_accuracy)
     residual = detected - fixed
-    extremes = Interval(repair_accuracy * pbox.minimum, repair_accuracy * pbox.maximum)
+    fixer = FixerSpec(repair_accuracy)
+    extremes = Interval(pipeline_fix_rate(fixer, pbox.minimum), pipeline_fix_rate(fixer, pbox.maximum))
     mean_vals = sorted(
-        (
-            repair_accuracy * stream_mean_pessimistic(pbox),
-            repair_accuracy * stream_mean_optimistic(pbox),
-        )
+        pipeline_fix_rate(fixer, recall) for recall in (stream_mean_pessimistic(pbox), stream_mean_optimistic(pbox))
     )
     notes = (
         "the upper bound equals repair_accuracy x max recall; end-to-end fix "

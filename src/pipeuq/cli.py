@@ -82,7 +82,8 @@ __all__ = [
 class ReportEnvelope(NamedTuple):
     """A command's full result: config echo, payload and table renderer.
 
-    ``results`` is the JSON payload, its arrays and callables written as lists.
+    ``results`` is the JSON payload, its arrays and callables written as lists,
+    or None where a command builds it only for ``--output json``.
     ``columns`` and ``rows`` give the payload as one tidy table, which the csv
     output writes as it stands and ``table(envelope)`` formats. ``rows`` is a
     zero-argument callable that yields the rows afresh on every call, so a
@@ -90,13 +91,13 @@ class ReportEnvelope(NamedTuple):
     """
 
     config: dict
-    results: dict
+    results: dict | None
     columns: tuple[str, ...]
     rows: Callable[[], Iterable[Iterable]]
     table: Callable[["ReportEnvelope"], str]
 
 
-def _envelope(command: str, cfg: RunConfig, results: dict, columns, rows, table, **positionals) -> ReportEnvelope:
+def _envelope(command: str, cfg: RunConfig, results: dict | None, columns, rows, table, **positionals) -> ReportEnvelope:
     # the command's positionals and options; not the output destination: identical
     # configs must yield identical reports wherever they are written
     options = {name: getattr(cfg, name) for name in OPTIONS[command] if name != "out"}
@@ -156,8 +157,8 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
         for fixer in fixers:
             real_fix_rate, *cell = _outcome(profile, domain, fixer)  # far is None where undefined
             table.append([p, fixer.fix_rate, real_fix_rate if p > 0 else None, *cell])  # nothing to fix at P = 0
-    # the report's metrics are PipelineOutcome's fields, by name and in order
-    results = {
+    # the report's metrics are PipelineOutcome's fields, by name and in order; only json writes them
+    results = None if cfg.output != "json" else {
         metric: [{"prevalence": row[0], "fix_rate": row[1], "value": row[i]} for row in table]
         for i, metric in enumerate(PipelineOutcome._fields, start=2)
     }

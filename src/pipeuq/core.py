@@ -24,17 +24,18 @@ fix_rate = 0.5, ``fp_final`` is 800 here, while that model expects 1600: 4000
 clean items reach the second classifier, each flagged with probability 0.4.
 Its expected ``tp_final``, ``fn_final`` and ``fixer_load`` agree.
 
-Prevalence, fix rate and recall may each be a float or an ndarray, and every
-metric broadcasts over them, so a whole prevalence x fix-rate x recall grid is
-one call. Scalar inputs give Python floats and load no numpy: each formula is
-written once, and the same operations in the same order round a float and an
-array element alike, bit for bit. numpy is imported only when an input is not
-a real scalar. An array false-alert rate is NaN at the cells where it is
-undefined.
+Prevalence, fix rate, recall and precision may each be a real number or a
+numpy array of a real dtype (a list is refused), and every metric broadcasts
+over them, so a whole prevalence x fix-rate x recall grid is one call. Int and
+float inputs give Python floats and load no numpy: each formula is written
+once, and the same operations in the same order round a float and an array
+element alike, bit for bit. An array false-alert rate is NaN at the cells
+where it is undefined.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -58,28 +59,22 @@ __all__ = [
 
 
 def _numpy(*values):
-    """None when every value is a real scalar (an int or a float), else numpy."""
+    """None when every value is an int or a float, else numpy."""
     for v in values:
         if not isinstance(v, (int, float)):
-            import numpy
-
-            return numpy
+            return sys.modules["numpy"]  # by _check_unit, v is a numpy value: numpy is loaded
     return None
 
 
 def _check_unit(value, name: str) -> None:
-    """Raise unless every element of ``value`` lies in [0, 1]."""
+    """Raise unless ``value`` is an int, a float, or a nonempty numpy scalar or
+    array of a real dtype, with every element in [0, 1]; a list is refused."""
     if isinstance(value, (int, float)):
         ok = 0.0 <= value <= 1.0
     else:
-        import numpy as np
-
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):  # a str, a ragged list
-            ok = False
-        else:
-            ok = arr.size > 0 and bool(np.all((arr >= 0.0) & (arr <= 1.0)))
+        np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
+        ok = (np is not None and isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "biuf"
+              and value.size > 0 and bool(np.all((value >= 0.0) & (value <= 1.0))))
     if not ok:
         raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
@@ -114,7 +109,7 @@ class ClassifierProfile(namedtuple("ClassifierProfile", "recall precision specif
         _check_unit(recall, "recall")
         _check_unit(specificity, "specificity")
         _check_unit(precision, "precision")
-        if precision == 0.0:
+        if precision == 0.0 if isinstance(precision, (int, float)) else not precision.all():
             raise InvalidParameterError("precision must be strictly positive")
         return super().__new__(cls, recall, precision, specificity)
 
@@ -210,7 +205,7 @@ def _far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, rec):
     prec = profile.precision
     p_r = domain.prevalence
     f = fixer.fix_rate
-    np = _numpy(rec, p_r, f)
+    np = _numpy(rec, p_r, f, prec)
     denom = 1.0 - (1.0 - f * rec) * p_r
     return _where(np, denom != 0.0, lambda: rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p_r / denom,
                   None if np is None else np.nan)

@@ -129,7 +129,7 @@ class RecallStreams:
 
 
 def inverse_lower(params: PBoxParams, p, rng=None):
-    """Invert the lower CDF bound at probability ``p`` (scalar or array).
+    """Invert the lower CDF bound at ``p``, a real number or numpy array (not a list).
 
     ``p = 0`` is set-valued and resolved by a uniform draw on [min, mean];
     ``rng`` (seed or ``numpy.random.Generator``) is consulted only then, also
@@ -152,7 +152,7 @@ def inverse_lower(params: PBoxParams, p, rng=None):
 
 
 def inverse_upper(params: PBoxParams, p, rng=None):
-    """Invert the upper CDF bound at probability ``p`` (scalar or array).
+    """Invert the upper CDF bound at ``p``, a real number or numpy array (not a list).
 
     ``p = 1`` is set-valued and resolved by a uniform draw on [mean, max].
     On a degenerate box every branch gives ``min``.

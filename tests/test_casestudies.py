@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,15 +7,23 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pipeuq import (
+    DEFAULT_RECALL_PBOX,
     DEFAULT_TOOL_RECORDS,
+    FixerSpec,
     InvalidParameterError,
     Interval,
     PBoxParams,
     ToolRecord,
     agresti_coull_interval,
     composed_pipeline_case,
+    load_samples,
     load_tool_records,
+    pipeline_fix_rate,
     rule_based_case_study,
+    stream_mean_optimistic,
+    stream_mean_pessimistic,
+    summarize,
+    to_pbox,
     wilson_interval,
 )
 from pipeuq.casestudies import _z_two_sided
@@ -178,6 +188,26 @@ class TestComposedCase:
         assert report.fix_rate_extremes == Interval(0.44 * 0.86, 0.44 * 0.86)
         assert report.fix_rate_means.hi - report.fix_rate_means.lo == pytest.approx(0.0, abs=1e-12)
         assert (report.detected, report.fixed, report.residual) == (756, 333, 423)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            DEFAULT_RECALL_PBOX,
+            PBoxParams(0.86, 0.86, 0.86),
+            PBoxParams(0.3, 0.9, 0.3),  # mean = min: the optimistic stream mean is min
+            to_pbox(summarize(load_samples(io.StringIO(
+                "source_id,metric,value\np1,recall,0.2\np2,recall,0.6\np3,recall,0.55\n"
+            )))),
+        ],
+        ids=["default", "point", "mean-at-min", "evidence"],
+    )
+    def test_wrap_is_pipeline_fix_rate_bit_for_bit(self, box):
+        report = composed_pipeline_case(879, 0.86, 0.44, box)
+        fixer = FixerSpec(0.44)
+        extremes = [pipeline_fix_rate(fixer, box.minimum), pipeline_fix_rate(fixer, box.maximum)]
+        means = sorted(pipeline_fix_rate(fixer, r) for r in (stream_mean_pessimistic(box), stream_mean_optimistic(box)))
+        assert [v.hex() for v in report.fix_rate_extremes] == [v.hex() for v in extremes]
+        assert [v.hex() for v in report.fix_rate_means] == [v.hex() for v in means]
 
     def test_model_maximum_flagged(self):
         report = composed_pipeline_case(879, 0.86, 0.44)

@@ -609,9 +609,10 @@ LOADS = {
     ),
     "evidence {csv}": ({"pipeuq.evidence"}, {"pipeuq.simulator", "pipeuq.casestudies", "numpy"}),
     "case-study rule-based": ({"pipeuq.casestudies", "statistics"}, {"pipeuq.simulator", "pipeuq.core", "numpy"}),
-    "case-study composed": ({"pipeuq.casestudies"}, {"pipeuq.simulator", "pipeuq.core", "numpy"}),
+    # the fix-rate wrap is core's pipeline_fix_rate, numpy-free on floats
+    "case-study composed": ({"pipeuq.casestudies", "pipeuq.core"}, {"pipeuq.simulator", "numpy"}),
     "case-study composed --evidence {csv}": (
-        {"pipeuq.casestudies", "pipeuq.evidence"}, {"pipeuq.simulator", "pipeuq.core", "numpy"},
+        {"pipeuq.casestudies", "pipeuq.evidence", "pipeuq.core"}, {"pipeuq.simulator", "numpy"},
     ),
 }
 

@@ -12,7 +12,9 @@ from pipeuq import (
     DomainSpec,
     FixerSpec,
     InvalidParameterError,
+    PBoxParams,
     fixer_load,
+    inverse_lower,
     pipeline_false_negatives,
     pipeline_false_positives,
     pipeline_far,
@@ -26,6 +28,22 @@ from pipeuq import (
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 PREC = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
+
+
+NOT_REAL = {
+    "list": [0.2, 0.5],
+    "tuple": (0.5,),
+    "str": "0.5",
+    "None": None,
+    "complex array": np.array([0.5 + 0j]),
+}
+REAL = {
+    "int": 1,
+    "float": 0.5,
+    "float32": np.float32(0.5),
+    "0-d array": np.array(0.5),
+    "ndarray": np.array([0.2, 0.5]),
+}
 
 
 class TestValidation:
@@ -63,8 +81,29 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             ClassifierProfile(recall)
 
-    def test_list_recall_is_checked_as_an_array(self):
-        assert ClassifierProfile([0.2, 0.9]).recall == [0.2, 0.9]
+    @pytest.mark.parametrize("value", NOT_REAL.values(), ids=NOT_REAL)
+    def test_a_value_that_is_no_real_number_or_array_is_refused(self, value):
+        box = PBoxParams(0.1, 0.9, 0.5)
+        for call in (
+            ClassifierProfile,
+            lambda v: ClassifierProfile(0.5, v),
+            lambda v: ClassifierProfile(0.5, specificity=v),
+            lambda v: DomainSpec(10, v),
+            FixerSpec,
+            lambda v: FixerSpec(0.5, v),
+            lambda v: pipeline_fix_rate(FixerSpec(0.5), v),
+            lambda v: inverse_lower(box, v),
+        ):
+            with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\], got"):
+                call(value)
+
+    @pytest.mark.parametrize("value", REAL.values(), ids=REAL)
+    def test_a_real_number_or_array_is_accepted(self, value):
+        profile, domain, fixer = ClassifierProfile(value, value, value), DomainSpec(10, value), FixerSpec(value, value)
+        assert profile.recall is domain.prevalence is fixer.fix_rate is value
+        pipeline_outcome(profile, domain, fixer)
+        assert np.shape(pipeline_fix_rate(fixer, value)) == np.shape(value)
+        assert np.shape(inverse_lower(PBoxParams(0.1, 0.9, 0.5), value)) == np.shape(value)
 
 
 class TestRounding:
@@ -288,6 +327,19 @@ class TestArrayBroadcast:
     def test_tpr_grid_over_fix_rate(self):
         got = pipeline_tpr(np.array([1.0, 0.8]), FixerSpec(np.array([1.0, 0.5])))
         assert got[0] == 0.0 and got[1] == pytest.approx(0.64 * 0.5 / 0.6)
+
+    def test_array_precision_refuses_a_zero_anywhere(self):
+        with pytest.raises(InvalidParameterError, match="precision must be strictly positive"):
+            ClassifierProfile(0.5, np.array([0.0, 0.6]))
+
+    def test_array_precision_broadcasts(self):
+        prec = np.array([0.5, 0.6])
+        domain, fixer = DomainSpec(10, 0.5), FixerSpec(0.5)
+        grid = pipeline_outcome(ClassifierProfile(0.5, prec), domain, fixer)
+        for i in range(prec.size):
+            cell = pipeline_outcome(ClassifierProfile(0.5, float(prec[i])), domain, fixer)
+            for field in cell._fields:
+                assert np.broadcast_to(getattr(grid, field), prec.shape)[i] == getattr(cell, field), field
 
     def test_scalars_stay_scalar(self):
         assert isinstance(pipeline_fix_rate(FixerSpec(0.5), 0.5), float)
