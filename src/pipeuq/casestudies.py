@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import EvidenceFormatError, InvalidParameterError
+from .errors import EvidenceFormatError, InvalidParameterError, check_count, check_unit
 from .evidence import DEFAULT_RECALL_PBOX, _read_headed_csv
 from .pbox import Interval, PBoxParams, stream_mean_optimistic, stream_mean_pessimistic
 
@@ -43,10 +43,8 @@ class ToolRecord(namedtuple("ToolRecord", "name correct generated")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, name: str, correct: int, generated: int):
-        if generated < 1:
-            raise InvalidParameterError(f"{name}: generated must be >= 1")
-        if not 0 <= correct <= generated:
-            raise InvalidParameterError(f"{name}: need 0 <= correct <= generated, got {correct}/{generated}")
+        check_count(generated, f"{name}: generated", 1)
+        check_count(correct, f"{name}: correct", 0, generated)
         return super().__new__(cls, name, correct, generated)
 
 
@@ -81,12 +79,8 @@ def _z_two_sided(confidence: float) -> float:
 
 
 def _validate_counts(successes: int, trials: int) -> None:
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials!r}")
-    if not 0 <= successes <= trials:
-        raise InvalidParameterError(
-            f"need 0 <= successes <= trials, got {successes}/{trials}"
-        )
+    check_count(trials, "trials", 1)
+    check_count(successes, "successes", 0, trials)
 
 
 def agresti_coull_interval(successes: int, trials: int, confidence: float = 0.95) -> ProportionCI:
@@ -179,14 +173,14 @@ def composed_pipeline_case(
     ``fixed = round(detected * accuracy)``, ``residual = detected - fixed``.
     The wrap is ``core.pipeline_fix_rate`` with fix rate ``accuracy`` over the
     recall p-box, in both aggregation modes: extremes uses the box's min/max
-    recall, means uses the analytic mean of each sampling stream.
+    recall, means uses the analytic mean of each sampling stream. ``n_items``
+    is a whole number >= 1; recall and accuracy are ints or floats in [0, 1].
     """
-    from .core import FixerSpec, _check_unit, pipeline_fix_rate  # numpy-free on floats
+    from .core import FixerSpec, pipeline_fix_rate  # numpy-free on floats
 
-    if n_items < 1:
-        raise InvalidParameterError(f"n_items must be >= 1, got {n_items!r}")
-    _check_unit(detector_recall, "detector_recall")
-    _check_unit(repair_accuracy, "repair_accuracy")
+    check_count(n_items, "n_items", 1)
+    check_unit(detector_recall, "detector_recall", numpy=False)  # the chain is scalar
+    check_unit(repair_accuracy, "repair_accuracy", numpy=False)
     detected = round_half_away(n_items * detector_recall)
     fixed = round_half_away(detected * repair_accuracy)
     residual = detected - fixed

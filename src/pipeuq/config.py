@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError, check_unit
 
 __all__ = ["RunConfig", "DEFAULTS", "FLAGS", "OPTIONS", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
@@ -191,14 +191,15 @@ def build_config(args, command: str) -> RunConfig:
     return cfg
 
 
-def _unit(errors, cfg, name, *, open_zero=False, open_one=False):
-    v = getattr(cfg, name)
-    lo_ok = v > 0.0 if open_zero else v >= 0.0
-    hi_ok = v < 1.0 if open_one else v <= 1.0
-    if not (isinstance(v, (int, float)) and lo_ok and hi_ok):
-        lo_b = "(" if open_zero else "["
-        hi_b = ")" if open_one else "]"
-        errors.append(f"{name}: {v!r} outside {lo_b}0, 1{hi_b}")
+def _refused(errors: list[str], name: str, values) -> bool:
+    """Whether a value is no int or float in [0, 1]; the first such is listed in ``errors``."""
+    try:
+        for v in values:
+            check_unit(v, name, numpy=False)
+    except InvalidParameterError as exc:
+        errors.append(str(exc))
+        return True
+    return False
 
 
 def validate_config(cfg: RunConfig, command: str) -> None:
@@ -215,12 +216,12 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         values = getattr(cfg, name)
         if not values:
             errors.append(f"{name}: grid must be nonempty")
-        elif not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in values):
-            errors.append(f"{name}: {values!r} has entries outside [0, 1]")
-        elif name == "prevalence" and any(0.0 < v < sys.float_info.min for v in values):
+        elif _refused(errors, name, values) or name != "prevalence":
+            continue
+        elif any(0.0 < v < sys.float_info.min for v in values):
             # the realized fix rate divides by it and would overflow to -inf
             errors.append(f"prevalence: {values!r} has a positive entry below {sys.float_info.min!r}")
-        elif name == "prevalence" and command == "simulate" and any(
+        elif command == "simulate" and any(
             0.0 < v and v * (sys.float_info.max / 2) < cfg.trials for v in values
         ):
             # a trial's realized fix rate lies in [1 - 1/P, 1], so a stream's sum
@@ -230,16 +231,12 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 f"prevalence: {values!r} has a positive entry P with trials / P above "
                 f"{sys.float_info.max / 2!r}, where the sum of realized fix rates would overflow"
             )
-    _unit(errors, cfg, "recall")
-    _unit(errors, cfg, "precision", open_zero=True)
-    _unit(errors, cfg, "specificity")
-    _unit(errors, cfg, "break_rate")
-    _unit(errors, cfg, "case_recall")
-    _unit(errors, cfg, "case_accuracy")
-    _unit(errors, cfg, "confidence", open_zero=True, open_one=True)
-    for name in ("pbox_min", "pbox_max", "pbox_mean"):
-        _unit(errors, cfg, name)
-    if not cfg.pbox_min <= cfg.pbox_mean <= cfg.pbox_max:
+    refused = {name for name in ("recall", "precision", "specificity", "break_rate", "case_recall", "case_accuracy",
+                                 "confidence", "pbox_min", "pbox_max", "pbox_mean")
+               if _refused(errors, name, [getattr(cfg, name)])}
+    if "confidence" not in refused and cfg.confidence in (0.0, 1.0):
+        errors.append(f"confidence: must lie in (0, 1), got {cfg.confidence!r}")
+    if not refused & {"pbox_min", "pbox_max", "pbox_mean"} and not cfg.pbox_min <= cfg.pbox_mean <= cfg.pbox_max:
         errors.append(
             f"pbox: need pbox_min <= pbox_mean <= pbox_max, got "
             f"({cfg.pbox_min}, {cfg.pbox_mean}, {cfg.pbox_max})"
@@ -250,8 +247,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     if not 0 <= cfg.outlier_k < math.inf:  # also rejects NaN
         errors.append(f"outlier_k: must be finite and >= 0, got {cfg.outlier_k!r}")
     # fixer load <= n_items / precision, false-alert rate <= 2**53 / precision (its denominator is 0 or >= 2**-53)
-    if 0.0 < cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
-        errors.append(f"precision: {cfg.precision!r} would overflow the fixer load or the false-alert rate")
+    if "precision" not in refused and cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
+        errors.append(f"precision: {cfg.precision!r} would leave the fixer load or the false-alert rate infinite")
     if command == "evidence" and not cfg.evidence:
         errors.append("evidence: a CSV path is required")
     if errors:

@@ -26,11 +26,11 @@ Its expected ``tp_final``, ``fn_final`` and ``fixer_load`` agree.
 
 Prevalence, fix rate, recall and precision may each be a real number or a
 numpy array of a real dtype (a list is refused), and every metric broadcasts
-over them, so a whole prevalence x fix-rate x recall grid is one call. Int and
-float inputs give Python floats and load no numpy: each formula is written
-once, and the same operations in the same order round a float and an array
-element alike, bit for bit. An array false-alert rate is NaN at the cells
-where it is undefined.
+over them, so a whole prevalence x fix-rate x recall grid is one call; shapes
+that do not broadcast are refused. Int and float inputs give Python floats and
+load no numpy: each formula is written once, and the same operations in the
+same order round a float and an array element alike, bit for bit. An array
+false-alert rate is NaN at the cells where it is undefined.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import DegenerateDomainError, InvalidParameterError
+from .errors import DegenerateDomainError, InvalidParameterError, check_count, check_unit
 
 __all__ = [
     "ClassifierProfile",
@@ -58,25 +58,18 @@ __all__ = [
 ]
 
 
-def _numpy(*values):
-    """None when every value is an int or a float, else numpy."""
-    for v in values:
-        if not isinstance(v, (int, float)):
-            return sys.modules["numpy"]  # by _check_unit, v is a numpy value: numpy is loaded
-    return None
-
-
-def _check_unit(value, name: str) -> None:
-    """Raise unless ``value`` is an int, a float, or a nonempty numpy scalar or
-    array of a real dtype, with every element in [0, 1]; a list is refused."""
-    if isinstance(value, (int, float)):
-        ok = 0.0 <= value <= 1.0
-    else:
-        np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
-        ok = (np is not None and isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "biuf"
-              and value.size > 0 and bool(np.all((value >= 0.0) & (value <= 1.0))))
-    if not ok:
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
+def _check(recall, *values):
+    """Check ``recall``; None when it and every value are ints or floats, else numpy once their shapes broadcast."""
+    check_unit(recall, "recall")
+    shapes = [v.shape for v in (recall, *values) if not isinstance(v, (int, float))]
+    if not shapes:
+        return None
+    np = sys.modules["numpy"]  # by check_unit, each is a numpy value: numpy is loaded
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise InvalidParameterError(f"inputs of shapes {shapes} do not broadcast") from None
+    return np
 
 
 def _where(np, defined, formula, undefined):
@@ -106,9 +99,8 @@ class ClassifierProfile(namedtuple("ClassifierProfile", "recall precision specif
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, recall: float, precision: float = 1.0, specificity: float = 0.0):
-        _check_unit(recall, "recall")
-        _check_unit(specificity, "specificity")
-        _check_unit(precision, "precision")
+        for name, v in zip(cls._fields, (recall, precision, specificity)):
+            check_unit(v, name)
         if precision == 0.0 if isinstance(precision, (int, float)) else not precision.all():
             raise InvalidParameterError("precision must be strictly positive")
         return super().__new__(cls, recall, precision, specificity)
@@ -122,13 +114,8 @@ class DomainSpec(namedtuple("DomainSpec", "n_items prevalence")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, n_items: int, prevalence: float):
-        try:
-            whole = int(n_items) == n_items
-        except (TypeError, ValueError, OverflowError):  # None, a str, NaN, infinity
-            whole = False
-        if not whole or n_items < 0:
-            raise InvalidParameterError(f"n_items must be a nonnegative integer, got {n_items!r}")
-        _check_unit(prevalence, "prevalence")
+        check_count(n_items, "n_items")
+        check_unit(prevalence, "prevalence")
         return super().__new__(cls, n_items, prevalence)
 
     @property
@@ -148,8 +135,8 @@ class FixerSpec(namedtuple("FixerSpec", "fix_rate break_rate")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, fix_rate: float, break_rate: float = 0.0):
-        _check_unit(fix_rate, "fix_rate")
-        _check_unit(break_rate, "break_rate")
+        check_unit(fix_rate, "fix_rate")
+        check_unit(break_rate, "break_rate")
         return super().__new__(cls, fix_rate, break_rate)
 
 
@@ -173,13 +160,13 @@ def pipeline_fix_rate(fixer: FixerSpec, recall):
     Only detected items reach the fixer, so the theoretical rate is scaled
     down by the detector's recall.
     """
-    _check_unit(recall, "recall")
+    _check(recall, fixer.fix_rate)
     return fixer.fix_rate * recall
 
 
 def pipeline_prevalence(domain: DomainSpec, fixer: FixerSpec, recall):
     """Residual prevalence after one pass, ``(1 - fix_rate * recall) * P``."""
-    _check_unit(recall, "recall")
+    _check(recall, fixer.fix_rate, domain.prevalence)
     return (1.0 - fixer.fix_rate * recall) * domain.prevalence
 
 
@@ -192,9 +179,8 @@ def pipeline_tpr(recall, fixer: FixerSpec):
     the only survivors are first-stage misses, which by definition were never
     flagged. The ``fix_rate = recall = 1`` limit is therefore defined as 0.
     """
-    _check_unit(recall, "recall")
     f = fixer.fix_rate
-    np = _numpy(recall, f)
+    np = _check(recall, f)
     rec = recall if np is None else np.asarray(recall, dtype=float)
     return _where(np, f != 1.0, lambda: rec * rec * (1.0 - f) / (1.0 - f * rec), 0.0)
 
@@ -205,7 +191,7 @@ def _far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, rec):
     prec = profile.precision
     p_r = domain.prevalence
     f = fixer.fix_rate
-    np = _numpy(rec, p_r, f, prec)
+    np = _check(rec, p_r, f, prec)
     denom = 1.0 - (1.0 - f * rec) * p_r
     return _where(np, denom != 0.0, lambda: rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p_r / denom,
                   None if np is None else np.nan)
@@ -236,7 +222,6 @@ def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpe
     and recall broadcast.
     """
     rec = profile.recall if recall is None else recall
-    _check_unit(rec, "recall")
     return _defined(_far(profile, domain, fixer, rec))
 
 
@@ -251,7 +236,7 @@ def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
     The ratio is reported as the analytic limit even when the first stage
     produced no false negatives (``rec = 1``).
     """
-    _check_unit(recall, "recall")
+    _check(recall, fixer.fix_rate, domain.prevalence)
     ratio = 1.0 + (1.0 - fixer.fix_rate) * recall
     fn_final = ratio * (1.0 - recall) * domain.positives
     return fn_final, ratio
@@ -259,7 +244,7 @@ def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
 
 def pipeline_true_positives(domain: DomainSpec, fixer: FixerSpec, recall):
     """True positives surviving both stages, ``(1 - fix_rate) * rec^2 * P * N``."""
-    _check_unit(recall, "recall")
+    _check(recall, fixer.fix_rate, domain.prevalence)
     return (1.0 - fixer.fix_rate) * recall * recall * domain.positives
 
 
@@ -271,8 +256,8 @@ def pipeline_false_positives(
         rec * (1 - prec)/prec * (1 - fix_rate) * rec * P * N
     """
     rec = profile.recall if recall is None else recall
-    _check_unit(rec, "recall")
     prec = profile.precision
+    _check(rec, prec, fixer.fix_rate, domain.prevalence)
     return rec * ((1.0 - prec) / prec) * (1.0 - fixer.fix_rate) * rec * domain.positives
 
 
@@ -280,7 +265,7 @@ def fixer_load(profile: ClassifierProfile, domain: DomainSpec, recall=None):
     """Number of items handed to the fixer and second classifier: ``rec / prec * P * N``
     (first-stage true plus false positives)."""
     rec = profile.recall if recall is None else recall
-    _check_unit(rec, "recall")
+    _check(rec, profile.precision, domain.prevalence)
     return rec / profile.precision * domain.positives
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+import sys
 
 
 class PipeUQError(Exception):
@@ -33,3 +35,28 @@ class EmptyEvidenceError(PipeUQError, ValueError):
 
 class ConfigError(PipeUQError, ValueError):
     """A run configuration failed validation. The message names the fields."""
+
+
+def check_unit(value, name: str, numpy: bool = True) -> None:
+    """Refuse ``value`` unless it is an int or a float in [0, 1] or, with ``numpy``, a nonempty
+    numpy scalar or array of a real dtype with every element in [0, 1]: a list, tuple, str,
+    None or complex value never passes. numpy is looked up, never imported."""
+    if isinstance(value, (int, float)):
+        ok = 0.0 <= value <= 1.0
+    else:
+        np = sys.modules.get("numpy") if numpy else None
+        ok = (np is not None and isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "biuf"
+              and value.size > 0 and bool(np.all((value >= 0.0) & (value <= 1.0))))
+    if not ok:
+        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def check_count(value, name: str, least: int = 0, most=None) -> None:
+    """Refuse ``value`` unless it is a whole number (an int, or a float equal to one) in [least, most]."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, a str, NaN, infinity
+        whole = False
+    if not whole or value < least or most is not None and value > most:
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise InvalidParameterError(f"{name} must be an integer {bounds}, got {value!r}")

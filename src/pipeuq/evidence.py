@@ -24,7 +24,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError
+from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError, check_unit
 from .pbox import PBoxParams, pairwise_sum
 
 __all__ = [
@@ -51,8 +51,7 @@ class EvidenceSample(namedtuple("EvidenceSample", "source_id metric value")):
     def __new__(cls, source_id: str, metric: str, value: float):
         if metric not in METRICS:
             raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
-        if not 0.0 <= value <= 1.0:
-            raise InvalidParameterError(f"value must lie in [0, 1], got {value!r}")
+        check_unit(value, "value", numpy=False)
         return super().__new__(cls, source_id, metric, value)
 
 
@@ -126,9 +125,10 @@ def load_samples(source) -> list[EvidenceSample]:
             value = float(value_text)
         except ValueError as exc:
             raise EvidenceFormatError(f"value {value_text!r} is not a number", lineno) from exc
-        if not 0.0 <= value <= 1.0:
-            raise InvalidParameterError(f"line {lineno}: value {value} outside [0, 1]")
-        samples.append(EvidenceSample(source_id, metric, value))
+        try:
+            samples.append(EvidenceSample(source_id, metric, value))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"line {lineno}: {exc}") from None
     return samples
 
 

@@ -32,7 +32,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_unit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,8 +68,7 @@ class PBoxParams(namedtuple("PBoxParams", "minimum maximum mean")):
     def __new__(cls, minimum: float, maximum: float, mean: float):
         values = (minimum, maximum, mean)
         for name, v in zip(cls._fields, values):
-            if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0 and math.isfinite(v)):
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {v!r}")
+            check_unit(v, name, numpy=False)
         # -0.0 becomes 0.0: numpy's uniform rejects the range (0.0, -0.0)
         self = super().__new__(cls, *(0.0 if math.copysign(1.0, v) < 0.0 else v for v in values))
         if not self.minimum <= self.mean <= self.maximum:
@@ -137,8 +136,7 @@ def inverse_lower(params: PBoxParams, p, rng=None):
     clamped at ``min``, which rounding could otherwise undercut by an ulp.
     """
     import numpy as np
-    from .core import _check_unit
-    _check_unit(p, "p")
+    check_unit(p, "p")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
     out = np.full(arr.shape, b, dtype=float)
@@ -158,8 +156,7 @@ def inverse_upper(params: PBoxParams, p, rng=None):
     On a degenerate box every branch gives ``min``.
     """
     import numpy as np
-    from .core import _check_unit
-    _check_unit(p, "p")
+    check_unit(p, "p")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
     out = np.full(arr.shape, a, dtype=float)

@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ClassifierProfile, DomainSpec, FixerSpec, _check_unit
-from .errors import InvalidParameterError
+from .core import ClassifierProfile, DomainSpec, FixerSpec
+from .errors import check_count, check_unit
 from .pbox import Interval, PBoxParams, recall_chunks
 
 __all__ = [
@@ -86,9 +86,7 @@ class TrialOutcome(NamedTuple):
 def _first_stage(rng, domain: DomainSpec, recall: np.ndarray):
     """``a``, the chance of a first-stage miss, and FN1 ~ Bin(n_items, a) of a chunk
     of trials, one array entry per trial: what every fix rate of a prevalence shares."""
-    _check_unit(recall, "recall")
-    if domain.n_items < 1:
-        raise InvalidParameterError("a trial needs at least one item")
+    check_count(domain.n_items, "a trial's n_items", 1)
     missed = domain.prevalence * (1.0 - recall)
     return missed, rng.binomial(domain.n_items, missed)
 
@@ -151,6 +149,7 @@ def run_trial(
     ``recall`` overrides ``profile.recall`` (the profile still supplies the
     specificity). The three draws share one generator seeded with ``seed``.
     """
+    check_unit(recall, "recall", numpy=False)  # one trial, one recall; a chunk's recalls lie in the box
     recall = np.array([recall], dtype=float)
     rng = np.random.default_rng(int(seed))
     first = _first_stage(rng, domain, recall)

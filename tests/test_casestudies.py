@@ -141,6 +141,11 @@ class TestRuleBasedCaseStudy:
         with pytest.raises(InvalidParameterError):
             ToolRecord("bad", 5, 4)
 
+    @pytest.mark.parametrize("correct, generated", [(1.5, 3), ("1", "3"), (1, 3.5), (1, float("inf")), (None, 3)])
+    def test_record_refuses_a_count_that_is_no_whole_number(self, correct, generated):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ToolRecord("x", correct, generated)
+
     def test_csv_loader(self, tmp_path):
         path = tmp_path / "tools.csv"
         path.write_text("name,correct,generated\nACS,16,22\n# comment\nNopol,1,31\n")
@@ -208,6 +213,21 @@ class TestComposedCase:
         means = sorted(pipeline_fix_rate(fixer, r) for r in (stream_mean_pessimistic(box), stream_mean_optimistic(box)))
         assert [v.hex() for v in report.fix_rate_extremes] == [v.hex() for v in extremes]
         assert [v.hex() for v in report.fix_rate_means] == [v.hex() for v in means]
+
+    @pytest.mark.parametrize("recall, accuracy", [
+        (np.array([0.5, 0.6]), 0.44), (0.86, np.array([0.5, 0.6])), (np.float32(0.86), 0.44), ("0.86", 0.44),
+    ])
+    def test_a_recall_or_accuracy_that_is_no_number_is_refused(self, recall, accuracy):
+        with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\], got"):
+            composed_pipeline_case(879, recall, accuracy)
+
+    @pytest.mark.parametrize("n_items", [10.5, float("inf"), float("nan"), "10", None, 0])
+    def test_a_count_that_is_no_whole_number_is_refused(self, n_items):
+        with pytest.raises(InvalidParameterError, match="n_items must be an integer >= 1"):
+            composed_pipeline_case(n_items, 0.86, 0.44)
+
+    def test_a_whole_float_count_is_accepted(self):
+        assert composed_pipeline_case(879.0, 0.86, 0.44) == composed_pipeline_case(879, 0.86, 0.44)
 
     def test_model_maximum_flagged(self):
         report = composed_pipeline_case(879, 0.86, 0.44)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pipeuq import __version__
@@ -402,6 +403,24 @@ class TestConfigHandling:
         cfg = RunConfig(pbox_min=0.9, pbox_mean=0.5, pbox_max=0.95)
         with pytest.raises(ConfigError, match="pbox"):
             validate_config(cfg, "simulate")
+
+    @pytest.mark.parametrize("field, value", [
+        ("recall", "0.5"), ("precision", None), ("confidence", [0.9]), ("case_recall", 1.5),
+        ("pbox_min", np.array([0.1, 0.2])), ("pbox_mean", np.float32(0.5)), ("prevalence", [0.5, "0.7"]),
+    ])
+    def test_validate_config_refuses_a_value_that_is_no_number_in_unit_range(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must lie in \\[0, 1\\], got"):
+            validate_config(RunConfig(**{field: value}), "simulate")
+
+    def test_validate_config_lists_every_offender(self):
+        cfg = RunConfig(recall="0.5", precision=0.0, confidence=1.0, pbox_max=2.0, fix_rate=[1.5])
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg, "case-study")
+        assert str(err.value) == (
+            "fix_rate must lie in [0, 1], got 1.5; recall must lie in [0, 1], got '0.5'; "
+            "pbox_max must lie in [0, 1], got 2.0; confidence: must lie in (0, 1), got 1.0; "
+            "precision: 0.0 would leave the fixer load or the false-alert rate infinite"
+        )
 
     def test_envelope_config_reproduces_payload(self, tmp_path):
         doc = run_json(tmp_path, FAST_SIM)

@@ -10,6 +10,7 @@ from pipeuq import (
     ClassifierProfile,
     DegenerateDomainError,
     DomainSpec,
+    EvidenceSample,
     FixerSpec,
     InvalidParameterError,
     PBoxParams,
@@ -24,6 +25,7 @@ from pipeuq import (
     pipeline_true_positives,
     pipeline_tpr,
     round_half_away,
+    run_trial,
 )
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -93,6 +95,11 @@ class TestValidation:
             lambda v: FixerSpec(0.5, v),
             lambda v: pipeline_fix_rate(FixerSpec(0.5), v),
             lambda v: inverse_lower(box, v),
+            lambda v: PBoxParams(v, 0.9, 0.5),
+            lambda v: PBoxParams(0.1, v, 0.5),
+            lambda v: PBoxParams(0.1, 0.9, v),
+            lambda v: EvidenceSample("a", "recall", v),
+            lambda v: run_trial(DomainSpec(10, 0.5), ClassifierProfile(0.5), FixerSpec(0.5), v, 1),
         ):
             with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\], got"):
                 call(value)
@@ -340,6 +347,25 @@ class TestArrayBroadcast:
             cell = pipeline_outcome(ClassifierProfile(0.5, float(prec[i])), domain, fixer)
             for field in cell._fields:
                 assert np.broadcast_to(getattr(grid, field), prec.shape)[i] == getattr(cell, field), field
+
+    def test_shapes_that_do_not_broadcast_are_refused(self):
+        two, three = np.array([0.5, 0.6]), np.array([0.1, 0.2, 0.3])
+        profile, domain, fixer = ClassifierProfile(two), DomainSpec(10, three), FixerSpec(0.5)
+        for call in (
+            lambda: pipeline_fix_rate(FixerSpec(two), three),
+            lambda: pipeline_prevalence(domain, fixer, two),
+            lambda: pipeline_tpr(two, FixerSpec(three)),
+            lambda: pipeline_far(profile, domain, fixer),
+            lambda: pipeline_false_negatives(domain, fixer, two),
+            lambda: pipeline_true_positives(domain, fixer, two),
+            lambda: pipeline_false_positives(profile, domain, fixer),
+            lambda: fixer_load(profile, domain),
+            lambda: pipeline_outcome(profile, domain, fixer),
+            lambda: pipeline_outcome(ClassifierProfile(0.5), domain, FixerSpec(two)),
+            lambda: pipeline_outcome(ClassifierProfile(0.5, two), domain, fixer),
+        ):
+            with pytest.raises(InvalidParameterError, match="do not broadcast"):
+                call()
 
     def test_scalars_stay_scalar(self):
         assert isinstance(pipeline_fix_rate(FixerSpec(0.5), 0.5), float)

@@ -41,8 +41,13 @@ class TestLoad:
         assert len(load_samples(io.StringIO(text))) == 1
 
     def test_out_of_range_value(self):
-        with pytest.raises(InvalidParameterError, match="line 2"):
+        with pytest.raises(InvalidParameterError, match=r"^line 2: value must lie in \[0, 1\], got 1\.5$"):
             load_samples(io.StringIO(HEADER + "p1,recall,1.5\n"))
+
+    @pytest.mark.parametrize("text", ["-0.1", "nan", "inf"])
+    def test_a_value_outside_unit_range_names_its_line(self, text):
+        with pytest.raises(InvalidParameterError, match=rf"^line 3: value must lie in \[0, 1\], got {text}$"):
+            load_samples(io.StringIO(HEADER + f"p1,recall,0.5\np2,recall,{text}\n"))
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(EvidenceFormatError, match="line 3"):
