@@ -462,19 +462,19 @@ def _json_chunks(value, indent: str = "\n"):
     pad = indent + "  "
     encode = _encoder(pad).encode
     np = sys.modules.get("numpy")  # None or absent in a run that made no array
-    flat = (list, tuple, Callable) if np is None else (list, tuple, np.ndarray, Callable)
+    flat = (list, tuple) if np is None else (list, tuple, np.ndarray)
     containers = (dict, *flat)
-    if isinstance(value, dict) and any(isinstance(v, containers) for v in value.values()):
+    if isinstance(value, dict) and any(isinstance(v, containers) or callable(v) for v in value.values()):
         for i, key in enumerate(sorted(value)):
             yield ("," if i else "{") + pad + encode(key) + ": "
             yield from _json_chunks(value[key], pad)
         yield indent + "}"
-    elif isinstance(value, (list, tuple)) and any(isinstance(v, containers) for v in value):
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, containers) or callable(v) for v in value):
         for i, item in enumerate(value):
             yield ("," if i else "[") + pad
             yield from _json_chunks(item, pad)
         yield indent + "]"
-    elif isinstance(value, flat):
+    elif isinstance(value, flat) or callable(value):
         sep = "["
         for part in value() if callable(value) else [value]:
             for i in range(0, len(part), _BATCH):

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
-from .errors import ConfigError, InvalidParameterError, check_unit
+from .errors import ConfigError, InvalidParameterError, check_count, check_unit
 
 __all__ = ["RunConfig", "DEFAULTS", "FLAGS", "OPTIONS", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
@@ -191,11 +192,12 @@ def build_config(args, command: str) -> RunConfig:
     return cfg
 
 
-def _refused(errors: list[str], name: str, values) -> bool:
-    """Whether a value is no int or float in [0, 1]; the first such is listed in ``errors``."""
+def _refused(errors: list[str], name: str, values, check=partial(check_unit, numpy=False)) -> bool:
+    """Whether ``check(v, name)`` refuses a value ``v`` of ``values``, by default one that is
+    no int or float in [0, 1]; the first refusal is listed in ``errors``."""
     try:
         for v in values:
-            check_unit(v, name, numpy=False)
+            check(v, name)
     except InvalidParameterError as exc:
         errors.append(str(exc))
         return True
@@ -205,23 +207,20 @@ def _refused(errors: list[str], name: str, values) -> bool:
 def validate_config(cfg: RunConfig, command: str) -> None:
     """Validate every numeric field's semantic range; raise listing offenders."""
     errors: list[str] = []
-    for name in ("n_items", "case_n_items", "trials"):
-        # binomial draws, float arithmetic and array sizes need an int64 count
-        v = getattr(cfg, name)
-        if not 1 <= v <= MAX_ITEMS:
-            errors.append(f"{name}: must lie in [1, 2**63 - 1], got {v!r}")
-    if cfg.seed < 0:
-        errors.append(f"seed: must be >= 0, got {cfg.seed!r}")
+    # binomial draws, float arithmetic and array sizes need an int64 count
+    refused = {name for name, least, most in (("n_items", 1, MAX_ITEMS), ("case_n_items", 1, MAX_ITEMS),
+                                              ("trials", 1, MAX_ITEMS), ("seed", 0, None))
+               if _refused(errors, name, [getattr(cfg, name)], partial(check_count, least=least, most=most))}
     for name in ("prevalence", "fix_rate"):
         values = getattr(cfg, name)
-        if not values:
-            errors.append(f"{name}: grid must be nonempty")
+        if not isinstance(values, list) or not values:
+            errors.append(f"{name}: grid must be a nonempty list, got {values!r}")
         elif _refused(errors, name, values) or name != "prevalence":
             continue
         elif any(0.0 < v < sys.float_info.min for v in values):
             # the realized fix rate divides by it and would overflow to -inf
             errors.append(f"prevalence: {values!r} has a positive entry below {sys.float_info.min!r}")
-        elif command == "simulate" and any(
+        elif command == "simulate" and "trials" not in refused and any(
             0.0 < v and v * (sys.float_info.max / 2) < cfg.trials for v in values
         ):
             # a trial's realized fix rate lies in [1 - 1/P, 1], so a stream's sum
@@ -231,7 +230,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 f"prevalence: {values!r} has a positive entry P with trials / P above "
                 f"{sys.float_info.max / 2!r}, where the sum of realized fix rates would overflow"
             )
-    refused = {name for name in ("recall", "precision", "specificity", "break_rate", "case_recall", "case_accuracy",
+    refused |= {name for name in ("recall", "precision", "specificity", "break_rate", "case_recall", "case_accuracy",
                                  "confidence", "pbox_min", "pbox_max", "pbox_mean")
                if _refused(errors, name, [getattr(cfg, name)])}
     if "confidence" not in refused and cfg.confidence in (0.0, 1.0):
@@ -244,10 +243,10 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     for name, allowed in CHOICES.items():
         if getattr(cfg, name) not in allowed:
             errors.append(f"{name}: must be one of {allowed}, got {getattr(cfg, name)!r}")
-    if not 0 <= cfg.outlier_k < math.inf:  # also rejects NaN
+    if not isinstance(cfg.outlier_k, (int, float)) or not 0 <= cfg.outlier_k < math.inf:  # also rejects NaN
         errors.append(f"outlier_k: must be finite and >= 0, got {cfg.outlier_k!r}")
     # fixer load <= n_items / precision, false-alert rate <= 2**53 / precision (its denominator is 0 or >= 2**-53)
-    if "precision" not in refused and cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
+    if not refused & {"precision", "n_items"} and cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
         errors.append(f"precision: {cfg.precision!r} would leave the fixer load or the false-alert rate infinite")
     if command == "evidence" and not cfg.evidence:
         errors.append("evidence: a CSV path is required")

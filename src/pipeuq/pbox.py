@@ -46,13 +46,28 @@ __all__ = [
     "inverse_upper",
     "p_chunks",
     "recall_chunks",
+    "fold_chunk",
     "stream_summary",
-    "pairwise_sum",
     "stream_mean_optimistic",
     "stream_mean_pessimistic",
 ]
 
 CHUNK = 2**16  # recall samples and simulated trials are drawn this many at a time
+
+
+def fold_chunk(values: np.ndarray, lo=math.inf, hi=-math.inf, count=0, total=0.0) -> tuple:
+    """The running ``(min, max, count, sum)`` of the defined values of a chunked stream, NaN
+    marking an undefined one: that of the chunks before, given as the other arguments, with
+    the chunk ``values`` folded in. Without them it is the summary of ``values`` alone."""
+    import numpy as np
+    with np.errstate(over="ignore"):  # simulate's fix rates at a tiny prevalence sum to -inf, as floats do
+        chunk_total = float(np.nansum(values))
+    return (
+        float(np.fmin.reduce(values, initial=lo)),  # fmin, fmax and nansum skip NaN
+        float(np.fmax.reduce(values, initial=hi)),
+        count + int(np.count_nonzero(values == values)),
+        total + chunk_total,
+    )
 
 
 class PBoxParams(namedtuple("PBoxParams", "minimum maximum mean")):
@@ -190,40 +205,15 @@ def recall_chunks(params: PBoxParams, n: int, seed: int):
         yield RecallStreams(inverse_lower(params, p, ties), inverse_upper(params, p, ties), p)
 
 
-def pairwise_sum(n: int, leaf, start: int = 0, most: int = 128):
-    """numpy's float64 pairwise summation (Higham 1993) of positions [start, start + n), without numpy.
-
-    numpy halves a node of more than 128 values at ``n//2 - (n//2) % 8`` and sums a smaller
-    one in one block; ``leaf(start, stop)`` sums each node of at most ``most`` >= 128 values."""
-    if n <= most:
-        return leaf(start, start + n)
-    half = n // 2 - (n // 2) % 8
-    return pairwise_sum(half, leaf, start, most) + pairwise_sum(n - half, leaf, start + half, most)
-
-
 def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
-    """``min``, ``max`` and ``mean`` of each stream of ``recall_chunks(params, n, seed)``: numpy's
-    values for the whole arrays, bit for bit, from one pass holding two chunks at most. The
-    mean's ``pairwise_sum`` tree sums each node of at most ``CHUNK`` values with ``np.add.reduce``.
-    Needs numpy >= 2.3, whose sum is one tree over the whole array, not 8192-value blocks in turn."""
-    import numpy as np
-    chunks = (np.stack([c.optimistic, c.pessimistic]) for c in recall_chunks(params, n, seed))
-    window = next(chunks)  # both streams from position base on
-    base, lo, hi = 0, window.min(axis=1), window.max(axis=1)
-
-    def leaf(start, stop):
-        nonlocal window, base, lo, hi
-        while base + window.shape[1] < stop:  # nodes come left to right, so chunks are read in order
-            chunk = next(chunks)
-            lo, hi = np.fmin(lo, chunk.min(axis=1)), np.fmax(hi, chunk.max(axis=1))
-            window, base = np.concatenate([window[:, start - base:], chunk], axis=1), start
-        return np.add.reduce(window[:, start - base:stop - base], axis=1)
-
-    total = pairwise_sum(n, leaf, most=CHUNK)
-    return {
-        name: {"min": float(lo[i]), "max": float(hi[i]), "mean": float(total[i]) / n}
-        for i, name in enumerate(("optimistic", "pessimistic"))
-    }
+    """``min``, ``max`` and ``mean`` of each stream of ``recall_chunks(params, n, seed)``, from
+    one ``fold_chunk`` per chunk as ``simulate`` sums its metrics: min and max are numpy's for
+    the whole array, and the mean is the in-order sum of the chunks' numpy sums, over ``n``."""
+    states = {}
+    for chunk in recall_chunks(params, n, seed):
+        for name in ("optimistic", "pessimistic"):
+            states[name] = fold_chunk(getattr(chunk, name), *states.get(name, ()))
+    return {name: {"min": lo, "max": hi, "mean": total / count} for name, (lo, hi, count, total) in states.items()}
 
 
 def stream_mean_optimistic(params: PBoxParams) -> float:

@@ -29,14 +29,14 @@ cell reuses these seeds (common random numbers) in one loop nest, stream ->
 chunk -> prevalence -> fix rate: one ``recall_chunks`` pass per stream; per
 prevalence, a fresh generator and FN1; per fix rate, W and FN2 from the
 generator's state just after FN1. So each cell draws the numbers of its solo
-run, and a report depends only on its config: never on the other cells, the
-execution order or the memory. Running sums aggregate the chunks, so memory
-does not grow with ``trials``.
+run, and a report depends only on its config and the numpy version (NEP 19 lets
+a ``Generator``'s draws change between numpy releases): never on the other
+cells, the execution order or the memory. ``pbox.fold_chunk``'s running sums
+aggregate the chunks, so memory does not grow with ``trials``.
 """
 
 from __future__ import annotations
 
-import math
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import ClassifierProfile, DomainSpec, FixerSpec
 from .errors import check_count, check_unit
-from .pbox import Interval, PBoxParams, recall_chunks
+from .pbox import Interval, PBoxParams, fold_chunk, recall_chunks
 
 __all__ = [
     "TrialOutcome",
@@ -198,16 +198,8 @@ def run_grid(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, tria
     reports = [SimulationReport({}, {}, d, profile, f, pbox, trials, master_seed) for d in domains for f in fixers]
     sums = {}  # per (cell, stream, metric): min, max, count and sum of the defined values
     for cell, stream, recall, counts, metrics in _chunks(domains, profile, fixers, pbox, trials, master_seed):
-        for metric, values in metrics.items():  # fmin, fmax and nansum skip NaN
-            lo, hi, count, total = sums.get((cell, stream, metric), (math.inf, -math.inf, 0, 0.0))
-            with np.errstate(over="ignore"):  # a tiny prevalence sums to -inf, as in _second_stage
-                chunk_total = float(np.nansum(values))
-            sums[cell, stream, metric] = (
-                float(np.fmin.reduce(values, initial=lo)),
-                float(np.fmax.reduce(values, initial=hi)),
-                count + int(np.count_nonzero(values == values)),
-                total + chunk_total,
-            )
+        for metric, values in metrics.items():
+            sums[cell, stream, metric] = fold_chunk(values, *sums.get((cell, stream, metric), ()))
         del recall, counts, metrics, values  # free the cell's arrays before the next cell's are drawn
     for cell, report in enumerate(reports):
         for metric in METRICS:

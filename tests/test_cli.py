@@ -412,6 +412,17 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match=f"^{field} must lie in \\[0, 1\\], got"):
             validate_config(RunConfig(**{field: value}), "simulate")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_items", "10", "n_items must be an integer in [1, 9223372036854775807], got '10'"),
+        ("seed", "1", "seed must be an integer >= 0, got '1'"),
+        ("outlier_k", "1", "outlier_k: must be finite and >= 0, got '1'"),
+        ("prevalence", 0.5, "prevalence: grid must be a nonempty list, got 0.5"),
+    ])
+    def test_validate_config_refuses_a_count_seed_k_or_grid_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ConfigError) as err:
+            validate_config(RunConfig(**{field: value}), "simulate")
+        assert str(err.value) == message
+
     def test_validate_config_lists_every_offender(self):
         cfg = RunConfig(recall="0.5", precision=0.0, confidence=1.0, pbox_max=2.0, fix_rate=[1.5])
         with pytest.raises(ConfigError) as err:
