@@ -417,7 +417,7 @@ class TestConfigHandling:
         ("seed", "1", "seed must be an integer >= 0, got '1'"),
         ("outlier_k", "1", "outlier_k: must be finite and >= 0, got '1'"),
         ("prevalence", 0.5, "prevalence: grid must be a nonempty list, got 0.5"),
-    ])
+    ], ids=["n_items", "seed", "outlier_k", "prevalence"])
     def test_validate_config_refuses_a_count_seed_k_or_grid_of_the_wrong_type(self, field, value, message):
         with pytest.raises(ConfigError) as err:
             validate_config(RunConfig(**{field: value}), "simulate")
