@@ -28,11 +28,15 @@ Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
 4 internal invariant violation. A failed write to stdout (a full disk, a
 closed pipe) exits 3 with one ``i/o error:`` line.
 
-``main(argv)`` is the in-process API. ``entry()`` is the process entry, used
-by ``python -m pipeuq.cli`` and the ``pipeuq`` console script: it runs
-``main``, gives stdout its last flush, and then moves every live object into
-the collector's permanent generation with ``gc.freeze()``, so the collections
-of interpreter teardown skip the objects numpy leaves tracked.
+``main(argv)`` is the in-process API, and it leaves ``os.environ`` as it
+found it. ``entry()`` is the process entry, used by ``python -m pipeuq.cli``
+and the ``pipeuq`` console script. It sets ``OPENBLAS_NUM_THREADS`` to 1 unless
+the environment already sets it, before numpy is loaded: no command calls a
+BLAS routine, and numpy's OpenBLAS would otherwise start a worker thread per
+CPU. Set the variable yourself to override this. It then runs ``main``, gives
+stdout its last flush, and moves every live object into the collector's
+permanent generation with ``gc.freeze()``, so the collections of interpreter
+teardown skip the objects numpy leaves tracked.
 """
 
 from __future__ import annotations
@@ -283,12 +287,12 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
 
 def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     """Draw paired recall streams from the configured p-box, re-drawn as they are written."""
-    from .pbox import CHUNK, p_chunks, recall_chunks, stream_summary
+    from .pbox import CHUNK, p_chunks, recall_chunks, stream_chunks, stream_summary
 
     pbox = _resolve_pbox(cfg)
     summary = None if cfg.output == "csv" else stream_summary(pbox, cfg.trials, cfg.seed)  # csv writes none
     streams = {
-        name: lambda name=name: (getattr(c, name) for c in recall_chunks(pbox, cfg.trials, cfg.seed))
+        name: functools.partial(stream_chunks, pbox, cfg.trials, cfg.seed, name)
         for name in ("optimistic", "pessimistic")
     }
     streams["p_values"] = functools.partial(p_chunks, cfg.trials, cfg.seed)
@@ -641,11 +645,18 @@ def main(argv=None) -> int:
 def entry() -> int:
     """The process entry: ``main`` on the process's argv, then stdout's last flush.
 
+    Before ``main`` it sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ`` unless
+    the variable is already set, in which case that value wins. OpenBLAS reads
+    it once, when numpy loads it, and nothing loads numpy before a command
+    runs. No command calls a BLAS routine, so this spares the child the worker
+    thread per CPU that OpenBLAS would start and wake.
+
     A write to stdout that failed leaves its data in the buffer, which
     teardown would try to flush again and report as an ignored exception
     with exit 120. So on a failed flush fd 1 is pointed at ``os.devnull``,
     and a run that had not yet reported the failure exits 3 with one line.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     try:
         if sys.stdout is not None:  # None if fd 1 was closed at startup

@@ -46,6 +46,7 @@ __all__ = [
     "inverse_upper",
     "p_chunks",
     "recall_chunks",
+    "stream_chunks",
     "fold_chunk",
     "stream_summary",
     "stream_mean_optimistic",
@@ -203,6 +204,21 @@ def recall_chunks(params: PBoxParams, n: int, seed: int):
     for k, p in enumerate(p_chunks(n, seed)):
         ties = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         yield RecallStreams(inverse_lower(params, p, ties), inverse_upper(params, p, ties), p)
+
+
+def stream_chunks(params: PBoxParams, n: int, seed: int, name: str):
+    """Yield the ``name`` stream, ``"optimistic"`` or ``"pessimistic"``, of ``recall_chunks(params,
+    n, seed)`` chunk by chunk, drawing that stream's inverse alone.
+
+    The optimistic chunk ``k`` resolves its p = 0 ties with chunk ``k``'s child generator. The
+    pessimistic inverse needs none: ``p_chunks`` draws p in [0, 1), so its p = 1 tie never occurs.
+    """
+    import numpy as np
+    for k, p in enumerate(p_chunks(n, seed)):
+        if name == "optimistic":
+            yield inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
+        else:
+            yield inverse_upper(params, p)
 
 
 def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:

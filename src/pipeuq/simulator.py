@@ -23,11 +23,11 @@ Reproducibility contract: trials run in chunks of ``CHUNK = 2**16``, each of
 the three draws one ``rng.binomial`` call over a chunk's arrays. Chunk ``k``
 of stream code 1 (optimistic) or 2 (pessimistic) draws, in the order above,
 from ``default_rng(SeedSequence((master_seed, stream_code, k)))`` at the
-recalls of chunk ``k`` of ``pbox.recall_chunks(pbox, trials, master_seed)``,
-whose p = 0 and p = 1 ties come from a child generator per chunk. Every grid
-cell reuses these seeds (common random numbers) in one loop nest, stream ->
-chunk -> prevalence -> fix rate: one ``recall_chunks`` pass per stream; per
-prevalence, a fresh generator and FN1; per fix rate, W and FN2 from the
+recalls of chunk ``k`` of the stream of ``pbox.recall_chunks(pbox, trials,
+master_seed)``, whose p = 0 ties come from a child generator per chunk. Every
+grid cell reuses these seeds (common random numbers) in one loop nest, stream
+-> chunk -> prevalence -> fix rate: one ``pbox.stream_chunks`` pass per stream;
+per prevalence, a fresh generator and FN1; per fix rate, W and FN2 from the
 generator's state just after FN1. So each cell draws the numbers of its solo
 run, and a report depends only on its config and the numpy version (NEP 19 lets
 a ``Generator``'s draws change between numpy releases): never on the other
@@ -37,14 +37,13 @@ aggregate the chunks, so memory does not grow with ``trials``.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import ClassifierProfile, DomainSpec, FixerSpec
 from .errors import check_count, check_unit
-from .pbox import Interval, PBoxParams, fold_chunk, recall_chunks
+from .pbox import Interval, PBoxParams, fold_chunk, stream_chunks
 
 __all__ = [
     "TrialOutcome",
@@ -119,8 +118,7 @@ def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trial
     """Every chunk of every cell of the grid as ``(cell, stream, recall, counts, metrics)``,
     ``cell`` counting domain-major: the one loop nest that draws."""
     for stream, code in _STREAM_CODES.items():
-        recalls = map(attrgetter(stream), recall_chunks(pbox, trials, master_seed))
-        for k, recall in enumerate(recalls):
+        for k, recall in enumerate(stream_chunks(pbox, trials, master_seed, stream)):
             for i, domain in enumerate(domains):
                 rng = np.random.default_rng(np.random.SeedSequence((master_seed, code, k)))
                 first = _first_stage(rng, domain, recall)

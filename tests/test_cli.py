@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from pipeuq import __version__
-from pipeuq.cli import cmd_simulate, main
+from pipeuq.cli import cmd_evidence, cmd_simulate, main
 from pipeuq.config import RunConfig, build_config, validate_config
 from pipeuq.core import ClassifierProfile, DomainSpec, FixerSpec
 from pipeuq.errors import ConfigError
@@ -160,17 +161,17 @@ class TestSimulate:
         assert None in doc["results"]["fn_ratio"][0]["trials"]
 
     def test_recalls_are_drawn_once_per_stream(self, monkeypatch, capsys):
-        # one recall_chunks pass per stream serves all 12 cells of the default grid
+        # one stream_chunks pass per stream serves all 12 cells of the default grid
         import pipeuq.simulator
 
         calls = []
-        real = pipeuq.simulator.recall_chunks
+        real = pipeuq.simulator.stream_chunks
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(pipeuq.simulator, "recall_chunks", counted)
+        monkeypatch.setattr(pipeuq.simulator, "stream_chunks", counted)
         assert main(["simulate", "--trials", "20", "--output", "json"]) == 0
         assert len(calls) == 2
 
@@ -422,6 +423,32 @@ class TestConfigHandling:
         with pytest.raises(ConfigError) as err:
             validate_config(RunConfig(**{field: value}), "simulate")
         assert str(err.value) == message
+
+    def test_validate_config_refuses_a_whole_float_seed(self):
+        # check_count takes 7.0 as a whole number; numpy's SeedSequence would refuse it untyped
+        with pytest.raises(ConfigError) as err:
+            validate_config(RunConfig(seed=7.0), "pbox-sample")
+        assert str(err.value) == "seed: must be an int, got 7.0"
+
+    def test_validate_config_refuses_a_path_that_is_no_str(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config(RunConfig(evidence=2, tools=5, out=3.0), "evidence")
+        assert str(err.value) == (
+            "evidence: must be a path (a str) or None, got 2; tools: must be a path (a str) or None, got 5; "
+            "out: must be a path (a str) or None, got 3.0"
+        )
+        # open() would take an int as a file descriptor and close it: evidence=2 would close
+        # stderr. A copy of fd 2 stands in for it, so a failure leaves this process's stderr open
+        fd = os.dup(2)
+        try:
+            cfg = RunConfig(evidence=fd)
+            with pytest.raises(ConfigError):
+                validate_config(cfg, "evidence")
+                cmd_evidence(cfg)
+            os.fstat(fd)  # still open
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(fd)
 
     def test_validate_config_lists_every_offender(self):
         cfg = RunConfig(recall="0.5", precision=0.0, confidence=1.0, pbox_max=2.0, fix_rate=[1.5])
@@ -748,6 +775,37 @@ def test_entry_child_out_file_is_complete(tmp_path):
     assert run_entry([*argv, str(tmp_path / "child.json")]).returncode == 0
     assert main([*argv, str(tmp_path / "main.json")]) == 0
     assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+# Runs the process entry on argv and prints its exit code, the OPENBLAS_NUM_THREADS it
+# leaves and the process's thread count (None without /proc) to stderr.
+_BLAS = """
+import os, sys
+from pipeuq.cli import entry
+code = entry()
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), threads, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+def test_entry_runs_numpy_with_one_blas_thread_unless_told_otherwise(preset):
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    child = subprocess.run([sys.executable, "-c", _BLAS, "simulate", "--trials", "20", "--output", "json"],
+                           env=env, capture_output=True, text=True, check=True)
+    code, blas, threads = child.stderr.split()
+    assert (code, blas) == ("0", preset or "1")
+    if preset is None and threads != "None":  # numpy is loaded, and OpenBLAS started no worker
+        assert threads == "1"
+
+
+def test_main_leaves_the_environment_alone(capsys):
+    before = dict(os.environ)
+    assert main(["simulate", "--trials", "20", "--output", "json"]) == 0
+    assert dict(os.environ) == before
 
 
 def test_only_the_entry_freezes_the_heap(capsys):

@@ -16,7 +16,8 @@ from pipeuq import (
     stream_mean_optimistic,
     stream_mean_pessimistic,
 )
-from pipeuq.pbox import CHUNK, p_chunks, recall_chunks, stream_summary
+import pipeuq.pbox
+from pipeuq.pbox import CHUNK, p_chunks, recall_chunks, stream_chunks, stream_summary
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
 
@@ -240,6 +241,26 @@ class TestSampling:
             ties = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(k,)))
             assert np.array_equal(c.optimistic, inverse_lower(BOX, c.p_values, ties))
             assert np.array_equal(c.pessimistic, inverse_upper(BOX, c.p_values, ties))
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["drawn", "with-p-zero"])
+    def test_each_stream_alone_equals_recall_chunks(self, ties, monkeypatch):
+        # across a chunk boundary; p = 0 in both chunks makes the optimistic stream draw its
+        # ties from chunk k's child generator, as recall_chunks does
+        n = CHUNK + 70
+        if ties:
+            real = pipeuq.pbox.p_chunks
+
+            def with_zeros(n, seed):
+                for p in real(n, seed):
+                    p[::7] = 0.0
+                    yield p
+
+            monkeypatch.setattr(pipeuq.pbox, "p_chunks", with_zeros)
+        chunks = list(recall_chunks(BOX, n, seed=5))
+        for name in ("optimistic", "pessimistic"):
+            alone = list(stream_chunks(BOX, n, 5, name))
+            assert [len(c) for c in alone] == [CHUNK, 70]
+            assert all(np.array_equal(a, getattr(c, name)) for a, c in zip(alone, chunks, strict=True))
 
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidParameterError):
