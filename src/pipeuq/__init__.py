@@ -43,7 +43,6 @@ _SUBMODULES = {
     "pbox": (
         "Interval",
         "PBoxParams",
-        "RecallStreams",
         "inverse_lower",
         "inverse_upper",
         "stream_mean_optimistic",

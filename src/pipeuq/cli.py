@@ -287,7 +287,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
 
 def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     """Draw paired recall streams from the configured p-box, re-drawn as they are written."""
-    from .pbox import CHUNK, p_chunks, recall_chunks, stream_chunks, stream_summary
+    from .pbox import CHUNK, p_chunks, stream_chunks, stream_summary
 
     pbox = _resolve_pbox(cfg)
     summary = None if cfg.output == "csv" else stream_summary(pbox, cfg.trials, cfg.seed)  # csv writes none
@@ -302,12 +302,12 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
         cfg,
         results,
         ("index", "p", "optimistic", "pessimistic"),
-        # one draw for all columns (a bad count raises before the first batch of rows is written);
-        # a memoryview yields each float64 as a Python float, whose repr the csv output writes,
-        # without copying the chunk; zip's tuples are the rows
+        # each column chunk by chunk from the callable the json output reads (a bad count raises
+        # before the first batch of rows is written); a memoryview yields each float64 as a Python
+        # float, whose repr the csv output writes, without copying the chunk; zip's tuples are the rows
         lambda: itertools.chain.from_iterable(
-            zip(itertools.count(k * CHUNK), *map(memoryview, (c.p_values, c.optimistic, c.pessimistic)))
-            for k, c in enumerate(recall_chunks(pbox, cfg.trials, cfg.seed))
+            zip(itertools.count(k * CHUNK), *map(memoryview, chunk))
+            for k, chunk in enumerate(zip(*(streams[c]() for c in ("p_values", "optimistic", "pessimistic"))))
         ),
         _render_pbox_table,
     )

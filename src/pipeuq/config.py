@@ -25,7 +25,7 @@ import math
 import sys
 from functools import partial
 
-from .errors import ConfigError, InvalidParameterError, check_count, check_unit
+from .errors import ConfigError, InvalidParameterError, check_count, check_int, check_unit
 
 __all__ = ["RunConfig", "DEFAULTS", "FLAGS", "OPTIONS", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
@@ -205,15 +205,14 @@ def _refused(errors: list[str], name: str, values, check=partial(check_unit, num
 
 
 def validate_config(cfg: RunConfig, command: str) -> None:
-    """Validate every numeric field's semantic range, and that the seed is an int and each path a
-    str or None; raise listing offenders."""
+    """Validate every numeric field's semantic range, that the seed and the trial count are ints
+    and that each path is a str or None; raise listing offenders."""
     errors: list[str] = []
     # binomial draws, float arithmetic and array sizes need an int64 count
-    refused = {name for name, least, most in (("n_items", 1, MAX_ITEMS), ("case_n_items", 1, MAX_ITEMS),
-                                              ("trials", 1, MAX_ITEMS), ("seed", 0, None))
-               if _refused(errors, name, [getattr(cfg, name)], partial(check_count, least=least, most=most))}
-    if "seed" not in refused and not isinstance(cfg.seed, int):  # numpy's SeedSequence takes no float
-        errors.append(f"seed: must be an int, got {cfg.seed!r}")
+    refused = {name for name, check, least, most in (
+                   ("n_items", check_count, 1, MAX_ITEMS), ("case_n_items", check_count, 1, MAX_ITEMS),
+                   ("trials", check_int, 1, MAX_ITEMS), ("seed", check_int, 0, None))
+               if _refused(errors, name, [getattr(cfg, name)], partial(check, least=least, most=most))}
     # open() would take an int as a file descriptor, and close it
     errors += [f"{name}: must be a path (a str) or None, got {getattr(cfg, name)!r}"
                for name in ("evidence", "tools", "out") if not isinstance(getattr(cfg, name), (str, type(None)))]

@@ -60,3 +60,10 @@ def check_count(value, name: str, least: int = 0, most=None) -> None:
     if not whole or value < least or most is not None and value > most:
         bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise InvalidParameterError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def check_int(value, name: str, least: int = 0, most=None) -> None:
+    """``check_count``, and refuse a whole float too: numpy's ``SeedSequence`` takes no float."""
+    check_count(value, name, least, most)
+    if not isinstance(value, int):
+        raise InvalidParameterError(f"{name} must be an int, got {value!r}")

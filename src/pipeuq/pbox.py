@@ -18,12 +18,13 @@ Both inverses share one threshold ``t = (max - mean) / (max - min)``:
                        max - (max - mean) / p               t < p < 1
                        uniform draw on [mean, max]          p = 1
 
-Both streams are sampled from one shared list of uniform p values, so the
-pessimistic recall never exceeds the optimistic one. The simulator draws its
-trials' recalls from them, and each stream's mean has a closed form. Every
-closed-form pipeline metric is monotone in recall, so its bracket over the box
-needs no samples: ``pipeline_outcome(..., recall=np.array([box.minimum,
-box.maximum]))`` evaluates it at both ends in one call.
+``stream_chunks`` draws each stream at the uniform p values of ``p_chunks``, so
+the pessimistic recall never exceeds the optimistic one at any index. The
+simulator and ``pbox-sample`` draw their recalls there, and each stream's mean
+has a closed form. Every closed-form pipeline metric is monotone in recall, so
+its bracket over the box needs no samples: ``pipeline_outcome(...,
+recall=np.array([box.minimum, box.maximum]))`` evaluates it at both ends in one
+call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParameterError, check_unit
+from .errors import InvalidParameterError, check_int, check_unit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,12 +41,10 @@ if TYPE_CHECKING:
 __all__ = [
     "PBoxParams",
     "Interval",
-    "RecallStreams",
     "CHUNK",
     "inverse_lower",
     "inverse_upper",
     "p_chunks",
-    "recall_chunks",
     "stream_chunks",
     "fold_chunk",
     "stream_summary",
@@ -121,28 +120,6 @@ class Interval(namedtuple("Interval", "lo hi")):
         return self.lo - tol <= value <= self.hi + tol
 
 
-class RecallStreams:
-    """Paired recall samples from the two p-box inverses.
-
-    ``optimistic`` comes from the lower-CDF-bound inverse (numerically the
-    larger recalls), ``pessimistic`` from the upper-CDF-bound inverse. Both
-    are driven by the one shared ``p_values`` list, so
-    ``pessimistic[i] <= optimistic[i]`` holds pointwise.
-    """
-
-    __slots__ = ("optimistic", "pessimistic", "p_values")
-
-    def __init__(self, optimistic: np.ndarray, pessimistic: np.ndarray, p_values: np.ndarray):
-        if not (len(optimistic) == len(pessimistic) == len(p_values)):
-            raise InvalidParameterError("recall streams must share one length")
-        if (pessimistic > optimistic).any():
-            raise InvalidParameterError("pessimistic stream must not exceed optimistic stream")
-        self.optimistic, self.pessimistic, self.p_values = optimistic, pessimistic, p_values
-
-    def __len__(self) -> int:
-        return len(self.p_values)
-
-
 def inverse_lower(params: PBoxParams, p, rng=None):
     """Invert the lower CDF bound at ``p``, a real number or numpy array (not a list).
 
@@ -186,50 +163,45 @@ def inverse_upper(params: PBoxParams, p, rng=None):
 
 def p_chunks(n: int, seed: int):
     """The uniform p values of ``n`` samples, ``CHUNK`` at a time: successive ``random``
-    calls on one ``default_rng(seed)``. ``n`` is checked at the call."""
+    calls on one ``default_rng(seed)``. ``n`` and ``seed`` are checked at the call."""
     import numpy as np
-    if not 1 <= n <= 2**53:  # a stream mean divides by its count, exact in a float64 up to 2**53
+    # a stream mean divides by its count, exact in a float64 up to 2**53
+    if not isinstance(n, int) or not 1 <= n <= 2**53:
         raise InvalidParameterError(f"a recall stream needs 1 to 2**53 samples, got {n!r}")
+    check_int(seed, "seed")
     rng = np.random.default_rng(seed)
     return (rng.random(min(CHUNK, n - start)) for start in range(0, n, CHUNK))
 
 
-def recall_chunks(params: PBoxParams, n: int, seed: int):
-    """Yield ``n`` paired recall samples from both inverses at ``p_chunks(n, seed)``.
-
-    Chunk ``k`` resolves its p = 0 and p = 1 ties with a child generator,
-    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``.
-    """
-    import numpy as np
-    for k, p in enumerate(p_chunks(n, seed)):
-        ties = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        yield RecallStreams(inverse_lower(params, p, ties), inverse_upper(params, p, ties), p)
-
-
 def stream_chunks(params: PBoxParams, n: int, seed: int, name: str):
-    """Yield the ``name`` stream, ``"optimistic"`` or ``"pessimistic"``, of ``recall_chunks(params,
-    n, seed)`` chunk by chunk, drawing that stream's inverse alone.
+    """The ``n`` samples of the ``name`` stream, ``"optimistic"`` or ``"pessimistic"``, chunk by
+    chunk; the arguments are checked at the call.
 
-    The optimistic chunk ``k`` resolves its p = 0 ties with chunk ``k``'s child generator. The
-    pessimistic inverse needs none: ``p_chunks`` draws p in [0, 1), so its p = 1 tie never occurs.
+    Chunk ``k`` of either stream inverts chunk ``k`` of ``p_chunks(n, seed)``. The optimistic stream
+    resolves its p = 0 ties with chunk ``k``'s child generator, the ``k``-th child of
+    ``SeedSequence(seed)``. The pessimistic needs none: its tie is at p = 1, and p is drawn in [0, 1).
     """
     import numpy as np
-    for k, p in enumerate(p_chunks(n, seed)):
-        if name == "optimistic":
-            yield inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
-        else:
-            yield inverse_upper(params, p)
+    if name == "pessimistic":
+        return (inverse_upper(params, p) for p in p_chunks(n, seed))
+    if name != "optimistic":
+        raise InvalidParameterError(f"a recall stream is 'optimistic' or 'pessimistic', got {name!r}")
+    return (inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
+            for k, p in enumerate(p_chunks(n, seed)))
 
 
 def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
-    """``min``, ``max`` and ``mean`` of each stream of ``recall_chunks(params, n, seed)``, from
-    one ``fold_chunk`` per chunk as ``simulate`` sums its metrics: min and max are numpy's for
-    the whole array, and the mean is the in-order sum of the chunks' numpy sums, over ``n``."""
-    states = {}
-    for chunk in recall_chunks(params, n, seed):
-        for name in ("optimistic", "pessimistic"):
-            states[name] = fold_chunk(getattr(chunk, name), *states.get(name, ()))
-    return {name: {"min": lo, "max": hi, "mean": total / count} for name, (lo, hi, count, total) in states.items()}
+    """``min``, ``max`` and ``mean`` of each stream of ``stream_chunks(params, n, seed, name)``,
+    from one ``fold_chunk`` per chunk as ``simulate`` sums its metrics: min and max are numpy's
+    for the whole array, and the mean is the in-order sum of the chunks' numpy sums, over ``n``."""
+    summary = {}
+    for name in ("optimistic", "pessimistic"):
+        state = ()
+        for chunk in stream_chunks(params, n, seed, name):
+            state = fold_chunk(chunk, *state)
+        lo, hi, count, total = state
+        summary[name] = {"min": lo, "max": hi, "mean": total / count}
+    return summary
 
 
 def stream_mean_optimistic(params: PBoxParams) -> float:

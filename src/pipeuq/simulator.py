@@ -23,8 +23,8 @@ Reproducibility contract: trials run in chunks of ``CHUNK = 2**16``, each of
 the three draws one ``rng.binomial`` call over a chunk's arrays. Chunk ``k``
 of stream code 1 (optimistic) or 2 (pessimistic) draws, in the order above,
 from ``default_rng(SeedSequence((master_seed, stream_code, k)))`` at the
-recalls of chunk ``k`` of the stream of ``pbox.recall_chunks(pbox, trials,
-master_seed)``, whose p = 0 ties come from a child generator per chunk. Every
+recalls of chunk ``k`` of ``pbox.stream_chunks(pbox, trials, master_seed,
+stream)``, whose p = 0 ties come from a child generator per chunk. Every
 grid cell reuses these seeds (common random numbers) in one loop nest, stream
 -> chunk -> prevalence -> fix rate: one ``pbox.stream_chunks`` pass per stream;
 per prevalence, a fresh generator and FN1; per fix rate, W and FN2 from the
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ClassifierProfile, DomainSpec, FixerSpec
-from .errors import check_count, check_unit
+from .errors import InvalidParameterError, check_count, check_int, check_unit
 from .pbox import Interval, PBoxParams, fold_chunk, stream_chunks
 
 __all__ = [
@@ -148,8 +148,9 @@ def run_trial(
     specificity). The three draws share one generator seeded with ``seed``.
     """
     check_unit(recall, "recall", numpy=False)  # one trial, one recall; a chunk's recalls lie in the box
+    check_int(seed, "seed")
     recall = np.array([recall], dtype=float)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     first = _first_stage(rng, domain, recall)
     return next(_outcomes(recall, *_second_stage(rng, domain, profile, fixer, recall, *first)))
 
@@ -157,8 +158,11 @@ def run_trial(
 def trial_seed(master_seed: int, stream: str, index: int) -> int:
     """Stable integer seed for ``run_trial``: a hash of ``(master_seed,
     stream_code, index)`` by ``numpy.random.SeedSequence`` (documented, platform-stable)."""
-    code = _STREAM_CODES[stream]
-    ss = np.random.SeedSequence(entropy=(int(master_seed), code, int(index)))
+    if stream not in _STREAM_CODES:
+        raise InvalidParameterError(f"a recall stream is 'optimistic' or 'pessimistic', got {stream!r}")
+    check_int(master_seed, "master_seed")
+    check_int(index, "index")
+    ss = np.random.SeedSequence(entropy=(master_seed, _STREAM_CODES[stream], index))
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -336,6 +336,21 @@ class TestPboxSample:
         assert main(["simulate", "--pbox-min", "0.2", "--pbox-max", "0.8", "--pbox-mean", "0.2",
                      "--trials", "50", "--prevalence", "0.5", "--fix-rate", "0.5"]) == 0
 
+    @pytest.mark.parametrize("box", [[], ["--pbox-min", "0.2", "--pbox-max", "0.8", "--pbox-mean", "0.2"],
+                                     ["--pbox-min", "0.5", "--pbox-max", "0.5", "--pbox-mean", "0.5"]])
+    def test_csv_rows_follow_the_stream_contract(self, tmp_path, box):
+        # across a chunk boundary (2**16): the index runs 0..n-1, p is one default_rng(seed)
+        # draw, and the pessimistic recall never exceeds the optimistic one in a row
+        n, out = 2**16 + 70, tmp_path / "rows.csv"
+        assert main(["pbox-sample", *box, "--trials", str(n), "--seed", "11", "--output", "csv",
+                     "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "index,p,optimistic,pessimistic"
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.array_equal(table[:, 0], np.arange(n))
+        assert np.array_equal(table[:, 1], np.random.default_rng(11).random(n))
+        assert np.all(table[:, 3] <= table[:, 2])
+
 
 class TestConfigHandling:
     def test_file_then_flag_precedence(self, tmp_path):
@@ -416,9 +431,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("field, value, message", [
         ("n_items", "10", "n_items must be an integer in [1, 9223372036854775807], got '10'"),
         ("seed", "1", "seed must be an integer >= 0, got '1'"),
+        ("trials", 10.0, "trials must be an int, got 10.0"),  # range takes no float
         ("outlier_k", "1", "outlier_k: must be finite and >= 0, got '1'"),
         ("prevalence", 0.5, "prevalence: grid must be a nonempty list, got 0.5"),
-    ], ids=["n_items", "seed", "outlier_k", "prevalence"])
+    ], ids=["n_items", "seed", "trials", "outlier_k", "prevalence"])
     def test_validate_config_refuses_a_count_seed_k_or_grid_of_the_wrong_type(self, field, value, message):
         with pytest.raises(ConfigError) as err:
             validate_config(RunConfig(**{field: value}), "simulate")
@@ -428,7 +444,7 @@ class TestConfigHandling:
         # check_count takes 7.0 as a whole number; numpy's SeedSequence would refuse it untyped
         with pytest.raises(ConfigError) as err:
             validate_config(RunConfig(seed=7.0), "pbox-sample")
-        assert str(err.value) == "seed: must be an int, got 7.0"
+        assert str(err.value) == "seed must be an int, got 7.0"
 
     def test_validate_config_refuses_a_path_that_is_no_str(self):
         with pytest.raises(ConfigError) as err:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,23 +11,23 @@ from pipeuq import (
     Interval,
     InvalidParameterError,
     PBoxParams,
-    RecallStreams,
     inverse_lower,
     inverse_upper,
     stream_mean_optimistic,
     stream_mean_pessimistic,
 )
 import pipeuq.pbox
-from pipeuq.pbox import CHUNK, p_chunks, recall_chunks, stream_chunks, stream_summary
+from pipeuq.pbox import CHUNK, p_chunks, stream_chunks, stream_summary
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
+STREAMS = ("optimistic", "pessimistic")
 
 
-def concatenated(box, n, seed) -> RecallStreams:
-    """Every chunk of ``recall_chunks(box, n, seed)`` joined into one ``RecallStreams``."""
-    chunks = list(recall_chunks(box, n, seed))
-    fields = ("optimistic", "pessimistic", "p_values")
-    return RecallStreams(*(np.concatenate([getattr(c, name) for c in chunks]) for name in fields))
+def concatenated(box, n, seed) -> SimpleNamespace:
+    """The chunks of ``p_chunks(n, seed)`` and of each stream of ``stream_chunks(box, n, seed,
+    name)``, joined: ``p_values``, ``optimistic`` and ``pessimistic``."""
+    streams = {name: np.concatenate(list(stream_chunks(box, n, seed, name))) for name in STREAMS}
+    return SimpleNamespace(p_values=np.concatenate(list(p_chunks(n, seed))), **streams)
 
 
 def test_numpy_draws_are_pinned():
@@ -232,21 +233,19 @@ class TestSampling:
 
     def test_chunked_p_values_match_one_draw(self):
         n = 2 * CHUNK + 5
-        chunks = list(recall_chunks(BOX, n, seed=99))
-        assert np.array_equal(np.concatenate([c.p_values for c in chunks]), np.random.default_rng(99).random(n))
-        assert np.array_equal(np.concatenate(list(p_chunks(n, 99))), np.random.default_rng(99).random(n))
-        assert [len(c) for c in chunks] == [CHUNK, CHUNK, 5]
-        # chunk k resolves its ties with its own child generator, the lower inverse first
-        for k, c in enumerate(chunks):
-            ties = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(k,)))
-            assert np.array_equal(c.optimistic, inverse_lower(BOX, c.p_values, ties))
-            assert np.array_equal(c.pessimistic, inverse_upper(BOX, c.p_values, ties))
+        chunks = list(p_chunks(n, 99))
+        assert [len(p) for p in chunks] == [CHUNK, CHUNK, 5]
+        assert np.array_equal(np.concatenate(chunks), np.random.default_rng(99).random(n))
+        for name in STREAMS:
+            assert [len(c) for c in stream_chunks(BOX, n, 99, name)] == [CHUNK, CHUNK, 5]
 
     @pytest.mark.parametrize("ties", [False, True], ids=["drawn", "with-p-zero"])
-    def test_each_stream_alone_equals_recall_chunks(self, ties, monkeypatch):
-        # across a chunk boundary; p = 0 in both chunks makes the optimistic stream draw its
-        # ties from chunk k's child generator, as recall_chunks does
-        n = CHUNK + 70
+    def test_each_stream_follows_the_seed_contract(self, ties, monkeypatch):
+        # across a chunk boundary: chunk k of p is default_rng(seed).random(n) cut into CHUNK
+        # slices; p = 0 in both chunks makes the optimistic stream draw its ties from chunk k's
+        # child generator, and the pessimistic stream draws none
+        n, seed = CHUNK + 70, 5
+        slices = [np.random.default_rng(seed).random(n)[start:start + CHUNK] for start in range(0, n, CHUNK)]
         if ties:
             real = pipeuq.pbox.p_chunks
 
@@ -256,28 +255,60 @@ class TestSampling:
                     yield p
 
             monkeypatch.setattr(pipeuq.pbox, "p_chunks", with_zeros)
-        chunks = list(recall_chunks(BOX, n, seed=5))
-        for name in ("optimistic", "pessimistic"):
-            alone = list(stream_chunks(BOX, n, 5, name))
-            assert [len(c) for c in alone] == [CHUNK, 70]
-            assert all(np.array_equal(a, getattr(c, name)) for a, c in zip(alone, chunks, strict=True))
+            for p in slices:
+                p[::7] = 0.0
+        expected = {
+            "optimistic": [inverse_lower(BOX, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
+                           for k, p in enumerate(slices)],
+            "pessimistic": [inverse_upper(BOX, p) for p in slices],
+        }
+        if ties:  # the ties were drawn, not left at an end of the box
+            assert len(np.unique(expected["optimistic"][1][::7])) > 1
+        for name in STREAMS:
+            got = list(stream_chunks(BOX, n, seed, name))
+            assert [len(c) for c in got] == [CHUNK, 70]
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected[name], strict=True)), name
+
+    @pytest.mark.parametrize("box", [BOX, PBoxParams(0.2, 0.8, 0.2), PBoxParams(0.5, 0.5, 0.5)])
+    def test_streams_are_ordered_at_every_index(self, box):
+        n = CHUNK + 70
+        optimistic, pessimistic = (list(stream_chunks(box, n, 3, name)) for name in STREAMS)
+        assert [len(c) for c in optimistic] == [len(c) for c in pessimistic] == [CHUNK, 70]
+        assert all(np.all(lo <= hi) for lo, hi in zip(pessimistic, optimistic))
 
     def test_zero_samples_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            next(recall_chunks(BOX, 0, 1))
-        # a stream mean divides by its count, exact in a float64 only up to 2**53
-        with pytest.raises(InvalidParameterError, match=r"1 to 2\*\*53 samples"):
-            next(recall_chunks(BOX, 2**53 + 1, 1))
-        # p_chunks checks at the call, before anything is drawn
+        # stream_chunks and p_chunks check at the call, before anything is drawn
+        for name in STREAMS:
+            with pytest.raises(InvalidParameterError):
+                stream_chunks(BOX, 0, 1, name)
+            # a stream mean divides by its count, exact in a float64 only up to 2**53
+            with pytest.raises(InvalidParameterError, match=r"1 to 2\*\*53 samples"):
+                stream_chunks(BOX, 2**53 + 1, 1, name)
         for n in (0, 2**53 + 1):
             with pytest.raises(InvalidParameterError):
                 p_chunks(n, 1)
 
-    def test_stream_invariants_checked(self):
-        with pytest.raises(InvalidParameterError):
-            RecallStreams(np.array([0.1]), np.array([0.2]), np.array([0.5]))
-        with pytest.raises(InvalidParameterError):
-            RecallStreams(np.array([0.5, 0.6]), np.array([0.4]), np.array([0.5]))
+    @pytest.mark.parametrize("n, seed, message", [
+        (10.0, 1, r"needs 1 to 2\*\*53 samples, got 10\.0"),
+        (None, 1, r"needs 1 to 2\*\*53 samples, got None"),
+        (10, 1.5, r"^seed must be an integer >= 0, got 1\.5$"),
+        (10, 1.0, r"^seed must be an int, got 1\.0$"),
+        (10, -1, r"^seed must be an integer >= 0, got -1$"),
+        (10, "1", r"^seed must be an integer >= 0, got '1'$"),
+    ])
+    def test_count_and_seed_must_be_ints(self, n, seed, message):
+        # range and numpy's SeedSequence would refuse these untyped, or not at all
+        with pytest.raises(InvalidParameterError, match=message):
+            p_chunks(n, seed)
+        for name in STREAMS:
+            with pytest.raises(InvalidParameterError, match=message):
+                stream_chunks(BOX, n, seed, name)
+        with pytest.raises(InvalidParameterError, match=message):
+            stream_summary(BOX, n, seed)
+
+    def test_unknown_stream_refused(self):
+        with pytest.raises(InvalidParameterError, match="'optimistic' or 'pessimistic', got 'optimstic'"):
+            stream_chunks(BOX, 3, 1, "optimstic")
 
     def test_mean_convergence_against_quadrature(self):
         # oracle: numerical quadrature of the reference transcriptions,

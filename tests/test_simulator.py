@@ -19,7 +19,7 @@ from pipeuq import (
     run_trial,
     trial_seed,
 )
-from pipeuq.pbox import CHUNK, recall_chunks
+from pipeuq.pbox import CHUNK, stream_chunks
 from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC, _chunks, run_grid
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
@@ -129,6 +129,15 @@ class TestGroundTruth:
 
     def test_deterministic(self):
         assert trial(500, 0.3, 0.7, seed=9) == trial(500, 0.3, 0.7, seed=9)
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, r"^seed must be an integer >= 0, got 1\.5$"),  # int() would truncate it to 1
+        (1.0, r"^seed must be an int, got 1\.0$"),
+        (-1, r"^seed must be an integer >= 0, got -1$"),  # numpy would raise its own ValueError
+    ])
+    def test_seed_must_be_an_int(self, seed, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            trial(500, 0.3, 0.7, seed=seed)
 
 
 class TestClassify:
@@ -277,6 +286,13 @@ class TestTrialSeed:
         }
         assert len(seeds) == 200
 
+    def test_unknown_stream_or_non_int_coordinate_refused(self):
+        with pytest.raises(InvalidParameterError, match="'optimistic' or 'pessimistic', got 'x'"):
+            trial_seed(1, "x", 0)
+        for master, index in ((1.5, 0), (-1, 0), (1, 2.0), (1, -1)):
+            with pytest.raises(InvalidParameterError):
+                trial_seed(master, STREAM_OPTIMISTIC, index)
+
 
 class TestRunExperiment:
     DOMAIN = DomainSpec(5_000, 0.5)
@@ -290,6 +306,12 @@ class TestRunExperiment:
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameterError):
             run_experiment(self.DOMAIN, self.PROFILE, FixerSpec(0.5), BOX, 0, master_seed=7)
+
+    def test_non_int_trials_or_seed_refused(self):
+        # range and numpy's SeedSequence would raise their own TypeError
+        for trials, seed in ((10.0, 7), (10, 1.5), (10, 7.0)):
+            with pytest.raises(InvalidParameterError):
+                run_experiment(self.DOMAIN, self.PROFILE, FixerSpec(0.5), BOX, trials, master_seed=seed)
 
     def test_intervals_contain_every_trial(self):
         report = run_experiment(self.DOMAIN, self.PROFILE, FixerSpec(0.7), BOX, 60, master_seed=3)
@@ -382,9 +404,9 @@ def test_running_sums_match_outcomes_across_a_chunk_boundary():
     outcomes = list(report.outcomes())
     assert len(outcomes) == 2 * trials
     streams = (outcomes[:trials], outcomes[trials:])  # optimistic first
-    chunks = list(recall_chunks(BOX, trials, seed))
-    assert [o.recall_used for o in streams[0]] == np.concatenate([c.optimistic for c in chunks]).tolist()
-    assert [o.recall_used for o in streams[1]] == np.concatenate([c.pessimistic for c in chunks]).tolist()
+    for outcomes_of_stream, name in zip(streams, (STREAM_OPTIMISTIC, STREAM_PESSIMISTIC)):
+        recalls = np.concatenate(list(stream_chunks(BOX, trials, seed, name))).tolist()
+        assert [o.recall_used for o in outcomes_of_stream] == recalls
     for metric in METRICS:
         defined = [[v for o in s if (v := getattr(o, metric)) is not None] for s in streams]
         everything = defined[0] + defined[1]
