@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import EvidenceFormatError, InvalidParameterError, check_count, check_unit
+from .errors import MAX_ITEMS, EvidenceFormatError, InvalidParameterError, check_count, check_unit
 from .evidence import DEFAULT_RECALL_PBOX, _read_headed_csv
 from .pbox import Interval, PBoxParams, stream_mean_optimistic, stream_mean_pessimistic
 
@@ -36,6 +36,12 @@ __all__ = [
 ]
 
 
+def _validate_counts(successes, trials, names=("successes", "trials")) -> tuple[int, int]:
+    """``(successes, trials)`` as ints: ``trials`` in [1, MAX_ITEMS] and ``successes`` in [0, trials]."""
+    trials = check_count(trials, names[1], 1, MAX_ITEMS)
+    return check_count(successes, names[0], 0, trials), trials
+
+
 class ToolRecord(namedtuple("ToolRecord", "name correct generated")):
     """Patch counts for one repair tool: ``correct`` out of ``generated``."""
 
@@ -43,8 +49,7 @@ class ToolRecord(namedtuple("ToolRecord", "name correct generated")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, name: str, correct: int, generated: int):
-        check_count(generated, f"{name}: generated", 1)
-        check_count(correct, f"{name}: correct", 0, generated)
+        correct, generated = _validate_counts(correct, generated, (f"{name}: correct", f"{name}: generated"))
         return super().__new__(cls, name, correct, generated)
 
 
@@ -78,11 +83,6 @@ def _z_two_sided(confidence: float) -> float:
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
-def _validate_counts(successes: int, trials: int) -> None:
-    check_count(trials, "trials", 1)
-    check_count(successes, "successes", 0, trials)
-
-
 def agresti_coull_interval(successes: int, trials: int, confidence: float = 0.95) -> ProportionCI:
     """Adjusted-Wald binomial proportion interval.
 
@@ -90,7 +90,7 @@ def agresti_coull_interval(successes: int, trials: int, confidence: float = 0.95
     ``z * sqrt(center * (1 - center) / (n + z^2))``, bounds clamped to [0, 1].
     Behaves well for small samples and extreme proportions.
     """
-    _validate_counts(successes, trials)
+    successes, trials = _validate_counts(successes, trials)
     z = _z_two_sided(confidence)
     n_adj = trials + z * z
     center = (successes + z * z / 2.0) / n_adj
@@ -105,7 +105,7 @@ def agresti_coull_interval(successes: int, trials: int, confidence: float = 0.95
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> ProportionCI:
     """Wilson score interval, offered as an alternative to Agresti-Coull."""
-    _validate_counts(successes, trials)
+    successes, trials = _validate_counts(successes, trials)
     z = _z_two_sided(confidence)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
@@ -174,11 +174,11 @@ def composed_pipeline_case(
     The wrap is ``core.pipeline_fix_rate`` with fix rate ``accuracy`` over the
     recall p-box, in both aggregation modes: extremes uses the box's min/max
     recall, means uses the analytic mean of each sampling stream. ``n_items``
-    is a whole number >= 1; recall and accuracy are ints or floats in [0, 1].
+    is an integer in [1, MAX_ITEMS]; recall and accuracy are ints or floats in [0, 1].
     """
     from .core import FixerSpec, pipeline_fix_rate  # numpy-free on floats
 
-    check_count(n_items, "n_items", 1)
+    n_items = check_count(n_items, "n_items", 1, MAX_ITEMS)
     check_unit(detector_recall, "detector_recall", numpy=False)  # the chain is scalar
     check_unit(repair_accuracy, "repair_accuracy", numpy=False)
     detected = round_half_away(n_items * detector_recall)
@@ -194,7 +194,7 @@ def composed_pipeline_case(
         "rates above it are not derivable from this model",
     )
     return ComposedPipelineReport(
-        n_items=int(n_items),
+        n_items=n_items,
         detector_recall=float(detector_recall),
         repair_accuracy=float(repair_accuracy),
         detected=detected,

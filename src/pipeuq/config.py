@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 
-from .errors import ConfigError, InvalidParameterError, check_count, check_int, check_unit
+from .errors import MAX_ITEMS, ConfigError, InvalidParameterError, check_count, check_unit
 
 __all__ = ["RunConfig", "DEFAULTS", "FLAGS", "OPTIONS", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
-
-MAX_ITEMS = 2**63 - 1
 
 
 # RunConfig's fields and their defaults; a field's type is its default's
@@ -192,12 +189,12 @@ def build_config(args, command: str) -> RunConfig:
     return cfg
 
 
-def _refused(errors: list[str], name: str, values, check=partial(check_unit, numpy=False)) -> bool:
-    """Whether ``check(v, name)`` refuses a value ``v`` of ``values``, by default one that is
-    no int or float in [0, 1]; the first refusal is listed in ``errors``."""
+def _refused(errors: list[str], name: str, values) -> bool:
+    """Whether a value of ``values`` is no int or float in [0, 1]; the first refusal is
+    listed in ``errors``."""
     try:
         for v in values:
-            check(v, name)
+            check_unit(v, name, numpy=False)
     except InvalidParameterError as exc:
         errors.append(str(exc))
         return True
@@ -205,14 +202,17 @@ def _refused(errors: list[str], name: str, values, check=partial(check_unit, num
 
 
 def validate_config(cfg: RunConfig, command: str) -> None:
-    """Validate every numeric field's semantic range, that the seed and the trial count are ints
-    and that each path is a str or None; raise listing offenders."""
+    """Validate every numeric field's semantic range, that each count and the seed is an integer
+    (kept as an int) and that each path is a str or None; raise listing offenders."""
     errors: list[str] = []
-    # binomial draws, float arithmetic and array sizes need an int64 count
-    refused = {name for name, check, least, most in (
-                   ("n_items", check_count, 1, MAX_ITEMS), ("case_n_items", check_count, 1, MAX_ITEMS),
-                   ("trials", check_int, 1, MAX_ITEMS), ("seed", check_int, 0, None))
-               if _refused(errors, name, [getattr(cfg, name)], partial(check, least=least, most=most))}
+    refused = set()
+    for name, least, most in (("n_items", 1, MAX_ITEMS), ("case_n_items", 1, MAX_ITEMS), ("trials", 1, MAX_ITEMS),
+                              ("seed", 0, None)):
+        try:  # the config keeps the int: the JSON echo writes no numpy integer
+            setattr(cfg, name, check_count(getattr(cfg, name), name, least, most))
+        except InvalidParameterError as exc:
+            errors.append(str(exc))
+            refused.add(name)
     # open() would take an int as a file descriptor, and close it
     errors += [f"{name}: must be a path (a str) or None, got {getattr(cfg, name)!r}"
                for name in ("evidence", "tools", "out") if not isinstance(getattr(cfg, name), (str, type(None)))]

@@ -39,7 +39,7 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import DegenerateDomainError, InvalidParameterError, check_count, check_unit
+from .errors import MAX_ITEMS, DegenerateDomainError, InvalidParameterError, check_count, check_unit
 
 __all__ = [
     "ClassifierProfile",
@@ -107,14 +107,14 @@ class ClassifierProfile(namedtuple("ClassifierProfile", "recall precision specif
 
 
 class DomainSpec(namedtuple("DomainSpec", "n_items prevalence")):
-    """Population under analysis: ``n_items`` items, a fraction ``prevalence``
-    of which is truly vulnerable."""
+    """Population under analysis: ``n_items`` items, an integer in [0, MAX_ITEMS] kept as
+    an int, a fraction ``prevalence`` of which is truly vulnerable."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, n_items: int, prevalence: float):
-        check_count(n_items, "n_items")
+        n_items = check_count(n_items, "n_items", 0, MAX_ITEMS)
         check_unit(prevalence, "prevalence")
         return super().__new__(cls, n_items, prevalence)
 

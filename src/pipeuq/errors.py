@@ -1,6 +1,11 @@
-"""Exception types shared across the package, and the input checks that raise them."""
+"""Exception types shared across the package, and the two input checks that raise them:
+``check_unit`` of a probability, ``check_count`` of a count or a seed (an integer, never a float)."""
 
+import operator
 import sys
+
+# the largest count: binomial draws, float arithmetic and array sizes need an int64
+MAX_ITEMS = 2**63 - 1
 
 
 class PipeUQError(Exception):
@@ -51,19 +56,14 @@ def check_unit(value, name: str, numpy: bool = True) -> None:
         raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def check_count(value, name: str, least: int = 0, most=None) -> None:
-    """Refuse ``value`` unless it is a whole number (an int, or a float equal to one) in [least, most]."""
+def check_count(value, name: str, least: int = 0, most=None) -> int:
+    """``value`` as a Python int if ``operator.index`` takes it (an int, a numpy integer, a bool as 0 or 1)
+    and it is in [least, most], else refuse it: no float, which numpy's ``binomial`` and ``SeedSequence`` refuse."""
     try:
-        whole = int(value) == value
-    except (TypeError, ValueError, OverflowError):  # None, a str, NaN, infinity
-        whole = False
-    if not whole or value < least or most is not None and value > most:
+        count = operator.index(value)
+    except TypeError:  # a float, None, a str, an array of more than one element
+        count = None
+    if count is None or count < least or most is not None and count > most:
         bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise InvalidParameterError(f"{name} must be an integer {bounds}, got {value!r}")
-
-
-def check_int(value, name: str, least: int = 0, most=None) -> None:
-    """``check_count``, and refuse a whole float too: numpy's ``SeedSequence`` takes no float."""
-    check_count(value, name, least, most)
-    if not isinstance(value, int):
-        raise InvalidParameterError(f"{name} must be an int, got {value!r}")
+    return count

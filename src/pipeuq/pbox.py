@@ -33,7 +33,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParameterError, check_int, check_unit
+from .errors import InvalidParameterError, check_count, check_unit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -163,13 +163,11 @@ def inverse_upper(params: PBoxParams, p, rng=None):
 
 def p_chunks(n: int, seed: int):
     """The uniform p values of ``n`` samples, ``CHUNK`` at a time: successive ``random``
-    calls on one ``default_rng(seed)``. ``n`` and ``seed`` are checked at the call."""
+    calls on one ``default_rng(seed)``. ``check_count`` checks both at the call: ``n`` in [1, 2**53],
+    where a stream mean's division by its count is exact in a float64, and ``seed`` >= 0."""
     import numpy as np
-    # a stream mean divides by its count, exact in a float64 up to 2**53
-    if not isinstance(n, int) or not 1 <= n <= 2**53:
-        raise InvalidParameterError(f"a recall stream needs 1 to 2**53 samples, got {n!r}")
-    check_int(seed, "seed")
-    rng = np.random.default_rng(seed)
+    n = check_count(n, "a recall stream's sample count", 1, 2**53)
+    rng = np.random.default_rng(check_count(seed, "seed"))
     return (rng.random(min(CHUNK, n - start)) for start in range(0, n, CHUNK))
 
 
@@ -182,6 +180,7 @@ def stream_chunks(params: PBoxParams, n: int, seed: int, name: str):
     ``SeedSequence(seed)``. The pessimistic needs none: its tie is at p = 1, and p is drawn in [0, 1).
     """
     import numpy as np
+    seed = check_count(seed, "seed")  # an int for SeedSequence, as p_chunks takes it
     if name == "pessimistic":
         return (inverse_upper(params, p) for p in p_chunks(n, seed))
     if name != "optimistic":

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ClassifierProfile, DomainSpec, FixerSpec
-from .errors import InvalidParameterError, check_count, check_int, check_unit
+from .errors import InvalidParameterError, check_count, check_unit
 from .pbox import Interval, PBoxParams, fold_chunk, stream_chunks
 
 __all__ = [
@@ -85,9 +85,9 @@ class TrialOutcome(NamedTuple):
 def _first_stage(rng, domain: DomainSpec, recall: np.ndarray):
     """``a``, the chance of a first-stage miss, and FN1 ~ Bin(n_items, a) of a chunk
     of trials, one array entry per trial: what every fix rate of a prevalence shares."""
-    check_count(domain.n_items, "a trial's n_items", 1)
+    n = check_count(domain.n_items, "a trial's n_items", 1)  # DomainSpec keeps it at most MAX_ITEMS
     missed = domain.prevalence * (1.0 - recall)
-    return missed, rng.binomial(domain.n_items, missed)
+    return missed, rng.binomial(n, missed)
 
 
 def _second_stage(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall, missed, fn1):
@@ -148,9 +148,8 @@ def run_trial(
     specificity). The three draws share one generator seeded with ``seed``.
     """
     check_unit(recall, "recall", numpy=False)  # one trial, one recall; a chunk's recalls lie in the box
-    check_int(seed, "seed")
+    rng = np.random.default_rng(check_count(seed, "seed"))
     recall = np.array([recall], dtype=float)
-    rng = np.random.default_rng(seed)
     first = _first_stage(rng, domain, recall)
     return next(_outcomes(recall, *_second_stage(rng, domain, profile, fixer, recall, *first)))
 
@@ -160,9 +159,8 @@ def trial_seed(master_seed: int, stream: str, index: int) -> int:
     stream_code, index)`` by ``numpy.random.SeedSequence`` (documented, platform-stable)."""
     if stream not in _STREAM_CODES:
         raise InvalidParameterError(f"a recall stream is 'optimistic' or 'pessimistic', got {stream!r}")
-    check_int(master_seed, "master_seed")
-    check_int(index, "index")
-    ss = np.random.SeedSequence(entropy=(master_seed, _STREAM_CODES[stream], index))
+    entropy = (check_count(master_seed, "master_seed"), _STREAM_CODES[stream], check_count(index, "index"))
+    ss = np.random.SeedSequence(entropy=entropy)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -197,6 +195,7 @@ def run_grid(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, tria
     pass: one report per cell, domain-major. For each metric, the per-trial extremes and the
     stream-means interval (each stream's mean, oriented lo <= hi), from running sums; trials
     whose metric is undefined are excluded and counted."""
+    trials, master_seed = check_count(trials, "trials", 1), check_count(master_seed, "master_seed")  # kept as ints
     reports = [SimulationReport({}, {}, d, profile, f, pbox, trials, master_seed) for d in domains for f in fixers]
     sums = {}  # per (cell, stream, metric): min, max, count and sum of the defined values
     for cell, stream, recall, counts, metrics in _chunks(domains, profile, fixers, pbox, trials, master_seed):

@@ -431,7 +431,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("field, value, message", [
         ("n_items", "10", "n_items must be an integer in [1, 9223372036854775807], got '10'"),
         ("seed", "1", "seed must be an integer >= 0, got '1'"),
-        ("trials", 10.0, "trials must be an int, got 10.0"),  # range takes no float
+        ("trials", 10.0, "trials must be an integer in [1, 9223372036854775807], got 10.0"),  # range takes no float
         ("outlier_k", "1", "outlier_k: must be finite and >= 0, got '1'"),
         ("prevalence", 0.5, "prevalence: grid must be a nonempty list, got 0.5"),
     ], ids=["n_items", "seed", "trials", "outlier_k", "prevalence"])
@@ -441,10 +441,10 @@ class TestConfigHandling:
         assert str(err.value) == message
 
     def test_validate_config_refuses_a_whole_float_seed(self):
-        # check_count takes 7.0 as a whole number; numpy's SeedSequence would refuse it untyped
+        # numpy's SeedSequence would refuse 7.0 untyped: a seed, as every count, is no float
         with pytest.raises(ConfigError) as err:
             validate_config(RunConfig(seed=7.0), "pbox-sample")
-        assert str(err.value) == "seed must be an int, got 7.0"
+        assert str(err.value) == "seed must be an integer >= 0, got 7.0"
 
     def test_validate_config_refuses_a_path_that_is_no_str(self):
         with pytest.raises(ConfigError) as err:

@@ -132,7 +132,7 @@ class TestGroundTruth:
 
     @pytest.mark.parametrize("seed, message", [
         (1.5, r"^seed must be an integer >= 0, got 1\.5$"),  # int() would truncate it to 1
-        (1.0, r"^seed must be an int, got 1\.0$"),
+        (1.0, r"^seed must be an integer >= 0, got 1\.0$"),  # SeedSequence takes no float
         (-1, r"^seed must be an integer >= 0, got -1$"),  # numpy would raise its own ValueError
     ])
     def test_seed_must_be_an_int(self, seed, message):
