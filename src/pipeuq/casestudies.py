@@ -76,7 +76,7 @@ DEFAULT_TOOL_RECORDS = (
 
 def _z_two_sided(confidence: float) -> float:
     # at 1 - 2**-53, the largest float below 1, 0.5 + confidence/2 rounds to 1
-    if not 0.0 < confidence < 1.0 - 2.0**-53:
+    if not isinstance(confidence, (int, float)) or not 0.0 < confidence < 1.0 - 2.0**-53:
         raise InvalidParameterError(f"confidence must lie in (0, 1 - 2**-53), got {confidence!r}")
     from statistics import NormalDist  # statistics loads fractions and decimal
 
@@ -133,7 +133,7 @@ def rule_based_case_study(
     """One confidence interval per tool record, in the records' order."""
     try:
         interval = INTERVAL_METHODS[method]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError for an unhashable method
         raise InvalidParameterError(
             f"method must be one of {sorted(INTERVAL_METHODS)}, got {method!r}"
         ) from None
@@ -141,7 +141,11 @@ def rule_based_case_study(
 
 
 def round_half_away(x: float) -> int:
-    """Round to the nearest integer, ties away from zero (755.94 -> 756)."""
+    """Round a finite int or float to the nearest integer, ties away from zero (755.94 -> 756)."""
+    if isinstance(x, int):
+        return int(x)  # exact beyond 2**53, where x + 0.5 would round or overflow
+    if not isinstance(x, float) or not math.isfinite(x):
+        raise InvalidParameterError(f"x must be a finite int or float, got {x!r}")
     if x >= 0:
         return int(math.floor(x + 0.5))
     return int(math.ceil(x - 0.5))

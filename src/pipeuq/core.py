@@ -35,6 +35,7 @@ false-alert rate is NaN at the cells where it is undefined.
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections import namedtuple
 from typing import NamedTuple
@@ -77,12 +78,23 @@ def _where(np, defined, formula, undefined):
 
     With ``np`` None (scalar inputs) this is a conditional, and ``formula`` is
     not evaluated at an undefined cell; otherwise ``np.where`` over the whole
-    grid, with numpy's division warnings off.
+    grid, whose undefined cells ``_quiet`` keeps from warning.
     """
     if np is None:
         return formula() if defined else undefined
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(defined, formula(), undefined)
+    return np.where(defined, formula(), undefined)
+
+
+def _quiet(metric):
+    """``metric`` with numpy's floating-point warnings off: a numpy value overflows to inf, and
+    meets NaN, silently, as a float does. numpy is looked up, never imported."""
+    def run(*args, **kwargs):
+        np = sys.modules.get("numpy")
+        if np is None:
+            return metric(*args, **kwargs)
+        with np.errstate(all="ignore"):
+            return metric(*args, **kwargs)
+    return functools.wraps(metric)(run)
 
 
 class ClassifierProfile(namedtuple("ClassifierProfile", "recall precision specificity")):
@@ -154,6 +166,7 @@ class PipelineOutcome(NamedTuple):
     fixer_load: float
 
 
+@_quiet
 def pipeline_fix_rate(fixer: FixerSpec, recall):
     """Realized end-to-end fix rate, ``fix_rate * recall``.
 
@@ -164,12 +177,14 @@ def pipeline_fix_rate(fixer: FixerSpec, recall):
     return fixer.fix_rate * recall
 
 
+@_quiet
 def pipeline_prevalence(domain: DomainSpec, fixer: FixerSpec, recall):
     """Residual prevalence after one pass, ``(1 - fix_rate * recall) * P``."""
     _check(recall, fixer.fix_rate, domain.prevalence)
     return (1.0 - fixer.fix_rate * recall) * domain.prevalence
 
 
+@_quiet
 def pipeline_tpr(recall, fixer: FixerSpec):
     """True positive rate of the whole pipeline.
 
@@ -207,6 +222,7 @@ def _defined(far):
     return far
 
 
+@_quiet
 def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None):
     """False alert rate of the whole pipeline.
 
@@ -225,6 +241,7 @@ def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpe
     return _defined(_far(profile, domain, fixer, rec))
 
 
+@_quiet
 def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
     """Final false negatives and their growth ratio over the first stage.
 
@@ -242,12 +259,14 @@ def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
     return fn_final, ratio
 
 
+@_quiet
 def pipeline_true_positives(domain: DomainSpec, fixer: FixerSpec, recall):
     """True positives surviving both stages, ``(1 - fix_rate) * rec^2 * P * N``."""
     _check(recall, fixer.fix_rate, domain.prevalence)
     return (1.0 - fixer.fix_rate) * recall * recall * domain.positives
 
 
+@_quiet
 def pipeline_false_positives(
     profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None
 ):
@@ -261,6 +280,7 @@ def pipeline_false_positives(
     return rec * ((1.0 - prec) / prec) * (1.0 - fixer.fix_rate) * rec * domain.positives
 
 
+@_quiet
 def fixer_load(profile: ClassifierProfile, domain: DomainSpec, recall=None):
     """Number of items handed to the fixer and second classifier: ``rec / prec * P * N``
     (first-stage true plus false positives)."""
@@ -269,6 +289,7 @@ def fixer_load(profile: ClassifierProfile, domain: DomainSpec, recall=None):
     return rec / profile.precision * domain.positives
 
 
+@_quiet
 def pipeline_outcome(
     profile: ClassifierProfile,
     domain: DomainSpec,

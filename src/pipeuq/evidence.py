@@ -19,6 +19,9 @@ quartiles and mean are plain Python, rounded bit for bit as ``np.percentile``
 from __future__ import annotations
 
 import csv
+import io
+import os
+import sys
 from collections import namedtuple
 from functools import reduce
 from operator import add
@@ -49,7 +52,9 @@ class EvidenceSample(namedtuple("EvidenceSample", "source_id metric value")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, source_id: str, metric: str, value: float):
-        if metric not in METRICS:
+        if not isinstance(source_id, str):  # summarize counts the distinct ones
+            raise InvalidParameterError(f"source_id must be a str, got {source_id!r}")
+        if not isinstance(metric, str) or metric not in METRICS:
             raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
         check_unit(value, "value", numpy=False)
         return super().__new__(cls, source_id, metric, value)
@@ -74,13 +79,16 @@ DEFAULT_RECALL_STATS = SummaryStats(2328, 115, 0.07, 1.00, 0.74)
 
 def _read_headed_csv(source, header: list[str]):
     """Yield ``(lineno, cells)`` for each data row of a CSV file, given as a
-    path or an open text stream.
+    path (a ``str`` or ``os.PathLike``) or an open text stream; anything else,
+    an int that ``open`` would take as a file descriptor included, is refused.
 
     Blank lines and ``#`` comments are skipped. The first other line must be
     ``header``, and every later one must have as many cells; otherwise
     :class:`EvidenceFormatError` names the offending line.
     """
-    if not hasattr(source, "read"):
+    if not isinstance(source, io.TextIOBase):
+        if not isinstance(source, (str, os.PathLike)):
+            raise InvalidParameterError(f"source must be a path or a text stream, got {source!r}")
         try:
             with open(source, encoding="utf-8-sig", newline="") as fh:
                 yield from _read_headed_csv(fh, header)
@@ -173,12 +181,13 @@ def remove_outliers(samples, policy: str = "iqr", k: float = 1.5):
     metric first; the rule is applied to the values as given.
     """
     samples = list(samples)
+    if not isinstance(policy, str) or policy not in ("none", "iqr"):
+        raise InvalidParameterError(f"policy must be 'none' or 'iqr', got {policy!r}")
     if policy == "none":
         return samples, []
-    if policy != "iqr":
-        raise InvalidParameterError(f"policy must be 'none' or 'iqr', got {policy!r}")
-    if not k >= 0:  # also rejects NaN
-        raise InvalidParameterError(f"k must be nonnegative, got {k!r}")
+    # k * IQR must be a float: NaN, infinity (inf * 0 is NaN) and a larger int are refused
+    if not isinstance(k, (int, float)) or not 0 <= k <= sys.float_info.max:
+        raise InvalidParameterError(f"k must be a finite number >= 0, got {k!r}")
     if not samples:
         raise EmptyEvidenceError("iqr outlier removal needs at least one sample")
     ordered = sorted(s.value for s in samples)

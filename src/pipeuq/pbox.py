@@ -112,12 +112,20 @@ class Interval(namedtuple("Interval", "lo hi")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, lo: float, hi: float):
-        if not lo <= hi:
+        if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and lo <= hi):
             raise InvalidParameterError(f"interval needs lo <= hi, got [{lo}, {hi}]")
         return super().__new__(cls, lo, hi)
 
     def contains(self, value: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= value <= self.hi + tol
+
+
+def _tie_generator(np, rng):
+    """The generator of a tie's uniform draw: ``rng`` is a ``numpy.random.Generator``, None
+    (fresh entropy) or a seed, which ``check_count`` takes as it takes every seed."""
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        rng = check_count(rng, "rng")
+    return np.random.default_rng(rng)
 
 
 def inverse_lower(params: PBoxParams, p, rng=None):
@@ -138,7 +146,7 @@ def inverse_lower(params: PBoxParams, p, rng=None):
     out[mid] = np.where(x <= a, a, x)  # a tie gives a: (p*0 - 0) / (p - 1) is -0.0
     zero = arr == 0.0
     if zero.any():
-        out[zero] = np.random.default_rng(rng).uniform(a, mu, int(zero.sum()))
+        out[zero] = _tie_generator(np, rng).uniform(a, mu, int(zero.sum()))
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
@@ -157,7 +165,7 @@ def inverse_upper(params: PBoxParams, p, rng=None):
     out[mid] = b - (b - mu) / arr[mid]
     one = (arr == 1.0) & (arr > t)
     if one.any():
-        out[one] = np.random.default_rng(rng).uniform(mu, b, int(one.sum()))
+        out[one] = _tie_generator(np, rng).uniform(mu, b, int(one.sum()))
     return float(out[0]) if np.ndim(p) == 0 else out
 
 

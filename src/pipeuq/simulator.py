@@ -82,12 +82,23 @@ class TrialOutcome(NamedTuple):
     recall_used: float
 
 
+def _check_cells(domains, profile: ClassifierProfile, fixers) -> None:
+    """Refuse a cell that cannot be drawn: one of no items, or one whose prevalence, specificity,
+    fix rate or break rate is an array, not the one number a cell has. DomainSpec keeps
+    ``n_items`` at most ``MAX_ITEMS``, as ``binomial`` needs."""
+    for domain in domains:
+        check_count(domain.n_items, "a trial's n_items", 1)
+    cells = [("specificity", profile.specificity), *(("prevalence", d.prevalence) for d in domains),
+             *(field for f in fixers for field in zip(f._fields, f))]
+    for name, value in cells:
+        check_unit(value, f"a trial's {name}", numpy=False)
+
+
 def _first_stage(rng, domain: DomainSpec, recall: np.ndarray):
     """``a``, the chance of a first-stage miss, and FN1 ~ Bin(n_items, a) of a chunk
     of trials, one array entry per trial: what every fix rate of a prevalence shares."""
-    n = check_count(domain.n_items, "a trial's n_items", 1)  # DomainSpec keeps it at most MAX_ITEMS
     missed = domain.prevalence * (1.0 - recall)
-    return missed, rng.binomial(n, missed)
+    return missed, rng.binomial(domain.n_items, missed)
 
 
 def _second_stage(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall, missed, fn1):
@@ -148,6 +159,7 @@ def run_trial(
     specificity). The three draws share one generator seeded with ``seed``.
     """
     check_unit(recall, "recall", numpy=False)  # one trial, one recall; a chunk's recalls lie in the box
+    _check_cells([domain], profile, [fixer])
     rng = np.random.default_rng(check_count(seed, "seed"))
     recall = np.array([recall], dtype=float)
     first = _first_stage(rng, domain, recall)
@@ -157,7 +169,7 @@ def run_trial(
 def trial_seed(master_seed: int, stream: str, index: int) -> int:
     """Stable integer seed for ``run_trial``: a hash of ``(master_seed,
     stream_code, index)`` by ``numpy.random.SeedSequence`` (documented, platform-stable)."""
-    if stream not in _STREAM_CODES:
+    if not isinstance(stream, str) or stream not in _STREAM_CODES:
         raise InvalidParameterError(f"a recall stream is 'optimistic' or 'pessimistic', got {stream!r}")
     entropy = (check_count(master_seed, "master_seed"), _STREAM_CODES[stream], check_count(index, "index"))
     ss = np.random.SeedSequence(entropy=entropy)
@@ -195,6 +207,7 @@ def run_grid(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, tria
     pass: one report per cell, domain-major. For each metric, the per-trial extremes and the
     stream-means interval (each stream's mean, oriented lo <= hi), from running sums; trials
     whose metric is undefined are excluded and counted."""
+    _check_cells(domains, profile, fixers)
     trials, master_seed = check_count(trials, "trials", 1), check_count(master_seed, "master_seed")  # kept as ints
     reports = [SimulationReport({}, {}, d, profile, f, pbox, trials, master_seed) for d in domains for f in fixers]
     sums = {}  # per (cell, stream, metric): min, max, count and sum of the defined values
