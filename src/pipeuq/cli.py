@@ -16,7 +16,8 @@ JSON (RFC 8259): no ``NaN`` or ``Infinity`` token, undefined values are null.
 
 A report is written to its destination as it is encoded, and ``pbox-sample``
 re-draws its streams as it writes them, so memory does not grow with
-``--trials`` (a 42 MB peak for 10^6 samples in JSON, 39 MB for 4*10^6 in csv).
+``--trials`` (a 38 MB peak for 10^6 samples in JSON, written in 0.72 s, and
+41 MB for 4*10^6 in csv, on a 2-core Xeon).
 ``--out PATH`` replaces a regular file, or creates a new one, atomically: the
 report goes to a fresh temporary file beside ``PATH`` that is renamed over it
 at the end, so a failed run leaves neither a partial report nor a changed
@@ -454,14 +455,40 @@ def _encoder(pad: str) -> json.JSONEncoder:
     return json.JSONEncoder(separators=("," + pad, ": "), sort_keys=True, allow_nan=False)
 
 
+def _flat_piece(piece, pad: str, encode) -> str:
+    """A slice of a flat list or 1-D array as JSON without its brackets; ``_json_chunks``
+    gives the rule that picks orjson or the stdlib's encoder."""
+    if isinstance(piece, (list, tuple)):
+        return encode(piece)[1:-1]
+    if piece.dtype == float and piece.flags.c_contiguous:  # no byte-swapped dtype equals float
+        size = abs(piece)
+        if ((size < 1e16) & ((size >= 1e-4) | (size == 0.0))).all():  # False at NaN
+            import orjson
+            return orjson.dumps(piece, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().replace(",", "," + pad)
+    return encode(piece.tolist())[1:-1]
+
+
 def _json_chunks(value, indent: str = "\n"):
     """``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
     Keys are str. A numpy array is 1-D, and a zero-argument callable yields
     lists or arrays that are joined; both are written as lists. ``indent`` is
     the newline plus indentation of ``value``'s own level. A dict or list
-    holding containers is walked here; a flat one goes to the C encoder,
-    ``_BATCH`` elements of a list, array or yielded part at a time.
+    holding containers is walked here; a flat one is written ``_BATCH``
+    elements of a list, array or yielded part at a time.
+
+    A slice of a native, C-contiguous float64 array whose every value is a
+    zero or of magnitude in [1e-4, 1e16) goes to orjson, whose Ryu formatting
+    writes the shortest round-trip digits in the notation that ``repr`` uses
+    in that range, so the same bytes: 60 ns a float with the padding, against
+    600 ns for the C encoder's ``float.__repr__`` calls (uniform values, a
+    2-core Xeon). Every other slice (a list, an int, bool, float32, strided
+    or byte-swapped array, or one holding NaN, an infinity or a value outside
+    that range) stays with the stdlib's C encoder: orjson writes ``1e-05`` as
+    ``0.00001``, ``1e+16`` as ``1e16`` and NaN as ``null``, where the report
+    keeps repr's bytes and raises ``ValueError``; it refuses a strided array
+    and misreads a byte-swapped one. The choice follows the slice's own
+    values, so orjson is imported only by a report that holds such an array.
     """
     pad = indent + "  "
     encode = _encoder(pad).encode
@@ -482,8 +509,7 @@ def _json_chunks(value, indent: str = "\n"):
         sep = "["
         for part in value() if callable(value) else [value]:
             for i in range(0, len(part), _BATCH):
-                piece = part[i:i + _BATCH]
-                yield sep + pad + encode(piece if isinstance(piece, (list, tuple)) else piece.tolist())[1:-1]
+                yield sep + pad + _flat_piece(part[i:i + _BATCH], pad, encode)
                 sep = ","
         yield "[]" if sep == "[" else indent + "]"
     elif isinstance(value, dict) and value:

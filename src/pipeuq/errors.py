@@ -42,6 +42,17 @@ class ConfigError(PipeUQError, ValueError):
     """A run configuration failed validation. The message names the fields."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an int that repr refuses: one of more digits than
+    ``sys.get_int_max_str_digits()`` (4300 by default), alone or inside a container."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a value of type {type(value).__name__} too long to show"
+
+
 def check_unit(value, name: str, numpy: bool = True) -> None:
     """Refuse ``value`` unless it is an int or a float in [0, 1] or, with ``numpy``, a nonempty
     numpy scalar or array of a real dtype with every element in [0, 1]: a list, tuple, str,
@@ -53,7 +64,7 @@ def check_unit(value, name: str, numpy: bool = True) -> None:
         ok = (np is not None and isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "biuf"
               and value.size > 0 and bool(np.all((value >= 0.0) & (value <= 1.0))))
     if not ok:
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
+        raise InvalidParameterError(f"{name} must lie in [0, 1], got {_shown(value)}")
 
 
 def check_count(value, name: str, least: int = 0, most=None) -> int:
@@ -65,5 +76,5 @@ def check_count(value, name: str, least: int = 0, most=None) -> int:
         count = None
     if count is None or count < least or most is not None and count > most:
         bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
-        raise InvalidParameterError(f"{name} must be an integer {bounds}, got {value!r}")
+        raise InvalidParameterError(f"{name} must be an integer {bounds}, got {_shown(value)}")
     return count

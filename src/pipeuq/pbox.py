@@ -189,10 +189,10 @@ def stream_chunks(params: PBoxParams, n: int, seed: int, name: str):
     """
     import numpy as np
     seed = check_count(seed, "seed")  # an int for SeedSequence, as p_chunks takes it
+    if not isinstance(name, str) or name not in ("optimistic", "pessimistic"):
+        raise InvalidParameterError(f"a recall stream is 'optimistic' or 'pessimistic', got {name!r}")
     if name == "pessimistic":
         return (inverse_upper(params, p) for p in p_chunks(n, seed))
-    if name != "optimistic":
-        raise InvalidParameterError(f"a recall stream is 'optimistic' or 'pessimistic', got {name!r}")
     return (inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
             for k, p in enumerate(p_chunks(n, seed)))
 

@@ -288,6 +288,11 @@ class TestSampling:
             with pytest.raises(InvalidParameterError):
                 p_chunks(n, 1)
 
+    def test_a_stream_name_that_is_no_str_is_refused(self):
+        # the parent compared the array with "pessimistic" first: numpy's ambiguous-truth ValueError
+        with pytest.raises(InvalidParameterError, match="^a recall stream is 'optimistic' or 'pessimistic'"):
+            stream_chunks(PBoxParams(0.1, 0.9, 0.5), 10, 1, np.array(["a", "b"]))
+
     @pytest.mark.parametrize("n, seed, message", [
         (10.0, 1, r"sample count must be an integer in \[1, 9007199254740992\], got 10\.0"),
         (None, 1, r"sample count must be an integer in \[1, 9007199254740992\], got None"),

@@ -66,6 +66,7 @@ from pipeuq import (
 )
 from pipeuq.cli import cmd_analytic, main, write_report
 from pipeuq.config import RunConfig, validate_config
+from pipeuq.errors import check_unit
 
 WRONG = st.sampled_from([
     None, "", "0.5", "x", [0.5], [], (1, 2), {}, 1j, b"1", io.BytesIO(b"1"),
@@ -314,3 +315,14 @@ def test_a_numpy_metric_overflows_without_a_warning():
     assert np.isinf(fixer_load(ClassifierProfile(np.array([0.5, 1.0]), 5e-324), domain)).all()
     fn_final, _ = pipeline_false_negatives(DomainSpec(2**53, 1), FixerSpec(1.0), np.float16(0.5))
     assert fn_final == math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DomainSpec(10**5000, 0.5),
+    lambda: check_unit(10**5000, "p"),
+], ids=["DomainSpec", "check_unit"])
+def test_an_int_too_long_for_repr_is_refused_by_its_size(call):
+    # the parent's refusal message formatted the int with repr, which raises
+    # "ValueError: Exceeds the limit (4300 digits)" beyond 4300 digits
+    with pytest.raises(InvalidParameterError, match=r"got an int of 16610 bits$"):
+        call()

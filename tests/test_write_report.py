@@ -39,15 +39,34 @@ def as_list(value) -> list:
     return [v for part in parts for v in (part.tolist() if isinstance(part, np.ndarray) else part)]
 
 
-def sample_array(length: int, dtype: str, seed: int) -> np.ndarray:
+# the values each kind of float64 array holds: a native C-contiguous array of zeros and
+# magnitudes in [1e-4, 1e16) is written by orjson, every other by the stdlib's encoder
+EDGES = [1e-4, np.nextafter(1e16, 0), 0.0, -0.0]
+OUTLIERS = [5e-324, 1e-5, 1e16]
+
+
+def sample_array(length: int, kind: str, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    if dtype == "int64":
+    if kind == "int64":
         return rng.integers(-(2**62), 2**62, length)
-    if dtype == "bool":
+    if kind == "bool":
         return rng.random(length) < 0.5
-    values = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
-    values[: length // 3] = -0.0
-    return values
+    if kind == "float64":  # magnitudes from 1e-300 to 1e300, a third of them -0.0
+        values = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
+        values[: length // 3] = -0.0
+        return values
+    if kind == "uniform":  # as p_chunks draws them
+        return rng.random(length)
+    # in range, the edges at random places
+    values = rng.choice([-1.0, 1.0], length) * 10.0 ** rng.uniform(-4, 16, length)
+    values[rng.permutation(length)[: len(EDGES)]] = EDGES[:length]
+    if kind == "one_outlier" and length:  # its slice goes to the stdlib, any other to orjson
+        values[rng.integers(length)] = OUTLIERS[seed % len(OUTLIERS)]
+    strided = np.repeat(values, 2)[::2]  # a view of every other element
+    return {"float32": values.astype(np.float32), "big_endian": values.astype(">f8"), "strided": strided}.get(
+        kind, values)
+
+FLOAT_KINDS = ["float64", "uniform", "in_range", "one_outlier", "float32", "strided", "big_endian"]
 
 
 scalars = st.one_of(
@@ -58,7 +77,7 @@ scalars = st.one_of(
     st.none(),
     st.text(),  # non-ASCII too, written as \u escapes
 )
-arrays = st.builds(sample_array, st.sampled_from(LENGTHS), st.sampled_from(["float64", "int64", "bool"]),
+arrays = st.builds(sample_array, st.sampled_from(LENGTHS), st.sampled_from([*FLOAT_KINDS, "int64", "bool"]),
                    st.integers(0, 2**32 - 1))
 # a flat list longer than one slice
 long_lists = st.builds(lambda length, seed: sample_array(length, "float64", seed).tolist(),
@@ -84,7 +103,9 @@ documents = st.recursive(
 def around_a_slice(length: int):
     values = sample_array(length, "float64", length)
     results = {"array": values, "list": values.tolist(), "rows": [{"x": values, "y": [values, -0.0]}],
-               "parts": lambda: iter([values, [], values.tolist()])}
+               "parts": lambda: iter([values, [], values.tolist()]),
+               "kinds": {kind: sample_array(length, kind, length) for kind in FLOAT_KINDS},
+               "outliers": [sample_array(length, "one_outlier", seed) for seed in range(len(OUTLIERS))]}
     return example(config={"k": [0.5, None]}, results=results)
 
 
@@ -101,15 +122,19 @@ def test_json_matches_indented_dumps(config, results):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["scalar", "leaf dict", "flat list", "long list", "array", "callable"])
+@pytest.mark.parametrize("where", ["scalar", "leaf dict", "flat list", "long list", "array", "in-range array",
+                                   "callable"])
 def test_non_finite_number_raises(bad, where):
     tail = [0.25] * 5000 + [bad]
+    in_range = sample_array(3 * cli._BATCH, "in_range", 0)
+    in_range[cli._BATCH + 7] = bad  # in the second slice; the first went to orjson
     results = {
         "scalar": {"x": bad, "nested": [{"y": 1}]},
         "leaf dict": {"x": {"lo": 0.0, "hi": bad}},
         "flat list": [0.5, bad, None],
         "long list": tail,
         "array": np.array(tail),
+        "in-range array": {"x": in_range},
         "callable": {"x": lambda: iter([[0.5], np.array(tail)])},
     }[where]
     with pytest.raises(ValueError):
