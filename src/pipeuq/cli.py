@@ -51,6 +51,7 @@ import gc
 import io
 import itertools
 import json
+import operator
 import os
 import stat
 import sys
@@ -91,8 +92,8 @@ class ReportEnvelope(NamedTuple):
     or None where a command builds it only for ``--output json``.
     ``columns`` and ``rows`` give the payload as one tidy table, which the csv
     output writes as it stands and ``table(envelope)`` formats. ``rows`` is a
-    zero-argument callable that yields the rows afresh on every call, so a
-    large payload is never copied.
+    zero-argument callable that yields the rows (lists or tuples) afresh on
+    every call, so a large payload is never copied.
     """
 
     config: dict
@@ -144,31 +145,40 @@ def _summarize(cfg: RunConfig, metric: str, samples):
 def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     """Closed-form metrics for every (prevalence, fix_rate) grid cell at the
     configured point recall, cell by cell on Python floats, so numpy is not
-    loaded.
+    loaded. The cells are computed as they are written, a grid row at a time,
+    so memory does not grow with the grid: the csv rows in one pass over it,
+    and each JSON metric in a pass of its own formula.
 
     The realized fix rate is reported as undefined (null / "n/a") when
     prevalence is 0, and the false-alert rate when the domain degenerates to
     no negatives. The closed forms take false positives from precision, so
     specificity is not read.
     """
-    from .core import ClassifierProfile, DomainSpec, FixerSpec, PipelineOutcome, _outcome
+    from .core import _FORMULAS, ClassifierProfile, DomainSpec, FixerSpec, PipelineOutcome, _grid
 
     profile = ClassifierProfile(cfg.recall, cfg.precision)
     # float(): a grid given as ints in code is written as floats, as on the command line
+    domains = [DomainSpec(cfg.n_items, float(p)) for p in cfg.prevalence]
     fixers = [FixerSpec(float(f)) for f in cfg.fix_rate]
-    table = []
-    for p in map(float, cfg.prevalence):
-        domain = DomainSpec(cfg.n_items, p)
-        for fixer in fixers:
-            real_fix_rate, *cell = _outcome(profile, domain, fixer)  # far is None where undefined
-            table.append([p, fixer.fix_rate, real_fix_rate if p > 0 else None, *cell])  # nothing to fix at P = 0
+    fix_rates = [fixer.fix_rate for fixer in fixers]
+
+    def rows(formulas):
+        # per grid row, the columns of its cells: the prevalence, the fix rate and each of the formulas'
+        # values, far None where undefined
+        for domain, values in zip(domains, _grid(profile.recall, profile.precision, domains, fixers, formulas)):
+            if not domain.prevalence and formulas[0] is _FORMULAS.real_fix_rate:
+                values[0] = [None] * len(fixers)  # nothing to fix at P = 0
+            yield [[domain.prevalence] * len(fixers), fix_rates, *values]
+
+    def metric(formula):  # one PipelineOutcome field, as the columns of a dict per cell, a grid row a part
+        return lambda: (dict(zip(("prevalence", "fix_rate", "value"), row)) for row in rows((formula,)))
+
     # the report's metrics are PipelineOutcome's fields, by name and in order; only json writes them
-    results = None if cfg.output != "json" else {
-        metric: [{"prevalence": row[0], "fix_rate": row[1], "value": row[i]} for row in table]
-        for i, metric in enumerate(PipelineOutcome._fields, start=2)
-    }
+    results = None if cfg.output != "json" else dict(zip(PipelineOutcome._fields, map(metric, _FORMULAS)))
     columns = ("prevalence", "fix_rate", *PipelineOutcome._fields)
-    return _envelope("analytic", cfg, results, columns, lambda: table, _render_analytic_table)
+    return _envelope("analytic", cfg, results, columns,
+                     lambda: (cell for row in rows(_FORMULAS) for cell in zip(*row)),
+                     _render_analytic_table)
 
 
 def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
@@ -444,8 +454,11 @@ def _render_pbox_table(env: ReportEnvelope) -> str:
     return _titled(title, rows)
 
 
-# rows per csv flush and elements per JSON array slice
+# elements per JSON array slice, and csv rows per write: each csv batch is built as one
+# string, and a quarter of the slice keeps a 1001 x 1001 analytic grid's peak within
+# 1 MB of a 51 x 51 grid's (4 MB with 4096 rows)
 _BATCH = 4096
+_CSV_BATCH = 1024
 
 
 @functools.cache
@@ -462,33 +475,72 @@ def _flat_piece(piece, pad: str, encode) -> str:
         return encode(piece)[1:-1]
     if piece.dtype == float and piece.flags.c_contiguous:  # no byte-swapped dtype equals float
         size = abs(piece)
-        if ((size < 1e16) & ((size >= 1e-4) | (size == 0.0))).all():  # False at NaN
+        if (size <= sys.float_info.max).all():  # False at NaN and infinities, which the stdlib refuses
             import orjson
-            return orjson.dumps(piece, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().replace(",", "," + pad)
+            text = orjson.dumps(piece, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+            outliers = ((size >= 1e16) | ((size < 1e-4) & (size != 0.0))).nonzero()[0]
+            if not outliers.size:
+                return text.replace(",", "," + pad)
+            numbers = text.split(",")
+            for i, x in zip(outliers.tolist(), piece[outliers].tolist()):
+                numbers[i] = repr(x)
+            return ("," + pad).join(numbers)
     return encode(piece.tolist())[1:-1]
+
+
+def _records(columns: dict, pad: str) -> str:
+    """Nonempty columns of equal length (lists or tuples), written as the list of one dict per
+    index, without its brackets.
+
+    One encoder call writes each column, or its one value where every entry is the same object
+    (a grid row's prevalence), and one template places them all. A column that holds a
+    container, an array, a callable or a str with a comma or a bracket is written dict by dict
+    instead, as ``_json_chunks`` writes any dict.
+    """
+    encode, keys, fields, numbers = _encoder("").encode, sorted(columns), [], []
+    for key in keys:
+        column = columns[key]
+        same = all(map(operator.is_, column, itertools.repeat(column[0])))
+        try:
+            text = encode(column[:1] if same else column)[1:-1]  # ValueError at NaN or an infinity
+        except TypeError:
+            break
+        if text.count(",") != (0 if same else len(column) - 1) or "[" in text or "{" in text:  # no scalar
+            break
+        fields.append(f"{pad}  {encode(key)}: ".replace("%", "%%") + (text.replace("%", "%%") if same else "%s"))
+        if not same:
+            numbers.append(text.split(","))
+    else:
+        record = "{" + ",".join(fields) + pad + "}"
+        return ("," + pad).join([record] * len(column)) % tuple(itertools.chain.from_iterable(zip(*numbers)))
+    rows = (dict(zip(keys, values)) for values in zip(*map(columns.__getitem__, keys)))
+    return ("," + pad).join("".join(_json_chunks(row, pad)) for row in rows)
 
 
 def _json_chunks(value, indent: str = "\n"):
     """``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
     Keys are str. A numpy array is 1-D, and a zero-argument callable yields
-    lists or arrays that are joined; both are written as lists. ``indent`` is
-    the newline plus indentation of ``value``'s own level. A dict or list
-    holding containers is walked here; a flat one is written ``_BATCH``
-    elements of a list, array or yielded part at a time.
+    parts that are joined into one list: a list or an array is written as its
+    elements, and a dict of columns as one dict per index (``_records``).
+    ``indent`` is the newline plus indentation of ``value``'s own level. A
+    dict or list holding containers is walked here; a flat one is written
+    ``_BATCH`` elements of a list, array or yielded part at a time, and a dict
+    part whole.
 
-    A slice of a native, C-contiguous float64 array whose every value is a
-    zero or of magnitude in [1e-4, 1e16) goes to orjson, whose Ryu formatting
-    writes the shortest round-trip digits in the notation that ``repr`` uses
-    in that range, so the same bytes: 60 ns a float with the padding, against
-    600 ns for the C encoder's ``float.__repr__`` calls (uniform values, a
-    2-core Xeon). Every other slice (a list, an int, bool, float32, strided
-    or byte-swapped array, or one holding NaN, an infinity or a value outside
-    that range) stays with the stdlib's C encoder: orjson writes ``1e-05`` as
-    ``0.00001``, ``1e+16`` as ``1e16`` and NaN as ``null``, where the report
-    keeps repr's bytes and raises ``ValueError``; it refuses a strided array
-    and misreads a byte-swapped one. The choice follows the slice's own
-    values, so orjson is imported only by a report that holds such an array.
+    A slice of a native, C-contiguous float64 array with no NaN or infinity
+    goes to orjson, whose Ryu formatting writes the shortest round-trip digits
+    in the notation that ``repr`` uses for a zero or a magnitude in [1e-4,
+    1e16), so the same bytes: 60 ns a float with the padding, against 600 ns
+    for the C encoder's ``float.__repr__`` calls (uniform values, a 2-core
+    Xeon). Each value outside that range is then written by ``repr`` itself,
+    as orjson writes ``1e-05`` as ``0.00001`` and ``1e+16`` as ``1e16``. Every
+    other slice (a list, an int, bool, float32, strided or byte-swapped array,
+    or one holding NaN or an infinity) stays with the stdlib's C encoder:
+    orjson writes NaN as ``null``, where the report raises ``ValueError``, and
+    it refuses a strided array and misreads a byte-swapped one. The choice
+    follows the slice's own values, so orjson is imported only by a report
+    that holds such an array.
     """
     pad = indent + "  "
     encode = _encoder(pad).encode
@@ -508,8 +560,12 @@ def _json_chunks(value, indent: str = "\n"):
     elif isinstance(value, flat) or callable(value):
         sep = "["
         for part in value() if callable(value) else [value]:
-            for i in range(0, len(part), _BATCH):
-                yield sep + pad + _flat_piece(part[i:i + _BATCH], pad, encode)
+            if isinstance(part, dict):  # columns, written whole
+                pieces = [_records(part, pad)] if any(map(len, part.values())) else []
+            else:
+                pieces = (_flat_piece(part[i:i + _BATCH], pad, encode) for i in range(0, len(part), _BATCH))
+            for piece in pieces:
+                yield sep + pad + piece
                 sep = ","
         yield "[]" if sep == "[" else indent + "]"
     elif isinstance(value, dict) and value:
@@ -518,12 +574,27 @@ def _json_chunks(value, indent: str = "\n"):
         yield encode(value)
 
 
+def _csv_lines(rows: list) -> str:
+    """``rows`` as ``csv.writer`` writes them: None as an empty field, any other value as its str
+    (a float's repr), joined by commas. A field that csv would quote (one holding a comma, a quote
+    or a line break, or the lone empty field of a row) sends the whole batch to ``csv.writer``;
+    the join alone takes about a quarter less time."""
+    lines = [",".join(["" if v is None else str(v) for v in row]) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if ("" in lines or '"' in text or "\r" in text or text.count("\n") != len(rows)
+            or text.count(",") != sum(map(len, rows)) - len(rows)):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+    return text
+
+
 def write_report(env: ReportEnvelope, output: str, fh) -> None:
     """Write the report to the text stream ``fh`` as ``table``, ``csv`` or ``json``.
 
     Every format is written as it is produced, so memory does not grow with
-    the report's size. The table comes from the command's renderer; csv rows go
-    through a small buffer flushed every ``_BATCH`` rows; the JSON document
+    the report's size. The table comes from the command's renderer; csv rows are
+    written ``_CSV_BATCH`` at a time, each batch as one string; the JSON document
     holds ``version``, ``config`` and ``results``, with the bytes of
     ``indent=2, sort_keys=True``, and a NaN or infinity in it raises
     ``ValueError`` (no ``NaN``/``Infinity`` tokens, RFC 8259).
@@ -531,16 +602,10 @@ def write_report(env: ReportEnvelope, output: str, fh) -> None:
     if output == "table":
         fh.write(env.table(env))
     elif output == "csv":
-        # csv writes None as an empty field and a float as its repr. A write
-        # per row to the text stream cost 24% more CPU at 10**6 rows, and a
-        # fresh buffer per batch stays in StringIO's fast append mode
+        # the header goes out with the first batch, so rows() that fails there writes nothing
         rows = itertools.chain([env.columns], env.rows())
-        while True:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(itertools.islice(rows, _BATCH))
-            if not buf.tell():
-                break
-            fh.write(buf.getvalue())
+        while batch := list(itertools.islice(rows, _CSV_BATCH)):
+            fh.write(_csv_lines(batch))
     else:
         doc = {"version": __version__, "config": env.config, "results": env.results}
         fh.writelines(_json_chunks(doc))

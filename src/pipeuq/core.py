@@ -31,6 +31,13 @@ that do not broadcast are refused. Int and float inputs give Python floats and
 load no numpy: each formula is written once, and the same operations in the
 same order round a float and an array element alike, bit for bit. An array
 false-alert rate is NaN at the cells where it is undefined.
+
+Each formula is a private, unchecked function of plain values, and each call
+checks its inputs once: a public metric checks what it reads and calls its
+formula, and ``pipeline_outcome`` checks recall, precision, prevalence and fix
+rate together before it calls all nine. ``_grid`` does the same for a whole
+prevalence x fix-rate grid, one row at a time, which is how ``analytic``
+streams its cells.
 """
 
 from __future__ import annotations
@@ -166,6 +173,52 @@ class PipelineOutcome(NamedTuple):
     fixer_load: float
 
 
+# ---------------------------------------------------------------------------
+# the formulas, each written once and unchecked, of Python floats or of numpy
+# values (``np`` is then the numpy module): a public metric checks its inputs
+# and calls its formula, and ``_grid`` checks once and calls them all
+
+def _fix_rate(rec, f):
+    return f * rec
+
+
+def _prevalence(rec, f, p):
+    return (1.0 - f * rec) * p
+
+
+def _tpr(np, rec, f):
+    if np is not None:
+        rec = np.asarray(rec, dtype=float)
+    return _where(np, f != 1.0, lambda: rec * rec * (1.0 - f) / (1.0 - f * rec), 0.0)
+
+
+def _far(np, rec, prec, p, f):
+    """None at a scalar cell where the false alert rate is undefined, NaN at such an array cell."""
+    denom = 1.0 - (1.0 - f * rec) * p
+    return _where(np, denom != 0.0, lambda: rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p / denom,
+                  None if np is None else np.nan)
+
+
+def _fn_ratio(rec, f):
+    return 1.0 + (1.0 - f) * rec
+
+
+def _fn_final(rec, f, positives):
+    return _fn_ratio(rec, f) * (1.0 - rec) * positives
+
+
+def _tp(rec, f, positives):
+    return (1.0 - f) * rec * rec * positives
+
+
+def _fp(rec, prec, f, positives):
+    return rec * ((1.0 - prec) / prec) * (1.0 - f) * rec * positives
+
+
+def _load(rec, prec, positives):
+    return rec / prec * positives
+
+
 @_quiet
 def pipeline_fix_rate(fixer: FixerSpec, recall):
     """Realized end-to-end fix rate, ``fix_rate * recall``.
@@ -174,14 +227,14 @@ def pipeline_fix_rate(fixer: FixerSpec, recall):
     down by the detector's recall.
     """
     _check(recall, fixer.fix_rate)
-    return fixer.fix_rate * recall
+    return _fix_rate(recall, fixer.fix_rate)
 
 
 @_quiet
 def pipeline_prevalence(domain: DomainSpec, fixer: FixerSpec, recall):
     """Residual prevalence after one pass, ``(1 - fix_rate * recall) * P``."""
     _check(recall, fixer.fix_rate, domain.prevalence)
-    return (1.0 - fixer.fix_rate * recall) * domain.prevalence
+    return _prevalence(recall, fixer.fix_rate, domain.prevalence)
 
 
 @_quiet
@@ -194,22 +247,7 @@ def pipeline_tpr(recall, fixer: FixerSpec):
     the only survivors are first-stage misses, which by definition were never
     flagged. The ``fix_rate = recall = 1`` limit is therefore defined as 0.
     """
-    f = fixer.fix_rate
-    np = _check(recall, f)
-    rec = recall if np is None else np.asarray(recall, dtype=float)
-    return _where(np, f != 1.0, lambda: rec * rec * (1.0 - f) / (1.0 - f * rec), 0.0)
-
-
-def _far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, rec):
-    """The false alert rate, None at a scalar cell where it is undefined and
-    NaN at such an array cell."""
-    prec = profile.precision
-    p_r = domain.prevalence
-    f = fixer.fix_rate
-    np = _check(rec, p_r, f, prec)
-    denom = 1.0 - (1.0 - f * rec) * p_r
-    return _where(np, denom != 0.0, lambda: rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p_r / denom,
-                  None if np is None else np.nan)
+    return _tpr(_check(recall, fixer.fix_rate), recall, fixer.fix_rate)
 
 
 def _defined(far):
@@ -238,7 +276,8 @@ def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpe
     and recall broadcast.
     """
     rec = profile.recall if recall is None else recall
-    return _defined(_far(profile, domain, fixer, rec))
+    prec, p, f = profile.precision, domain.prevalence, fixer.fix_rate
+    return _defined(_far(_check(rec, p, f, prec), rec, prec, p, f))
 
 
 @_quiet
@@ -254,16 +293,14 @@ def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
     produced no false negatives (``rec = 1``).
     """
     _check(recall, fixer.fix_rate, domain.prevalence)
-    ratio = 1.0 + (1.0 - fixer.fix_rate) * recall
-    fn_final = ratio * (1.0 - recall) * domain.positives
-    return fn_final, ratio
+    return _fn_final(recall, fixer.fix_rate, domain.positives), _fn_ratio(recall, fixer.fix_rate)
 
 
 @_quiet
 def pipeline_true_positives(domain: DomainSpec, fixer: FixerSpec, recall):
     """True positives surviving both stages, ``(1 - fix_rate) * rec^2 * P * N``."""
     _check(recall, fixer.fix_rate, domain.prevalence)
-    return (1.0 - fixer.fix_rate) * recall * recall * domain.positives
+    return _tp(recall, fixer.fix_rate, domain.positives)
 
 
 @_quiet
@@ -277,7 +314,7 @@ def pipeline_false_positives(
     rec = profile.recall if recall is None else recall
     prec = profile.precision
     _check(rec, prec, fixer.fix_rate, domain.prevalence)
-    return rec * ((1.0 - prec) / prec) * (1.0 - fixer.fix_rate) * rec * domain.positives
+    return _fp(rec, prec, fixer.fix_rate, domain.positives)
 
 
 @_quiet
@@ -286,7 +323,33 @@ def fixer_load(profile: ClassifierProfile, domain: DomainSpec, recall=None):
     (first-stage true plus false positives)."""
     rec = profile.recall if recall is None else recall
     _check(rec, profile.precision, domain.prevalence)
-    return rec / profile.precision * domain.positives
+    return _load(rec, profile.precision, domain.positives)
+
+
+# each PipelineOutcome field as its formula of one cell (np, rec, prec, p, positives, f)
+_FORMULAS = PipelineOutcome(
+    real_fix_rate=lambda np, rec, prec, p, positives, f: _fix_rate(rec, f),
+    final_prevalence=lambda np, rec, prec, p, positives, f: _prevalence(rec, f, p),
+    tpr=lambda np, rec, prec, p, positives, f: _tpr(np, rec, f),
+    far=lambda np, rec, prec, p, positives, f: _far(np, rec, prec, p, f),
+    fn_ratio=lambda np, rec, prec, p, positives, f: _fn_ratio(rec, f),
+    fn_final=lambda np, rec, prec, p, positives, f: _fn_final(rec, f, positives),
+    tp_final=lambda np, rec, prec, p, positives, f: _tp(rec, f, positives),
+    fp_final=lambda np, rec, prec, p, positives, f: _fp(rec, prec, f, positives),
+    fixer_load=lambda np, rec, prec, p, positives, f: _load(rec, prec, positives),
+)
+
+
+def _grid(rec, prec, domains, fixers, formulas=_FORMULAS):
+    """Yield the grid ``domains`` x ``fixers`` at recall ``rec`` and precision ``prec`` one domain's row
+    at a time: for each of the ``formulas`` (fields of ``_FORMULAS``), the list of its values at the
+    fixers' cells, ``far`` None where a scalar one is undefined. The inputs are checked once, together,
+    so a cell costs its formulas alone."""
+    fix_rates = [fixer.fix_rate for fixer in fixers]
+    np = _check(rec, prec, *fix_rates, *(domain.prevalence for domain in domains))
+    for domain in domains:
+        cell = (np, rec, prec, domain.prevalence, domain.positives)
+        yield [list(map(functools.partial(formula, *cell), fix_rates)) for formula in formulas]
 
 
 @_quiet
@@ -304,23 +367,7 @@ def pipeline_outcome(
     NaN at its degenerate cells. A scalar degenerate cell raises
     :class:`DegenerateDomainError`.
     """
-    out = _outcome(profile, domain, fixer, recall)
+    [row] = _grid(profile.recall if recall is None else recall, profile.precision, [domain], [fixer])
+    out = PipelineOutcome._make(value for [value] in row)
     _defined(out.far)
     return out
-
-
-def _outcome(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None) -> PipelineOutcome:
-    """``pipeline_outcome``, with ``far`` None at a scalar degenerate cell."""
-    rec = profile.recall if recall is None else recall
-    fn_final, fn_ratio = pipeline_false_negatives(domain, fixer, rec)  # checks rec
-    return PipelineOutcome(
-        real_fix_rate=pipeline_fix_rate(fixer, rec),
-        final_prevalence=pipeline_prevalence(domain, fixer, rec),
-        tpr=pipeline_tpr(rec, fixer),
-        far=_far(profile, domain, fixer, rec),
-        fn_final=fn_final,
-        fn_ratio=fn_ratio,
-        tp_final=pipeline_true_positives(domain, fixer, rec),
-        fixer_load=fixer_load(profile, domain, rec),
-        fp_final=pipeline_false_positives(profile, domain, fixer, rec),
-    )

@@ -77,6 +77,15 @@ class SummaryStats(NamedTuple):
 DEFAULT_RECALL_STATS = SummaryStats(2328, 115, 0.07, 1.00, 0.74)
 
 
+def _split(line: str) -> list[str]:
+    """The cells of one CSV line, as ``next(csv.reader([line]))`` gives them: a nonempty line that
+    holds no quote and no line break, and is no longer than csv's field limit, is split on its
+    commas, which takes a fifth off ``load_samples``; ``csv`` reads (or refuses) any other."""
+    if 0 < len(line) <= csv.field_size_limit() and '"' not in line and "\r" not in line and "\n" not in line:
+        return line.split(",")
+    return next(csv.reader([line]))
+
+
 def _read_headed_csv(source, header: list[str]):
     """Yield ``(lineno, cells)`` for each data row of a CSV file, given as a
     path (a ``str`` or ``os.PathLike``) or an open text stream; anything else,
@@ -101,7 +110,7 @@ def _read_headed_csv(source, header: list[str]):
         if not line or line.startswith("#"):
             continue
         try:
-            row = [cell.strip() for cell in next(csv.reader([line]))]
+            row = [cell.strip() for cell in _split(line)]
         except csv.Error as exc:
             raise EvidenceFormatError(str(exc), lineno) from exc
         if not saw_header:

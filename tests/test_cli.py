@@ -637,6 +637,17 @@ def test_pbox_sample_memory_does_not_grow_with_trials(output):
     assert large - small <= 4.0, (small, large)
 
 
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_analytic_memory_does_not_grow_with_the_grid(output):
+    # the cells are computed as they are written, a grid row at a time: 35x the cells, the same peak
+    def grid(side):
+        return ",".join(repr(i / (side - 1)) for i in range(side))
+
+    small, large = (peak_rss_mb(["analytic", "--prevalence", grid(side), "--fix-rate", grid(side), "--output", output])
+                    for side in (101, 601))
+    assert large - small <= 4.0, (small, large)
+
+
 # Runs ``pipeuq <argv>`` (or only ``import pipeuq`` when argv is empty),
 # prints every module the interpreter has loaded and exits with main's code.
 _MODULES = """

@@ -14,6 +14,7 @@ from pipeuq import (
     FixerSpec,
     InvalidParameterError,
     PBoxParams,
+    PipelineOutcome,
     fixer_load,
     inverse_lower,
     pipeline_false_negatives,
@@ -412,3 +413,83 @@ class TestFloatPathOracle:
                 value = getattr(cell, field)
                 assert type(value) is float, field
                 assert same_bits(value, getattr(grid, field)[i]), (field, value, getattr(grid, field)[i])
+
+
+# each PipelineOutcome field from its own public metric, each with its own input check
+PUBLIC = {
+    "real_fix_rate": lambda profile, domain, fixer: pipeline_fix_rate(fixer, profile.recall),
+    "final_prevalence": lambda profile, domain, fixer: pipeline_prevalence(domain, fixer, profile.recall),
+    "tpr": lambda profile, domain, fixer: pipeline_tpr(profile.recall, fixer),
+    "far": lambda profile, domain, fixer: pipeline_far(profile, domain, fixer),
+    "fn_ratio": lambda profile, domain, fixer: pipeline_false_negatives(domain, fixer, profile.recall)[1],
+    "fn_final": lambda profile, domain, fixer: pipeline_false_negatives(domain, fixer, profile.recall)[0],
+    "tp_final": lambda profile, domain, fixer: pipeline_true_positives(domain, fixer, profile.recall),
+    "fp_final": lambda profile, domain, fixer: pipeline_false_positives(profile, domain, fixer),
+    "fixer_load": lambda profile, domain, fixer: fixer_load(profile, domain),
+}
+
+
+def public_metric(field, profile, domain, fixer):
+    """The public metric's value, None where a scalar false-alert rate is undefined."""
+    try:
+        return PUBLIC[field](profile, domain, fixer)
+    except DegenerateDomainError:
+        return None
+
+
+def same_value(a, b) -> bool:
+    """Bit-for-bit equal floats, arrays (NaN at the same cells) or None."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, float) and isinstance(b, float):
+        return same_bits(a, b)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOneCheckPerCell:
+    """``_grid``, and so ``pipeline_outcome``, check their inputs once and call the formulas
+    unchecked: each value must equal the public metric's, which checks its own inputs, bit for bit."""
+
+    @given(
+        rec=EDGE_OR_RANDOM,
+        prec=st.one_of(st.just(1.0), st.floats(min_value=1e-290, max_value=1.0)),
+        n=st.one_of(st.just(2**40 + 3), st.integers(min_value=0, max_value=2**40 + 3)),
+        prevalence=st.lists(EDGE_OR_RANDOM, min_size=1, max_size=4),
+        fix_rate=st.lists(EDGE_OR_RANDOM, min_size=1, max_size=4),
+    )
+    def test_each_cell_equals_every_public_metric(self, rec, prec, n, prevalence, fix_rate):
+        from pipeuq.core import _grid
+
+        profile = ClassifierProfile(rec, prec)
+        domains = [DomainSpec(n, p_r) for p_r in prevalence]
+        fixers = [FixerSpec(f) for f in fix_rate]
+        for domain, row in zip(domains, _grid(rec, prec, domains, fixers), strict=True):
+            for j, fixer in enumerate(fixers):
+                expected = {field: public_metric(field, profile, domain, fixer) for field in PUBLIC}
+                for field, column in zip(PipelineOutcome._fields, row, strict=True):
+                    assert same_value(column[j], expected[field]), field
+                if expected["far"] is not None:
+                    outcome = pipeline_outcome(profile, domain, fixer)
+                    assert all(same_value(getattr(outcome, field), expected[field]) for field in PUBLIC)
+        # and on arrays: the whole grid in one call, NaN where far is undefined
+        p_r, f = (a.ravel() for a in np.meshgrid(prevalence, fix_rate, indexing="ij"))
+        domain, fixer = DomainSpec(n, p_r), FixerSpec(f)
+        outcome = pipeline_outcome(profile, domain, fixer)
+        for field in outcome._fields:
+            assert same_value(getattr(outcome, field), PUBLIC[field](profile, domain, fixer)), field
+
+    def test_a_grid_checks_its_inputs_once(self, monkeypatch):
+        from pipeuq import core
+
+        domains = [DomainSpec(100, i / 10) for i in range(11)]
+        fixers = [FixerSpec(i / 10) for i in range(11)]
+        profile = ClassifierProfile(0.8, 0.7)
+        checked = []
+        monkeypatch.setattr(core, "check_unit", lambda value, name, numpy=True: checked.append(name))
+        rows = list(core._grid(0.8, 0.7, domains, fixers))
+        assert len(rows) == 11 and all(len(column) == 11 for row in rows for column in row)
+        assert checked == ["recall"]
+        checked.clear()
+        pipeline_outcome(profile, domains[3], fixers[4])
+        assert checked == ["recall"]

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 import struct
@@ -77,6 +78,43 @@ class TestLoad:
         assert again == samples
         by_metric = group_by_metric(again)
         assert summarize(by_metric["recall"]) == summarize(samples[:2])
+
+
+    @pytest.mark.parametrize("line, sample", [
+        ('"p,1",recall,0.5', ("p,1", "recall", 0.5)),
+        ('p1,"recall"," 0.5 "', ("p1", "recall", 0.5)),
+        ('"p ""x""",recall,0.5', ('p "x"', "recall", 0.5)),
+        ('p1,rec"all,0.5', None),  # a quote inside a cell is kept: no such metric
+    ], ids=["comma", "quoted cells", "doubled quote", "quote inside"])
+    def test_quoted_cells(self, line, sample):
+        if sample is None:
+            with pytest.raises(EvidenceFormatError, match="^line 2: unknown metric 'rec\"all'$"):
+                load_samples(io.StringIO(HEADER + line + "\n"))
+        else:
+            assert load_samples(io.StringIO(HEADER + line + "\n")) == [EvidenceSample(*sample)]
+
+    def test_an_unclosed_quote_swallows_the_commas(self):
+        with pytest.raises(EvidenceFormatError, match="^line 3: expected 3 columns, got 1$"):
+            load_samples(io.StringIO(HEADER + 'p1,recall,0.5\n"p2,recall,0.5\n'))
+
+    @settings(max_examples=500)
+    @given(line=st.one_of(
+        st.text(),
+        # cells of the characters a line splits, quotes or strips on
+        st.lists(st.sampled_from([",", '"', " ", "\t", "\0", "\ufeff", "\r", "\n", "a", "0.5", "é"]),
+                 max_size=20).map("".join),
+    ))
+    @example(line="")
+    @example(line="x" * 200_000 + ",1,2")  # a field beyond csv's limit, refused either way
+    @example(line="\ufeffsource_id,metric,value")
+    def test_split_reads_a_line_as_csv_does(self, line):
+        try:
+            expected = next(csv.reader([line]))
+        except csv.Error:
+            with pytest.raises(csv.Error):
+                evidence._split(line)
+        else:
+            assert evidence._split(line) == expected
 
 
 class TestOutliers:

@@ -1,5 +1,6 @@
 """The streaming report writer: JSON bytes, strict numbers, ``--out`` destinations."""
 
+import csv
 import io
 import json
 import math
@@ -28,22 +29,37 @@ def written(config, results) -> str:
     return fh.getvalue()
 
 
+def assert_same_text(got: str, expected: str):
+    """``got == expected``, reported by the lengths and the first differing offset: pytest's diff
+    of two documents of hundreds of KB can run for minutes."""
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+        context = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"lengths {len(got)} and {len(expected)}, first difference at offset {at}: "
+                    f"{got[context]!r} against {expected[context]!r}", pytrace=False)
+
+
 def oracle(config, results) -> str:
     doc = {"version": __version__, "config": config, "results": results}
     return json.dumps(doc, indent=2, sort_keys=True, default=as_list) + "\n"
 
 
 def as_list(value) -> list:
-    """An array, or the lists and arrays a callable yields joined, as one list."""
+    """An array, or the lists, arrays and dicts of columns a callable yields joined, as one list."""
     parts = value() if callable(value) else [value]
-    return [v for part in parts for v in (part.tolist() if isinstance(part, np.ndarray) else part)]
+    return [v for part in parts for v in (
+        part.tolist() if isinstance(part, np.ndarray)
+        else [dict(zip(part, values)) for values in zip(*part.values())] if isinstance(part, dict)
+        else part
+    )]
 
 
-# a native C-contiguous float64 slice of zeros and magnitudes in [1e-4, 1e16) is written
-# by orjson, any other by the stdlib's encoder: the in-range kinds hold each edge of that
-# range, and "one_outlier" one value outside it
+# a native C-contiguous float64 slice with no NaN or infinity is written by orjson, any other
+# by the stdlib's encoder, and a value of magnitude outside [1e-4, 1e16), but a zero, by repr:
+# the in-range kinds hold each edge of that range, and the outlier kinds values outside it
 EDGES = [1e-4, np.nextafter(1e16, 0), 0.0, -0.0]
 OUTLIERS = [5e-324, 1e-5, 1e16]
+MORE_OUTLIERS = [5e-324, -1e-5, np.nextafter(1e-4, 0), 1e16, -1.7976931348623157e308, 2.5e-300, 1e22]
 
 
 def sample_array(length: int, kind: str, seed: int) -> np.ndarray:
@@ -61,8 +77,18 @@ def sample_array(length: int, kind: str, seed: int) -> np.ndarray:
     # in range, the edges at random places
     values = rng.choice([-1.0, 1.0], length) * 10.0 ** rng.uniform(-4, 16, length)
     values[rng.permutation(length)[: len(EDGES)]] = EDGES[:length]
-    if kind == "one_outlier" and length:  # its slice goes to the stdlib, any other to orjson
+    if kind == "one_outlier" and length:
         values[rng.integers(length)] = OUTLIERS[seed % len(OUTLIERS)]
+    if kind == "slice_ends":  # outliers at the first and last index of every slice
+        ends = [i for start in range(0, length, cli._BATCH) for i in (start, min(start + cli._BATCH, length) - 1)]
+        values[ends] = rng.choice(MORE_OUTLIERS, len(ends))
+    if kind == "adjacent_outliers" and length:  # a run of outliers next to each other
+        start = rng.integers(length)
+        values[start:start + 3] = rng.choice(MORE_OUTLIERS, len(values[start:start + 3]))
+    if kind == "all_outliers":  # every magnitude below 1e-4, but no zero, or from 1e16 up
+        exponent = np.where(rng.random(length) < 0.5, rng.uniform(-320, -4.0001, length), rng.uniform(16, 308, length))
+        values = rng.choice([-1.0, 1.0], length) * 10.0 ** exponent
+        values[rng.permutation(length)[: len(MORE_OUTLIERS)]] = MORE_OUTLIERS[:length]
     if kind == "float32":
         return values.astype(np.float32)
     if kind == "big_endian":
@@ -72,7 +98,8 @@ def sample_array(length: int, kind: str, seed: int) -> np.ndarray:
     return values
 
 
-FLOAT_KINDS = ["float64", "uniform", "in_range", "one_outlier", "float32", "strided", "big_endian"]
+FLOAT_KINDS = ["float64", "uniform", "in_range", "one_outlier", "slice_ends", "adjacent_outliers", "all_outliers",
+               "float32", "strided", "big_endian"]
 
 
 scalars = st.one_of(
@@ -88,12 +115,33 @@ arrays = st.builds(sample_array, st.sampled_from(LENGTHS), st.sampled_from([*FLO
 # a flat list longer than one slice
 long_lists = st.builds(lambda length, seed: sample_array(length, "float64", seed).tolist(),
                        st.sampled_from(LENGTHS), st.integers(0, 2**32 - 1))
+# strs that the template of a dict of columns must not take for one number
+record_values = st.one_of(scalars, st.sampled_from(["a,b", "[1]", "{", "}", "%s", "50%", ""]))
+
+
+@st.composite
+def records(draw) -> dict:
+    """A dict of equal-length columns, written as one dict per index: each column holds varied
+    values, one value repeated as the same object, or lists, which send the part dict by dict."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 4097]))
+    columns = {}
+    for key in draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True)):
+        kind = draw(st.sampled_from(["varied", "same", "lists"]))
+        if kind == "same":
+            columns[key] = [draw(record_values)] * n
+        elif kind == "lists" and n < 10:
+            columns[key] = draw(st.lists(st.lists(scalars, max_size=2), min_size=n, max_size=n))
+        else:  # up to six values drawn, repeated to the length
+            columns[key] = (draw(st.lists(record_values, min_size=min(n, 6), max_size=min(n, 6))) * n)[:n]
+    return columns
+
+
 flat = st.one_of(
     st.lists(scalars, max_size=6),
     arrays,
     long_lists,
-    # a callable, written as one list joined from the lists and arrays it yields
-    st.lists(st.one_of(arrays, long_lists), max_size=3).map(lambda parts: lambda: iter(parts)),
+    # a callable, written as one list joined from the lists, arrays and dicts of columns it yields
+    st.lists(st.one_of(arrays, long_lists, records()), max_size=3).map(lambda parts: lambda: iter(parts)),
 )
 documents = st.recursive(
     st.one_of(scalars, flat, st.just({}), st.just([])),
@@ -111,7 +159,12 @@ def around_a_slice(length: int):
     results = {"array": values, "list": values.tolist(), "rows": [{"x": values, "y": [values, -0.0]}],
                "parts": lambda: iter([values, [], values.tolist()]),
                "kinds": {kind: sample_array(length, kind, length) for kind in FLOAT_KINDS},
-               "outliers": [sample_array(length, "one_outlier", seed) for seed in range(len(OUTLIERS))]}
+               "outliers": [sample_array(length, "one_outlier", seed) for seed in range(len(OUTLIERS))],
+               # analytic's metric lists: a grid row's prevalence, its fix rates and one metric
+               "cells": lambda: iter([{"prevalence": [0.5] * length, "fix_rate": values[::-1].tolist(),
+                                       "value": values.tolist()}] * 2),
+               # equal values of other JSON: only a column of one object is written once
+               "equal": lambda: iter([{"zero": [0.0, -0.0, 0.0], "one": [1, 1.0, True]}])}
     return example(config={"k": [0.5, None]}, results=results)
 
 
@@ -124,12 +177,12 @@ def around_a_slice(length: int):
 @around_a_slice(4096)
 @around_a_slice(4097)
 def test_json_matches_indented_dumps(config, results):
-    assert written(config, results) == oracle(config, results)
+    assert_same_text(written(config, results), oracle(config, results))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["scalar", "leaf dict", "flat list", "long list", "array", "in-range array",
-                                   "callable"])
+                                   "callable", "columns", "one-value column"])
 def test_non_finite_number_raises(bad, where):
     tail = [0.25] * 5000 + [bad]
     in_range = sample_array(3 * cli._BATCH, "in_range", 0)
@@ -142,6 +195,8 @@ def test_non_finite_number_raises(bad, where):
         "array": np.array(tail),
         "in-range array": {"x": in_range},
         "callable": {"x": lambda: iter([[0.5], np.array(tail)])},
+        "columns": {"x": lambda: iter([{"a": [0.5, 0.5], "b": [0.25, 0.5]}, {"a": [0.5, bad], "b": [0.5, 0.5]}])},
+        "one-value column": {"x": lambda: iter([{"a": [bad] * 3, "b": [0.25, 0.5, 0.75]}])},
     }[where]
     with pytest.raises(ValueError):
         written({}, results)
@@ -153,6 +208,35 @@ def test_csv_written_in_batches_matches_one_pass():
     write_report(ReportEnvelope({}, {}, ("i", "x", "none", "s"), lambda: iter(rows), None), "csv", fh)
     expected = "i,x,none,s\n" + "".join(f"{i},{i / 7!r},,é\n" for i in range(10_000))
     assert fh.getvalue() == expected
+
+
+csv_fields = st.one_of(scalars, st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " ", "\t"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.lists(csv_fields, min_size=1, max_size=4).map(tuple),
+       rows=st.lists(st.one_of(st.lists(csv_fields, max_size=4), st.lists(csv_fields, max_size=4).map(tuple)),
+                     max_size=8))
+@example(columns=("a",), rows=[["x,y", 1.5, None], ['q"', "r"], ["line\nbreak"], [""], [None], [], ["\r"]])
+@example(columns=("i", "x"), rows=[[i, i / 7] for i in range(cli._CSV_BATCH + 5)] + [["a,b", None]])  # in batch 2
+def test_csv_matches_the_csv_module(columns, rows):
+    # the joined batch, or csv.writer for a batch with a field that csv quotes
+    fh = io.StringIO()
+    write_report(ReportEnvelope({}, {}, columns, lambda: iter(rows), None), "csv", fh)
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([columns, *rows])
+    assert fh.getvalue() == expected.getvalue()
+
+
+def test_csv_writes_nothing_when_its_first_batch_fails():
+    def rows():
+        yield [1, 2.5]
+        raise ValueError("a cell that cannot be computed")
+
+    fh = io.StringIO()
+    with pytest.raises(ValueError):
+        write_report(ReportEnvelope({}, {}, ("a", "b"), rows, None), "csv", fh)
+    assert fh.getvalue() == ""
 
 
 def test_failed_write_keeps_existing_out(tmp_path, monkeypatch):
