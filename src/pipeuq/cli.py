@@ -189,7 +189,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     report is reproducible from the config alone.
     """
     from .core import ClassifierProfile, DomainSpec, FixerSpec
-    from .simulator import METRICS, run_grid
+    from .simulator import METRICS, _listed, run_grid
 
     pbox = _resolve_pbox(cfg)
     profile = ClassifierProfile(1.0, specificity=cfg.specificity)
@@ -207,7 +207,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
                 entry["undefined"] = report.undefined[metric]
             if cfg.trace and mode == modes[0]:  # once per cell, re-drawn as written; NaN: an undefined trial
                 entry["trials"] = lambda report=report, metric=metric: (
-                    [None if v != v else v for v in values[metric].tolist()] for *_, values in report.chunks()
+                    _listed(values[metric]) for *_, values in report.chunks()
                 )
             results[metric].append(entry)
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
@@ -298,27 +298,24 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
 
 def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     """Draw paired recall streams from the configured p-box, re-drawn as they are written."""
-    from .pbox import CHUNK, p_chunks, stream_chunks, stream_summary
+    from .pbox import CHUNK, STREAMS, _invert, p_chunks, stream_chunks, stream_summary
 
     pbox = _resolve_pbox(cfg)
     summary = None if cfg.output == "csv" else stream_summary(pbox, cfg.trials, cfg.seed)  # csv writes none
-    streams = {
-        name: functools.partial(stream_chunks, pbox, cfg.trials, cfg.seed, name)
-        for name in ("optimistic", "pessimistic")
-    }
+    streams = {name: functools.partial(stream_chunks, pbox, cfg.trials, cfg.seed, name) for name in STREAMS}
     streams["p_values"] = functools.partial(p_chunks, cfg.trials, cfg.seed)
     results = {"pbox": pbox._asdict(), "count": cfg.trials, "summary": summary, **streams}
     return _envelope(
         "pbox-sample",
         cfg,
         results,
-        ("index", "p", "optimistic", "pessimistic"),
-        # each column chunk by chunk from the callable the json output reads (a bad count raises
-        # before the first batch of rows is written); a memoryview yields each float64 as a Python
-        # float, whose repr the csv output writes, without copying the chunk; zip's tuples are the rows
+        ("index", "p", *STREAMS),
+        # chunk k's p values, drawn once, and both streams inverted from them as stream_chunks inverts
+        # them (a bad count raises before the first batch of rows is written); a memoryview yields each
+        # float64 as a Python float, whose repr the csv output writes, without copying the chunk
         lambda: itertools.chain.from_iterable(
-            zip(itertools.count(k * CHUNK), *map(memoryview, chunk))
-            for k, chunk in enumerate(zip(*(streams[c]() for c in ("p_values", "optimistic", "pessimistic"))))
+            zip(itertools.count(k * CHUNK), *map(memoryview, [p, *(_invert(pbox, cfg.seed, s, k, p) for s in STREAMS)]))
+            for k, p in enumerate(p_chunks(cfg.trials, cfg.seed))
         ),
         _render_pbox_table,
     )
@@ -448,8 +445,7 @@ def _render_pbox_table(env: ReportEnvelope) -> str:
         f"pbox=({pb['minimum']:.4g}, {pb['maximum']:.4g}, {pb['mean']:.4g}))"
     )
     rows = [["stream", "min", "max", "mean"]]
-    for name in ("optimistic", "pessimistic"):
-        s = results["summary"][name]
+    for name, s in results["summary"].items():
         rows.append([name, _fmt(s["min"]), _fmt(s["max"]), _fmt(s["mean"])])
     return _titled(title, rows)
 

@@ -12,23 +12,22 @@ The bundled default statistics come from a survey of published AI vulnerability
 detectors (2328 recall samples across 115 publications after outlier removal),
 so every experiment runs without external data. Precision samples are ingested
 and summarized for completeness but feed nothing downstream. No numpy is loaded:
-quartiles and mean are plain Python, rounded bit for bit as ``np.percentile``
-(default ``linear`` method) and ``np.mean`` round them.
+quartiles are rounded bit for bit as ``np.percentile`` (``linear``) rounds them,
+the mean is ``math.fsum`` over the count, and -0.0 is stored as 0.0, as in ``PBoxParams``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import sys
 from collections import namedtuple
-from functools import reduce
-from operator import add
 from typing import NamedTuple
 
 from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError, check_unit
-from .pbox import PBoxParams
+from .pbox import PBoxParams, unsigned
 
 __all__ = [
     "METRICS",
@@ -57,7 +56,7 @@ class EvidenceSample(namedtuple("EvidenceSample", "source_id metric value")):
         if not isinstance(metric, str) or metric not in METRICS:
             raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
         check_unit(value, "value", numpy=False)
-        return super().__new__(cls, source_id, metric, value)
+        return super().__new__(cls, source_id, metric, unsigned(value))
 
 
 class SummaryStats(NamedTuple):
@@ -165,22 +164,6 @@ def _quantile(ordered: list[float], q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's float64 ``add.reduce`` without its start value, bit for bit: pairwise
-    summation (Higham 1993), halving a node of more than 128 values at ``n//2 - (n//2) % 8``
-    and summing a smaller one in eight interleaved accumulators. Not ``sum``: from
-    Python 3.12 it compensates rounding."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    if n < 8:
-        return reduce(add, values, 0.0)
-    m = n - n % 8
-    r = [reduce(add, values[j:m:8]) for j in range(8)]
-    return reduce(add, values[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-
-
 def remove_outliers(samples, policy: str = "iqr", k: float = 1.5):
     """Partition samples into (kept, removed) under an outlier policy.
 
@@ -209,16 +192,14 @@ def remove_outliers(samples, policy: str = "iqr", k: float = 1.5):
 
 
 def summarize(samples) -> SummaryStats:
-    """Count, distinct publications, and min/max/mean of the sample values."""
+    """Count, distinct publications, and min/max/mean of the sample values: the mean is their
+    correctly rounded sum (``math.fsum``) over the count, kept in [min, max], which the division can leave by an ulp."""
     samples = list(samples)
     if not samples:
         raise EmptyEvidenceError("cannot summarize an empty sample set")
     values = [float(s.value) for s in samples]
-    backwards = values[::-1]  # of tied 0.0 and -0.0 the later, as numpy's scalar min/max loop keeps
-    vmin, vmax = (backwards[backwards.index(pick(backwards))] for pick in (min, max))
-    # numpy's sum starts at 0.0 (so all -0.0 sums to 0.0), and its rounding can
-    # push the mean a few ulp outside [min, max]
-    mean = min(max((0.0 + _pairwise_sum(values)) / len(values), vmin), vmax)
+    vmin, vmax = min(values), max(values)
+    mean = min(max(math.fsum(values) / len(values), vmin), vmax)
     return SummaryStats(
         count=len(samples),
         publications=len({s.source_id for s in samples}),

@@ -42,6 +42,9 @@ __all__ = [
     "PBoxParams",
     "Interval",
     "CHUNK",
+    "STREAMS",
+    "check_stream",
+    "unsigned",
     "inverse_lower",
     "inverse_upper",
     "p_chunks",
@@ -53,6 +56,19 @@ __all__ = [
 ]
 
 CHUNK = 2**16  # recall samples and simulated trials are drawn this many at a time
+STREAMS = ("optimistic", "pessimistic")  # the recall streams, in the order every report lists them
+
+
+def check_stream(name) -> None:
+    """Refuse ``name`` unless it is one of ``STREAMS``."""
+    if not isinstance(name, str) or name not in STREAMS:
+        raise InvalidParameterError(f"a recall stream is {' or '.join(map(repr, STREAMS))}, got {name!r}")
+
+
+def unsigned(value):
+    """``value``, with a negative zero as 0.0: the one zero a record holds, so that no report
+    writes -0.0 and numpy's uniform never sees the range (0.0, -0.0)."""
+    return 0.0 if math.copysign(1.0, value) < 0.0 else value
 
 
 def fold_chunk(values: np.ndarray, lo=math.inf, hi=-math.inf, count=0, total=0.0) -> tuple:
@@ -84,8 +100,7 @@ class PBoxParams(namedtuple("PBoxParams", "minimum maximum mean")):
         values = (minimum, maximum, mean)
         for name, v in zip(cls._fields, values):
             check_unit(v, name, numpy=False)
-        # -0.0 becomes 0.0: numpy's uniform rejects the range (0.0, -0.0)
-        self = super().__new__(cls, *(0.0 if math.copysign(1.0, v) < 0.0 else v for v in values))
+        self = super().__new__(cls, *map(unsigned, values))
         if not self.minimum <= self.mean <= self.maximum:
             raise InvalidParameterError(
                 f"p-box needs minimum <= mean <= maximum, got "
@@ -187,14 +202,17 @@ def stream_chunks(params: PBoxParams, n: int, seed: int, name: str):
     resolves its p = 0 ties with chunk ``k``'s child generator, the ``k``-th child of
     ``SeedSequence(seed)``. The pessimistic needs none: its tie is at p = 1, and p is drawn in [0, 1).
     """
-    import numpy as np
     seed = check_count(seed, "seed")  # an int for SeedSequence, as p_chunks takes it
-    if not isinstance(name, str) or name not in ("optimistic", "pessimistic"):
-        raise InvalidParameterError(f"a recall stream is 'optimistic' or 'pessimistic', got {name!r}")
+    check_stream(name)
+    return (_invert(params, seed, name, k, p) for k, p in enumerate(p_chunks(n, seed)))
+
+
+def _invert(params: PBoxParams, seed: int, name: str, k: int, p: np.ndarray) -> np.ndarray:
+    """Chunk ``k`` of the ``name`` stream, from that chunk's p values ``p``, unchecked."""
     if name == "pessimistic":
-        return (inverse_upper(params, p) for p in p_chunks(n, seed))
-    return (inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
-            for k, p in enumerate(p_chunks(n, seed)))
+        return inverse_upper(params, p)
+    import numpy as np
+    return inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
 
 
 def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
@@ -202,7 +220,7 @@ def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
     from one ``fold_chunk`` per chunk as ``simulate`` sums its metrics: min and max are numpy's
     for the whole array, and the mean is the in-order sum of the chunks' numpy sums, over ``n``."""
     summary = {}
-    for name in ("optimistic", "pessimistic"):
+    for name in STREAMS:
         state = ()
         for chunk in stream_chunks(params, n, seed, name):
             state = fold_chunk(chunk, *state)

@@ -42,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ClassifierProfile, DomainSpec, FixerSpec
-from .errors import InvalidParameterError, check_count, check_unit
-from .pbox import Interval, PBoxParams, fold_chunk, stream_chunks
+from .errors import check_count, check_unit
+from .pbox import STREAMS, Interval, PBoxParams, check_stream, fold_chunk, stream_chunks
 
 __all__ = [
     "TrialOutcome",
@@ -58,9 +58,8 @@ __all__ = [
 ]
 
 METRICS = ("final_prevalence", "real_fix_rate", "fn_ratio")
-STREAM_OPTIMISTIC = "optimistic"
-STREAM_PESSIMISTIC = "pessimistic"
-_STREAM_CODES = {STREAM_OPTIMISTIC: 1, STREAM_PESSIMISTIC: 2}
+STREAM_OPTIMISTIC, STREAM_PESSIMISTIC = STREAMS
+_STREAM_CODES = {name: code for code, name in enumerate(STREAMS, start=1)}  # 1 and 2 in every seed
 
 
 class TrialOutcome(NamedTuple):
@@ -139,9 +138,14 @@ def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trial
                     yield cell, stream, recall, *_second_stage(rng, domain, profile, fixer, recall, *first)
 
 
+def _listed(values: np.ndarray) -> list:
+    """``values`` as a list of Python floats, each NaN (an undefined trial) as None."""
+    return [None if v != v else v for v in values.tolist()]
+
+
 def _outcomes(recall: np.ndarray, counts, metrics: dict):
     """The trials of one chunk as ``TrialOutcome`` records, in order."""
-    values = [[None if v != v else v for v in metrics[m].tolist()] for m in METRICS]
+    values = [_listed(metrics[m]) for m in METRICS]
     for rec, row, final, fix, ratio in zip(recall.tolist(), zip(*(c.tolist() for c in counts)), *values):
         yield TrialOutcome(*row, final, fix, ratio, rec)
 
@@ -169,8 +173,7 @@ def run_trial(
 def trial_seed(master_seed: int, stream: str, index: int) -> int:
     """Stable integer seed for ``run_trial``: a hash of ``(master_seed,
     stream_code, index)`` by ``numpy.random.SeedSequence`` (documented, platform-stable)."""
-    if not isinstance(stream, str) or stream not in _STREAM_CODES:
-        raise InvalidParameterError(f"a recall stream is 'optimistic' or 'pessimistic', got {stream!r}")
+    check_stream(stream)
     entropy = (check_count(master_seed, "master_seed"), _STREAM_CODES[stream], check_count(index, "index"))
     ss = np.random.SeedSequence(entropy=entropy)
     return int(ss.generate_state(1, np.uint64)[0])

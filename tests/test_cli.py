@@ -2,6 +2,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -274,6 +275,34 @@ def test_byte_order_mark_is_skipped(name, text, argv, tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     assert reports[0] == reports[1]
+
+
+# -0 and -0.0 rows tied with 0 in both orders, and a -0 sample that the outlier rule removes
+ZERO_EVIDENCE = ("source_id,metric,value\na,recall,0\nb,recall,-0\nc,recall,-0.0\nd,recall,0.1\n"
+                 "e,recall,0.2\nf,recall,0.3\n" + "".join(f"p{i},precision,0.5\n" for i in range(4))
+                 + "q,precision,-0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evidence"],
+    ["simulate", "--trials", "5", "--evidence"],
+    ["pbox-sample", "--trials", "5", "--evidence"],
+    ["case-study", "composed", "--evidence"],
+], ids=["evidence", "simulate", "pbox-sample", "case-study-composed"])
+def test_negative_zero_evidence_writes_no_negative_zero(argv, tmp_path):
+    # a sample stores -0.0 as 0.0, so neither the summary nor a box drawn from it writes -0.0
+    path = tmp_path / "zeros.csv"
+    path.write_text(ZERO_EVIDENCE)
+    for output in ("table", "csv", "json"):
+        out = tmp_path / f"report.{output}"
+        assert main([*argv, str(path), "--output", output, "--out", str(out)]) == 0
+        # every number token, not a digit inside a word or a path such as pytest-0
+        numbers = map(float, re.findall(r"(?<![\w.-])-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", out.read_text()))
+        assert all(v != 0 or math.copysign(1.0, v) > 0 for v in numbers), output
+    if argv == ["evidence"]:  # the zeros are there to be written
+        results = json.loads(out.read_text())["results"]
+        assert results["recall"]["pbox"] == {"minimum": 0.0, "maximum": 0.3, "mean": pytest.approx(0.1)}
+        assert results["precision"]["removed"] == [{"source_id": "q", "metric": "precision", "value": 0.0}]
 
 
 class TestCaseStudy:

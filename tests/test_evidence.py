@@ -1,7 +1,8 @@
 import csv
 import io
+import math
 import random
-import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -171,27 +172,24 @@ class TestSummarize:
             summarize([])
 
 
-def same_bits(x: float, y: float) -> bool:
-    return struct.pack("<d", x) == struct.pack("<d", y)
-
-
 # both zeros, values like the paper's (4 decimals), and any float in [0, 1]
 VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0]),
     st.integers(0, 10_000).map(lambda i: i / 10_000),
     st.floats(0.0, 1.0),
 )
-# the short loop, one block of 8 accumulators and either side of it, the
-# paper's 2328 samples, and more than numpy's 8192-element buffer
+# short sets, the paper's 2328 samples, and more than numpy's 8192-element buffer
 LENGTHS = st.one_of(st.integers(1, 9), st.integers(127, 129), st.sampled_from([2328, 9000]))
 
 
-class TestNumpyOracle:
-    """``remove_outliers`` and ``summarize`` compute in plain Python; numpy is
-    the independent oracle they must match bit for bit."""
+class TestOracles:
+    """``remove_outliers`` and ``summarize`` compute in plain Python. numpy is the
+    independent oracle of the quartiles and the outlier partition, and exact
+    rational arithmetic (``fractions.Fraction``) that of the mean."""
 
     @settings(deadline=None)
-    # a quartile halfway between 0.0283 and 0.0939 rounds differently from each end
+    # a quartile halfway between 0.0283 and 0.0939 rounds differently from each end, and
+    # numpy's mean of [0.0283, 0.0939, 0.0939] is an ulp above the correctly rounded one
     @example(pool=[0.0283, 0.0939], n=3, fresh=0.0, seed=1)
     @given(
         pool=st.lists(VALUES, min_size=1, max_size=12),
@@ -199,7 +197,7 @@ class TestNumpyOracle:
         fresh=st.sampled_from([0.0, 0.5, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_numpy(self, pool, n, fresh, seed):
+    def test_matches_numpy_and_exact_mean(self, pool, n, fresh, seed):
         # a share `fresh` of random 4-decimal values, the rest from a small
         # pool, so that values repeat and zeros tie
         rng = random.Random(seed)
@@ -216,22 +214,17 @@ class TestNumpyOracle:
         ordered = sorted(values)
         assert (evidence._quantile(ordered, 0.25), evidence._quantile(ordered, 0.75)) == (q1, q3)
         stats = summarize(samples)
-        assert same_bits(stats.mean, min(max(float(array.mean()), array.min()), array.max()))
-        # numpy keeps the later of tied 0.0 and -0.0 in its scalar loop, which
-        # runs to 2 values on every CPU; beyond, its SIMD lanes decide
-        for ours, theirs in ((stats.minimum, array.min()), (stats.maximum, array.max())):
-            assert same_bits(ours, theirs) if ours != 0 or n <= 2 else ours == theirs
+        # the correctly rounded sum over n, kept in [min, max]
+        exact = float(sum(map(Fraction, values))) / n
+        assert (stats.minimum, stats.maximum) == (min(values), max(values))
+        assert stats.mean == min(max(exact, stats.minimum), stats.maximum)
+        # a sample stores -0.0 as 0.0, so no statistic is a negative zero
+        assert all(math.copysign(1.0, v) > 0 for v in (stats.minimum, stats.maximum, stats.mean))
 
-    @pytest.mark.parametrize("values, minimum, maximum", [
-        ([0.0, -0.0], -0.0, -0.0),
-        ([-0.0, 0.0], 0.0, 0.0),
-        ([-0.0, -0.0], -0.0, -0.0),
-        ([0.0, 0.5, -0.0], -0.0, 0.5),
-    ])
-    def test_tied_zeros_keep_the_later(self, values, minimum, maximum):
-        stats = summarize([EvidenceSample("p", "recall", v) for v in values])
-        assert same_bits(stats.minimum, minimum) and same_bits(stats.maximum, maximum)
-        assert same_bits(stats.mean, float(np.mean(values)))
+    def test_negative_zero_is_stored_as_zero(self):
+        # as PBoxParams stores it, and also through _replace
+        for sample in (EvidenceSample("p", "recall", -0.0), EvidenceSample("p", "recall", 0.5)._replace(value=-0.0)):
+            assert math.copysign(1.0, sample.value) == 1.0
 
 
 class TestToPbox:

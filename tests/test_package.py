@@ -3,6 +3,7 @@ import inspect
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,11 @@ def test_readme_library_example_runs():
     assert example, "README.md has no python block under ## Library"
     child = subprocess.run([sys.executable, "-c", example[1]], env=child_env(), capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
+
+
+def test_package_and_project_versions_agree():
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == pipeuq.__version__
 
 
 def _records():
