@@ -179,7 +179,7 @@ VALUES = st.one_of(
     st.floats(0.0, 1.0),
 )
 # short sets, the paper's 2328 samples, and more than numpy's 8192-element buffer
-LENGTHS = st.one_of(st.integers(1, 9), st.integers(127, 129), st.sampled_from([2328, 9000]))
+LENGTHS = st.one_of(st.integers(1, 9), st.sampled_from([2328, 9000]))
 
 
 class TestOracles:
