@@ -16,8 +16,8 @@ JSON (RFC 8259): no ``NaN`` or ``Infinity`` token, undefined values are null.
 
 A report is written to its destination as it is encoded, and ``pbox-sample``
 re-draws its streams as it writes them, so memory does not grow with
-``--trials`` (a 38 MB peak for 10^6 samples in JSON, written in 0.72 s, and
-41 MB for 4*10^6 in csv, on a 2-core Xeon).
+``--trials`` (a 38 MB peak for 10^6 samples, written in 0.75 s as JSON and
+1.25 s as csv, and for 4*10^6 in csv, on a 2-core Xeon).
 ``--out PATH`` replaces a regular file, or creates a new one, atomically: the
 report goes to a fresh temporary file beside ``PATH`` that is renamed over it
 at the end, so a failed run leaves neither a partial report nor a changed
@@ -57,7 +57,7 @@ import stat
 import sys
 import tempfile
 from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
@@ -90,24 +90,29 @@ class ReportEnvelope(NamedTuple):
 
     ``results`` is the JSON payload, its arrays and callables written as lists,
     or None where a command builds it only for ``--output json``.
-    ``columns`` and ``rows`` give the payload as one tidy table, which the csv
-    output writes as it stands and ``table(envelope)`` formats. ``rows`` is a
-    zero-argument callable that yields the rows (lists or tuples) afresh on
-    every call, so a large payload is never copied.
+    ``columns`` and ``blocks`` give the payload as one tidy table, which the csv
+    output writes as it stands and ``table(envelope)`` formats. ``blocks`` is a
+    zero-argument callable that yields it afresh on every call, so a large payload
+    is never copied, as blocks of rows: one equal-length column per name in
+    ``columns``, a list, tuple, range or 1-D array.
     """
 
     config: dict
     results: dict | None
     columns: tuple[str, ...]
-    rows: Callable[[], Iterable[Iterable]]
+    blocks: Callable[[], Iterable[Sequence]]
     table: Callable[["ReportEnvelope"], str]
 
 
-def _envelope(command: str, cfg: RunConfig, results: dict | None, columns, rows, table, **positionals) -> ReportEnvelope:
+def _envelope(command: str, cfg: RunConfig, results: dict | None, columns, blocks, table, **positionals) -> ReportEnvelope:
     # the command's positionals and options; not the output destination: identical
     # configs must yield identical reports wherever they are written
     options = {name: getattr(cfg, name) for name in OPTIONS[command] if name != "out"}
-    return ReportEnvelope({"command": command, **positionals, **options}, results, columns, rows, table)
+    return ReportEnvelope({"command": command, **positionals, **options}, results, columns, blocks, table)
+
+
+def _held(table: list) -> Callable[[], list]:  # a table held as rows: one block of its columns
+    return lambda: [tuple(zip(*table))] if table else []
 
 
 def _resolve_pbox(cfg: RunConfig) -> PBoxParams:
@@ -176,9 +181,7 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     # the report's metrics are PipelineOutcome's fields, by name and in order; only json writes them
     results = None if cfg.output != "json" else dict(zip(PipelineOutcome._fields, map(metric, _FORMULAS)))
     columns = ("prevalence", "fix_rate", *PipelineOutcome._fields)
-    return _envelope("analytic", cfg, results, columns,
-                     lambda: (cell for row in rows(_FORMULAS) for cell in zip(*row)),
-                     _render_analytic_table)
+    return _envelope("analytic", cfg, results, columns, lambda: rows(_FORMULAS), _render_analytic_table)
 
 
 def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
@@ -211,18 +214,9 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
                 )
             results[metric].append(entry)
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
-    return _envelope(
-        "simulate",
-        cfg,
-        results,
-        columns,
-        lambda: (
-            [metric, e["mode"], e["prevalence"], e["fix_rate"], e["lo"], e["hi"], e.get("undefined")]
-            for metric in METRICS
-            for e in results[metric]
-        ),
-        _render_simulate_table,
-    )
+    table = [[metric, e["mode"], e["prevalence"], e["fix_rate"], e["lo"], e["hi"], e.get("undefined")]
+             for metric in METRICS for e in results[metric]]
+    return _envelope("simulate", cfg, results, columns, _held(table), _render_simulate_table)
 
 
 def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
@@ -254,7 +248,7 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
                 for s in removed
             ],
         }
-    return _envelope("evidence", cfg, results, columns, lambda: table, _render_evidence_table)
+    return _envelope("evidence", cfg, results, columns, _held(table), _render_evidence_table)
 
 
 def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
@@ -274,7 +268,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
             "method": cfg.method,
             "tools": [dict(zip(columns, line)) for line in table],
         }
-        return _envelope("case-study", cfg, results, columns, lambda: table, _render_tools_table, which=which)
+        return _envelope("case-study", cfg, results, columns, _held(table), _render_tools_table, which=which)
     if which == "composed":
         from .casestudies import composed_pipeline_case
 
@@ -292,7 +286,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
             "fix_rate": {"extremes": extremes._asdict(), "means": means._asdict()},
             "notes": list(report.notes),
         }
-        return _envelope("case-study", cfg, results, columns, lambda: table, _render_composed_table, which=which)
+        return _envelope("case-study", cfg, results, columns, _held(table), _render_composed_table, which=which)
     raise PipeUQError(f"unknown case study {which!r}")  # pragma: no cover - argparse guards
 
 
@@ -311,10 +305,9 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
         results,
         ("index", "p", *STREAMS),
         # chunk k's p values, drawn once, and both streams inverted from them as stream_chunks inverts
-        # them (a bad count raises before the first batch of rows is written); a memoryview yields each
-        # float64 as a Python float, whose repr the csv output writes, without copying the chunk
-        lambda: itertools.chain.from_iterable(
-            zip(itertools.count(k * CHUNK), *map(memoryview, [p, *(_invert(pbox, cfg.seed, s, k, p) for s in STREAMS)]))
+        # them (a bad count raises before the first batch of rows is written)
+        lambda: (
+            (range(k * CHUNK, k * CHUNK + len(p)), p, *(_invert(pbox, cfg.seed, s, k, p) for s in STREAMS))
             for k, p in enumerate(p_chunks(cfg.trials, cfg.seed))
         ),
         _render_pbox_table,
@@ -323,6 +316,10 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
 
 # ---------------------------------------------------------------------------
 # rendering
+
+def _rows(env: ReportEnvelope) -> Iterable[tuple]:
+    return (row for block in env.blocks() for row in zip(*block))
+
 
 def _fmt(value, digits=4) -> str:
     if value is None:
@@ -351,7 +348,7 @@ def _render_analytic_table(env: ReportEnvelope) -> str:
              f"n_items={cfg['n_items']})")
     # the first five metrics: prevalence, fix_rate, real_fix_rate ... fn_ratio
     rows = [list(env.columns[:7])]
-    rows += [[f"{p:.2f}", f"{f:.2f}", *map(_fmt, values[:5])] for p, f, *values in env.rows()]
+    rows += [[f"{p:.2f}", f"{f:.2f}", *map(_fmt, values[:5])] for p, f, *values in _rows(env)]
     return _titled(title, rows)
 
 
@@ -365,7 +362,7 @@ def _render_simulate_table(env: ReportEnvelope) -> str:
     ]
     first = "means" if env.config["mode"] == "means" else "extremes"  # the block the undefined note follows
     cells, undefined = {}, defaultdict(int)
-    for metric, mode, p, f, lo, hi, n_undefined in env.rows():
+    for metric, mode, p, f, lo, hi, n_undefined in _rows(env):
         cells[metric, mode, p, f] = _fmt_interval(lo, hi)
         if mode == first:
             undefined[metric] += n_undefined or 0
@@ -387,7 +384,7 @@ def _render_simulate_table(env: ReportEnvelope) -> str:
 def _render_evidence_table(env: ReportEnvelope) -> str:
     results = env.results
     title = f"evidence summary (outlier policy={results['outlier_policy']}, k={results['outlier_k']})"
-    summarized = {row[0]: row for row in env.rows()}
+    summarized = {row[0]: row for row in _rows(env)}
     rows = [["metric", "samples", "publications", "min", "max", "mean", "removed"]]
     for metric in ("recall", "precision"):
         if metric not in summarized:
@@ -415,14 +412,14 @@ def _render_tools_table(env: ReportEnvelope) -> str:
     rows = [["tool", "correct/generated", "point", "lower", "upper"]]
     rows += [
         [name, f"{correct}/{generated}", f"{point:.2%}", f"{lo:.2%}", f"{hi:.2%}"]
-        for name, correct, generated, point, lo, hi in env.rows()
+        for name, correct, generated, point, lo, hi in _rows(env)
     ]
     return _titled(title, rows)
 
 
 def _render_composed_table(env: ReportEnvelope) -> str:
     results = env.results
-    [(n_items, detected, fixed, residual, ext_lo, ext_hi, means_lo, means_hi)] = env.rows()
+    [(n_items, detected, fixed, residual, ext_lo, ext_hi, means_lo, means_hi)] = _rows(env)
     lines = [
         "composed pipeline case",
         "",
@@ -450,11 +447,8 @@ def _render_pbox_table(env: ReportEnvelope) -> str:
     return _titled(title, rows)
 
 
-# elements per JSON array slice, and csv rows per write: each csv batch is built as one
-# string, and a quarter of the slice keeps a 1001 x 1001 analytic grid's peak within
-# 1 MB of a 51 x 51 grid's (4 MB with 4096 rows)
+# elements per JSON array slice, and csv rows about per write
 _BATCH = 4096
-_CSV_BATCH = 1024
 
 
 @functools.cache
@@ -464,48 +458,56 @@ def _encoder(pad: str) -> json.JSONEncoder:
     return json.JSONEncoder(separators=("," + pad, ": "), sort_keys=True, allow_nan=False)
 
 
-def _flat_piece(piece, pad: str, encode) -> str:
-    """A slice of a flat list or 1-D array as JSON without its brackets; ``_json_chunks``
-    gives the rule that picks orjson or the stdlib's encoder."""
-    if isinstance(piece, (list, tuple)):
-        return encode(piece)[1:-1]
-    if piece.dtype == float and piece.flags.c_contiguous:  # no byte-swapped dtype equals float
-        size = abs(piece)
+def _numbers(column, pad: str) -> str:
+    """A flat list, tuple, range or 1-D array as JSON without brackets, its values joined by "," + pad.
+
+    Every report format writes its numbers here. A native, C-contiguous float64 array with no NaN
+    or infinity goes to orjson, whose Ryu digits are ``repr``'s for a zero or a magnitude in [1e-4,
+    1e16): 60 ns a float against 600 ns in the stdlib's C encoder (a 2-core Xeon); ``repr`` writes
+    the rest (orjson writes ``1e-05`` as ``0.00001``). All else goes to the stdlib: orjson refuses a
+    strided array, misreads a byte-swapped one and writes NaN as ``null``, where the stdlib raises
+    ``ValueError``. So only a report that holds such an array imports orjson."""
+    if isinstance(column, range):  # pbox-sample's index column, which holds no array
+        column = list(column)
+    if isinstance(column, (list, tuple)):
+        return _encoder(pad).encode(column)[1:-1]
+    if column.dtype == float and column.flags.c_contiguous:  # no byte-swapped dtype equals float
+        size = abs(column)
         if (size <= sys.float_info.max).all():  # False at NaN and infinities, which the stdlib refuses
             import orjson
-            text = orjson.dumps(piece, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+            text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
             outliers = ((size >= 1e16) | ((size < 1e-4) & (size != 0.0))).nonzero()[0]
             if not outliers.size:
                 return text.replace(",", "," + pad)
             numbers = text.split(",")
-            for i, x in zip(outliers.tolist(), piece[outliers].tolist()):
+            for i, x in zip(outliers.tolist(), column[outliers].tolist()):
                 numbers[i] = repr(x)
             return ("," + pad).join(numbers)
-    return encode(piece.tolist())[1:-1]
+    return _encoder(pad).encode(column.tolist())[1:-1]
 
 
 def _records(columns: dict, pad: str) -> str:
     """Nonempty columns of equal length (lists or tuples), written as the list of one dict per
     index, without its brackets.
 
-    One encoder call writes each column, or its one value where every entry is the same object
-    (a grid row's prevalence), and one template places them all. A column that holds a
-    container, an array, a callable or a str with a comma or a bracket is written dict by dict
-    instead, as ``_json_chunks`` writes any dict.
+    ``_numbers`` writes each column, or its one value where every entry is the same object
+    (a grid row's prevalence), one value a line, and one template places them all. A column
+    that holds a container, an array or a callable is written dict by dict instead, as
+    ``_json_chunks`` writes any dict.
     """
     encode, keys, fields, numbers = _encoder("").encode, sorted(columns), [], []
     for key in keys:
         column = columns[key]
         same = all(map(operator.is_, column, itertools.repeat(column[0])))
         try:
-            text = encode(column[:1] if same else column)[1:-1]  # ValueError at NaN or an infinity
+            text = _numbers(column[:1] if same else column, "\n")  # ValueError at NaN or an infinity
         except TypeError:
             break
-        if text.count(",") != (0 if same else len(column) - 1) or "[" in text or "{" in text:  # no scalar
+        if "[" in text or "{" in text:  # a nested container, or a str holding a bracket
             break
         fields.append(f"{pad}  {encode(key)}: ".replace("%", "%%") + (text.replace("%", "%%") if same else "%s"))
         if not same:
-            numbers.append(text.split(","))
+            numbers.append(text.split(",\n"))  # exact: a JSON str holds no raw line break
     else:
         record = "{" + ",".join(fields) + pad + "}"
         return ("," + pad).join([record] * len(column)) % tuple(itertools.chain.from_iterable(zip(*numbers)))
@@ -520,23 +522,9 @@ def _json_chunks(value, indent: str = "\n"):
     parts that are joined into one list: a list or an array is written as its
     elements, and a dict of columns as one dict per index (``_records``).
     ``indent`` is the newline plus indentation of ``value``'s own level. A
-    dict or list holding containers is walked here; a flat one is written
-    ``_BATCH`` elements of a list, array or yielded part at a time, and a dict
-    part whole.
-
-    A slice of a native, C-contiguous float64 array with no NaN or infinity
-    goes to orjson, whose Ryu formatting writes the shortest round-trip digits
-    in the notation that ``repr`` uses for a zero or a magnitude in [1e-4,
-    1e16), so the same bytes: 60 ns a float with the padding, against 600 ns
-    for the C encoder's ``float.__repr__`` calls (uniform values, a 2-core
-    Xeon). Each value outside that range is then written by ``repr`` itself,
-    as orjson writes ``1e-05`` as ``0.00001`` and ``1e+16`` as ``1e16``. Every
-    other slice (a list, an int, bool, float32, strided or byte-swapped array,
-    or one holding NaN or an infinity) stays with the stdlib's C encoder:
-    orjson writes NaN as ``null``, where the report raises ``ValueError``, and
-    it refuses a strided array and misreads a byte-swapped one. The choice
-    follows the slice's own values, so orjson is imported only by a report
-    that holds such an array.
+    dict or list holding containers is walked here; a flat one is written by
+    ``_numbers``, ``_BATCH`` elements of a list, array or yielded part at a
+    time, and a dict part whole.
     """
     pad = indent + "  "
     encode = _encoder(pad).encode
@@ -559,7 +547,7 @@ def _json_chunks(value, indent: str = "\n"):
             if isinstance(part, dict):  # columns, written whole
                 pieces = [_records(part, pad)] if any(map(len, part.values())) else []
             else:
-                pieces = (_flat_piece(part[i:i + _BATCH], pad, encode) for i in range(0, len(part), _BATCH))
+                pieces = (_numbers(part[i:i + _BATCH], pad) for i in range(0, len(part), _BATCH))
             for piece in pieces:
                 yield sep + pad + piece
                 sep = ","
@@ -570,19 +558,24 @@ def _json_chunks(value, indent: str = "\n"):
         yield encode(value)
 
 
-def _csv_lines(rows: list) -> str:
-    """``rows`` as ``csv.writer`` writes them: None as an empty field, any other value as its str
-    (a float's repr), joined by commas. A field that csv would quote (one holding a comma, a quote
-    or a line break, or the lone empty field of a row) sends the whole batch to ``csv.writer``;
-    the join alone takes about a quarter less time."""
-    lines = [",".join(["" if v is None else str(v) for v in row]) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if ("" in lines or '"' in text or "\r" in text or text.count("\n") != len(rows)
-            or text.count(",") != sum(map(len, rows)) - len(rows)):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        return buf.getvalue()
-    return text
+def _csv_rows(block: Sequence):
+    """``block``'s rows as ``csv.writer`` writes them, a text and its row count per 256 rows (their str
+    fields stay in the peak RSS: 4096 rows added 3 MB to ``pbox-sample``'s). ``_numbers``' fields are
+    zipped, null as empty, unless csv writes one otherwise: a str, bool, NaN, or a lone empty field."""
+    for i in range(0, len(block[0]), _BATCH // 16):
+        part = [column[i:i + _BATCH // 16] for column in block]
+        try:
+            fields = [_numbers(column, "\n").replace("null", "").split(",\n") for column in part]
+            text = "\n".join(map(",".join, zip(*fields))) + "\n"
+            numbers = not any(map(text.__contains__, '"tf[{')) and (len(part) > 1 or "" not in fields[0])
+        except (TypeError, ValueError):  # a value that JSON does not write
+            numbers = False
+        if not numbers:
+            buf = io.StringIO()
+            columns = [c.tolist() if hasattr(c, "tolist") else c for c in part]  # arrays as lists
+            csv.writer(buf, lineterminator="\n").writerows(zip(*columns))
+            text = buf.getvalue()
+        yield text, len(part[0])
 
 
 def write_report(env: ReportEnvelope, output: str, fh) -> None:
@@ -590,7 +583,7 @@ def write_report(env: ReportEnvelope, output: str, fh) -> None:
 
     Every format is written as it is produced, so memory does not grow with
     the report's size. The table comes from the command's renderer; csv rows are
-    written ``_CSV_BATCH`` at a time, each batch as one string; the JSON document
+    written about ``_BATCH`` at a time; the JSON document
     holds ``version``, ``config`` and ``results``, with the bytes of
     ``indent=2, sort_keys=True``, and a NaN or infinity in it raises
     ``ValueError`` (no ``NaN``/``Infinity`` tokens, RFC 8259).
@@ -598,10 +591,16 @@ def write_report(env: ReportEnvelope, output: str, fh) -> None:
     if output == "table":
         fh.write(env.table(env))
     elif output == "csv":
-        # the header goes out with the first batch, so rows() that fails there writes nothing
-        rows = itertools.chain([env.columns], env.rows())
-        while batch := list(itertools.islice(rows, _CSV_BATCH)):
-            fh.write(_csv_lines(batch))
+        # the header goes out with the first batch, so blocks() that fails there writes nothing;
+        # map drops each block once its slices are written, not a block later
+        texts, rows, header = [], 0, tuple(zip(env.columns))  # a block of one row
+        for text, n in itertools.chain.from_iterable(map(_csv_rows, itertools.chain([header], env.blocks()))):
+            texts.append(text)
+            rows += n
+            if rows >= _BATCH:
+                fh.writelines(texts)
+                texts, rows = [], 0
+        fh.writelines(texts)
     else:
         doc = {"version": __version__, "config": env.config, "results": env.results}
         fh.writelines(_json_chunks(doc))

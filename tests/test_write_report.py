@@ -203,39 +203,73 @@ def test_non_finite_number_raises(bad, where):
 
 
 def test_csv_written_in_batches_matches_one_pass():
-    rows = [[i, i / 7, None, "é"] for i in range(10_000)]
+    # blocks of 1, 7 and 5000 rows, so small blocks share a write and a large one is cut; the first
+    # two hold a str, which csv.writer writes, and the others only numbers and None
+    rows = [[i, i / 7, None, "é" if i < 8 else i] for i in range(10_000)]
+    cuts = [0, 1, 8, 5008, 10_000]
+    blocks = [tuple(map(list, zip(*rows[a:b]))) for a, b in zip(cuts, cuts[1:])]
     fh = io.StringIO()
-    write_report(ReportEnvelope({}, {}, ("i", "x", "none", "s"), lambda: iter(rows), None), "csv", fh)
-    expected = "i,x,none,s\n" + "".join(f"{i},{i / 7!r},,é\n" for i in range(10_000))
-    assert fh.getvalue() == expected
+    write_report(ReportEnvelope({}, {}, ("i", "x", "none", "s"), lambda: iter(blocks), None), "csv", fh)
+    expected = "i,x,none,s\n" + "".join(f"{i},{i / 7!r},,{'é' if i < 8 else i}\n" for i in range(10_000))
+    assert_same_text(fh.getvalue(), expected)
 
 
-csv_fields = st.one_of(scalars, st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " ", "\t"]))
+csv_fields = st.one_of(scalars, st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " ", "\t",
+                                                 math.nan, math.inf, -math.inf]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(columns=st.lists(csv_fields, min_size=1, max_size=4).map(tuple),
-       rows=st.lists(st.one_of(st.lists(csv_fields, max_size=4), st.lists(csv_fields, max_size=4).map(tuple)),
-                     max_size=8))
-@example(columns=("a",), rows=[["x,y", 1.5, None], ['q"', "r"], ["line\nbreak"], [""], [None], [], ["\r"]])
-@example(columns=("i", "x"), rows=[[i, i / 7] for i in range(cli._CSV_BATCH + 5)] + [["a,b", None]])  # in batch 2
-def test_csv_matches_the_csv_module(columns, rows):
-    # the joined batch, or csv.writer for a batch with a field that csv quotes
+@st.composite
+def csv_blocks(draw, width: int) -> tuple:
+    """A block of ``width`` equal-length columns: each a list or tuple of up to six drawn fields,
+    repeated to the length, or an array of any kind that the JSON writer takes."""
+    n = draw(st.sampled_from([0, 1, 2, 5, cli._BATCH, cli._BATCH + 1]))
+    block = []
+    for _ in range(width):
+        if draw(st.booleans()):
+            values = (draw(st.lists(csv_fields, min_size=min(n, 6), max_size=min(n, 6))) * n)[:n]
+            block.append(tuple(values) if draw(st.booleans()) else values)
+        else:
+            block.append(draw(st.builds(sample_array, st.just(n), st.sampled_from([*FLOAT_KINDS, "int64", "bool"]),
+                                        st.integers(0, 2**32 - 1))))
+    return tuple(block)
+
+
+@st.composite
+def csv_reports(draw) -> tuple:
+    columns = tuple(draw(st.lists(csv_fields, min_size=1, max_size=4)))
+    return columns, draw(st.lists(csv_blocks(len(columns)), max_size=4))
+
+
+# no shrinking: a failing example holds blocks of thousands of rows
+@settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(report=csv_reports())
+@example(report=(("a",), [(["x,y", 1.5, None, 'q"', "line\nbreak", "", "\r"],), ([1.5, None],), ([None],)]))
+@example(report=(("a", "b"), [([1, None, 2.5], [None, 2, -0.0])]))
+@example(report=(("i", "x"), [(list(range(cli._BATCH + 5)), [i / 7 for i in range(cli._BATCH + 5)]),
+                              (["a,b"], [None])]))  # past the first write
+# a float32 column in a slice that csv.writer writes: 1114241408.0 as a list item, 1.1142414e+09 as a scalar
+@example(report=(("x", "s"), [(np.array([1e-5, 1e16, 0.5, 1114241408.0], dtype=np.float32), ["a"] * 4)]))
+def test_csv_matches_the_csv_module(report):
+    # the zipped numbers, or csv.writer for a slice with a value that csv writes otherwise
+    columns, blocks = report
     fh = io.StringIO()
-    write_report(ReportEnvelope({}, {}, columns, lambda: iter(rows), None), "csv", fh)
+    write_report(ReportEnvelope({}, {}, columns, lambda: iter(blocks), None), "csv", fh)
     expected = io.StringIO()
-    csv.writer(expected, lineterminator="\n").writerows([columns, *rows])
-    assert fh.getvalue() == expected.getvalue()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    for block in blocks:
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block)))
+    assert_same_text(fh.getvalue(), expected.getvalue())
 
 
 def test_csv_writes_nothing_when_its_first_batch_fails():
-    def rows():
-        yield [1, 2.5]
+    def blocks():
+        yield [1], [2.5]
         raise ValueError("a cell that cannot be computed")
 
     fh = io.StringIO()
     with pytest.raises(ValueError):
-        write_report(ReportEnvelope({}, {}, ("a", "b"), rows, None), "csv", fh)
+        write_report(ReportEnvelope({}, {}, ("a", "b"), blocks, None), "csv", fh)
     assert fh.getvalue() == ""
 
 
