@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import json
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from pipeuq import __version__
-from pipeuq.cli import cmd_evidence, cmd_simulate, main
-from pipeuq.config import RunConfig, build_config, validate_config
+from pipeuq.cli import build_parser, cmd_evidence, cmd_simulate, main
+from pipeuq.config import FLAGS, RunConfig, build_config, validate_config
 from pipeuq.core import ClassifierProfile, DomainSpec, FixerSpec
 from pipeuq.errors import ConfigError
 from pipeuq.pbox import PBoxParams
@@ -590,10 +591,12 @@ class TestExitCodes:
             f"error: evidence file {path}: outlier policy iqr with k=0.0 removes every recall sample\n"
         )
 
-    def test_out_path_io_error(self, tmp_path):
+    def test_out_path_io_error(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "x.json"
         assert main([*FAST_SIM, "--out", str(target)]) == 3
         assert not target.parent.exists()
+        # one line that names PATH, not the temporary file beside it
+        assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: {str(target)!r}\n"
         # a directory is opened in place, which fails before any write
         target = tmp_path / "a-dir"
         target.mkdir()
@@ -702,6 +705,8 @@ LOADS = {
     ),
     "analytic --config {ini}": ({"pipeuq.core", "configparser"}, {"numpy", *LIBRARY} - {"pipeuq.core"}),
     "simulate --trials 5 --n-items 50": ({"pipeuq.simulator", "numpy"}, {"pipeuq.evidence", "pipeuq.casestudies"}),
+    # only a report holding a float array loads orjson, and simulate's holds none
+    "simulate --trials 20 --output json": ({"pipeuq.simulator", "numpy"}, {"orjson"}),
     "simulate --trials 5 --evidence {csv}": (
         {"pipeuq.simulator", "pipeuq.evidence", "numpy"}, {"pipeuq.casestudies"},
     ),
@@ -736,13 +741,22 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
         assert not any(name.startswith("pipeuq.") for name in loaded)
 
 
-# The process entry, run as `python -m pipeuq.cli`. PYTHONUNBUFFERED would make
-# stdout write-through, so a write too small to fill the buffer would fail
-# inside main and not, as it does by default, at the last flush.
+# The process entry as the `pipeuq` console script runs it, with an atexit handler that
+# writes to fd 2 if it ever runs. PYTHONUNBUFFERED would make stdout write-through, so a
+# write too small to fill the buffer would fail inside main and not, as it does by
+# default, at the last flush.
+_RUN = """
+import atexit, os
+atexit.register(os.write, 2, b"atexit handler ran\\n")
+from pipeuq.cli import run
+run()
+"""
+
+
 def run_entry(argv, **kwargs) -> subprocess.CompletedProcess:
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, "-m", "pipeuq.cli", *argv], env=env, **kwargs)
+    return subprocess.run([sys.executable, "-c", _RUN, *argv], env=env, **kwargs)
 
 
 def full_device() -> int:
@@ -804,9 +818,11 @@ def test_console_script_is_the_main_block_entry():
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--trials", "60", "--output", "json"], 0),
     (["simulate", "--trials", "0"], 2),
+    (["case-study", "sideways"], 2),
     (["evidence", "{missing}"], 3),
 ])
 def test_entry_child_matches_in_process_main(argv, code, tmp_path, capsysbinary):
+    # run() ends the child with os._exit: main's code and bytes, and no atexit handler
     argv = [arg.format(missing=tmp_path / "missing.csv") for arg in argv]
     assert main(argv) == code
     expected = capsysbinary.readouterr()
@@ -852,10 +868,151 @@ def test_main_leaves_the_environment_alone(capsys):
     assert dict(os.environ) == before
 
 
-def test_only_the_entry_freezes_the_heap(capsys):
+def test_only_the_entry_turns_the_collector_off(capsys):
     assert main(["analytic"]) == 0
-    assert gc.get_freeze_count() == 0
-    check = "import gc, sys; from pipeuq.cli import entry; print(entry(), gc.get_freeze_count() > 0, file=sys.stderr)"
+    assert gc.isenabled()
+    check = "import gc, sys; from pipeuq.cli import entry; print(entry(), gc.isenabled(), file=sys.stderr)"
     child = subprocess.run([sys.executable, "-c", check, "analytic"], env=child_env(), capture_output=True,
                            text=True, check=True)
-    assert child.stderr == "0 True\n"
+    assert child.stderr == "0 False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["bogus"], ["--", "analytic"], ["analytic", "-h"], ["simulate", "--help"],
+    ["evidence", "-h"], ["case-study", "-h"], ["pbox-sample", "-h"], ["analytic", "--bogus"],
+    ["analytic", "extra"], ["analytic", "--version"], ["case-study"], ["case-study", "sideways"],
+    ["simulate", "--mode", "median"], ["analytic", "--recall"], ["pbox-sample", "--trials", "x"],
+])
+def test_one_subparser_reads_as_all_five(argv, monkeypatch, capsys):
+    # main builds only argv[0]'s subparser; help, --version and every usage error keep their bytes
+    from pipeuq import cli
+
+    code = main(argv)
+    one = capsys.readouterr()
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert (main(argv), *capsys.readouterr()) == (code, *one)
+
+
+def test_build_parser_builds_the_named_subparser_alone():
+    def commands(parser):
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert commands(build_parser("simulate")) == ["simulate"]
+    assert commands(build_parser("bogus")) == commands(build_parser()) == list(FLAGS)
+
+
+def _grid(side: int) -> str:
+    return ",".join(repr(i / (side - 1)) for i in range(side))
+
+
+def _analytic(side, output):
+    return ["analytic", "--prevalence", _grid(side), "--fix-rate", _grid(side), "--output", output]
+
+
+def _trace(trials):
+    return ["simulate", "--trace", "--prevalence", "0.5", "--fix-rate", "0.5", "--trials", str(trials),
+            "--output", "json"]
+
+
+# (small argv, large argv, the large run's exit code) of one command; the exit-2 pair is a run and a
+# refused run
+CYCLE_PAIRS = {
+    "analytic-csv": (_analytic(11, "csv"), _analytic(201, "csv"), 0),
+    "analytic-json": (_analytic(11, "json"), _analytic(201, "json"), 0),
+    "simulate": (["simulate", "--trials", "1000"], ["simulate", "--trials", "200000"], 0),
+    "simulate-trace": (_trace(1000), _trace(200000), 0),
+    "pbox-sample-json": (["pbox-sample", "--trials", "1000", "--output", "json"],
+                         ["pbox-sample", "--trials", str(10**6), "--output", "json"], 0),
+    "pbox-sample-csv": (["pbox-sample", "--trials", "1000", "--output", "csv"],
+                        ["pbox-sample", "--trials", str(10**6), "--output", "csv"], 0),
+    "exit-2": (["simulate", "--trials", "1000"], ["simulate", "--trials", "0"], 2),
+}
+
+
+@pytest.mark.parametrize("small, large, code", CYCLE_PAIRS.values(), ids=CYCLE_PAIRS)
+def test_garbage_cycles_do_not_grow_with_the_run(small, large, code, capsys):
+    # entry() runs main with the collector off, so a cycle made per chunk or row would stay
+    # in memory: each run must leave the same cyclic garbage whatever its size
+    gc.collect()
+    gc.disable()
+    try:
+        codes, found = [], []
+        for argv in (small, small, large):  # the first run imports what the command loads
+            codes.append(main([*argv, "--out", os.devnull]))
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert codes == [0, 0, code]
+    assert found[1] == found[2], found
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+@pytest.mark.parametrize("argv", [["analytic"], ["simulate", "--trials", "0"], ["--version"]],
+                         ids=["report", "refused", "version"])
+def test_run_with_a_std_fd_closed_at_startup_exits_with_main(fd, argv, monkeypatch, capsys):
+    # fd 1 or 2 closed before the interpreter starts leaves sys.stdout or sys.stderr None
+    child = subprocess.run(["sh", "-c", f'exec "$0" -m pipeuq.cli "$@" {fd}>&-', sys.executable, *argv],
+                           env=child_env(), capture_output=True)
+    monkeypatch.setattr(sys, ("stdout", "stderr")[fd - 1], None)
+    assert child.returncode == main(argv)
+
+
+# `python -W error` turns any warning a command lets escape into an exception, so exit 4
+_WARNING_ARGVS = [
+    "analytic", "simulate", "pbox-sample --output json", "evidence {csv}", "case-study rule-based",
+    "case-study composed",
+    "pbox-sample --trials 70000 --output json",  # the summary folds two chunks
+    "simulate --trace --output json --prevalence 0,1e-300,1 --fix-rate 0,1 --break-rate 0.3",
+]
+
+
+@pytest.mark.parametrize("command", _WARNING_ARGVS)
+def test_no_warning_escapes_a_command(command, tmp_path):
+    (tmp_path / "ev.csv").write_text(TestEvidence.CSV)
+    argv = command.format(csv=tmp_path / "ev.csv").split()
+    child = subprocess.run([sys.executable, "-W", "error", "-m", "pipeuq.cli", *argv], env=child_env(),
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert (child.returncode, child.stderr) == (0, "")
+
+
+# Blocks the modules named in argv[1] (comma-separated), then runs the console script on the rest:
+# a command that imports one of them fails with exit 4
+_BLOCKED = """
+import sys
+for name in sys.argv.pop(1).split(","):
+    sys.modules[name] = None
+from pipeuq.cli import run
+run()
+"""
+# --version, evidence, the case studies and analytic (its closed forms run on floats)
+NUMPY_FREE = [
+    "--version", "case-study composed", "case-study rule-based --output json", "evidence {csv}",
+    "case-study composed --evidence {csv}", "analytic", "analytic --output csv", "analytic --output json",
+    "analytic --prevalence 0,1 --fix-rate 0,0.5 --output json",
+]
+
+
+def _run_blocked(blocked: str, command: str, tmp_path) -> subprocess.CompletedProcess:
+    argv = command.format(csv=tmp_path / "ev.csv").split()
+    return subprocess.run([sys.executable, "-c", _BLOCKED, blocked, *argv], env=child_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("command", NUMPY_FREE)
+def test_command_runs_with_modules_blocked(command, tmp_path):
+    (tmp_path / "ev.csv").write_text(TestEvidence.CSV)
+    child = _run_blocked("numpy,dataclasses,inspect,orjson", command, tmp_path)
+    assert (child.returncode, child.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command", [
+    "analytic --recall 1.5", "case-study composed --case-recall 1.5", "evidence {csv}",
+])
+def test_refused_probability_exits_2_without_numpy(command, tmp_path):
+    # refused probabilities are checked without numpy: one error line, never exit 4
+    (tmp_path / "ev.csv").write_text("source_id,metric,value\np1,recall,1.5\n")
+    child = _run_blocked("numpy,dataclasses,inspect", command, tmp_path)
+    assert child.returncode == 2 and re.fullmatch("error: [^\n]*\n", child.stderr), child.stderr
