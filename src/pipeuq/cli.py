@@ -19,24 +19,26 @@ re-draws its streams as it writes them, so memory does not grow with
 ``--trials`` (a 38 MB peak for 10^6 samples, written in 0.75 s as JSON and
 1.25 s as csv, and for 4*10^6 in csv, on a 2-core Xeon).
 ``--out PATH`` replaces a regular file, or creates a new one, atomically: the
-report goes to a fresh temporary file beside ``PATH`` that is renamed over it
-at the end, so a failed run leaves neither a partial report nor a changed
-``PATH``. Where a rename would change what ``PATH`` is (a device such as
-``/dev/null``, a FIFO, a symlink, a file with other hard links or of another
-owner) ``PATH`` is written in place, where a failed run can leave a partial report.
+report goes to a new file ``.pipeuq-<16 hex>.tmp`` beside ``PATH``, which has
+``PATH``'s permissions (a new ``PATH``'s: those ``open`` gives under the umask)
+and is renamed over it at the end, so a failed run leaves neither a partial
+report nor a changed ``PATH``, and a ``PATH`` of any valid name can be written.
+Where a rename would change what ``PATH`` is (a device such as ``/dev/null``,
+a FIFO, a symlink, a file with other hard links or of another owner) ``PATH``
+is written in place, where a failed run can leave a partial report.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
 4 internal invariant violation. A failed write to stdout (a full disk, a
 closed pipe) exits 3 with one ``i/o error:`` line.
 
-``main(argv)`` is the in-process API: it leaves ``os.environ`` and the cyclic
-garbage collector as it found them. ``run()`` is the process entry, used by
-``python -m pipeuq.cli`` and the ``pipeuq`` console script. It calls ``entry()``,
-which sets ``OPENBLAS_NUM_THREADS`` to 1 unless the environment already sets it,
-before numpy is loaded (no command calls a BLAS routine, and numpy's OpenBLAS
-would otherwise start a worker thread per CPU; set the variable yourself to
-override this), turns the cyclic collector off, runs ``main`` and gives stdout
-its last flush. ``run`` then flushes stderr and ends the process with
+``main(argv)`` is the in-process API: it leaves ``os.environ``, the cyclic
+garbage collector and the umask as it found them. ``run()`` is the process
+entry, used by ``python -m pipeuq.cli`` and the ``pipeuq`` console script. It
+calls ``entry()``, which sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
+environment already sets it, before numpy is loaded (no command calls a BLAS
+routine, and numpy's OpenBLAS would otherwise start a worker thread per CPU;
+set the variable yourself to override this), turns the cyclic collector off,
+runs ``main`` and gives stdout its last flush. ``run`` then flushes stderr and ends the process with
 ``os._exit``: no interpreter teardown, so no ``atexit`` handler runs. A tool
 that saves its state at exit, such as coverage's subprocess mode, should call
 ``entry()`` instead.
@@ -57,7 +59,6 @@ import operator
 import os
 import stat
 import sys
-import tempfile
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
@@ -614,15 +615,14 @@ def write_report(env: ReportEnvelope, output: str, fh) -> None:
 def _open_out(path: str):
     """Open ``--out PATH`` for the report, replacing PATH atomically where a rename keeps what it is.
 
-    If PATH does not exist, or is a regular file (not a symlink) with one link,
-    owned by us and by a group we are in, the report goes to a fresh temporary file beside it that
-    takes PATH's permission bits and group (a new file's: ``0o666`` less the
-    umask) and is renamed over PATH at the end; on any exception the temporary
-    file is removed and PATH is left as it was. Anything else, such as a
-    device, a FIFO, a symlink or a hard-linked file, and a file whose
-    directory we cannot write, is opened and written in place.
+    If PATH does not exist, or is a regular file (not a symlink) with one link, owned by us and by
+    a group we are in, the report goes to a new file ``.pipeuq-<16 hex>.tmp`` beside it, renamed
+    over PATH at the end; on any exception that file is removed and PATH is left as it was. One
+    ``open(2)`` creates it: with mode ``0o666`` for a new PATH, which the kernel narrows by the umask
+    or a default ACL as ``open(PATH, "w")`` would, and with ``0o600`` for an existing one, until it
+    takes PATH's group and permission bits. Anything else, such as a device, a FIFO, a symlink or a
+    hard-linked file, and a file whose directory we cannot write, is opened and written in place.
     """
-    directory = os.path.dirname(path) or "."
     try:
         old = os.lstat(path)
     except FileNotFoundError:
@@ -632,8 +632,9 @@ def _open_out(path: str):
         stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid()
         and (old.st_gid == os.getegid() or old.st_gid in os.getgroups())
     ):
+        tmp = os.path.join(os.path.dirname(path), f".pipeuq-{os.urandom(8).hex()}.tmp")
         try:
-            fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(path) + ".", directory)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if old is None else 0o600)
         except OSError as exc:
             if old is None or not isinstance(exc, PermissionError):
                 raise OSError(exc.errno, exc.strerror, path) from None  # PATH, not the temporary name
@@ -643,11 +644,7 @@ def _open_out(path: str):
         return
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            if old is None:
-                umask = os.umask(0)
-                os.umask(umask)
-                os.fchmod(fd, 0o666 & ~umask)
-            else:
+            if old is not None:
                 os.fchown(fd, -1, old.st_gid)
                 os.fchmod(fd, stat.S_IMODE(old.st_mode))
             yield fh

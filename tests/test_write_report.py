@@ -303,25 +303,72 @@ def assert_report(text: str):
     assert json.loads(text)["results"]["count"] == 5000
 
 
-def test_out_keeps_mode_and_other_files(tmp_path):
+@pytest.fixture
+def created(monkeypatch):
+    """The permission bits of each file ``os.open`` creates, read as it is created."""
+    modes, real = [], os.open
+
+    def recording(path, flags, mode=0o777, **kwargs):
+        fd = real(path, flags, mode, **kwargs)
+        if flags & os.O_CREAT:
+            modes.append(stat.S_IMODE(os.fstat(fd).st_mode))
+        return fd
+
+    monkeypatch.setattr(os, "open", recording)
+    return modes
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o600])
+def test_out_keeps_mode_and_other_files(tmp_path, created, mode):
     target = tmp_path / "report.json"
     target.write_text("previous report\n")
-    target.chmod(0o640)
+    target.chmod(mode)
     (tmp_path / "report.json.tmp").write_text("the user's own file\n")
     assert main([*SAMPLE, "--out", str(target)]) == 0
     assert_report(target.read_text())
-    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    # the temporary file is created readable by its owner alone, then takes PATH's bits
+    assert created == [0o600]
+    assert stat.S_IMODE(target.stat().st_mode) == mode
     assert (tmp_path / "report.json.tmp").read_text() == "the user's own file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]
 
 
-def test_new_out_takes_umask_mode(tmp_path):
-    umask = os.umask(0o027)
+def test_open_out_never_widens_an_existing_file(tmp_path, created):
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+    target.chmod(0o600)
+    with cli._open_out(str(target)) as fh:
+        assert stat.S_IMODE(os.fstat(fh.fileno()).st_mode) == 0o600
+        fh.write("new report\n")
+    assert created == [0o600]
+    assert target.read_text() == "new report\n"
+
+
+def refuse_umask(mask):
+    raise AssertionError("the process's umask was set")
+
+
+def test_new_out_takes_umask_mode(tmp_path, monkeypatch, created):
+    set_umask = os.umask
+    umask = set_umask(0o027)
+    # the kernel narrows the new file's 0o666 by the umask: nothing reads or sets it
+    monkeypatch.setattr(os, "umask", refuse_umask)
     try:
         assert main([*SAMPLE, "--out", str(tmp_path / "new.json")]) == 0
     finally:
-        os.umask(umask)
+        set_umask(umask)
+    assert created == [0o666 & ~0o027]
     assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
+
+
+def test_out_with_the_longest_name(tmp_path, capsys):
+    # the temporary name has a fixed length, so any name PATH may have fits
+    argv = ["case-study", "composed", "--output", "json"]
+    assert main(argv) == 0
+    target = tmp_path / ("a" * 245 + ".json")
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_text() == capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
 
 def test_out_to_devnull_writes_in_place():
