@@ -60,7 +60,7 @@ import os
 import stat
 import sys
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import __version__
@@ -95,17 +95,17 @@ class ReportEnvelope(NamedTuple):
     ``results`` is the JSON payload, its arrays and callables written as lists,
     or None where a command builds it only for ``--output json``.
     ``columns`` and ``blocks`` give the payload as one tidy table, which the csv
-    output writes as it stands and ``table(envelope)`` formats. ``blocks`` is a
-    zero-argument callable that yields it afresh on every call, so a large payload
-    is never copied, as blocks of rows: one equal-length column per name in
-    ``columns``, a list, tuple, range or 1-D array.
+    output writes as it stands and ``table(envelope)`` formats, as pieces of text
+    written in turn. ``blocks`` is a zero-argument callable that yields it afresh
+    on every call, so a large payload is never copied, as blocks of rows: one
+    equal-length column per name in ``columns``, a list, tuple, range or 1-D array.
     """
 
     config: dict
     results: dict | None
     columns: tuple[str, ...]
     blocks: Callable[[], Iterable[Sequence]]
-    table: Callable[["ReportEnvelope"], str]
+    table: Callable[["ReportEnvelope"], Iterable[str]]
 
 
 def _envelope(command: str, cfg: RunConfig, results: dict | None, columns, blocks, table, **positionals) -> ReportEnvelope:
@@ -337,33 +337,38 @@ def _fmt_interval(lo, hi) -> str:
     return f"[{lo:.2f}, {hi:.2f}]"
 
 
-def _format_columns(rows: list[list[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
+def _aligned(rows: Callable[[], Iterable[Sequence[str]]]) -> Iterator[str]:
+    """The lines of the rows ``rows()`` yields, each cell padded to the width of its column's widest.
+
+    ``rows`` is called twice, for the widths now and for the lines as they are read, so a table
+    that ``rows`` re-draws is never held."""
+    widths = functools.reduce(lambda widths, row: [*map(max, widths, map(len, row))], rows(), itertools.repeat(0))
+    return ("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows())
 
 
-def _titled(title: str, rows: list[list[str]]) -> str:
-    return title + "\n\n" + _format_columns(rows) + "\n"
+def _titled(title: str, rows: Callable[[], Iterable[Sequence[str]]]) -> Iterator[str]:
+    return itertools.chain([title + "\n\n"], _aligned(rows))
 
 
-def _render_analytic_table(env: ReportEnvelope) -> str:
+def _render_analytic_table(env: ReportEnvelope) -> Iterator[str]:
     cfg = env.config
     title = (f"analytic pipeline metrics (recall={cfg['recall']}, precision={cfg['precision']}, "
              f"n_items={cfg['n_items']})")
-    # the first five metrics: prevalence, fix_rate, real_fix_rate ... fn_ratio
-    rows = [list(env.columns[:7])]
-    rows += [[f"{p:.2f}", f"{f:.2f}", *map(_fmt, values[:5])] for p, f, *values in _rows(env)]
-    return _titled(title, rows)
+    # the first five metrics: prevalence, fix_rate, real_fix_rate ... fn_ratio; the grid is computed
+    # and formatted twice, once for the widths, so memory does not grow with it
+    return _titled(title, lambda: itertools.chain(
+        [env.columns[:7]], ([f"{p:.2f}", f"{f:.2f}", *map(_fmt, values[:5])] for p, f, *values in _rows(env))
+    ))
 
 
-def _render_simulate_table(env: ReportEnvelope) -> str:
+def _render_simulate_table(env: ReportEnvelope) -> Iterator[str]:
     from .simulator import METRICS
 
     pbox = env.results["pbox"]
-    blocks = [
+    yield (
         f"simulation intervals (trials={env.config['trials']}, n_items={env.config['n_items']}, "
-        f"seed={env.config['seed']}, pbox=({pbox['minimum']:.4g}, {pbox['maximum']:.4g}, {pbox['mean']:.4g}))"
-    ]
+        f"seed={env.config['seed']}, pbox=({pbox['minimum']:.4g}, {pbox['maximum']:.4g}, {pbox['mean']:.4g}))\n"
+    )
     first = "means" if env.config["mode"] == "means" else "extremes"  # the block the undefined note follows
     cells, undefined = {}, defaultdict(int)
     for metric, mode, p, f, lo, hi, n_undefined in _rows(env):
@@ -379,13 +384,13 @@ def _render_simulate_table(env: ReportEnvelope) -> str:
                 continue
             rows = [["prevalence \\ fix_rate", *[f"{f:.2f}" for f in fix_rates]]]
             rows += [[f"{p:.2f}", *[cells[metric, mode, p, f] for f in fix_rates]] for p in prevalences]
-            blocks.append(f"-- {metric} ({label}) --\n" + _format_columns(rows))
+            yield f"\n-- {metric} ({label}) --\n"
+            yield from _aligned(lambda: rows)
             if mode == first and undefined[metric]:
-                blocks.append(f"   ({undefined[metric]} trial(s) with undefined {metric} excluded)")
-    return "\n\n".join(blocks) + "\n"
+                yield f"\n   ({undefined[metric]} trial(s) with undefined {metric} excluded)\n"
 
 
-def _render_evidence_table(env: ReportEnvelope) -> str:
+def _render_evidence_table(env: ReportEnvelope) -> Iterator[str]:
     results = env.results
     title = f"evidence summary (outlier policy={results['outlier_policy']}, k={results['outlier_k']})"
     summarized = {row[0]: row for row in _rows(env)}
@@ -404,10 +409,10 @@ def _render_evidence_table(env: ReportEnvelope) -> str:
         )
     for metric in summarized:
         lines += [f"  removed: {s['source_id']},{s['metric']},{s['value']}" for s in results[metric]["removed"]]
-    return _titled(title, rows) + "".join(line + "\n" for line in lines)
+    return itertools.chain(_titled(title, lambda: rows), (line + "\n" for line in lines))
 
 
-def _render_tools_table(env: ReportEnvelope) -> str:
+def _render_tools_table(env: ReportEnvelope) -> Iterator[str]:
     results = env.results
     title = (
         f"repair-tool confidence intervals "
@@ -418,10 +423,10 @@ def _render_tools_table(env: ReportEnvelope) -> str:
         [name, f"{correct}/{generated}", f"{point:.2%}", f"{lo:.2%}", f"{hi:.2%}"]
         for name, correct, generated, point, lo, hi in _rows(env)
     ]
-    return _titled(title, rows)
+    return _titled(title, lambda: rows)
 
 
-def _render_composed_table(env: ReportEnvelope) -> str:
+def _render_composed_table(env: ReportEnvelope) -> Iterator[str]:
     results = env.results
     [(n_items, detected, fixed, residual, ext_lo, ext_hi, means_lo, means_hi)] = _rows(env)
     lines = [
@@ -435,10 +440,10 @@ def _render_composed_table(env: ReportEnvelope) -> str:
         "fix-rate interval (stream means):       " + _fmt_interval(means_lo, means_hi),
     ]
     lines += [f"note: {note}" for note in results["notes"]]
-    return "\n".join(lines) + "\n"
+    return [line + "\n" for line in lines]
 
 
-def _render_pbox_table(env: ReportEnvelope) -> str:
+def _render_pbox_table(env: ReportEnvelope) -> Iterator[str]:
     results = env.results
     pb = results["pbox"]
     title = (
@@ -448,7 +453,7 @@ def _render_pbox_table(env: ReportEnvelope) -> str:
     rows = [["stream", "min", "max", "mean"]]
     for name, s in results["summary"].items():
         rows.append([name, _fmt(s["min"]), _fmt(s["max"]), _fmt(s["mean"])])
-    return _titled(title, rows)
+    return _titled(title, lambda: rows)
 
 
 # elements per JSON array slice, and csv rows about per write
@@ -586,14 +591,14 @@ def write_report(env: ReportEnvelope, output: str, fh) -> None:
     """Write the report to the text stream ``fh`` as ``table``, ``csv`` or ``json``.
 
     Every format is written as it is produced, so memory does not grow with
-    the report's size. The table comes from the command's renderer; csv rows are
-    written about ``_BATCH`` at a time; the JSON document
+    the report's size. The table is written piece by piece as the command's
+    renderer yields it; csv rows are written about ``_BATCH`` at a time; the JSON document
     holds ``version``, ``config`` and ``results``, with the bytes of
     ``indent=2, sort_keys=True``, and a NaN or infinity in it raises
     ``ValueError`` (no ``NaN``/``Infinity`` tokens, RFC 8259).
     """
     if output == "table":
-        fh.write(env.table(env))
+        fh.writelines(env.table(env))
     elif output == "csv":
         # the header goes out with the first batch, so blocks() that fails there writes nothing;
         # map drops each block once its slices are written, not a block later
