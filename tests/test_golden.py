@@ -2,8 +2,11 @@
 
 Each case is run with ``--output table``, ``csv`` and ``json``. Table and csv
 stdout are compared whole, and so is json stdout for a case that reads no
-input file. For a case that does, only the json ``results`` object is
-compared, because ``config`` echoes the paths of the input files.
+input file, with its ``version`` value set to a placeholder: a version bump
+moves no report byte that a snapshot should hold, and
+``test_pinned.py::test_json_report_names_the_package_version`` checks that
+line. For a case that reads an input file, only the json ``results`` object
+is compared, because ``config`` echoes the paths of the input files.
 
 The expected bytes live in ``golden_outputs.json`` next to this file. When an
 output change is intended, regenerate them with ``python tests/test_golden.py``
@@ -22,6 +25,8 @@ from pathlib import Path
 import pytest
 
 FIXTURE = Path(__file__).with_name("golden_outputs.json")
+# a JSON report's last line but its closing brace: "version" sorts after "config" and "results"
+VERSION_LINE = '\n  "version": {}\n}}\n'
 
 # Input files the cases read; an argv token "{name}" becomes the file's path.
 FILES = {
@@ -81,12 +86,21 @@ def run(case: str, output: str, directory: Path) -> str:
     return buf.getvalue()
 
 
+def unversioned(report: str) -> str:
+    """A JSON report with the value of its version line set to a placeholder."""
+    from pipeuq import __version__
+
+    line = VERSION_LINE.format(json.dumps(__version__))
+    assert report.endswith(line), report[-len(line):]
+    return report[:-len(line)] + VERSION_LINE.format('"VERSION"')
+
+
 def capture(case: str, output: str, directory: Path) -> str:
     """The bytes compared for one case and output format."""
     text = run(case, output, directory)
     if output == "json" and any(tok[1:-1] in FILES for tok in CASES[case]):  # config echoes an input path
         return json.dumps(json.loads(text)["results"], indent=2, sort_keys=True) + "\n"
-    return text
+    return unversioned(text) if output == "json" else text
 
 
 def write_files(directory: Path) -> None:
