@@ -1,5 +1,5 @@
 """Pinned report bytes: digests, byte-identical reruns across a chunk boundary and strict JSON,
-each report written by ``main()`` in process.
+each report written by ``main()`` in process, and each rerun's second report by a child process.
 
 The digests pin what a rerun cannot: a change to every draw or every number alike passes a
 rerun. A whole JSON document is digested with the value of its version line set to a
@@ -9,11 +9,15 @@ checks that line on its own.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from pipeuq import __version__
 from pipeuq.cli import main
+from test_cli import child_env
 from test_golden import unversioned
 
 GRID = ",".join(repr(i / 50) for i in range(51))
@@ -100,9 +104,20 @@ def test_report_bytes_are_pinned(name, tmp_path):
     assert hashlib.sha256(part(report(argv, tmp_path / "report"))).hexdigest() == digest
 
 
+def other_hash_seed() -> str:
+    """A PYTHONHASHSEED other than this process's: its own plus one, or 0 against a random one."""
+    seed = os.environ.get("PYTHONHASHSEED", "random")
+    return str((int(seed) + 1) % 2**32) if seed.isdigit() else "0"
+
+
 @pytest.mark.parametrize("name", RERUNS)
 def test_rerun_is_byte_identical(name, tmp_path):
-    assert report(RERUNS[name], tmp_path / "first") == report(RERUNS[name], tmp_path / "second")
+    # the rerun is the process entry in a child, with another str hash seed
+    argv = [*RERUNS[name], "--out", str(tmp_path / "second")]
+    env = dict(child_env(), PYTHONHASHSEED=other_hash_seed())
+    child = subprocess.run([sys.executable, "-m", "pipeuq.cli", *argv], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert report(RERUNS[name], tmp_path / "first") == (tmp_path / "second").read_bytes()
 
 
 def refuse(token):
