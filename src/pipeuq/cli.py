@@ -38,10 +38,10 @@ calls ``entry()``, which sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
 environment already sets it, before numpy is loaded (no command calls a BLAS
 routine, and numpy's OpenBLAS would otherwise start a worker thread per CPU;
 set the variable yourself to override this), turns the cyclic collector off,
-runs ``main`` and gives stdout its last flush. ``run`` then flushes stderr and ends the process with
-``os._exit``: no interpreter teardown, so no ``atexit`` handler runs. A tool
-that saves its state at exit, such as coverage's subprocess mode, should call
-``entry()`` instead.
+runs ``main`` and gives stdout its last flush. ``run`` then flushes stderr and
+ends the process with ``os._exit``: no interpreter teardown, so no ``atexit``
+handler runs. A tool that saves its state at exit, such as coverage's
+subprocess mode, should call ``entry()`` instead.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import os
 import stat
 import sys
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import __version__
@@ -156,7 +156,8 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     configured point recall, cell by cell on Python floats, so numpy is not
     loaded. The cells are computed as they are written, a grid row at a time,
     so memory does not grow with the grid: the csv rows in one pass over it,
-    and each JSON metric in a pass of its own formula.
+    the table in two (its column widths, then its lines) and each JSON metric
+    in a pass of its own formula.
 
     The realized fix rate is reported as undefined (null / "n/a") when
     prevalence is 0, and the false-alert rate when the domain degenerates to
@@ -337,7 +338,7 @@ def _fmt_interval(lo, hi) -> str:
     return f"[{lo:.2f}, {hi:.2f}]"
 
 
-def _aligned(rows: Callable[[], Iterable[Sequence[str]]]) -> Iterator[str]:
+def _aligned(rows: Callable[[], Iterable[Sequence[str]]]) -> Iterable[str]:
     """The lines of the rows ``rows()`` yields, each cell padded to the width of its column's widest.
 
     ``rows`` is called twice, for the widths now and for the lines as they are read, so a table
@@ -346,11 +347,11 @@ def _aligned(rows: Callable[[], Iterable[Sequence[str]]]) -> Iterator[str]:
     return ("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows())
 
 
-def _titled(title: str, rows: Callable[[], Iterable[Sequence[str]]]) -> Iterator[str]:
+def _titled(title: str, rows: Callable[[], Iterable[Sequence[str]]]) -> Iterable[str]:
     return itertools.chain([title + "\n\n"], _aligned(rows))
 
 
-def _render_analytic_table(env: ReportEnvelope) -> Iterator[str]:
+def _render_analytic_table(env: ReportEnvelope) -> Iterable[str]:
     cfg = env.config
     title = (f"analytic pipeline metrics (recall={cfg['recall']}, precision={cfg['precision']}, "
              f"n_items={cfg['n_items']})")
@@ -361,7 +362,7 @@ def _render_analytic_table(env: ReportEnvelope) -> Iterator[str]:
     ))
 
 
-def _render_simulate_table(env: ReportEnvelope) -> Iterator[str]:
+def _render_simulate_table(env: ReportEnvelope) -> Iterable[str]:
     from .simulator import METRICS
 
     pbox = env.results["pbox"]
@@ -390,7 +391,7 @@ def _render_simulate_table(env: ReportEnvelope) -> Iterator[str]:
                 yield f"\n   ({undefined[metric]} trial(s) with undefined {metric} excluded)\n"
 
 
-def _render_evidence_table(env: ReportEnvelope) -> Iterator[str]:
+def _render_evidence_table(env: ReportEnvelope) -> Iterable[str]:
     results = env.results
     title = f"evidence summary (outlier policy={results['outlier_policy']}, k={results['outlier_k']})"
     summarized = {row[0]: row for row in _rows(env)}
@@ -412,7 +413,7 @@ def _render_evidence_table(env: ReportEnvelope) -> Iterator[str]:
     return itertools.chain(_titled(title, lambda: rows), (line + "\n" for line in lines))
 
 
-def _render_tools_table(env: ReportEnvelope) -> Iterator[str]:
+def _render_tools_table(env: ReportEnvelope) -> Iterable[str]:
     results = env.results
     title = (
         f"repair-tool confidence intervals "
@@ -426,7 +427,7 @@ def _render_tools_table(env: ReportEnvelope) -> Iterator[str]:
     return _titled(title, lambda: rows)
 
 
-def _render_composed_table(env: ReportEnvelope) -> Iterator[str]:
+def _render_composed_table(env: ReportEnvelope) -> Iterable[str]:
     results = env.results
     [(n_items, detected, fixed, residual, ext_lo, ext_hi, means_lo, means_hi)] = _rows(env)
     lines = [
@@ -443,7 +444,7 @@ def _render_composed_table(env: ReportEnvelope) -> Iterator[str]:
     return [line + "\n" for line in lines]
 
 
-def _render_pbox_table(env: ReportEnvelope) -> Iterator[str]:
+def _render_pbox_table(env: ReportEnvelope) -> Iterable[str]:
     results = env.results
     pb = results["pbox"]
     title = (
@@ -592,9 +593,9 @@ def write_report(env: ReportEnvelope, output: str, fh) -> None:
 
     Every format is written as it is produced, so memory does not grow with
     the report's size. The table is written piece by piece as the command's
-    renderer yields it; csv rows are written about ``_BATCH`` at a time; the JSON document
-    holds ``version``, ``config`` and ``results``, with the bytes of
-    ``indent=2, sort_keys=True``, and a NaN or infinity in it raises
+    renderer yields it; csv rows are written about ``_BATCH`` at a time; the
+    JSON document holds ``version``, ``config`` and ``results``, with the bytes
+    of ``indent=2, sort_keys=True``, and a NaN or infinity in it raises
     ``ValueError`` (no ``NaN``/``Infinity`` tokens, RFC 8259).
     """
     if output == "table":

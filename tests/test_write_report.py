@@ -333,17 +333,6 @@ def test_out_keeps_mode_and_other_files(tmp_path, created, mode):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]
 
 
-def test_open_out_never_widens_an_existing_file(tmp_path, created):
-    target = tmp_path / "report.json"
-    target.write_text("previous report\n")
-    target.chmod(0o600)
-    with cli._open_out(str(target)) as fh:
-        assert stat.S_IMODE(os.fstat(fh.fileno()).st_mode) == 0o600
-        fh.write("new report\n")
-    assert created == [0o600]
-    assert target.read_text() == "new report\n"
-
-
 def refuse_umask(mask):
     raise AssertionError("the process's umask was set")
 
