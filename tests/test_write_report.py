@@ -318,7 +318,7 @@ def created(monkeypatch):
     return modes
 
 
-@pytest.mark.parametrize("mode", [0o640, 0o600])
+@pytest.mark.parametrize("mode", [0o640, 0o600], ids=oct)
 def test_out_keeps_mode_and_other_files(tmp_path, created, mode):
     target = tmp_path / "report.json"
     target.write_text("previous report\n")
