@@ -297,26 +297,22 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
 
 def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     """Draw paired recall streams from the configured p-box, re-drawn as they are written."""
-    from .pbox import CHUNK, STREAMS, _invert, p_chunks, stream_chunks, stream_summary
+    from .pbox import CHUNK, STREAMS, stream_chunks, stream_summary
 
     pbox = _resolve_pbox(cfg)
     summary = None if cfg.output == "csv" else stream_summary(pbox, cfg.trials, cfg.seed)  # csv writes none
-    streams = {name: functools.partial(stream_chunks, pbox, cfg.trials, cfg.seed, name) for name in STREAMS}
-    streams["p_values"] = functools.partial(p_chunks, cfg.trials, cfg.seed)
-    results = {"pbox": pbox._asdict(), "count": cfg.trials, "summary": summary, **streams}
-    return _envelope(
-        "pbox-sample",
-        cfg,
-        results,
-        ("index", "p", *STREAMS),
-        # chunk k's p values, drawn once, and both streams inverted from them as stream_chunks inverts
-        # them (a bad count raises before the first batch of rows is written)
-        lambda: (
-            (range(k * CHUNK, k * CHUNK + len(p)), p, *(_invert(pbox, cfg.seed, s, k, p) for s in STREAMS))
-            for k, p in enumerate(p_chunks(cfg.trials, cfg.seed))
-        ),
-        _render_pbox_table,
-    )
+    draw = functools.partial(stream_chunks, pbox, cfg.trials, cfg.seed)
+
+    def column(*names):  # a JSON list: the last array of each chunk of a pass that names its stream, or none for p
+        return lambda: (chunk[-1] for chunk in draw(*names))
+
+    results = {"pbox": pbox._asdict(), "count": cfg.trials, "summary": summary, "p_values": column(),
+               **{name: column(name) for name in STREAMS}}
+
+    def blocks():  # chunk k's p values, drawn once, and both streams; a bad count raises before any row
+        return ((range(k * CHUNK, k * CHUNK + len(p)), p, *recalls) for k, (p, *recalls) in enumerate(draw(*STREAMS)))
+
+    return _envelope("pbox-sample", cfg, results, ("index", "p", *STREAMS), blocks, _render_pbox_table)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ Both inverses share one threshold ``t = (max - mean) / (max - min)``:
                        max - (max - mean) / p               t < p < 1
                        uniform draw on [mean, max]          p = 1
 
-``stream_chunks`` draws each stream at the uniform p values of ``p_chunks``, so
-the pessimistic recall never exceeds the optimistic one at any index. The
-simulator and ``pbox-sample`` draw their recalls there, and each stream's mean
-has a closed form. Every closed-form pipeline metric is monotone in recall, so
-its bracket over the box needs no samples: ``pipeline_outcome(...,
+``stream_chunks`` is the one sampler of p: it inverts each chunk of uniform p
+values into the streams it names, so the pessimistic recall never exceeds the
+optimistic one at any index. The simulator and ``pbox-sample`` draw there, and
+each stream's mean has a closed form. Every closed-form pipeline metric is
+monotone in recall, so its bracket over the box needs no samples: ``pipeline_outcome(...,
 recall=np.array([box.minimum, box.maximum]))`` evaluates it at both ends in one
 call.
 """
@@ -47,7 +47,6 @@ __all__ = [
     "unsigned",
     "inverse_lower",
     "inverse_upper",
-    "p_chunks",
     "stream_chunks",
     "fold_chunk",
     "stream_summary",
@@ -135,12 +134,17 @@ class Interval(namedtuple("Interval", "lo hi")):
         return self.lo - tol <= value <= self.hi + tol
 
 
-def _tie_generator(np, rng):
-    """The generator of a tie's uniform draw: ``rng`` is a ``numpy.random.Generator``, None
-    (fresh entropy) or a seed, which ``check_count`` takes as it takes every seed."""
-    if rng is not None and not isinstance(rng, np.random.Generator):
-        rng = check_count(rng, "rng")
-    return np.random.default_rng(rng)
+def _ties(out, tie, rng, lo: float, hi: float):
+    """``out`` with its entries where ``tie`` is true drawn uniformly on [lo, hi], in order: the
+    set-valued ends of an inverse. ``rng`` is consulted only then; it is a
+    ``numpy.random.Generator``, None (fresh entropy) or a seed, which ``check_count`` takes as it
+    takes every seed."""
+    import numpy as np
+    if tie.any():
+        if rng is not None and not isinstance(rng, np.random.Generator):
+            rng = check_count(rng, "rng")
+        out[tie] = np.random.default_rng(rng).uniform(lo, hi, int(np.count_nonzero(tie)))
+    return out
 
 
 def inverse_lower(params: PBoxParams, p, rng=None):
@@ -155,13 +159,10 @@ def inverse_lower(params: PBoxParams, p, rng=None):
     check_unit(p, "p")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
-    out = np.full(arr.shape, b, dtype=float)
-    mid = (arr > 0.0) & (arr < t)
-    x = (arr[mid] * a - mu) / (arr[mid] - 1.0)
-    out[mid] = np.where(x <= a, a, x)  # a tie gives a: (p*0 - 0) / (p - 1) is -0.0
-    zero = arr == 0.0
-    if zero.any():
-        out[zero] = _tie_generator(np, rng).uniform(a, mu, int(zero.sum()))
+    with np.errstate(all="ignore"):  # the middle branch, discarded at p = 1, divides by zero there
+        x = (arr * a - mu) / (arr - 1.0)
+    # a tie gives a: (p*0 - 0) / (p - 1) is -0.0
+    out = _ties(np.where(arr < t, np.where(x > a, x, a), b), arr == 0.0, rng, a, mu)
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
@@ -175,58 +176,49 @@ def inverse_upper(params: PBoxParams, p, rng=None):
     check_unit(p, "p")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
-    out = np.full(arr.shape, a, dtype=float)
-    mid = (arr > t) & (arr < 1.0)
-    out[mid] = b - (b - mu) / arr[mid]
-    one = (arr == 1.0) & (arr > t)
-    if one.any():
-        out[one] = _tie_generator(np, rng).uniform(mu, b, int(one.sum()))
+    # the middle branch, discarded at p = 0, divides by zero there and overflows at a subnormal p
+    with np.errstate(all="ignore"):
+        x = b - (b - mu) / arr
+    out = _ties(np.where((arr > t) & (arr < 1.0), x, a), (arr == 1.0) & (arr > t), rng, mu, b)
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def p_chunks(n: int, seed: int):
-    """The uniform p values of ``n`` samples, ``CHUNK`` at a time: successive ``random``
-    calls on one ``default_rng(seed)``. ``check_count`` checks both at the call: ``n`` in [1, 2**53],
-    where a stream mean's division by its count is exact in a float64, and ``seed`` >= 0."""
-    import numpy as np
-    n = check_count(n, "a recall stream's sample count", 1, 2**53)
-    rng = np.random.default_rng(check_count(seed, "seed"))
-    return (rng.random(min(CHUNK, n - start)) for start in range(0, n, CHUNK))
+def stream_chunks(params: PBoxParams, n: int, seed: int, *names: str):
+    """The ``n`` samples of the p-box, ``CHUNK`` at a time: per chunk a tuple of its uniform p
+    values and, in the order given, their inverse into each stream that ``names`` names,
+    ``"optimistic"`` or ``"pessimistic"``: ``(p,)``, ``(p, recall)`` or ``(p, optimistic,
+    pessimistic)``. ``check_count`` and ``check_stream`` check the arguments at the call: ``seed`` >= 0,
+    and ``n`` in [1, 2**53], where a stream mean's division by its count is exact in a float64.
 
-
-def stream_chunks(params: PBoxParams, n: int, seed: int, name: str):
-    """The ``n`` samples of the ``name`` stream, ``"optimistic"`` or ``"pessimistic"``, chunk by
-    chunk; the arguments are checked at the call.
-
-    Chunk ``k`` of either stream inverts chunk ``k`` of ``p_chunks(n, seed)``. The optimistic stream
-    resolves its p = 0 ties with chunk ``k``'s child generator, the ``k``-th child of
-    ``SeedSequence(seed)``. The pessimistic needs none: its tie is at p = 1, and p is drawn in [0, 1).
+    The p values are successive ``random`` calls on one ``default_rng(seed)``. Chunk ``k`` of the
+    optimistic stream resolves its p = 0 ties with chunk ``k``'s child generator, the ``k``-th child
+    of ``SeedSequence(seed)``. The pessimistic stream needs none: its tie is at p = 1, and p is drawn
+    in [0, 1). Only the named streams are inverted.
     """
-    seed = check_count(seed, "seed")  # an int for SeedSequence, as p_chunks takes it
-    check_stream(name)
-    return (_invert(params, seed, name, k, p) for k, p in enumerate(p_chunks(n, seed)))
-
-
-def _invert(params: PBoxParams, seed: int, name: str, k: int, p: np.ndarray) -> np.ndarray:
-    """Chunk ``k`` of the ``name`` stream, from that chunk's p values ``p``, unchecked."""
-    if name == "pessimistic":
-        return inverse_upper(params, p)
     import numpy as np
-    return inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
+    seed = check_count(seed, "seed")
+    for name in names:
+        check_stream(name)
+    n = check_count(n, "a recall stream's sample count", 1, 2**53)
+    rng = np.random.default_rng(seed)
+
+    def chunk(k, p):
+        return p, *(inverse_upper(params, p) if name == "pessimistic" else
+                    inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
+                    for name in names)
+
+    return (chunk(k, rng.random(min(CHUNK, n - start))) for k, start in enumerate(range(0, n, CHUNK)))
 
 
 def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
-    """``min``, ``max`` and ``mean`` of each stream of ``stream_chunks(params, n, seed, name)``,
-    from one ``fold_chunk`` per chunk as ``simulate`` sums its metrics: min and max are numpy's
-    for the whole array, and the mean is the in-order sum of the chunks' numpy sums, over ``n``."""
-    summary = {}
-    for name in STREAMS:
-        state = ()
-        for chunk in stream_chunks(params, n, seed, name):
-            state = fold_chunk(chunk, *state)
-        lo, hi, count, total = state
-        summary[name] = {"min": lo, "max": hi, "mean": total / count}
-    return summary
+    """``min``, ``max`` and ``mean`` of each stream of ``stream_chunks(params, n, seed, *STREAMS)``,
+    one pass that draws p once per chunk, from one ``fold_chunk`` per stream and chunk as
+    ``simulate`` sums its metrics: min and max are numpy's for the whole array, and the mean is the
+    in-order sum of the chunks' numpy sums, over ``n``."""
+    states = dict.fromkeys(STREAMS, ())
+    for _, *chunks in stream_chunks(params, n, seed, *STREAMS):
+        states = {name: fold_chunk(chunk, *states[name]) for name, chunk in zip(STREAMS, chunks)}
+    return {name: {"min": lo, "max": hi, "mean": total / count} for name, (lo, hi, count, total) in states.items()}
 
 
 def stream_mean_optimistic(params: PBoxParams) -> float:

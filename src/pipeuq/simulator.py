@@ -23,8 +23,9 @@ Reproducibility contract: trials run in chunks of ``CHUNK = 2**16``, each of
 the three draws one ``rng.binomial`` call over a chunk's arrays. Chunk ``k``
 of stream code 1 (optimistic) or 2 (pessimistic) draws, in the order above,
 from ``default_rng(SeedSequence((master_seed, stream_code, k)))`` at the
-recalls of chunk ``k`` of ``pbox.stream_chunks(pbox, trials, master_seed,
-stream)``, whose p = 0 ties come from a child generator per chunk. Every
+recalls of chunk ``k``, the ``(p, recall)`` of ``pbox.stream_chunks(pbox,
+trials, master_seed, stream)``, whose p = 0 ties come from a child generator
+per chunk. Every
 grid cell reuses these seeds (common random numbers) in one loop nest, stream
 -> chunk -> prevalence -> fix rate: one ``pbox.stream_chunks`` pass per stream;
 per prevalence, a fresh generator and FN1; per fix rate, W and FN2 from the
@@ -128,7 +129,7 @@ def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trial
     """Every chunk of every cell of the grid as ``(cell, stream, recall, counts, metrics)``,
     ``cell`` counting domain-major: the one loop nest that draws."""
     for stream, code in _STREAM_CODES.items():
-        for k, recall in enumerate(stream_chunks(pbox, trials, master_seed, stream)):
+        for k, (_, recall) in enumerate(stream_chunks(pbox, trials, master_seed, stream)):
             for i, domain in enumerate(domains):
                 rng = np.random.default_rng(np.random.SeedSequence((master_seed, code, k)))
                 first = _first_stage(rng, domain, recall)

@@ -162,7 +162,8 @@ class TestSimulate:
         assert None in doc["results"]["fn_ratio"][0]["trials"]
 
     def test_recalls_are_drawn_once_per_stream(self, monkeypatch, capsys):
-        # one stream_chunks pass per stream serves all 12 cells of the default grid
+        # one stream_chunks pass per stream serves all 12 cells of the default grid, and each
+        # pass inverts only the stream it names
         import pipeuq.simulator
 
         calls = []
@@ -174,7 +175,7 @@ class TestSimulate:
 
         monkeypatch.setattr(pipeuq.simulator, "stream_chunks", counted)
         assert main(["simulate", "--trials", "20", "--output", "json"]) == 0
-        assert len(calls) == 2
+        assert [args[3:] for args in calls] == [("optimistic",), ("pessimistic",)]
 
     def test_every_item_ends_vulnerable_where_the_draw_ratio_rounds_above_one(self, tmp_path):
         # at specificity 0, break rate 1 and fix rate 0 every item ends

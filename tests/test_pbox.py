@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,23 +17,22 @@ from pipeuq import (
     stream_mean_optimistic,
     stream_mean_pessimistic,
 )
-import pipeuq.pbox
-from pipeuq.pbox import CHUNK, p_chunks, stream_chunks, stream_summary
+from pipeuq.pbox import CHUNK, stream_chunks, stream_summary
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
 STREAMS = ("optimistic", "pessimistic")
 
 
 def concatenated(box, n, seed) -> SimpleNamespace:
-    """The chunks of ``p_chunks(n, seed)`` and of each stream of ``stream_chunks(box, n, seed,
-    name)``, joined: ``p_values``, ``optimistic`` and ``pessimistic``."""
-    streams = {name: np.concatenate(list(stream_chunks(box, n, seed, name))) for name in STREAMS}
-    return SimpleNamespace(p_values=np.concatenate(list(p_chunks(n, seed))), **streams)
+    """The chunks of ``stream_chunks(box, n, seed, *STREAMS)``, joined: ``p_values``,
+    ``optimistic`` and ``pessimistic``."""
+    columns = zip(*stream_chunks(box, n, seed, *STREAMS))
+    return SimpleNamespace(**dict(zip(("p_values", *STREAMS), map(np.concatenate, columns))))
 
 
 def test_numpy_draws_are_pinned():
     # NEP 19 lets a Generator's draws change between numpy releases, and every seeded
-    # report rests on these: p values as p_chunks draws them, and first-stage misses
+    # report rests on these: p values as stream_chunks draws them, and first-stage misses
     # as _first_stage draws them (numpy's inversion sampler at n*p < 30, BTPE above)
     p = np.random.default_rng(42).random(3)
     assert [v.hex() for v in p.tolist()] == ["0x1.8c43f79a2db24p-1", "0x1.c16959869e47ep-2", "0x1.b79a2584ddb42p-1"]
@@ -188,6 +188,21 @@ class TestInverseProperties:
                 x = inverse_upper(box, float(p))
                 assert (b - mu) / (b - x) == pytest.approx(p, abs=1e-9)
 
+    @pytest.mark.parametrize("box", [BOX, PBoxParams(0.6, 0.6, 0.6), PBoxParams(0.2, 0.8, 0.2),
+                                     PBoxParams(0.2, 0.8, 0.8)],
+                             ids=["box", "degenerate", "mean-at-min", "mean-at-max"])
+    def test_array_inverse_is_the_scalar_one_without_a_warning(self, box):
+        # each element of an array is inverted as a scalar is, and no p warns: the branch that
+        # np.where discards divides by zero at p = 0 and p = 1 and overflows at a subnormal p.
+        # The p values are distinct, so each array holds at most one tie at p = 0 and one at p = 1,
+        # which draws what a scalar tie draws from the same seed.
+        t = box.threshold
+        ps = sorted({0.0, 5e-324, t, float(np.nextafter(t, 0.0)), float(np.nextafter(t, 1.0)), 1.0 - 2.0**-53, 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for inverse in (inverse_lower, inverse_upper):
+                assert inverse(box, np.array(ps), rng=3).tolist() == [inverse(box, p, rng=3) for p in ps], inverse
+
     def test_agrees_with_reference_transcription(self):
         p = np.linspace(0.001, 0.999, 457)
         got_lower = inverse_lower(BOX, p)
@@ -233,28 +248,36 @@ class TestSampling:
 
     def test_chunked_p_values_match_one_draw(self):
         n = 2 * CHUNK + 5
-        chunks = list(p_chunks(n, 99))
+        chunks = [p for p, in stream_chunks(BOX, n, 99)]
         assert [len(p) for p in chunks] == [CHUNK, CHUNK, 5]
         assert np.array_equal(np.concatenate(chunks), np.random.default_rng(99).random(n))
-        for name in STREAMS:
-            assert [len(c) for c in stream_chunks(BOX, n, 99, name)] == [CHUNK, CHUNK, 5]
+        for names in [(name,) for name in STREAMS] + [STREAMS]:
+            for chunk, p in zip(stream_chunks(BOX, n, 99, *names), chunks, strict=True):
+                assert len(chunk) == 1 + len(names)
+                assert np.array_equal(chunk[0], p) and all(len(c) == len(p) for c in chunk)
 
     @pytest.mark.parametrize("ties", [False, True], ids=["drawn", "with-p-zero"])
     def test_each_stream_follows_the_seed_contract(self, ties, monkeypatch):
         # across a chunk boundary: chunk k of p is default_rng(seed).random(n) cut into CHUNK
         # slices; p = 0 in both chunks makes the optimistic stream draw its ties from chunk k's
-        # child generator, and the pessimistic stream draws none
+        # child generator, and the pessimistic stream draws none. Every choice of names yields
+        # the same p and the same streams.
         n, seed = CHUNK + 70, 5
         slices = [np.random.default_rng(seed).random(n)[start:start + CHUNK] for start in range(0, n, CHUNK)]
-        if ties:
-            real = pipeuq.pbox.p_chunks
+        if ties:  # the p generator, default_rng of an int seed, draws a zero at every 7th value
+            real = np.random.default_rng
 
-            def with_zeros(n, seed):
-                for p in real(n, seed):
+            class WithZeros:
+                def __init__(self, seed):
+                    self.rng = real(seed)
+
+                def random(self, size):
+                    p = self.rng.random(size)
                     p[::7] = 0.0
-                    yield p
+                    return p
 
-            monkeypatch.setattr(pipeuq.pbox, "p_chunks", with_zeros)
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: WithZeros(seed) if type(seed) is int
+                                else real(seed))
             for p in slices:
                 p[::7] = 0.0
         expected = {
@@ -264,29 +287,42 @@ class TestSampling:
         }
         if ties:  # the ties were drawn, not left at an end of the box
             assert len(np.unique(expected["optimistic"][1][::7])) > 1
-        for name in STREAMS:
-            got = list(stream_chunks(BOX, n, seed, name))
-            assert [len(c) for c in got] == [CHUNK, 70]
-            assert all(np.array_equal(g, e) for g, e in zip(got, expected[name], strict=True)), name
+        for names in [(), *((name,) for name in STREAMS), STREAMS, STREAMS[::-1]]:
+            got = list(stream_chunks(BOX, n, seed, *names))
+            assert [len(c) for c, *_ in got] == [CHUNK, 70]
+            want = [(p, *(expected[name][k] for name in names)) for k, p in enumerate(slices)]
+            for g, e in zip(got, want, strict=True):
+                assert len(g) == len(e) and all(map(np.array_equal, g, e)), names
+
+    def test_summary_draws_p_once(self, monkeypatch):
+        # one generator of p for both streams: default_rng of an int seed; the child generators
+        # of the optimistic ties are seeded by a SeedSequence
+        real, seeds = np.random.default_rng, []
+
+        def counted(seed=None):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        stream_summary(BOX, 2 * CHUNK + 5, 7)
+        assert [s for s in seeds if isinstance(s, int)] == [7]
+        assert len(seeds) == 1 + 3  # and one child per chunk of the optimistic stream
 
     @pytest.mark.parametrize("box", [BOX, PBoxParams(0.2, 0.8, 0.2), PBoxParams(0.5, 0.5, 0.5)])
     def test_streams_are_ordered_at_every_index(self, box):
         n = CHUNK + 70
-        optimistic, pessimistic = (list(stream_chunks(box, n, 3, name)) for name in STREAMS)
+        _, optimistic, pessimistic = zip(*stream_chunks(box, n, 3, *STREAMS))
         assert [len(c) for c in optimistic] == [len(c) for c in pessimistic] == [CHUNK, 70]
         assert all(np.all(lo <= hi) for lo, hi in zip(pessimistic, optimistic))
 
     def test_zero_samples_rejected(self):
-        # stream_chunks and p_chunks check at the call, before anything is drawn
-        for name in STREAMS:
+        # stream_chunks checks at the call, before anything is drawn, whatever streams it names
+        for names in [(), *((name,) for name in STREAMS), STREAMS]:
             with pytest.raises(InvalidParameterError):
-                stream_chunks(BOX, 0, 1, name)
+                stream_chunks(BOX, 0, 1, *names)
             # a stream mean divides by its count, exact in a float64 only up to 2**53
             with pytest.raises(InvalidParameterError, match=r"sample count must be an integer in \[1, 9007199254740992\]"):
-                stream_chunks(BOX, 2**53 + 1, 1, name)
-        for n in (0, 2**53 + 1):
-            with pytest.raises(InvalidParameterError):
-                p_chunks(n, 1)
+                stream_chunks(BOX, 2**53 + 1, 1, *names)
 
     def test_a_stream_name_that_is_no_str_is_refused(self):
         # the parent compared the array with "pessimistic" first: numpy's ambiguous-truth ValueError
@@ -303,17 +339,16 @@ class TestSampling:
     ])
     def test_count_and_seed_must_be_ints(self, n, seed, message):
         # range and numpy's SeedSequence would refuse these untyped, or not at all
-        with pytest.raises(InvalidParameterError, match=message):
-            p_chunks(n, seed)
-        for name in STREAMS:
+        for names in [(), *((name,) for name in STREAMS), STREAMS]:
             with pytest.raises(InvalidParameterError, match=message):
-                stream_chunks(BOX, n, seed, name)
+                stream_chunks(BOX, n, seed, *names)
         with pytest.raises(InvalidParameterError, match=message):
             stream_summary(BOX, n, seed)
 
     def test_unknown_stream_refused(self):
-        with pytest.raises(InvalidParameterError, match="'optimistic' or 'pessimistic', got 'optimstic'"):
-            stream_chunks(BOX, 3, 1, "optimstic")
+        for names in [("optimstic",), ("optimistic", "optimstic")]:
+            with pytest.raises(InvalidParameterError, match="'optimistic' or 'pessimistic', got 'optimstic'"):
+                stream_chunks(BOX, 3, 1, *names)
 
     def test_mean_convergence_against_quadrature(self):
         # oracle: numerical quadrature of the reference transcriptions,

@@ -405,7 +405,7 @@ def test_running_sums_match_outcomes_across_a_chunk_boundary():
     assert len(outcomes) == 2 * trials
     streams = (outcomes[:trials], outcomes[trials:])  # optimistic first
     for outcomes_of_stream, name in zip(streams, (STREAM_OPTIMISTIC, STREAM_PESSIMISTIC)):
-        recalls = np.concatenate(list(stream_chunks(BOX, trials, seed, name))).tolist()
+        recalls = np.concatenate([recall for _, recall in stream_chunks(BOX, trials, seed, name)]).tolist()
         assert [o.recall_used for o in outcomes_of_stream] == recalls
     for metric in METRICS:
         defined = [[v for o in s if (v := getattr(o, metric)) is not None] for s in streams]
