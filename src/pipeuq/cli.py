@@ -29,7 +29,9 @@ is written in place, where a failed run can leave a partial report.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
 4 internal invariant violation. A failed write to stdout (a full disk, a
-closed pipe) exits 3 with one ``i/o error:`` line.
+closed pipe) exits 3 with one ``i/o error:`` line. The error line is best
+effort: a stderr that cannot take it (a closed pipe) drops it, and the exit
+code stands.
 
 ``main(argv)`` is the in-process API: it leaves ``os.environ``, the cyclic
 garbage collector and the umask as it found them. ``run()`` is the process
@@ -726,16 +728,23 @@ def main(argv=None) -> int:
             write_report(env, cfg.output, fh)
         return 0
     except PipeUQError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}\n")
         return 2
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        _complain(f"i/o error: {exc}\n")
         return 3
     except Exception:  # internal invariant violation
         import traceback
 
-        traceback.print_exc()
+        _complain(traceback.format_exc())
         return 4
+
+
+def _complain(text: str) -> None:
+    """Write ``text`` to stderr, best effort as argparse writes its messages: a stderr that is closed
+    or fails (a closed pipe) costs the text, never the exit code that ``main`` chose."""
+    with contextlib.suppress(AttributeError, OSError):  # AttributeError: sys.stderr is None, fd 2 was closed
+        sys.stderr.write(text)
 
 
 def entry() -> int:
@@ -766,13 +775,13 @@ def entry() -> int:
     except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not code:
-            print(f"i/o error: {exc}", file=sys.stderr)
+            _complain(f"i/o error: {exc}\n")
             code = 3
     return code
 
 
 def run() -> NoReturn:
-    """``entry()``, then stderr's flush and ``os._exit`` with its code: the ``pipeuq`` console script.
+    """``entry()``, then stderr's best-effort flush and ``os._exit`` with its code: the ``pipeuq`` console script.
 
     The process skips interpreter teardown, which would free every object one by one: a
     ``simulate`` child's exit takes 1.5 ms, not 5.6 ms (a 2-core Xeon). So no ``atexit`` handler
@@ -780,7 +789,7 @@ def run() -> NoReturn:
     stdout.
     """
     code = entry()
-    if sys.stderr is not None:  # None if fd 2 was closed at startup
+    with contextlib.suppress(AttributeError, OSError):  # as _complain: fd 2 closed at startup, or failing
         sys.stderr.flush()
     os._exit(code)
 

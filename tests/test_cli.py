@@ -792,6 +792,22 @@ def test_failed_stdout_write_exits_3_with_one_line(argv, sink):
     assert "Exception ignored" not in child.stderr
 
 
+@pytest.mark.parametrize("argv, both, code", [
+    (["analytic"], True, 3),
+    (["analytic", "--recall", "2"], True, 2),
+    (["analytic", "--recall", "2"], False, 2),
+], ids=["report-and-line", "refused-and-line", "line-alone"])
+def test_failed_stderr_write_keeps_the_exit_code(argv, both, code):
+    # fd 2 (and with `both`, fd 1) on a pipe whose reader has closed: the error line is lost,
+    # as argparse loses its messages there, and the exit code that main chose stands
+    fd = closed_pipe()
+    try:
+        child = run_entry(argv, stdout=fd if both else subprocess.DEVNULL, stderr=fd)
+    finally:
+        os.close(fd)
+    assert child.returncode == code
+
+
 @pytest.mark.parametrize("argv, code, stderr", [
     (["--version"], 0, f"pipeuq {re.escape(__version__)}\n"),  # argparse writes it to stderr
     (["analytic"], 3, "i/o error: .*\n"),
