@@ -188,7 +188,9 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     # the report's metrics are PipelineOutcome's fields, by name and in order; only json writes them
     results = None if cfg.output != "json" else dict(zip(PipelineOutcome._fields, map(metric, _FORMULAS)))
     columns = ("prevalence", "fix_rate", *PipelineOutcome._fields)
-    return _envelope("analytic", cfg, results, columns, lambda: rows(_FORMULAS), _render_analytic_table)
+    # the table prints the first five metrics, real_fix_rate ... fn_ratio, so its rows compute those alone
+    table = functools.partial(_render_analytic_table, lambda: rows(_FORMULAS[:5]))
+    return _envelope("analytic", cfg, results, columns, lambda: rows(_FORMULAS), table)
 
 
 def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
@@ -349,14 +351,15 @@ def _titled(title: str, rows: Callable[[], Iterable[Sequence[str]]]) -> Iterable
     return itertools.chain([title + "\n\n"], _aligned(rows))
 
 
-def _render_analytic_table(env: ReportEnvelope) -> Iterable[str]:
+def _render_analytic_table(blocks: Callable[[], Iterable[Sequence]], env: ReportEnvelope) -> Iterable[str]:
     cfg = env.config
     title = (f"analytic pipeline metrics (recall={cfg['recall']}, precision={cfg['precision']}, "
              f"n_items={cfg['n_items']})")
-    # the first five metrics: prevalence, fix_rate, real_fix_rate ... fn_ratio; the grid is computed
+    # prevalence, fix_rate and the first five metrics, as ``blocks`` gives them; the grid is computed
     # and formatted twice, once for the widths, so memory does not grow with it
     return _titled(title, lambda: itertools.chain(
-        [env.columns[:7]], ([f"{p:.2f}", f"{f:.2f}", *map(_fmt, values[:5])] for p, f, *values in _rows(env))
+        [env.columns[:7]],
+        ([f"{p:.2f}", f"{f:.2f}", *map(_fmt, values)] for block in blocks() for p, f, *values in zip(*block)),
     ))
 
 

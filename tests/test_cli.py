@@ -110,6 +110,21 @@ class TestAnalytic:
             "0.50        0.50      0.5000         0.2500            1.0000  0.0000  1.5000\n"
         )
 
+    @pytest.mark.parametrize("output, counts", [("table", [5, 5]), ("csv", [9])])
+    def test_a_report_computes_only_the_formulas_it_writes(self, output, counts, monkeypatch, capsys):
+        # the table prints five metrics, in a pass for its widths and one for its lines; csv all nine
+        import pipeuq.core
+
+        real, counted = pipeuq.core._grid, []
+
+        def grid(rec, prec, domains, fixers, formulas):
+            counted.append(len(formulas))
+            return real(rec, prec, domains, fixers, formulas)
+
+        monkeypatch.setattr(pipeuq.core, "_grid", grid)
+        assert main(["analytic", "--output", output]) == 0
+        assert counted == counts
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
