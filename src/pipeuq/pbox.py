@@ -22,9 +22,9 @@ Both inverses share one threshold ``t = (max - mean) / (max - min)``:
 values into the streams it names, so the pessimistic recall never exceeds the
 optimistic one at any index. The simulator and ``pbox-sample`` draw there, and
 each stream's mean has a closed form. Every closed-form pipeline metric is
-monotone in recall, so its bracket over the box needs no samples: ``pipeline_outcome(...,
-recall=np.array([box.minimum, box.maximum]))`` evaluates it at both ends in one
-call.
+monotone in recall, so its bracket over the box needs no samples:
+``pipeline_outcome(..., recall=np.array([box.minimum, box.maximum]))``
+evaluates it at both ends in one call.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def inverse_lower(params: PBoxParams, p, rng=None):
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
     with np.errstate(all="ignore"):  # the middle branch, discarded at p = 1, divides by zero there
         x = (arr * a - mu) / (arr - 1.0)
-    # a tie gives a: (p*0 - 0) / (p - 1) is -0.0
+    # x > a, so x = a gives a: at min = mean = 0, x is (p*0 - 0) / (p - 1) = -0.0
     out = _ties(np.where(arr < t, np.where(x > a, x, a), b), arr == 0.0, rng, a, mu)
     return float(out[0]) if np.ndim(p) == 0 else out
 
