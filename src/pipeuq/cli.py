@@ -94,8 +94,7 @@ __all__ = [
 class ReportEnvelope(NamedTuple):
     """A command's full result: config echo, payload and table renderer.
 
-    ``results`` is the JSON payload, its arrays and callables written as lists,
-    or None where a command builds it only for ``--output json``.
+    ``results`` is the JSON payload, its arrays and callables written as lists.
     ``columns`` and ``blocks`` give the payload as one tidy table, which the csv
     output writes as it stands and ``table(envelope)`` formats, as pieces of text
     written in turn. ``blocks`` is a zero-argument callable that yields it afresh
@@ -104,13 +103,13 @@ class ReportEnvelope(NamedTuple):
     """
 
     config: dict
-    results: dict | None
+    results: dict
     columns: tuple[str, ...]
     blocks: Callable[[], Iterable[Sequence]]
     table: Callable[["ReportEnvelope"], Iterable[str]]
 
 
-def _envelope(command: str, cfg: RunConfig, results: dict | None, columns, blocks, table, **positionals) -> ReportEnvelope:
+def _envelope(command: str, cfg: RunConfig, results: dict, columns, blocks, table, **positionals) -> ReportEnvelope:
     # the command's positionals and options; not the output destination: identical
     # configs must yield identical reports wherever they are written
     options = {name: getattr(cfg, name) for name in OPTIONS[command] if name != "out"}
@@ -185,8 +184,8 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     def metric(formula):  # one PipelineOutcome field, as the columns of a dict per cell, a grid row a part
         return lambda: (dict(zip(("prevalence", "fix_rate", "value"), row)) for row in rows((formula,)))
 
-    # the report's metrics are PipelineOutcome's fields, by name and in order; only json writes them
-    results = None if cfg.output != "json" else dict(zip(PipelineOutcome._fields, map(metric, _FORMULAS)))
+    # the report's metrics are PipelineOutcome's fields, by name and in order, each computed as json writes it
+    results = dict(zip(PipelineOutcome._fields, map(metric, _FORMULAS)))
     columns = ("prevalence", "fix_rate", *PipelineOutcome._fields)
     # the table prints the first five metrics, real_fix_rate ... fn_ratio, so its rows compute those alone
     table = functools.partial(_render_analytic_table, lambda: rows(_FORMULAS[:5]))
@@ -372,15 +371,15 @@ def _render_simulate_table(env: ReportEnvelope) -> Iterable[str]:
         f"seed={env.config['seed']}, pbox=({pbox['minimum']:.4g}, {pbox['maximum']:.4g}, {pbox['mean']:.4g}))\n"
     )
     first = "means" if env.config["mode"] == "means" else "extremes"  # the block the undefined note follows
-    cells, undefined = {}, defaultdict(int)
+    cells, undefined = {}, defaultdict(dict)
     for metric, mode, p, f, lo, hi, n_undefined in _rows(env):
         cells[metric, mode, p, f] = _fmt_interval(lo, hi)
-        if mode == first:
-            undefined[metric] += n_undefined or 0
+        undefined[metric][p, f] = n_undefined or 0  # a cell's count, the same in each mode and each repeat
     modes = {key[1] for key in cells}
     prevalences = sorted({key[2] for key in cells})
     fix_rates = sorted({key[3] for key in cells})
     for metric in METRICS:
+        excluded = sum(undefined[metric].values())
         for mode, label in (("extremes", "per-trial extremes"), ("means", "stream means")):
             if mode not in modes:
                 continue
@@ -388,8 +387,8 @@ def _render_simulate_table(env: ReportEnvelope) -> Iterable[str]:
             rows += [[f"{p:.2f}", *[cells[metric, mode, p, f] for f in fix_rates]] for p in prevalences]
             yield f"\n-- {metric} ({label}) --\n"
             yield from _aligned(lambda: rows)
-            if mode == first and undefined[metric]:
-                yield f"\n   ({undefined[metric]} trial(s) with undefined {metric} excluded)\n"
+            if mode == first and excluded:
+                yield f"\n   ({excluded} trial(s) with undefined {metric} excluded)\n"
 
 
 def _render_evidence_table(env: ReportEnvelope) -> Iterable[str]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import MAX_ITEMS, ConfigError, InvalidParameterError, check_count, check_unit
+from .errors import MAX_ITEMS, ConfigError, InvalidParameterError, check_count, check_unit, unsigned
 
 __all__ = ["RunConfig", "DEFAULTS", "FLAGS", "OPTIONS", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
@@ -189,15 +189,19 @@ def build_config(args, command: str) -> RunConfig:
     return cfg
 
 
-def _refused(errors: list[str], name: str, values) -> bool:
-    """Whether a value of ``values`` is no int or float in [0, 1]; the first refusal is
-    listed in ``errors``."""
+def _refused(errors: list[str], cfg: RunConfig, name: str) -> bool:
+    """Whether ``cfg``'s probability ``name``, or an entry of its grid, is no int or float in [0, 1]; the
+    first refusal is listed in ``errors``. A kept one has each -0.0 as 0.0, so that no report writes -0.0."""
+    grid = type(DEFAULTS[name]) is list  # the caller has checked that a grid is a list
+    values = getattr(cfg, name) if grid else [getattr(cfg, name)]
     try:
         for v in values:
             check_unit(v, name, numpy=False)
     except InvalidParameterError as exc:
         errors.append(str(exc))
         return True
+    values = [*map(unsigned, values)]
+    setattr(cfg, name, values if grid else values[0])
     return False
 
 
@@ -220,7 +224,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         values = getattr(cfg, name)
         if not isinstance(values, list) or not values:
             errors.append(f"{name}: grid must be a nonempty list, got {values!r}")
-        elif _refused(errors, name, values) or name != "prevalence":
+        elif _refused(errors, cfg, name) or name != "prevalence":
             continue
         elif any(0.0 < v < sys.float_info.min for v in values):
             # the realized fix rate divides by it and would overflow to -inf
@@ -237,7 +241,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             )
     refused |= {name for name in ("recall", "precision", "specificity", "break_rate", "case_recall", "case_accuracy",
                                  "confidence", "pbox_min", "pbox_max", "pbox_mean")
-               if _refused(errors, name, [getattr(cfg, name)])}
+               if _refused(errors, cfg, name)}
     if "confidence" not in refused and cfg.confidence in (0.0, 1.0):
         errors.append(f"confidence: must lie in (0, 1), got {cfg.confidence!r}")
     if not refused & {"pbox_min", "pbox_max", "pbox_mean"} and not cfg.pbox_min <= cfg.pbox_mean <= cfg.pbox_max:

@@ -32,16 +32,17 @@ load no numpy: each formula is written once, and the same operations in the
 same order round a float and an array element alike, bit for bit. An array
 false-alert rate is NaN at the cells where it is undefined.
 
-Each formula is a private, unchecked function of plain values, and each call
-checks its inputs once: a public metric checks what it reads and calls its
-formula, and ``pipeline_outcome`` checks recall, precision, prevalence and fix
-rate together before it calls all nine. ``_grid`` does the same for a whole
-prevalence x fix-rate grid, one row at a time, which is how ``analytic``
-streams its cells.
+Each formula is a private, unchecked function of one cell, ``(np, rec, prec,
+p, positives, f)``, and ``_grid`` is the one code that checks inputs and calls
+the formulas: it checks a whole prevalence x fix-rate grid once and computes it
+one row at a time, which is how ``analytic`` streams its cells. Every public
+metric, and ``pipeline_outcome``, is a grid of one cell; a metric that reads no
+domain or fixer gets an empty one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import sys
 from collections import namedtuple
@@ -85,23 +86,11 @@ def _where(np, defined, formula, undefined):
 
     With ``np`` None (scalar inputs) this is a conditional, and ``formula`` is
     not evaluated at an undefined cell; otherwise ``np.where`` over the whole
-    grid, whose undefined cells ``_quiet`` keeps from warning.
+    grid, whose undefined cells ``_grid`` keeps from warning.
     """
     if np is None:
         return formula() if defined else undefined
     return np.where(defined, formula(), undefined)
-
-
-def _quiet(metric):
-    """``metric`` with numpy's floating-point warnings off: a numpy value overflows to inf, and
-    meets NaN, silently, as a float does. numpy is looked up, never imported."""
-    def run(*args, **kwargs):
-        np = sys.modules.get("numpy")
-        if np is None:
-            return metric(*args, **kwargs)
-        with np.errstate(all="ignore"):
-            return metric(*args, **kwargs)
-    return functools.wraps(metric)(run)
 
 
 class ClassifierProfile(namedtuple("ClassifierProfile", "recall precision specificity")):
@@ -139,7 +128,8 @@ class DomainSpec(namedtuple("DomainSpec", "n_items prevalence")):
 
     @property
     def positives(self) -> float:
-        return self.prevalence * self.n_items
+        # a float count: a numpy integer prevalence would refuse a count beyond its dtype's range
+        return self.prevalence * float(self.n_items)
 
 
 class FixerSpec(namedtuple("FixerSpec", "fix_rate break_rate")):
@@ -174,70 +164,94 @@ class PipelineOutcome(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the formulas, each written once and unchecked, of Python floats or of numpy
-# values (``np`` is then the numpy module): a public metric checks its inputs
-# and calls its formula, and ``_grid`` checks once and calls them all
+# the formulas, each written once and unchecked, of the cell (np, rec, prec, p, positives, f):
+# Python floats, or numpy values with ``np`` the numpy module. ``_grid`` checks and calls them
 
-def _fix_rate(rec, f):
+def _fix_rate(np, rec, prec, p, positives, f):
     return f * rec
 
 
-def _prevalence(rec, f, p):
+def _prevalence(np, rec, prec, p, positives, f):
     return (1.0 - f * rec) * p
 
 
-def _tpr(np, rec, f):
+def _tpr(np, rec, prec, p, positives, f):
     if np is not None:
         rec = np.asarray(rec, dtype=float)
     return _where(np, f != 1.0, lambda: rec * rec * (1.0 - f) / (1.0 - f * rec), 0.0)
 
 
-def _far(np, rec, prec, p, f):
+def _far(np, rec, prec, p, positives, f):
     """None at a scalar cell where the false alert rate is undefined, NaN at such an array cell."""
     denom = 1.0 - (1.0 - f * rec) * p
     return _where(np, denom != 0.0, lambda: rec * rec * ((1.0 - prec) / prec) * (1.0 - f) * p / denom,
                   None if np is None else np.nan)
 
 
-def _fn_ratio(rec, f):
+def _fn_ratio(np, rec, prec, p, positives, f):
     return 1.0 + (1.0 - f) * rec
 
 
-def _fn_final(rec, f, positives):
-    return _fn_ratio(rec, f) * (1.0 - rec) * positives
+def _fn_final(np, rec, prec, p, positives, f):
+    return (1.0 + (1.0 - f) * rec) * (1.0 - rec) * positives
 
 
-def _tp(rec, f, positives):
+def _tp(np, rec, prec, p, positives, f):
     return (1.0 - f) * rec * rec * positives
 
 
-def _fp(rec, prec, f, positives):
+def _fp(np, rec, prec, p, positives, f):
     return rec * ((1.0 - prec) / prec) * (1.0 - f) * rec * positives
 
 
-def _load(rec, prec, positives):
+def _load(np, rec, prec, p, positives, f):
     return rec / prec * positives
 
 
-@_quiet
+# each PipelineOutcome field as its formula
+_FORMULAS = PipelineOutcome(_fix_rate, _prevalence, _tpr, _far, _fn_ratio, _fn_final, _tp, _fp, _load)
+
+
+def _grid(rec, prec, domains, fixers, formulas=_FORMULAS):
+    """Yield the grid ``domains`` x ``fixers`` at recall ``rec`` and precision ``prec`` one domain's row
+    at a time: for each of the ``formulas`` (fields of ``_FORMULAS``), the list of its values at the
+    fixers' cells, ``far`` None where a scalar one is undefined. The inputs are checked once, together,
+    so a cell costs its formulas alone. A row is computed with numpy's floating-point warnings off, so a
+    numpy value overflows to inf, and meets NaN, silently, as a float does; it is yielded with them as
+    the caller had them."""
+    fix_rates = [fixer.fix_rate for fixer in fixers]
+    np = _check(rec, prec, *fix_rates, *(domain.prevalence for domain in domains))
+    numpy = sys.modules.get("numpy")  # looked up, never imported: a numpy float64 warns too, np None for it
+    for domain in domains:
+        with numpy.errstate(all="ignore") if numpy else contextlib.nullcontext():
+            cell = (np, rec, prec, domain.prevalence, domain.positives)
+            row = [list(map(functools.partial(formula, *cell), fix_rates)) for formula in formulas]
+        yield row
+
+
+_NO_DOMAIN, _NO_FIXER = DomainSpec(0, 0.0), FixerSpec(0.0)  # the empty ones, for a metric that reads none
+
+
+def _cell(rec, prec, domain, fixer, formulas):
+    """The ``formulas``' values at the grid of one cell, ``domain`` x ``fixer``."""
+    [row] = _grid(rec, prec, [domain], [fixer], formulas)
+    return tuple(value for [value] in row)
+
+
 def pipeline_fix_rate(fixer: FixerSpec, recall):
     """Realized end-to-end fix rate, ``fix_rate * recall``.
 
     Only detected items reach the fixer, so the theoretical rate is scaled
     down by the detector's recall.
     """
-    _check(recall, fixer.fix_rate)
-    return _fix_rate(recall, fixer.fix_rate)
+    return _cell(recall, 1.0, _NO_DOMAIN, fixer, [_fix_rate])[0]
 
 
-@_quiet
 def pipeline_prevalence(domain: DomainSpec, fixer: FixerSpec, recall):
     """Residual prevalence after one pass, ``(1 - fix_rate * recall) * P``."""
-    _check(recall, fixer.fix_rate, domain.prevalence)
-    return _prevalence(recall, fixer.fix_rate, domain.prevalence)
+    return _cell(recall, 1.0, domain, fixer, [_prevalence])[0]
 
 
-@_quiet
 def pipeline_tpr(recall, fixer: FixerSpec):
     """True positive rate of the whole pipeline.
 
@@ -247,7 +261,7 @@ def pipeline_tpr(recall, fixer: FixerSpec):
     the only survivors are first-stage misses, which by definition were never
     flagged. The ``fix_rate = recall = 1`` limit is therefore defined as 0.
     """
-    return _tpr(_check(recall, fixer.fix_rate), recall, fixer.fix_rate)
+    return _cell(recall, 1.0, _NO_DOMAIN, fixer, [_tpr])[0]
 
 
 def _defined(far):
@@ -260,7 +274,6 @@ def _defined(far):
     return far
 
 
-@_quiet
 def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None):
     """False alert rate of the whole pipeline.
 
@@ -276,11 +289,9 @@ def pipeline_far(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpe
     and recall broadcast.
     """
     rec = profile.recall if recall is None else recall
-    prec, p, f = profile.precision, domain.prevalence, fixer.fix_rate
-    return _defined(_far(_check(rec, p, f, prec), rec, prec, p, f))
+    return _defined(_cell(rec, profile.precision, domain, fixer, [_far])[0])
 
 
-@_quiet
 def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
     """Final false negatives and their growth ratio over the first stage.
 
@@ -292,73 +303,31 @@ def pipeline_false_negatives(domain: DomainSpec, fixer: FixerSpec, recall):
     The ratio is reported as the analytic limit even when the first stage
     produced no false negatives (``rec = 1``).
     """
-    _check(recall, fixer.fix_rate, domain.prevalence)
-    return _fn_final(recall, fixer.fix_rate, domain.positives), _fn_ratio(recall, fixer.fix_rate)
+    return _cell(recall, 1.0, domain, fixer, [_fn_final, _fn_ratio])
 
 
-@_quiet
 def pipeline_true_positives(domain: DomainSpec, fixer: FixerSpec, recall):
     """True positives surviving both stages, ``(1 - fix_rate) * rec^2 * P * N``."""
-    _check(recall, fixer.fix_rate, domain.prevalence)
-    return _tp(recall, fixer.fix_rate, domain.positives)
+    return _cell(recall, 1.0, domain, fixer, [_tp])[0]
 
 
-@_quiet
-def pipeline_false_positives(
-    profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None
-):
+def pipeline_false_positives(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None):
     """False positives emitted by the second stage.
 
         rec * (1 - prec)/prec * (1 - fix_rate) * rec * P * N
     """
     rec = profile.recall if recall is None else recall
-    prec = profile.precision
-    _check(rec, prec, fixer.fix_rate, domain.prevalence)
-    return _fp(rec, prec, fixer.fix_rate, domain.positives)
+    return _cell(rec, profile.precision, domain, fixer, [_fp])[0]
 
 
-@_quiet
 def fixer_load(profile: ClassifierProfile, domain: DomainSpec, recall=None):
     """Number of items handed to the fixer and second classifier: ``rec / prec * P * N``
     (first-stage true plus false positives)."""
     rec = profile.recall if recall is None else recall
-    _check(rec, profile.precision, domain.prevalence)
-    return _load(rec, profile.precision, domain.positives)
+    return _cell(rec, profile.precision, domain, _NO_FIXER, [_load])[0]
 
 
-# each PipelineOutcome field as its formula of one cell (np, rec, prec, p, positives, f)
-_FORMULAS = PipelineOutcome(
-    real_fix_rate=lambda np, rec, prec, p, positives, f: _fix_rate(rec, f),
-    final_prevalence=lambda np, rec, prec, p, positives, f: _prevalence(rec, f, p),
-    tpr=lambda np, rec, prec, p, positives, f: _tpr(np, rec, f),
-    far=lambda np, rec, prec, p, positives, f: _far(np, rec, prec, p, f),
-    fn_ratio=lambda np, rec, prec, p, positives, f: _fn_ratio(rec, f),
-    fn_final=lambda np, rec, prec, p, positives, f: _fn_final(rec, f, positives),
-    tp_final=lambda np, rec, prec, p, positives, f: _tp(rec, f, positives),
-    fp_final=lambda np, rec, prec, p, positives, f: _fp(rec, prec, f, positives),
-    fixer_load=lambda np, rec, prec, p, positives, f: _load(rec, prec, positives),
-)
-
-
-def _grid(rec, prec, domains, fixers, formulas=_FORMULAS):
-    """Yield the grid ``domains`` x ``fixers`` at recall ``rec`` and precision ``prec`` one domain's row
-    at a time: for each of the ``formulas`` (fields of ``_FORMULAS``), the list of its values at the
-    fixers' cells, ``far`` None where a scalar one is undefined. The inputs are checked once, together,
-    so a cell costs its formulas alone."""
-    fix_rates = [fixer.fix_rate for fixer in fixers]
-    np = _check(rec, prec, *fix_rates, *(domain.prevalence for domain in domains))
-    for domain in domains:
-        cell = (np, rec, prec, domain.prevalence, domain.positives)
-        yield [list(map(functools.partial(formula, *cell), fix_rates)) for formula in formulas]
-
-
-@_quiet
-def pipeline_outcome(
-    profile: ClassifierProfile,
-    domain: DomainSpec,
-    fixer: FixerSpec,
-    recall=None,
-) -> PipelineOutcome:
+def pipeline_outcome(profile: ClassifierProfile, domain: DomainSpec, fixer: FixerSpec, recall=None) -> PipelineOutcome:
     """Bundle every end-to-end metric into one record.
 
     ``recall`` overrides ``profile.recall`` when given, which lets callers
@@ -367,7 +336,7 @@ def pipeline_outcome(
     NaN at its degenerate cells. A scalar degenerate cell raises
     :class:`DegenerateDomainError`.
     """
-    [row] = _grid(profile.recall if recall is None else recall, profile.precision, [domain], [fixer])
-    out = PipelineOutcome._make(value for [value] in row)
+    rec = profile.recall if recall is None else recall
+    out = PipelineOutcome._make(_cell(rec, profile.precision, domain, fixer, _FORMULAS))
     _defined(out.far)
     return out

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the two input checks that raise them:
-``check_unit`` of a probability, ``check_count`` of a count or a seed (an integer, never a float)."""
+``check_unit`` of a probability, ``check_count`` of a count or a seed (an integer, never a float);
+and ``unsigned``, the one zero a checked probability keeps."""
 
+import math
 import operator
 import sys
 
@@ -65,6 +67,12 @@ def check_unit(value, name: str, numpy: bool = True) -> None:
               and value.size > 0 and bool(np.all((value >= 0.0) & (value <= 1.0))))
     if not ok:
         raise InvalidParameterError(f"{name} must lie in [0, 1], got {_shown(value)}")
+
+
+def unsigned(value):
+    """``value``, with a negative zero as 0.0: the one zero a record or a config holds, so that no
+    report writes -0.0 and numpy's uniform never sees the range (0.0, -0.0)."""
+    return 0.0 if math.copysign(1.0, value) < 0.0 else value
 
 
 def check_count(value, name: str, least: int = 0, most=None) -> int:

@@ -26,8 +26,8 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError, check_unit
-from .pbox import PBoxParams, unsigned
+from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError, check_unit, unsigned
+from .pbox import PBoxParams
 
 __all__ = [
     "METRICS",

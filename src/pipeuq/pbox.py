@@ -33,7 +33,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParameterError, check_count, check_unit
+from .errors import InvalidParameterError, check_count, check_unit, unsigned
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,12 +62,6 @@ def check_stream(name) -> None:
     """Refuse ``name`` unless it is one of ``STREAMS``."""
     if not isinstance(name, str) or name not in STREAMS:
         raise InvalidParameterError(f"a recall stream is {' or '.join(map(repr, STREAMS))}, got {name!r}")
-
-
-def unsigned(value):
-    """``value``, with a negative zero as 0.0: the one zero a record holds, so that no report
-    writes -0.0 and numpy's uniform never sees the range (0.0, -0.0)."""
-    return 0.0 if math.copysign(1.0, value) < 0.0 else value
 
 
 def fold_chunk(values: np.ndarray, lo=math.inf, hi=-math.inf, count=0, total=0.0) -> tuple:

@@ -212,6 +212,18 @@ class TestSimulate:
         assert [line for line in text.splitlines() if "excluded" in line] == [note]
         assert note in text.split("-- real_fix_rate (stream means) --")[1].split("-- fn_ratio")[0]
 
+    def test_a_repeated_grid_value_counts_its_undefined_trials_once(self, capsys):
+        # the table shows a repeated cell once; the parent's note summed its undefined trials per repeat (16, not 8)
+        argv = ["simulate", "--fix-rate", "0.5", "--n-items", "20", "--trials", "50",
+                "--pbox-min", "0.9", "--pbox-max", "1", "--pbox-mean", "0.95"]
+        tables = []
+        for prevalence in ("0.5", "0.5,0.5"):
+            assert main([*argv, "--prevalence", prevalence]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+        assert [line for line in tables[0].splitlines() if "excluded" in line] == [
+            "   (8 trial(s) with undefined fn_ratio excluded)"]
+
     def test_huge_population_runs_in_bounded_memory(self, capsys):
         argv = ["simulate", "--n-items", str(10**12), "--trials", "2",
                 "--prevalence", "0.5", "--fix-rate", "0.7", "--output", "json"]
@@ -308,6 +320,30 @@ def test_negative_zero_evidence_writes_no_negative_zero(argv, tmp_path):
         results = json.loads(out.read_text())["results"]
         assert results["recall"]["pbox"] == {"minimum": 0.0, "maximum": 0.3, "mean": pytest.approx(0.1)}
         assert results["precision"]["removed"] == [{"source_id": "q", "metric": "precision", "value": 0.0}]
+
+
+ZERO_PBOX = ["--pbox-min=-0", "--pbox-mean=-0", "--pbox-max=-0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--prevalence=-0,0.5", "--fix-rate=-0", "--recall=-0"],
+    ["simulate", "--prevalence=-0,0.5", "--fix-rate=-0", "--specificity=-0", "--break-rate=-0", "--pbox-min=-0",
+     "--trials=5", "--n-items=20"],
+    ["simulate", "--prevalence=0.5", "--fix-rate=0.5", *ZERO_PBOX, "--trials=5", "--n-items=20"],
+    ["case-study", "composed", "--case-recall=-0", "--case-accuracy=-0", "--pbox-min=-0"],
+    ["case-study", "composed", *ZERO_PBOX],
+    ["case-study", "rule-based", *ZERO_PBOX],
+    ["pbox-sample", "--pbox-min=-0", "--pbox-mean=0.5", "--trials=3"],
+    ["pbox-sample", *ZERO_PBOX, "--trials=3"],
+], ids=["analytic", "simulate", "simulate-pbox", "case-study-composed", "case-study-composed-pbox",
+        "case-study-rule-based-pbox", "pbox-sample", "pbox-sample-zero"])
+def test_negative_zero_options_write_no_negative_zero(argv, tmp_path):
+    # the config keeps each probability given as -0 as 0.0: the parent echoed -0.0 and computed with it
+    for output in ("csv", "json"):
+        out = tmp_path / f"report.{output}"
+        assert main([*argv, "--output", output, "--out", str(out)]) == 0
+        numbers = map(float, re.findall(r"(?<![\w.-])-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", out.read_text()))
+        assert all(v != 0 or math.copysign(1.0, v) > 0 for v in numbers), output
 
 
 class TestCaseStudy:

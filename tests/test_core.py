@@ -368,6 +368,15 @@ class TestArrayBroadcast:
             with pytest.raises(InvalidParameterError, match="do not broadcast"):
                 call()
 
+    @pytest.mark.parametrize("prevalence", [np.int8(1), np.uint8(1), np.array([1, 0], dtype=np.int8)])
+    def test_a_numpy_integer_prevalence_takes_a_count_beyond_its_dtype(self, prevalence):
+        # the parent raised numpy's OverflowError: P * N cast N = 300 to the prevalence's dtype
+        domain, fixer = DomainSpec(300, prevalence), FixerSpec(0.5)
+        expected = pipeline_outcome(ClassifierProfile(0.5, 0.5), DomainSpec(300, np.asarray(prevalence, float)), fixer)
+        got = pipeline_outcome(ClassifierProfile(0.5, 0.5), domain, fixer)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+        assert np.array_equal(pipeline_prevalence(domain, fixer, 0.5), expected.final_prevalence)
+
     def test_scalars_stay_scalar(self):
         assert isinstance(pipeline_fix_rate(FixerSpec(0.5), 0.5), float)
 
@@ -415,7 +424,7 @@ class TestFloatPathOracle:
                 assert same_bits(value, getattr(grid, field)[i]), (field, value, getattr(grid, field)[i])
 
 
-# each PipelineOutcome field from its own public metric, each with its own input check
+# each PipelineOutcome field from its own public metric, each a grid of one cell
 PUBLIC = {
     "real_fix_rate": lambda profile, domain, fixer: pipeline_fix_rate(fixer, profile.recall),
     "final_prevalence": lambda profile, domain, fixer: pipeline_prevalence(domain, fixer, profile.recall),
@@ -448,8 +457,8 @@ def same_value(a, b) -> bool:
 
 
 class TestOneCheckPerCell:
-    """``_grid``, and so ``pipeline_outcome``, check their inputs once and call the formulas
-    unchecked: each value must equal the public metric's, which checks its own inputs, bit for bit."""
+    """``_grid`` checks its inputs once and calls the formulas unchecked: each value of a grid must
+    equal the public metric's, a grid of one cell, bit for bit."""
 
     @given(
         rec=EDGE_OR_RANDOM,
@@ -493,3 +502,28 @@ class TestOneCheckPerCell:
         checked.clear()
         pipeline_outcome(profile, domains[3], fixers[4])
         assert checked == ["recall"]
+
+    @pytest.mark.parametrize("call", [*PUBLIC.values(), pipeline_outcome], ids=[*PUBLIC, "pipeline_outcome"])
+    def test_each_public_metric_is_a_grid_of_one_cell(self, call, monkeypatch):
+        # the parent's eight public metrics checked their inputs and called their formulas themselves
+        from pipeuq import core
+
+        real, cells = core._grid, []
+
+        def grid(rec, prec, domains, fixers, formulas=core._FORMULAS):
+            cells.append((len(domains), len(fixers)))
+            return real(rec, prec, domains, fixers, formulas)
+
+        monkeypatch.setattr(core, "_grid", grid)
+        call(ClassifierProfile(0.8, 0.7), DomainSpec(100, 0.5), FixerSpec(0.5))
+        assert cells == [(1, 1)]
+
+    def test_a_grid_computes_each_row_quietly_and_yields_it_under_the_callers_numpy_state(self):
+        from pipeuq.core import _grid
+
+        rows = _grid(np.array([0.5, 1.0]), 5e-324, [DomainSpec(2**62, 1.0)] * 2, [FixerSpec(0.0)])
+        with np.errstate(all="raise"):
+            next(rows)
+            assert np.geterr()["over"] == "raise"
+            next(rows)
+            assert np.geterr()["over"] == "raise"

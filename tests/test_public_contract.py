@@ -56,6 +56,7 @@ from pipeuq import (
     load_samples,
     load_tool_records,
     pipeline_false_negatives,
+    pipeline_false_positives,
     remove_outliers,
     round_half_away,
     rule_based_case_study,
@@ -313,6 +314,9 @@ def test_a_numpy_metric_overflows_without_a_warning():
     assert fixer_load(ClassifierProfile(0.5, 5e-324), domain) == math.inf
     assert fixer_load(ClassifierProfile(np.float64(0.5), np.float64(5e-324)), domain) == math.inf
     assert np.isinf(fixer_load(ClassifierProfile(np.array([0.5, 1.0]), 5e-324), domain)).all()
+    # a numpy float64 is a float, so its formula gets np None and no array, yet its division warns
+    profile, huge = ClassifierProfile(np.float64(1.0), np.float64(5e-324)), DomainSpec(2**62, 1.0)
+    assert fixer_load(profile, huge) == pipeline_false_positives(profile, huge, FixerSpec(0.0)) == math.inf
     fn_final, _ = pipeline_false_negatives(DomainSpec(2**53, 1), FixerSpec(1.0), np.float16(0.5))
     assert fn_final == math.inf
 
