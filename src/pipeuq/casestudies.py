@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import MAX_ITEMS, EvidenceFormatError, InvalidParameterError, check_count, check_unit
+from .errors import MAX_ITEMS, EvidenceFormatError, InvalidParameterError, check_count, check_unit, integer
 from .evidence import DEFAULT_RECALL_PBOX, _read_headed_csv
 from .pbox import Interval, PBoxParams, stream_mean_optimistic, stream_mean_pessimistic
 
@@ -214,15 +214,18 @@ _TOOL_HEADER = ["name", "correct", "generated"]
 
 
 def load_tool_records(source) -> tuple[ToolRecord, ...]:
-    """Parse tool records from a CSV path or text stream
-    (``name,correct,generated`` header, ``#`` comments allowed)."""
+    """Parse tool records from a CSV path or text stream (``name,correct,generated`` header, ``#`` comments
+    allowed); a count ``errors.integer`` refuses, or a record ``ToolRecord`` refuses, names its line."""
     records = []
     for lineno, (name, correct_text, generated_text) in _read_headed_csv(source, _TOOL_HEADER):
         try:
-            correct, generated = int(correct_text), int(generated_text)
+            correct, generated = integer(correct_text), integer(generated_text)
         except ValueError as exc:
             raise EvidenceFormatError(
                 f"counts must be integers, got {correct_text!r} and {generated_text!r}", lineno
             ) from exc
-        records.append(ToolRecord(name, correct, generated))
+        try:
+            records.append(ToolRecord(name, correct, generated))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"line {lineno}: {exc}") from None
     return tuple(records)

@@ -66,7 +66,7 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import __version__
-from .config import CHOICES, DEFAULTS, FLAGS, HELP, OPTIONS, PARSERS, RunConfig, build_config
+from .config import CHOICES, DEFAULTS, FLAGS, HELP, OPTIONS, RunConfig, build_config
 from .errors import EmptyEvidenceError, PipeUQError
 
 if TYPE_CHECKING:
@@ -245,16 +245,12 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
             results[metric] = None
             continue
         stats, removed = _summarize(cfg, metric, metric_samples)
-        row = [metric, stats.count, stats.publications, stats.minimum, stats.maximum, stats.mean,
-               len(removed)]
+        row = [metric, *stats, len(removed)]
         table.append(row)
         results[metric] = {
-            **dict(zip(columns[1:6], row[1:6])),
+            **dict(zip(columns[1:6], stats)),
             "pbox": to_pbox(stats)._asdict(),
-            "removed": [
-                {"source_id": s.source_id, "metric": s.metric, "value": s.value}
-                for s in removed
-            ],
+            "removed": [s._asdict() for s in removed],
         }
     return _envelope("evidence", cfg, results, columns, _held(table), _render_evidence_table)
 
@@ -267,10 +263,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
         tools = load_tool_records(cfg.tools) if cfg.tools else DEFAULT_TOOL_RECORDS
         rows = rule_based_case_study(tools, cfg.confidence, cfg.method)
         columns = ("name", "correct", "generated", "point", "lo", "hi")
-        table = [
-            [t.name, t.correct, t.generated, ci.point, ci.lo, ci.hi]
-            for t, ci in zip(tools, rows)
-        ]
+        table = [[*t, *ci[:3]] for t, ci in zip(tools, rows)]
         results = {
             "confidence": cfg.confidence,
             "method": cfg.method,
@@ -286,7 +279,7 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
         extremes, means = report.fix_rate_extremes, report.fix_rate_means
         chain = ("n_items", "detected", "fixed", "residual")
         columns = (*chain, "extremes_lo", "extremes_hi", "means_lo", "means_hi")
-        table = [[*(getattr(report, c) for c in chain), extremes.lo, extremes.hi, means.lo, means.hi]]
+        table = [[*(getattr(report, c) for c in chain), *extremes, *means]]
         results = {
             "chain": dict(zip(chain, table[0])),
             "detector_recall": report.detector_recall,
@@ -325,10 +318,10 @@ def _rows(env: ReportEnvelope) -> Iterable[tuple]:
     return (row for block in env.blocks() for row in zip(*block))
 
 
-def _fmt(value, digits=4) -> str:
+def _fmt(value) -> str:
     if value is None:
         return "n/a"
-    return f"{value:.{digits}f}"
+    return f"{value:.4f}"
 
 
 def _fmt_interval(lo, hi) -> str:
@@ -695,14 +688,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 p.add_argument(name, nargs="?", metavar="CSV", help="evidence file to ingest")
             elif kind is bool:
                 p.add_argument(flag, action="store_const", const=True, help=help_)
+            elif name in CHOICES:  # each flag stores its text, which build_config parses and checks as a config value
+                p.add_argument(flag, metavar="{" + ",".join(CHOICES[name]) + "}", help=help_)
             else:
-                p.add_argument(
-                    flag,
-                    type=PARSERS[kind][0] if kind in PARSERS else None,
-                    choices=CHOICES.get(name),
-                    metavar=_METAVARS.get(kind),
-                    help=help_,
-                )
+                p.add_argument(flag, metavar=_METAVARS.get(kind), help=help_)
     return parser
 
 

@@ -2,9 +2,10 @@
 
 Precedence is CLI flags > config file > built-in defaults. ``OPTIONS[command]``
 lists a command's flags, which are also its config keys (with underscores) and
-its report's config echo. In a config file, ``[common]`` sets each key for the
-commands that take it, so one file serves them all; ``[<command>]`` sets one
-command's, and a key it does not take is an error, e.g.::
+its report's config echo. A flag's text is parsed and checked as a config
+value's is. In a config file, ``[common]`` sets each key for the commands that
+take it, so one file serves them all; ``[<command>]`` sets one command's, and
+a key it does not take is an error, e.g.::
 
     [common]
     seed = 7
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import MAX_ITEMS, ConfigError, InvalidParameterError, check_count, check_unit, unsigned
+from .errors import MAX_ITEMS, ConfigError, InvalidParameterError, check_count, check_unit, decimal, integer, unsigned
 
 __all__ = ["RunConfig", "DEFAULTS", "FLAGS", "OPTIONS", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
@@ -120,7 +121,7 @@ HELP = {
 
 def float_list(text: str) -> list[float]:
     """Numbers separated by commas and/or whitespace, e.g. ``"0.1, 0.5 1"``."""
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [decimal(tok) for tok in text.replace(",", " ").split()]
 
 
 def _boolean(text: str) -> bool:
@@ -135,15 +136,14 @@ def _boolean(text: str) -> bool:
 # a field's type, read from its default -> (text parser, what the text must be);
 # a field absent here takes the text as it stands
 PARSERS = {
-    int: (int, "a number"),
-    float: (float, "a number"),
+    int: (integer, "a number"),
+    float: (decimal, "a number"),
     list: (float_list, "a list of numbers"),
     bool: (_boolean, "a boolean"),
 }
 
 
 def _parse_value(name: str, text: str, default):
-    text = text.strip()
     if type(default) not in PARSERS:
         return text
     parse, expected = PARSERS[type(default)]
@@ -176,15 +176,16 @@ def _apply_file(cfg: RunConfig, path: str, command: str) -> None:
 
 
 def build_config(args, command: str) -> RunConfig:
-    """Merge defaults, an optional config file, and CLI arguments."""
+    """Merge defaults, an optional config file, and CLI arguments: each flag's text, parsed as a
+    config value before the file is read (a bad flag is refused first) and set after it (a flag wins)."""
     cfg = RunConfig()
+    flags = {name: value if value is True else _parse_value(name, value, DEFAULTS[name])  # --trace stores True
+             for name in OPTIONS[command] if (value := getattr(args, name, None)) is not None}
     config_path = getattr(args, "config", None)
     if config_path:
         _apply_file(cfg, config_path, command)
-    for name in OPTIONS[command]:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
+    for name, value in flags.items():
+        setattr(cfg, name, value)
     validate_config(cfg, command)
     return cfg
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the two input checks that raise them:
 ``check_unit`` of a probability, ``check_count`` of a count or a seed (an integer, never a float);
-and ``unsigned``, the one zero a checked probability keeps."""
+``unsigned``, the one zero a checked probability keeps; and ``decimal`` and ``integer``, the one
+number grammar of text, from a flag, a config key or a CSV cell."""
 
 import math
 import operator
@@ -86,3 +87,23 @@ def check_count(value, name: str, least: int = 0, most=None) -> int:
         bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise InvalidParameterError(f"{name} must be an integer {bounds}, got {_shown(value)}")
     return count
+
+
+def decimal(text: str) -> float:
+    """The float ``text`` writes, with spaces around it allowed (``.5``, ``5.``, ``+0.5``, ``1E3``, ``007``,
+    ``5e-324``), else ValueError: no non-ASCII digit, no digit-group ``_``, nothing infinite or NaN
+    (``inf``, ``nan``, ``1e400``), and no literal with a nonzero digit that rounds to 0.0 (``1e-400``)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    value = float(text)
+    if not math.isfinite(value) or value == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+        raise ValueError(text)
+    return value
+
+
+def integer(text: str) -> int:
+    """The int ``text`` writes, with spaces around it allowed (``+7``, ``007``), else ValueError: no
+    non-ASCII digit and no digit-group ``_``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)

@@ -26,7 +26,7 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError, check_unit, unsigned
+from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError, check_unit, decimal, unsigned
 from .pbox import PBoxParams
 
 __all__ = [
@@ -130,15 +130,16 @@ def load_samples(source) -> list[EvidenceSample]:
     """Parse evidence samples from a path or an open text stream.
 
     Raises :class:`EvidenceFormatError` (with the line number) for malformed
-    rows and :class:`InvalidParameterError` for out-of-range values. A
-    header-only file yields an empty list.
+    rows, a value that ``errors.decimal`` refuses among them, and
+    :class:`InvalidParameterError` for out-of-range values. A header-only file
+    yields an empty list.
     """
     samples: list[EvidenceSample] = []
     for lineno, (source_id, metric, value_text) in _read_headed_csv(source, _HEADER):
         if metric not in METRICS:
             raise EvidenceFormatError(f"unknown metric {metric!r}", lineno)
         try:
-            value = float(value_text)
+            value = decimal(value_text)
         except ValueError as exc:
             raise EvidenceFormatError(f"value {value_text!r} is not a number", lineno) from exc
         try:

@@ -44,7 +44,6 @@ __all__ = [
     "CHUNK",
     "STREAMS",
     "check_stream",
-    "unsigned",
     "inverse_lower",
     "inverse_upper",
     "stream_chunks",

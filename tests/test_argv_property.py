@@ -45,24 +45,29 @@ FILES = {
     "bad_header.csv": b"id,metric,value\np1,recall,0.4\n",
     "bad_value.csv": b"source_id,metric,value\np1,recall,1.5\np2,recall,x\n",
     "latin1_evidence.csv": b"source_id,metric,value\np1,recall,0.5\xe9\n",
+    # number forms the grammar refuses: a digit group, a nonzero literal that rounds to 0.0
+    "lenient_evidence.csv": b"source_id,metric,value\np1,recall,0.0_5\np2,recall,1e-400\n",
     "tools.csv": b"name,correct,generated\nA,7,20\nB,0,5\n",
     "bad_tools.csv": b"name,correct,generated\nA,9,2\nB,x,5\n",
     "zero_tools.csv": b"name,correct,generated\nA,0,0\n",
     "latin1_tools.csv": b"name,correct,generated\nA\xff,1,2\n",
+    "lenient_tools.csv": b"name,correct,generated\nA,1_0,2_0\n",
 }
 
-UNIT = ["0", "0.5", "1", "nan", "-0.1", "1.5", "inf"]
+# each pool of numbers holds forms the grammar refuses: a digit group, a nonzero literal that rounds
+# to 0.0, non-ASCII digits
+UNIT = ["0", "0.5", "1", "nan", "-0.1", "1.5", "inf", "0.9_9", "1e-400", "\u0660.\u0665"]
 GRID = ["0.5", "0,0.5,1", "", "nan", "1.5", "x"]
 INI = ["{" + name + "}" for name in FILES if name.endswith(".ini")] + ["{missing}"]
 EVIDENCE = ["{" + name + "}" for name in FILES if "tools" not in name and name.endswith(".csv")]
 EVIDENCE.append("{missing}")
-TOOLS = ["{tools.csv}", "{bad_tools.csv}", "{zero_tools.csv}", "{latin1_tools.csv}", "{missing}"]
+TOOLS = ["{tools.csv}", "{bad_tools.csv}", "{zero_tools.csv}", "{latin1_tools.csv}", "{lenient_tools.csv}", "{missing}"]
 
 POOLS = {
     "--config": INI,
     "--seed": ["-1", "0", "7", str(2**70)],
     "--output": ["table", "csv", "json", "xml"],
-    "--n-items": ["1", "50", "0", str(10**20), "x"],
+    "--n-items": ["1", "50", "0", str(10**20), "x", "1_0"],
     "--prevalence": GRID,
     "--fix-rate": GRID,
     "--specificity": UNIT,
@@ -76,12 +81,12 @@ POOLS = {
     "--outlier-policy": ["none", "iqr", "median"],
     "--outlier-k": ["0", "1.5", "-1", "nan", "inf"],
     "--break-rate": UNIT,
-    "--trials": ["1", "3", "0", "-1", str(2**63), "x"],
+    "--trials": ["1", "3", "0", "-1", str(2**63), "x", "1_0"],
     "--mode": ["extremes", "means", "both", "median"],
     "--tools": TOOLS,
     "--confidence": ["0.5", "0.95", "0.9999999999999999", "0", "1", "nan"],
     "--method": ["agresti-coull", "wilson", "wald"],
-    "--case-n-items": ["1", "879", "0", str(10**400)],
+    "--case-n-items": ["1", "879", "0", str(10**400), "1_0"],
     "--case-recall": UNIT,
     "--case-accuracy": UNIT,
 }

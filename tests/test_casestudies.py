@@ -158,6 +158,25 @@ class TestRuleBasedCaseStudy:
         with pytest.raises(EvidenceFormatError):
             load_tool_records(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("A,1,2\nB,9,2\n", "line 3: B: correct must be an integer in [0, 2], got 9"),
+        ("A,1,0\n", "line 2: A: generated must be an integer in [1, 9223372036854775807], got 0"),
+    ])
+    def test_csv_loader_names_the_line_of_a_refused_record(self, rows, message, tmp_path):
+        path = tmp_path / "tools.csv"
+        path.write_text("name,correct,generated\n" + rows)
+        with pytest.raises(InvalidParameterError) as err:
+            load_tool_records(path)
+        assert str(err.value) == message
+
+    # no digit group, no non-ASCII digit
+    @pytest.mark.parametrize("row", ["A,1_0,2_0", "A,\u0661,2", "A,1,2.0"])
+    def test_csv_loader_refuses_a_count_that_is_no_integer_literal(self, row, tmp_path):
+        path = tmp_path / "tools.csv"
+        path.write_text("name,correct,generated\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(EvidenceFormatError, match="^line 2: counts must be integers, got "):
+            load_tool_records(path)
+
     def test_csv_loader_reports_unparseable_row(self, tmp_path):
         # a field longer than the csv module's limit is a format error, not a crash
         path = tmp_path / "tools.csv"

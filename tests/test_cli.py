@@ -480,6 +480,44 @@ class TestConfigHandling:
             assert main(["analytic", "--config", str(ini)]) == 2
             assert capsys.readouterr().err == f"error: config file {ini}: {message}\n"
 
+    # a field given a text its parser or its choices refuse: every number form the grammar refuses, as a
+    # number, a list entry or a count, and each command's bad number and bad choice
+    BAD_VALUES = [
+        ("analytic", "recall", "0.9_9"), ("analytic", "recall", "1e-400"), ("analytic", "prevalence", "\u0660.\u0665"),
+        ("analytic", "output", "yaml"), ("simulate", "trials", "x"), ("simulate", "mode", "median"),
+        ("evidence", "outlier_k", "inf"), ("evidence", "outlier_policy", "mad"),
+        ("case-study", "confidence", "nan"), ("case-study", "method", "wald"),
+        ("pbox-sample", "trials", "1_0"), ("pbox-sample", "output", "xml"),
+    ]
+
+    @pytest.mark.parametrize("source", ["flag", "config key"])
+    @pytest.mark.parametrize("command, name, text", BAD_VALUES)
+    def test_a_bad_option_value_is_one_error_line(self, command, name, text, source, tmp_path, capsys):
+        positional = {"evidence": ["e.csv"], "case-study": ["rule-based"]}.get(command, [])
+        if source == "flag":
+            argv = ["--" + name.replace("_", "-"), text]
+        else:
+            ini = tmp_path / "bad.ini"
+            ini.write_text(f"[{command}]\n{name} = {text}\n", encoding="utf-8")
+            argv = ["--config", str(ini)]
+        assert main([command, *positional, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        assert f" {name}: " in err and f"got {text!r}" in err
+
+    @pytest.mark.parametrize("argv, written", [
+        (["analytic", "--recall", ".5", "--precision", "1."], ["analytic", "--recall", "0.5", "--precision", "1.0"]),
+        (["analytic", "--recall", "+0.5", "--fix-rate", "1E-1, 5e-324"],
+         ["analytic", "--recall", "0.5", "--fix-rate", "0.1, 5e-324"]),
+        (["analytic", "--n-items", " 007 ", "--seed", "+7"], ["analytic", "--n-items", "7", "--seed", "7"]),
+        (["case-study", "composed", "--case-recall", "0.5e0", "--outlier-k", "1E3"],
+         ["case-study", "composed", "--case-recall", "0.5", "--outlier-k", "1000.0"]),
+        (["pbox-sample", "--trials", "007", "--pbox-min", "5.e-2"],
+         ["pbox-sample", "--trials", "7", "--pbox-min", "0.05"]),
+    ], ids=["point", "sign-exponent", "zeros", "exponent", "count"])
+    def test_an_accepted_number_form_is_read_as_written(self, argv, written, tmp_path):
+        assert run_json(tmp_path, argv) == run_json(tmp_path, written)
+
     def test_validation_names_fields(self, capsys):
         assert main(["simulate", "--prevalence", "1.5", "--trials", "0"]) == 2
         err = capsys.readouterr().err

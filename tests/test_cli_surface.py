@@ -4,13 +4,20 @@ and choices.
 A flag's kind is ``int``, ``float``, ``list`` (a comma/space separated list of
 floats), ``str``, ``const`` (stores True when given) or the tuple of its
 choices. A positional is named by its dest; ``"str?"`` marks an optional one.
+
+argparse only finds the flags: each stores its text, and ``build_config``
+converts and checks it as it does a config key's. So a flag's kind is read from
+what ``build_config`` makes of its text.
 """
 
 import argparse
+import re
 
 import pytest
 
 from pipeuq.cli import build_parser, main
+from pipeuq.config import build_config
+from pipeuq.errors import ConfigError
 
 OUTPUTS = ("table", "csv", "json")
 OUTLIER_POLICIES = ("none", "iqr")
@@ -77,19 +84,39 @@ def _subparsers():
     return sub.choices
 
 
-def _kind(action) -> object:
-    if isinstance(action, argparse._StoreConstAction):
-        assert action.const is True
-        return "const"
-    if action.choices is not None:
-        assert action.type is None
-        return tuple(action.choices)
-    if action.type in (int, float):
-        return action.type.__name__
-    if action.type is None:
-        return "str?" if action.nargs == "?" else "str"
-    assert action.type("0.1, 0.5 1") == [0.1, 0.5, 1.0]
-    return "list"
+def _config(command, *argv):
+    """The RunConfig ``build_config`` makes of ``command``'s flags ``argv``, its positional set."""
+    positional = {"evidence": ["e.csv"], "case-study": ["composed"]}.get(command, [])
+    return build_config(build_parser().parse_args([command, *positional, *argv]), command)
+
+
+# a kind -> a text of it and the value it becomes, and a text it refuses; each value is
+# valid for every flag of its kind (0.74 lies between pbox_min and pbox_max)
+TEXTS = {"int": ("7", 7, "7.0"), "float": ("0.74", 0.74, "x"), "list": ("0.1, 0.5", [0.1, 0.5], "0.1, x"),
+         "str": (" a b.csv ", " a b.csv ", None)}
+
+
+def _check_kind(command, flag, kind, tmp_path):
+    """Assert that ``build_config`` converts ``flag``'s text as ``kind`` says."""
+    name = flag[2:].replace("-", "_")
+    if kind == "const":
+        assert getattr(_config(command, flag), name) is True
+    elif flag == "--config":  # a path read as given, spaces and all
+        path = tmp_path / " c d.ini "
+        path.write_text("[common]\nseed = 3\n")
+        assert _config(command, flag, str(path)).seed == 3
+    elif isinstance(kind, tuple):
+        for choice in kind:
+            assert getattr(_config(command, flag, choice), name) == choice
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: must be one of {kind!r}, got 'bogus'")):
+            _config(command, flag, "bogus")
+    else:
+        text, value, refused = TEXTS[kind]
+        converted = getattr(_config(command, flag, text), name)
+        assert (converted, type(converted)) == (value, type(value))
+        if refused is not None:
+            with pytest.raises(ConfigError, match=f"^{name}: expected a "):
+                _config(command, flag, refused)
 
 
 def test_commands():
@@ -97,7 +124,7 @@ def test_commands():
 
 
 @pytest.mark.parametrize("command", sorted(SURFACE))
-def test_flags_and_positionals(command):
+def test_flags_and_positionals(command, tmp_path):
     surface = {}
     for action in _subparsers()[command]._actions:
         if isinstance(action, argparse._HelpAction):
@@ -105,9 +132,14 @@ def test_flags_and_positionals(command):
         if action.option_strings:
             [flag] = action.option_strings
             assert action.dest == flag[2:].replace("-", "_")
-            surface[flag] = _kind(action)
+            assert action.type is None and action.choices is None  # the text as given, for build_config
+            assert flag in SURFACE[command]
+            surface[flag] = SURFACE[command][flag]
+            _check_kind(command, flag, surface[flag], tmp_path)
+        elif action.choices is not None:
+            surface[action.dest] = tuple(action.choices)
         else:
-            surface[action.dest] = _kind(action)
+            surface[action.dest] = "str?" if action.nargs == "?" else "str"
     assert surface == SURFACE[command]
 
 
@@ -119,20 +151,23 @@ def test_trace_stores_true():
 
 @pytest.mark.parametrize("command", ["analytic", "simulate"])
 def test_list_flags_parse(command):
-    args = build_parser().parse_args([command, "--prevalence", "0.1, 0.5", "--fix-rate", "1"])
-    assert args.prevalence == [0.1, 0.5]
-    assert args.fix_rate == [1.0]
+    cfg = _config(command, "--prevalence", "0.1, 0.5", "--fix-rate", "1")
+    assert cfg.prevalence == [0.1, 0.5]
+    assert cfg.fix_rate == [1.0]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, name, value",
     [
-        ["simulate", "--mode", "median"],
-        ["analytic", "--output", "yaml"],
-        ["evidence", "--outlier-policy", "mad"],
-        ["case-study", "rule-based", "--method", "clopper-pearson"],
+        (["simulate", "--mode", "median"], "mode", "median"),
+        (["analytic", "--output", "yaml"], "output", "yaml"),
+        (["evidence", "--outlier-policy", "mad"], "outlier_policy", "mad"),
+        (["case-study", "rule-based", "--method", "clopper-pearson"], "method", "clopper-pearson"),
     ],
 )
-def test_unknown_choice_exits_2(argv, capsys):
+def test_unknown_choice_exits_2(argv, name, value, capsys):
     assert main(argv) == 2
-    assert "invalid choice" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # one line, which the evidence command's missing CSV may join
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert re.search(rf"\b{name}: must be one of \([^)]*\), got {value!r}(;|\n)", err)

@@ -46,10 +46,22 @@ class TestLoad:
         with pytest.raises(InvalidParameterError, match=r"^line 2: value must lie in \[0, 1\], got 1\.5$"):
             load_samples(io.StringIO(HEADER + "p1,recall,1.5\n"))
 
-    @pytest.mark.parametrize("text", ["-0.1", "nan", "inf"])
+    @pytest.mark.parametrize("text", ["-0.1"])
     def test_a_value_outside_unit_range_names_its_line(self, text):
         with pytest.raises(InvalidParameterError, match=rf"^line 3: value must lie in \[0, 1\], got {text}$"):
             load_samples(io.StringIO(HEADER + f"p1,recall,0.5\np2,recall,{text}\n"))
+
+    # no NaN or infinity, no digit group, no non-ASCII digit and no nonzero literal that rounds to 0.0
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "0.0_5", "1e-400", "\u0660.\u0665"])
+    def test_a_refused_number_literal_names_its_line(self, text):
+        with pytest.raises(EvidenceFormatError, match=rf"^line 3: value {text!r} is not a number$"):
+            load_samples(io.StringIO(HEADER + f"p1,recall,0.5\np2,recall,{text}\n"))
+
+    @pytest.mark.parametrize("text, value", [(".5", 0.5), ("1.", 1.0), ("+0.5", 0.5), ("1E-1", 0.1), ("007e-3", 0.007),
+                                             ("5e-324", 5e-324), ("0e9", 0.0)])
+    def test_an_accepted_number_literal_is_read_as_written(self, text, value):
+        [sample] = load_samples(io.StringIO(HEADER + f"p1,recall,{text}\n"))
+        assert sample.value == value
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(EvidenceFormatError, match="line 3"):

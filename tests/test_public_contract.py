@@ -109,6 +109,9 @@ FILES = {
     "bad_tools.csv": b"name,correct,generated\nA,9,2\n",
     # a count beyond 2**1024 would overflow an interval's float arithmetic
     "huge_tools.csv": b"name,correct,generated\nA,1,1" + b"0" * 400 + b"\n",
+    # number forms the grammar refuses: a digit group, a nonzero literal that rounds to 0.0
+    "lenient.csv": b"source_id,metric,value\np1,recall,0.0_5\np2,recall,1e-400\n",
+    "lenient_tools.csv": b"name,correct,generated\nA,1_0,2_0\n",
 }
 
 
@@ -243,6 +246,12 @@ def test_a_tool_record_refuses_whole_float_counts():
 def test_trial_seed_takes_a_numpy_integer():
     # the parent's seed check refused every integer that is no Python int
     assert trial_seed(np.int64(1), "optimistic", np.uint8(2)) == trial_seed(1, "optimistic", 2)
+
+
+@pytest.mark.parametrize("load, name", [(load_samples, "lenient.csv"), (load_tool_records, "lenient_tools.csv")])
+def test_a_number_form_the_grammar_refuses_is_refused_with_its_line(load, name):
+    with pytest.raises(PipeUQError, match="^line 2: "):
+        load(io.StringIO(FILES[name].decode()))
 
 
 @pytest.mark.parametrize("load", [load_samples, load_tool_records])
