@@ -200,7 +200,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     report is reproducible from the config alone.
     """
     from .core import ClassifierProfile, DomainSpec, FixerSpec
-    from .simulator import METRICS, _listed, run_grid
+    from .simulator import METRICS, _metrics, run_grid
 
     pbox = _resolve_pbox(cfg)
     profile = ClassifierProfile(1.0, specificity=cfg.specificity)
@@ -216,9 +216,9 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
             entry.update(interval._asdict() if interval else {"lo": None, "hi": None})
             if metric in report.undefined:
                 entry["undefined"] = report.undefined[metric]
-            if cfg.trace and mode == modes[0]:  # once per cell, re-drawn as written; NaN: an undefined trial
+            if cfg.trace and mode == modes[0]:  # once per cell, re-drawn as written; None: an undefined trial
                 entry["trials"] = lambda report=report, metric=metric: (
-                    _listed(values[metric]) for *_, values in report.chunks()
+                    _metrics(report.domain, counts)[metric].tolist() for *_, counts in report.chunks()
                 )
             results[metric].append(entry)
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")

@@ -182,7 +182,9 @@ def build_config(args, command: str) -> RunConfig:
     flags = {name: value if value is True else _parse_value(name, value, DEFAULTS[name])  # --trace stores True
              for name in OPTIONS[command] if (value := getattr(args, name, None)) is not None}
     config_path = getattr(args, "config", None)
-    if config_path:
+    if config_path == "":  # it would read as no file
+        raise ConfigError("config: an empty path names no file")
+    if config_path is not None:
         _apply_file(cfg, config_path, command)
     for name, value in flags.items():
         setattr(cfg, name, value)
@@ -218,9 +220,11 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         except InvalidParameterError as exc:
             errors.append(str(exc))
             refused.add(name)
-    # open() would take an int as a file descriptor, and close it
-    errors += [f"{name}: must be a path (a str) or None, got {getattr(cfg, name)!r}"
-               for name in ("evidence", "tools", "out") if not isinstance(getattr(cfg, name), (str, type(None)))]
+    for name in ("evidence", "tools", "out"):  # open() would take an int as a file descriptor, and close it
+        if not isinstance(value := getattr(cfg, name), (str, type(None))):
+            errors.append(f"{name}: must be a path (a str) or None, got {value!r}")
+        elif value == "":  # a command would read it as no path
+            errors.append(f"{name}: an empty path names no file")
     for name in ("prevalence", "fix_rate"):
         values = getattr(cfg, name)
         if not isinstance(values, list) or not values:
@@ -230,16 +234,6 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         elif any(0.0 < v < sys.float_info.min for v in values):
             # the realized fix rate divides by it and would overflow to -inf
             errors.append(f"prevalence: {values!r} has a positive entry below {sys.float_info.min!r}")
-        elif command == "simulate" and "trials" not in refused and any(
-            0.0 < v and v * (sys.float_info.max / 2) < cfg.trials for v in values
-        ):
-            # a trial's realized fix rate lies in [1 - 1/P, 1], so a stream's sum
-            # overflows once trials / P nears the largest float; half leaves
-            # room for rounding
-            errors.append(
-                f"prevalence: {values!r} has a positive entry P with trials / P above "
-                f"{sys.float_info.max / 2!r}, where the sum of realized fix rates would overflow"
-            )
     refused |= {name for name in ("recall", "precision", "specificity", "break_rate", "case_recall", "case_accuracy",
                                  "confidence", "pbox_min", "pbox_max", "pbox_mean")
                if _refused(errors, cfg, name)}
@@ -258,7 +252,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     # fixer load <= n_items / precision, false-alert rate <= 2**53 / precision (its denominator is 0 or >= 2**-53)
     if not refused & {"precision", "n_items"} and cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
         errors.append(f"precision: {cfg.precision!r} would leave the fixer load or the false-alert rate infinite")
-    if command == "evidence" and not cfg.evidence:
+    if command == "evidence" and cfg.evidence is None:
         errors.append("evidence: a CSV path is required")
     if errors:
         raise ConfigError("; ".join(errors))

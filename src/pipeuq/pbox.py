@@ -64,18 +64,13 @@ def check_stream(name) -> None:
 
 
 def fold_chunk(values: np.ndarray, lo=math.inf, hi=-math.inf, count=0, total=0.0) -> tuple:
-    """The running ``(min, max, count, sum)`` of the defined values of a chunked stream, NaN
-    marking an undefined one: that of the chunks before, given as the other arguments, with
-    the chunk ``values`` folded in. Without them it is the summary of ``values`` alone."""
+    """The running ``(min, max, count, sum)`` of a chunked stream of floats: that of the chunks
+    before, given as the other arguments, with the chunk ``values`` folded in. Without them it is
+    the summary of ``values`` alone. No caller folds a NaN: the recall streams have none, and the
+    simulator folds the fn growth of its defined trials only."""
     import numpy as np
-    with np.errstate(over="ignore"):  # simulate's fix rates at a tiny prevalence sum to -inf, as floats do
-        chunk_total = float(np.nansum(values))
-    return (
-        float(np.fmin.reduce(values, initial=lo)),  # fmin, fmax and nansum skip NaN
-        float(np.fmax.reduce(values, initial=hi)),
-        count + int(np.count_nonzero(values == values)),
-        total + chunk_total,
-    )
+    return (float(np.min(values, initial=lo)), float(np.max(values, initial=hi)), count + values.size,
+            total + float(np.sum(values)))
 
 
 class PBoxParams(namedtuple("PBoxParams", "minimum maximum mean")):
@@ -206,8 +201,8 @@ def stream_chunks(params: PBoxParams, n: int, seed: int, *names: str):
 def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
     """``min``, ``max`` and ``mean`` of each stream of ``stream_chunks(params, n, seed, *STREAMS)``,
     one pass that draws p once per chunk, from one ``fold_chunk`` per stream and chunk as
-    ``simulate`` sums its metrics: min and max are numpy's for the whole array, and the mean is the
-    in-order sum of the chunks' numpy sums, over ``n``."""
+    ``simulate`` folds its fn growths: min and max are numpy's for the whole array, and the mean is
+    the in-order sum of the chunks' numpy sums, over ``n``."""
     states = dict.fromkeys(STREAMS, ())
     for _, *chunks in stream_chunks(params, n, seed, *STREAMS):
         states = {name: fold_chunk(chunk, *states[name]) for name, chunk in zip(STREAMS, chunks)}

@@ -25,38 +25,32 @@ of stream code 1 (optimistic) or 2 (pessimistic) draws, in the order above,
 from ``default_rng(SeedSequence((master_seed, stream_code, k)))`` at the
 recalls of chunk ``k``, the ``(p, recall)`` of ``pbox.stream_chunks(pbox,
 trials, master_seed, stream)``, whose p = 0 ties come from a child generator
-per chunk. Every
-grid cell reuses these seeds (common random numbers) in one loop nest, stream
--> chunk -> prevalence -> fix rate: one ``pbox.stream_chunks`` pass per stream;
-per prevalence, a fresh generator and FN1; per fix rate, W and FN2 from the
-generator's state just after FN1. So each cell draws the numbers of its solo
-run, and a report depends only on its config and the numpy version (NEP 19 lets
-a ``Generator``'s draws change between numpy releases): never on the other
-cells, the execution order or the memory. ``pbox.fold_chunk``'s running sums
-aggregate the chunks, so memory does not grow with ``trials``.
+per chunk. Every grid cell reuses these seeds (common random numbers) in one
+loop nest, stream -> chunk -> prevalence -> fix rate: one ``pbox.stream_chunks``
+pass per stream; per prevalence, a fresh generator and FN1; per fix rate, W and
+FN2 from the generator's state just after FN1. So each cell draws the numbers
+of its solo run, and a report depends only on its config and the numpy version
+(NEP 19 lets a ``Generator``'s draws change between numpy releases): never on
+the other cells, the execution order or the memory. Each chunk is folded as it
+is drawn, so memory does not grow with ``trials``. The counts c = FN1 + W fold
+as integers, their min, max and exact sum, and the two count metrics follow
+from them once: so their means depend on neither the chunk size nor an order of
+summation. ``pbox.fold_chunk`` folds the fn growth of the defined trials.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import ClassifierProfile, DomainSpec, FixerSpec
-from .errors import check_count, check_unit
+from .errors import MAX_ITEMS, check_count, check_unit
 from .pbox import STREAMS, Interval, PBoxParams, check_stream, fold_chunk, stream_chunks
 
-__all__ = [
-    "TrialOutcome",
-    "SimulationReport",
-    "METRICS",
-    "STREAM_OPTIMISTIC",
-    "STREAM_PESSIMISTIC",
-    "run_trial",
-    "run_experiment",
-    "run_grid",
-    "trial_seed",
-]
+__all__ = ["TrialOutcome", "SimulationReport", "METRICS", "STREAM_OPTIMISTIC", "STREAM_PESSIMISTIC", "run_trial",
+           "run_experiment", "run_grid", "trial_seed"]
 
 METRICS = ("final_prevalence", "real_fix_rate", "fn_ratio")
 STREAM_OPTIMISTIC, STREAM_PESSIMISTIC = STREAMS
@@ -103,30 +97,42 @@ def _first_stage(rng, domain: DomainSpec, recall: np.ndarray):
 
 def _second_stage(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall, missed, fn1):
     """The draws W and FN2 of a chunk of trials whose first stage gave ``missed`` and ``fn1``:
-    the counts (fn1, vulnerable_out, fn2) and the metrics keyed as ``METRICS``, NaN where undefined."""
-    n, prevalence, spec = domain.n_items, domain.prevalence, profile.specificity
+    the counts (fn1, vulnerable_out, fn2)."""
+    prevalence, spec = domain.prevalence, profile.specificity
     # per item: w, the chance of being vulnerable after the fixer
     survives = 1.0 - (1.0 - fixer.break_rate) * fixer.fix_rate
     vulnerable = prevalence * recall * survives + (1.0 - prevalence) * (1.0 - spec) * fixer.break_rate
     # w <= 1 - a, but the ratio can round to 1 + 2**-52; at a = 1 nothing is left to draw
     kept = 1.0 - missed
     ratio = np.divide(vulnerable, kept, out=np.zeros_like(kept), where=kept > 0.0)
-    vulnerable_out = rng.binomial(n - fn1, np.minimum(ratio, 1.0))
-    fn2 = rng.binomial(vulnerable_out, 1.0 - recall)
+    vulnerable_out = rng.binomial(domain.n_items - fn1, np.minimum(ratio, 1.0))
+    return fn1, vulnerable_out, rng.binomial(vulnerable_out, 1.0 - recall)
 
+
+def _growth(fn1, fn2):
+    """The mask of a chunk's trials whose fn growth (FN1 + FN2) / FN1 is defined, and their growth:
+    undefined without first-stage misses, unless the second stage missed nothing either (then 1)."""
     fn_out = fn1 + fn2
-    final_prevalence = (fn1 + vulnerable_out) / n
-    with np.errstate(over="ignore"):  # a subnormal prevalence gives -inf, as float division does
-        real_fix_rate = 1.0 - final_prevalence / prevalence if prevalence > 0.0 else np.full(recall.size, np.nan)
-    # without first-stage misses the growth is undefined, or vacuously 1 if
-    # the second stage missed nothing either
-    fn_ratio = np.divide(fn_out, fn1, out=np.full(recall.size, np.nan), where=fn1 > 0)
-    fn_ratio[fn_out == 0] = 1.0
-    return (fn1, vulnerable_out, fn2), dict(zip(METRICS, (final_prevalence, real_fix_rate, fn_ratio)))
+    defined = (fn1 > 0) | (fn_out == 0)
+    return defined, np.maximum(fn_out[defined], 1) / np.maximum(fn1[defined], 1)  # 0 / 0 read as 1 / 1
+
+
+def _metrics(domain: DomainSpec, counts) -> dict:
+    """The per-trial metrics of a chunk's counts (fn1, vulnerable_out, fn2), keyed as ``METRICS``: arrays
+    whose ``tolist()`` holds floats, None where undefined, as ``outcomes()`` and a trace write them."""
+    fn1, vulnerable_out, fn2 = counts
+    final_prevalence = (fn1 + vulnerable_out) / domain.n_items
+    real_fix_rate, fn_ratio = np.full(fn1.size, None), np.full(fn1.size, None)  # object arrays
+    if domain.prevalence > 0.0:
+        with np.errstate(over="ignore"):  # a subnormal prevalence gives -inf, as float division does
+            real_fix_rate = 1.0 - final_prevalence / domain.prevalence
+    defined, growth = _growth(fn1, fn2)
+    fn_ratio[defined] = growth  # each a Python float
+    return dict(zip(METRICS, (final_prevalence, real_fix_rate, fn_ratio)))
 
 
 def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trials: int, master_seed: int):
-    """Every chunk of every cell of the grid as ``(cell, stream, recall, counts, metrics)``,
+    """Every chunk of every cell of the grid as ``(cell, stream, recall, counts)``,
     ``cell`` counting domain-major: the one loop nest that draws."""
     for stream, code in _STREAM_CODES.items():
         for k, (_, recall) in enumerate(stream_chunks(pbox, trials, master_seed, stream)):
@@ -136,28 +142,18 @@ def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trial
                 after_fn1 = rng.bit_generator.state
                 for cell, fixer in enumerate(fixers, start=i * len(fixers)):
                     rng.bit_generator.state = after_fn1  # each fix rate draws as if it were alone
-                    yield cell, stream, recall, *_second_stage(rng, domain, profile, fixer, recall, *first)
+                    yield cell, stream, recall, _second_stage(rng, domain, profile, fixer, recall, *first)
 
 
-def _listed(values: np.ndarray) -> list:
-    """``values`` as a list of Python floats, each NaN (an undefined trial) as None."""
-    return [None if v != v else v for v in values.tolist()]
-
-
-def _outcomes(recall: np.ndarray, counts, metrics: dict):
+def _outcomes(domain: DomainSpec, recall: np.ndarray, counts):
     """The trials of one chunk as ``TrialOutcome`` records, in order."""
-    values = [_listed(metrics[m]) for m in METRICS]
-    for rec, row, final, fix, ratio in zip(recall.tolist(), zip(*(c.tolist() for c in counts)), *values):
-        yield TrialOutcome(*row, final, fix, ratio, rec)
+    metrics = (values.tolist() for values in _metrics(domain, counts).values())
+    for rec, row, *values in zip(recall.tolist(), zip(*(c.tolist() for c in counts)), *metrics):
+        yield TrialOutcome(*row, *values, rec)
 
 
-def run_trial(
-    domain: DomainSpec,
-    profile: ClassifierProfile,
-    fixer: FixerSpec,
-    recall: float,
-    seed: int,
-) -> TrialOutcome:
+def run_trial(domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall: float,
+              seed: int) -> TrialOutcome:
     """One full pipeline pass at a fixed recall: a chunk of one trial.
 
     ``recall`` overrides ``profile.recall`` (the profile still supplies the
@@ -168,7 +164,7 @@ def run_trial(
     rng = np.random.default_rng(check_count(seed, "seed"))
     recall = np.array([recall], dtype=float)
     first = _first_stage(rng, domain, recall)
-    return next(_outcomes(recall, *_second_stage(rng, domain, profile, fixer, recall, *first)))
+    return next(_outcomes(domain, recall, _second_stage(rng, domain, profile, fixer, recall, *first)))
 
 
 def trial_seed(master_seed: int, stream: str, index: int) -> int:
@@ -194,52 +190,66 @@ class SimulationReport(NamedTuple):
     master_seed: int
 
     def chunks(self):
-        """Re-draw every chunk as ``(stream, recall, counts, metrics)``, the
-        optimistic stream first; counts and metrics as ``_second_stage`` gives them."""
+        """Re-draw every chunk as ``(stream, recall, counts)``, the optimistic
+        stream first; counts as ``_second_stage`` gives them."""
         args = ([self.domain], self.profile, [self.fixer], self.pbox, self.trials, self.master_seed)
         return (chunk[1:] for chunk in _chunks(*args))
 
     def outcomes(self):
         """Re-draw every trial as a ``TrialOutcome``, the optimistic stream first."""
-        for _, recall, counts, metrics in self.chunks():
-            yield from _outcomes(recall, counts, metrics)
+        for _, recall, counts in self.chunks():
+            yield from _outcomes(self.domain, recall, counts)
+
+
+def _quotient(numerator: int, denominator: int) -> float:
+    """``numerator / denominator`` rounded once; -inf below the least float, as a realized fix rate
+    is at a subnormal prevalence."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return -math.inf
 
 
 def run_grid(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trials: int,
              master_seed: int) -> list[SimulationReport]:
     """``run_experiment`` for every cell of the ``domains`` x ``fixers`` grid, drawn in one
     pass: one report per cell, domain-major. For each metric, the per-trial extremes and the
-    stream-means interval (each stream's mean, oriented lo <= hi), from running sums; trials
-    whose metric is undefined are excluded and counted."""
+    stream-means interval (each stream's mean, oriented lo <= hi), from running folds of the
+    counts; trials whose metric is undefined are excluded and counted."""
     _check_cells(domains, profile, fixers)
     trials, master_seed = check_count(trials, "trials", 1), check_count(master_seed, "master_seed")  # kept as ints
     reports = [SimulationReport({}, {}, d, profile, f, pbox, trials, master_seed) for d in domains for f in fixers]
-    sums = {}  # per (cell, stream, metric): min, max, count and sum of the defined values
-    for cell, stream, recall, counts, metrics in _chunks(domains, profile, fixers, pbox, trials, master_seed):
-        for metric, values in metrics.items():
-            sums[cell, stream, metric] = fold_chunk(values, *sums.get((cell, stream, metric), ()))
-        del recall, counts, metrics, values  # free the cell's arrays before the next cell's are drawn
+    counts, growths = {}, {}  # per (cell, stream): min, max and sum of c = FN1 + W; fold_chunk of the growths
+    for cell, stream, _, (fn1, vulnerable_out, fn2) in _chunks(domains, profile, fixers, pbox, trials, master_seed):
+        c = fn1 + vulnerable_out
+        lo, hi, total = counts.get((cell, stream), (MAX_ITEMS, 0, 0))
+        # an int64 sum of c < 2**63 can wrap; the high and low 32 bits of a chunk's each sum below 2**48
+        total += (int(np.sum(c >> 32)) << 32) + int(np.sum(c & 0xFFFFFFFF))
+        counts[cell, stream] = min(lo, int(c.min())), max(hi, int(c.max())), total
+        growths[cell, stream] = fold_chunk(_growth(fn1, fn2)[1], *growths.get((cell, stream), ()))
+        del fn1, vulnerable_out, fn2, c  # free the cell's arrays before the next cell's are drawn
     for cell, report in enumerate(reports):
-        for metric in METRICS:
-            (lo1, hi1, n1, sum1), (lo2, hi2, n2, sum2) = (sums[cell, s, metric] for s in _STREAM_CODES)
-            means = (sum1 / n1, sum2 / n2) if n1 and n2 else None
-            report.intervals[metric] = {
-                "extremes": Interval(min(lo1, lo2), max(hi1, hi2)) if n1 or n2 else None,
-                "means": Interval(min(means), max(means)) if means else None,
-            }
-            if metric != "final_prevalence":  # never undefined
-                report.undefined[metric] = 2 * trials - n1 - n2
+        n, prevalence, size = report.domain.n_items, float(report.domain.prevalence), report.domain.n_items * trials
+        (lo1, hi1, sum1), (lo2, hi2, sum2) = (counts[cell, s] for s in _STREAM_CODES)
+        # the metrics at the extreme counts as _metrics computes a trial's, so with its bits (each
+        # map is monotone), and each stream's mean from its exact count sum, rounded once
+        ends = float(min(lo1, lo2)) / float(n), float(max(hi1, hi2)) / float(n)
+        final, fix = (ends, (sum1 / size, sum2 / size)), (None, None)
+        if prevalence > 0.0:
+            num, den = prevalence.as_integer_ratio()  # 1 - sum / (size * P) as one ratio of ints
+            fix = [1.0 - x / prevalence for x in ends], [_quotient(size * num - total * den, size * num)
+                                                         for total in (sum1, sum2)]
+        (lo1, hi1, n1, sum1), (lo2, hi2, n2, sum2) = (growths[cell, s] for s in _STREAM_CODES)
+        growth = (min(lo1, lo2), max(hi1, hi2)) if n1 or n2 else None, (sum1 / n1, sum2 / n2) if n1 and n2 else None
+        for metric, pairs in zip(METRICS, (final, fix, growth)):
+            report.intervals[metric] = {mode: Interval(min(pair), max(pair)) if pair else None
+                                        for mode, pair in zip(("extremes", "means"), pairs)}
+        report.undefined.update(real_fix_rate=0 if prevalence > 0.0 else 2 * trials, fn_ratio=2 * trials - n1 - n2)
     return reports
 
 
-def run_experiment(
-    domain: DomainSpec,
-    profile: ClassifierProfile,
-    fixer: FixerSpec,
-    pbox: PBoxParams,
-    trials: int,
-    master_seed: int,
-) -> SimulationReport:
+def run_experiment(domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, pbox: PBoxParams, trials: int,
+                   master_seed: int) -> SimulationReport:
     """Run ``trials`` pipeline passes per recall stream and aggregate intervals:
     the report of the one-cell grid ``run_grid([domain], profile, [fixer], ...)``."""
     (report,) = run_grid([domain], profile, [fixer], pbox, trials, master_seed)

@@ -58,10 +58,12 @@ FILES = {
 # to 0.0, non-ASCII digits
 UNIT = ["0", "0.5", "1", "nan", "-0.1", "1.5", "inf", "0.9_9", "1e-400", "\u0660.\u0665"]
 GRID = ["0.5", "0,0.5,1", "", "nan", "1.5", "x"]
-INI = ["{" + name + "}" for name in FILES if name.endswith(".ini")] + ["{missing}"]
+# each pool of paths holds "", which names no file and is refused, not read as no path
+INI = ["{" + name + "}" for name in FILES if name.endswith(".ini")] + ["{missing}", ""]
 EVIDENCE = ["{" + name + "}" for name in FILES if "tools" not in name and name.endswith(".csv")]
-EVIDENCE.append("{missing}")
-TOOLS = ["{tools.csv}", "{bad_tools.csv}", "{zero_tools.csv}", "{latin1_tools.csv}", "{lenient_tools.csv}", "{missing}"]
+EVIDENCE += ["{missing}", ""]
+TOOLS = ["{tools.csv}", "{bad_tools.csv}", "{zero_tools.csv}", "{latin1_tools.csv}", "{lenient_tools.csv}", "{missing}",
+         ""]
 
 POOLS = {
     "--config": INI,
@@ -155,3 +157,19 @@ def test_any_argv_exits_typed_and_reruns_identically(paths, template):
     assert "Traceback" not in err, argv
     if code == 0:
         assert run(argv) == (0, out, err), argv
+
+
+# argvs that exit 2 with one error line whatever else they hold
+REFUSED = [
+    ["simulate", "--trials", "1", "--evidence", ""],
+    ["case-study", "rule-based", "--tools", ""],
+    ["analytic", "--config", ""],
+    ["analytic", "--out", ""],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_refused_argv_exits_2_with_one_line(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, ""), (argv, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -638,10 +638,6 @@ class TestExitCodes:
             # non-JSON -Infinity or Infinity
             ["simulate", "--prevalence", "1e-320", "--fix-rate", "0.5", "--break-rate", "0.5",
              "--trials", "3", "--n-items", "10", "--output", "json"],
-            # a normal prevalence whose realized fix rates, about -1e305 each,
-            # would overflow their sum over 65536 trials to -Infinity
-            ["simulate", "--prevalence", "1e-305", "--fix-rate", "0.5", "--break-rate", "1",
-             "--n-items", "1", "--trials", "65536", "--output", "json"],
             # the fixer load, n_items / precision at recall 1, would overflow to Infinity
             ["analytic", "--precision", "5e-324", "--output", "json"],
             ["analytic", "--precision", "1e-300", "--n-items", str(2**63 - 1), "--output", "json"],
@@ -654,12 +650,21 @@ class TestExitCodes:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, out, err)
         assert "outlier_k" in err
 
-    def test_tiny_prevalence_limit_binds_simulate_only(self):
-        cell = {"prevalence": [1e-305], "fix_rate": [0.5]}
-        validate_config(RunConfig(trials=8, **cell), "simulate")
-        with pytest.raises(ConfigError, match="prevalence"):
-            validate_config(RunConfig(trials=65536, **cell), "simulate")
-        validate_config(RunConfig(trials=65536, **cell), "analytic")
+    def test_tiny_prevalence_runs_down_to_the_smallest_normal(self, capsys):
+        # every realized fix rate is 1 - 1/P = -1e305, and so is each stream's mean: the counts are
+        # summed, never the fix rates, so no trial count overflows the mean
+        argv = ["simulate", "--prevalence", "1e-305", "--fix-rate", "0.5", "--break-rate", "1",
+                "--n-items", "1", "--trials", "65536", "--output", "json"]
+        assert main(argv) == 0
+        fix_rates = json.loads(capsys.readouterr().out)["results"]["real_fix_rate"]
+        assert [(e["mode"], e["lo"], e["hi"]) for e in fix_rates] == [
+            ("extremes", 1 - 1e305, 1 - 1e305), ("means", 1 - 1e305, 1 - 1e305),
+        ]
+        # one limit for every command and trial count: a positive prevalence below the smallest normal
+        for command in ("simulate", "analytic"):
+            validate_config(RunConfig(trials=2**53, prevalence=[1e-305], fix_rate=[0.5]), command)
+            with pytest.raises(ConfigError, match="prevalence"):
+                validate_config(RunConfig(trials=1, prevalence=[1e-310], fix_rate=[0.5]), command)
 
     @pytest.mark.parametrize("policy", ["iqr", "none"])
     @pytest.mark.parametrize("command", [["simulate", "--trials", "2"], ["case-study", "composed"]])

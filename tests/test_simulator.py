@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pipeuq import (
     run_trial,
     trial_seed,
 )
+from pipeuq.errors import MAX_ITEMS
 from pipeuq.pbox import CHUNK, stream_chunks
 from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC, _chunks, run_grid
 
@@ -382,9 +384,9 @@ def test_chunk_mean_final_prevalence_matches_exact_expectation(n, P, rec, spec, 
     assert abs(means.lo - q) <= tol and abs(means.hi - q) <= tol, (means, q, tol)
 
 
-def test_tiny_prevalence_sums_to_minus_infinity_without_a_warning():
-    # at specificity 0 and break rate 1 the one item always ends vulnerable,
-    # so every realized fix rate is 1 - 1/P = -1e305 and a chunk's sum overflows
+def test_tiny_prevalence_means_are_the_trials_value():
+    # at specificity 0 and break rate 1 the one item always ends vulnerable, so every realized
+    # fix rate is 1 - 1/P = -1e305: the mean of 65536 of them is that value, as no sum of them is taken
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_experiment(
@@ -392,8 +394,54 @@ def test_tiny_prevalence_sums_to_minus_infinity_without_a_warning():
             PBoxParams(0.5, 0.5, 0.5), CHUNK, 17,
         )
     fix_rate = report.intervals["real_fix_rate"]
-    assert fix_rate["means"] == Interval(-math.inf, -math.inf)
-    assert fix_rate["extremes"] == Interval(1.0 - 1e305, 1.0 - 1e305)
+    assert fix_rate["means"] == fix_rate["extremes"] == Interval(1.0 - 1e305, 1.0 - 1e305)
+
+
+@pytest.mark.parametrize("specificity", [0.0, 0.5])
+def test_subnormal_prevalence_folds_as_its_trials_divide(specificity):
+    # 1 - (c / n) / P overflows to -inf for every c > 0 at a subnormal P, in a trial's metric and in
+    # the folded one alike, without a warning; at specificity 0.5 some trials end clean, at 1.0
+    args = (DomainSpec(1, 1e-310), ClassifierProfile(1.0, specificity=specificity), FixerSpec(0.5, 1.0),
+            PBoxParams(0.5, 0.5, 0.5), 50, 17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(*args)
+        everything = [o.real_fix_rate for o in report.outcomes()]
+    fix_rates = everything[:50], everything[50:]  # optimistic first
+    assert -math.inf in everything
+    got = report.intervals["real_fix_rate"]
+    assert got["extremes"] == Interval(min(everything), max(everything))
+    means = sorted(math.fsum(v) / len(v) for v in fix_rates)
+    assert got["means"] == Interval(*means) == Interval(-math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("P", [0.3, 0.5])
+def test_count_metric_means_are_the_exact_means_rounded_once(P):
+    # each stream's mean follows from its exact count sum: 1 - (sum / (n T)) / P in floats would
+    # round twice, and near a realized fix rate of 0 the subtraction magnifies the first rounding
+    n, trials = 10_000, 300
+    report = run_experiment(DomainSpec(n, P), ClassifierProfile(1.0, specificity=0.5), FixerSpec(0.5, 0.3), BOX,
+                            trials, 3)
+    outcomes = list(report.outcomes())
+    sums = [sum(o.fn1 + o.vulnerable_out for o in s) for s in (outcomes[:trials], outcomes[trials:])]
+    final = [Fraction(s, n * trials) for s in sums]
+    assert report.intervals["final_prevalence"]["means"] == Interval(*sorted(map(float, final)))
+    assert report.intervals["real_fix_rate"]["means"] == Interval(*sorted(float(1 - x / Fraction(P)) for x in final))
+
+
+def test_count_sums_do_not_wrap_at_the_largest_population():
+    # c = FN1 + W is about 0.75 * 2**63 here, so numpy's int64 sum of a stream's counts would wrap
+    trials = 8
+    report = run_experiment(
+        DomainSpec(MAX_ITEMS, 1.0), ClassifierProfile(1.0, specificity=0.0), FixerSpec(0.5, 0.0),
+        PBoxParams(0.5, 0.5, 0.5), trials, 3,
+    )
+    everything = [o.final_prevalence for o in report.outcomes()]
+    means = sorted(math.fsum(v) / len(v) for v in (everything[:trials], everything[trials:]))
+    got = report.intervals["final_prevalence"]["means"]
+    assert 0.0 <= got.lo <= got.hi <= 1.0
+    assert (got.lo, got.hi) == pytest.approx(means, rel=1e-12)
+    assert report.intervals["final_prevalence"]["extremes"] == Interval(min(everything), max(everything))
 
 
 def test_running_sums_match_outcomes_across_a_chunk_boundary():
@@ -431,11 +479,10 @@ def test_each_grid_cell_draws_the_numbers_of_its_solo_run():
     # the grid's own draws, cell by cell, against each cell's solo re-draw
     redraws = [solo.chunks() for solo in solos]
     drawn = 0
-    for cell, stream, recall, counts, metrics in _chunks(domains, profile, fixers, BOX, trials, seed):
-        solo_stream, solo_recall, solo_counts, solo_metrics = next(redraws[cell])
+    for cell, stream, recall, counts in _chunks(domains, profile, fixers, BOX, trials, seed):
+        solo_stream, solo_recall, solo_counts = next(redraws[cell])
         assert stream == solo_stream and np.array_equal(recall, solo_recall)
         assert all(np.array_equal(a, b) for a, b in zip(counts, solo_counts, strict=True))
-        assert all(np.array_equal(metrics[m], solo_metrics[m], equal_nan=True) for m in METRICS)
         drawn += 1
     assert drawn == len(solos) * 2 * 2  # cells x streams x chunks
     assert all(next(r, None) is None for r in redraws)
