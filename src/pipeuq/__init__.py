@@ -13,7 +13,7 @@ work as if everything had been imported up front.
 
 import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 # submodule -> the names it exports here
 _SUBMODULES = {

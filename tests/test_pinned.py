@@ -58,7 +58,7 @@ DIGESTS = {
     "analytic-grid.json": ([*ANALYTIC_GRID, "--output", "json"], document,
                            "960e643f5a3df1469eb46a5f931f8ca69f913b967f9f4a558ca7d68bd70a29de"),
     "simulate-grid results": (SIMULATE_GRID, results,
-                              "f63c6f0d92ab2b25eeaa2ab75ac9c50bdfccfef1f738439d6f0e012da1afa821"),
+                              "c312abd83124bfb6b5daa82bef72f7acbc952e58cec7ccb8870f768d1828920f"),
     "samples.json": ([*SAMPLES, "--output", "json"], document,
                      "f101bc1fcc2c7686879d1d211474d537d0e16bc48729c7badec2ed9fa47acf99"),
     "samples.csv": ([*SAMPLES, "--output", "csv"], whole,
