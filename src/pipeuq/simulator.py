@@ -147,7 +147,7 @@ def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trial
 
 def _outcomes(domain: DomainSpec, recall: np.ndarray, counts):
     """The trials of one chunk as ``TrialOutcome`` records, in order."""
-    metrics = (values.tolist() for values in _metrics(domain, counts).values())
+    metrics = (column.tolist() for column in _metrics(domain, counts).values())
     for rec, row, *values in zip(recall.tolist(), zip(*(c.tolist() for c in counts)), *metrics):
         yield TrialOutcome(*row, *values, rec)
 
