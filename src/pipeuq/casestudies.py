@@ -146,9 +146,12 @@ def round_half_away(x: float) -> int:
         return int(x)  # exact beyond 2**53, where x + 0.5 would round or overflow
     if not isinstance(x, float) or not math.isfinite(x):
         raise InvalidParameterError(f"x must be a finite int or float, got {x!r}")
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
+    # x + 0.5 would round up at 0.49999999999999994 and at every odd float in [2**52, 2**53);
+    # x - trunc(x) is exact
+    whole = math.trunc(x)
+    if abs(x - whole) >= 0.5:
+        whole += 1 if x > 0 else -1
+    return whole
 
 
 class ComposedPipelineReport(NamedTuple):
@@ -174,7 +177,8 @@ def composed_pipeline_case(
     """Point-estimate pipeline arithmetic with an uncertainty wrap.
 
     The chain rounds at each stage: ``detected = round(n * recall)``,
-    ``fixed = round(detected * accuracy)``, ``residual = detected - fixed``.
+    ``fixed = round(detected * accuracy)``, ``residual = detected - fixed``,
+    each stage at most the count it draws from.
     The wrap is ``core.pipeline_fix_rate`` with fix rate ``accuracy`` over the
     recall p-box, in both aggregation modes: extremes uses the box's min/max
     recall, means uses the analytic mean of each sampling stream. ``n_items``
@@ -185,8 +189,9 @@ def composed_pipeline_case(
     n_items = check_count(n_items, "n_items", 1, MAX_ITEMS)
     check_unit(detector_recall, "detector_recall", numpy=False)  # the chain is scalar
     check_unit(repair_accuracy, "repair_accuracy", numpy=False)
-    detected = round_half_away(n_items * detector_recall)
-    fixed = round_half_away(detected * repair_accuracy)
+    # each stage is clamped at the count it draws from: beyond 2**53 the float product can round past it
+    detected = min(round_half_away(n_items * detector_recall), n_items)
+    fixed = min(round_half_away(detected * repair_accuracy), detected)
     residual = detected - fixed
     fixer = FixerSpec(repair_accuracy)
     extremes = Interval(pipeline_fix_rate(fixer, pbox.minimum), pipeline_fix_rate(fixer, pbox.maximum))

@@ -10,13 +10,17 @@ p-box. Inverting the two bounding CDFs gives two quantile functions:
 
 Both inverses share one threshold ``t = (max - mean) / (max - min)``:
 
-    inverse_lower(p) = uniform draw on [min, mean]          p = 0
-                       max(min, (p*min - mean) / (p - 1))   0 < p < t
-                       max                                  t <= p <= 1
+    inverse_lower(p) = min(max, max(min, (p*min - mean) / (p - 1)))   0 <= p < t
+                       max                                             t <= p <= 1
 
-    inverse_upper(p) = min                                  0 <= p <= t
-                       max - (max - mean) / p               t < p < 1
-                       uniform draw on [mean, max]          p = 1
+    inverse_upper(p) = min                                             0 <= p <= t
+                       max - (max - mean) / p                          t < p <= 1
+
+Each bounding CDF is flat at one end, where its inverse is set-valued: [min, mean] at p = 0 for
+the lower bound, [mean, max] at p = 1 for the upper. There each inverse takes its middle branch's
+value, the one-sided limit: exactly ``mean`` at p = 0 (``max``, then also the mean, when t = 0),
+and ``max - (max - mean)``, the mean up to rounding, at p = 1 (``min``, then also the mean, when
+t = 1). So both are plain functions of p, and ``stream_chunks`` needs no generator but p's.
 
 ``stream_chunks`` is the one sampler of p: it inverts each chunk of uniform p
 values into the streams it names, so the pessimistic recall never exceeds the
@@ -122,26 +126,10 @@ class Interval(namedtuple("Interval", "lo hi")):
         return self.lo - tol <= value <= self.hi + tol
 
 
-def _ties(out, tie, rng, lo: float, hi: float):
-    """``out`` with its entries where ``tie`` is true drawn uniformly on [lo, hi], in order: the
-    set-valued ends of an inverse. ``rng`` is consulted only then; it is a
-    ``numpy.random.Generator``, None (fresh entropy) or a seed, which ``check_count`` takes as it
-    takes every seed."""
-    import numpy as np
-    if tie.any():
-        if rng is not None and not isinstance(rng, np.random.Generator):
-            rng = check_count(rng, "rng")
-        out[tie] = np.random.default_rng(rng).uniform(lo, hi, int(np.count_nonzero(tie)))
-    return out
-
-
-def inverse_lower(params: PBoxParams, p, rng=None):
+def inverse_lower(params: PBoxParams, p):
     """Invert the lower CDF bound at ``p``, a real number or numpy array (not a list).
 
-    ``p = 0`` is set-valued and resolved by a uniform draw on [min, mean];
-    ``rng`` (seed or ``numpy.random.Generator``) is consulted only then, also
-    on a degenerate box, where the draw is ``min``. The middle branch is
-    clamped at ``min``, which rounding could otherwise undercut by an ulp.
+    The middle branch is clamped to [min, max], which rounding could otherwise leave by an ulp.
     """
     import numpy as np
     check_unit(p, "p")
@@ -150,14 +138,13 @@ def inverse_lower(params: PBoxParams, p, rng=None):
     with np.errstate(all="ignore"):  # the middle branch, discarded at p = 1, divides by zero there
         x = (arr * a - mu) / (arr - 1.0)
     # x > a, so x = a gives a: at min = mean = 0, x is (p*0 - 0) / (p - 1) = -0.0
-    out = _ties(np.where(arr < t, np.where(x > a, x, a), b), arr == 0.0, rng, a, mu)
+    out = np.where(arr < t, np.where(x > a, np.minimum(x, b), a), b)
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def inverse_upper(params: PBoxParams, p, rng=None):
+def inverse_upper(params: PBoxParams, p):
     """Invert the upper CDF bound at ``p``, a real number or numpy array (not a list).
 
-    ``p = 1`` is set-valued and resolved by a uniform draw on [mean, max].
     On a degenerate box every branch gives ``min``.
     """
     import numpy as np
@@ -167,7 +154,7 @@ def inverse_upper(params: PBoxParams, p, rng=None):
     # the middle branch, discarded at p = 0, divides by zero there and overflows at a subnormal p
     with np.errstate(all="ignore"):
         x = b - (b - mu) / arr
-    out = _ties(np.where((arr > t) & (arr < 1.0), x, a), (arr == 1.0) & (arr > t), rng, mu, b)
+    out = np.where(arr > t, x, a)
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
@@ -178,10 +165,8 @@ def stream_chunks(params: PBoxParams, n: int, seed: int, *names: str):
     pessimistic)``. ``check_count`` and ``check_stream`` check the arguments at the call: ``seed`` >= 0,
     and ``n`` in [1, 2**53], where a stream mean's division by its count is exact in a float64.
 
-    The p values are successive ``random`` calls on one ``default_rng(seed)``. Chunk ``k`` of the
-    optimistic stream resolves its p = 0 ties with chunk ``k``'s child generator, the ``k``-th child
-    of ``SeedSequence(seed)``. The pessimistic stream needs none: its tie is at p = 1, and p is drawn
-    in [0, 1). Only the named streams are inverted.
+    The p values are successive ``random`` calls on one ``default_rng(seed)``, the one seed rule:
+    the inverses draw nothing. Only the named streams are inverted.
     """
     import numpy as np
     seed = check_count(seed, "seed")
@@ -189,13 +174,9 @@ def stream_chunks(params: PBoxParams, n: int, seed: int, *names: str):
         check_stream(name)
     n = check_count(n, "a recall stream's sample count", 1, 2**53)
     rng = np.random.default_rng(seed)
-
-    def chunk(k, p):
-        return p, *(inverse_upper(params, p) if name == "pessimistic" else
-                    inverse_lower(params, p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))))
-                    for name in names)
-
-    return (chunk(k, rng.random(min(CHUNK, n - start))) for k, start in enumerate(range(0, n, CHUNK)))
+    inverses = [inverse_upper if name == "pessimistic" else inverse_lower for name in names]
+    return ((p, *(inverse(params, p) for inverse in inverses))
+            for p in (rng.random(min(CHUNK, n - start)) for start in range(0, n, CHUNK)))
 
 
 def stream_summary(params: PBoxParams, n: int, seed: int) -> dict:
@@ -213,8 +194,7 @@ def stream_mean_optimistic(params: PBoxParams) -> float:
     """Expected optimistic-stream recall under p ~ uniform(0, 1).
 
     Closed form of the integral of ``inverse_lower`` over (0, 1):
-    ``a*t + (a - mu)*log(1 - t) + (1 - t)*b`` with the usual threshold ``t``
-    (the set-valued endpoint at p = 0 has measure zero).
+    ``a*t + (a - mu)*log(1 - t) + (1 - t)*b`` with the usual threshold ``t``.
     """
     a, b, mu, t = params.minimum, params.maximum, params.mean, params.threshold
     if t == 1.0:  # mean == minimum: the middle branch is constant at a, log1p(-1) raises

@@ -24,8 +24,8 @@ the three draws one ``rng.binomial`` call over a chunk's arrays. Chunk ``k``
 of stream code 1 (optimistic) or 2 (pessimistic) draws, in the order above,
 from ``default_rng(SeedSequence((master_seed, stream_code, k)))`` at the
 recalls of chunk ``k``, the ``(p, recall)`` of ``pbox.stream_chunks(pbox,
-trials, master_seed, stream)``, whose p = 0 ties come from a child generator
-per chunk. Every grid cell reuses these seeds (common random numbers) in one
+trials, master_seed, stream)``, whose p is drawn by ``default_rng(master_seed)``.
+Every grid cell reuses these seeds (common random numbers) in one
 loop nest, stream -> chunk -> prevalence -> fix rate: one ``pbox.stream_chunks``
 pass per stream; per prevalence, a fresh generator and FN1; per fix rate, W and
 FN2 from the generator's state just after FN1. So each cell draws the numbers

@@ -27,7 +27,7 @@ from pipeuq import (
     wilson_interval,
 )
 from pipeuq.casestudies import _z_two_sided
-from pipeuq.errors import EvidenceFormatError
+from pipeuq.errors import MAX_ITEMS, EvidenceFormatError
 
 # published correct/generated counts with the corresponding 95% bounds
 REFERENCE_ROWS = {
@@ -246,6 +246,15 @@ class TestComposedCase:
     def test_a_count_that_is_no_whole_number_is_refused(self, n_items):
         with pytest.raises(InvalidParameterError, match=r"n_items must be an integer in \[1, 9223372036854775807\]"):
             composed_pipeline_case(n_items, 0.86, 0.44)
+
+    @pytest.mark.parametrize("n_items", [MAX_ITEMS, 2**53 + 1, 2**52 + 1])
+    @pytest.mark.parametrize("recall, accuracy", [(1, 1), (1.0, 1.0), (1, 1.0), (1.0, 0.5), (1 - 2.0**-53, 1.0)])
+    def test_no_stage_counts_more_items_than_it_draws_from(self, n_items, recall, accuracy):
+        # n_items * recall is a float product: beyond 2**53 it rounded past n_items, so that
+        # MAX_ITEMS at recall 1 detected 2**63 items, and at 2**52 + 1 the rounding added one
+        report = composed_pipeline_case(n_items, recall, accuracy)
+        assert 0 <= report.residual and 0 <= report.fixed <= report.detected <= n_items
+        assert report.residual == report.detected - report.fixed
 
     def test_model_maximum_flagged(self):
         report = composed_pipeline_case(879, 0.86, 0.44)

@@ -117,7 +117,9 @@ class TestValidation:
 class TestRounding:
     @pytest.mark.parametrize(
         "value, expected",
-        [(755.94, 756), (0.5, 1), (-0.5, -1), (2.5, 3), (332.64, 333), (0.49, 0)],
+        [(755.94, 756), (0.5, 1), (-0.5, -1), (2.5, 3), (332.64, 333), (0.49, 0),
+         # x + 0.5 rounds up at these, so floor(x + 0.5) gave 1 and 2**52 + 2
+         (0.49999999999999994, 0), (-0.49999999999999994, 0), (2.0**52 + 1, 2**52 + 1), (-(2.0**52 + 1), -(2**52 + 1))],
     )
     def test_round_half_away(self, value, expected):
         assert round_half_away(value) == expected

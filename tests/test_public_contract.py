@@ -51,8 +51,6 @@ from pipeuq import (
     agresti_coull_interval,
     composed_pipeline_case,
     fixer_load,
-    inverse_lower,
-    inverse_upper,
     load_samples,
     load_tool_records,
     pipeline_false_negatives,
@@ -134,7 +132,7 @@ def kinds(directory):
     return {
         "n_items": count, "successes": count, "correct": count, "generated": count, "index": count,
         "trials": st.integers(-1, 3) | st.sampled_from([2**53 + 1, 2**63, np.int64(2)]) | WRONG,
-        "seed": seed, "master_seed": seed, "rng": seed | st.integers(0, 9).map(np.random.default_rng),
+        "seed": seed, "master_seed": seed,
         "recall": unit, "precision": unit, "specificity": unit, "prevalence": unit, "fix_rate": unit,
         "break_rate": unit, "p": unit, "value": unit, "confidence": unit, "detector_recall": unit,
         "repair_accuracy": unit, "minimum": unit, "maximum": unit, "mean": unit,
@@ -284,14 +282,11 @@ def test_a_file_descriptor_is_no_source(load):
     lambda: EvidenceSample("p1", np.array(["recall", "precision"]), 0.5),
     lambda: EvidenceSample(["p1"], "recall", 0.5),
     lambda: trial_seed(1, ["optimistic"], 0),
-    lambda: inverse_lower(DEFAULT_RECALL_PBOX, 0.0, rng=1.5),
-    lambda: inverse_upper(DEFAULT_RECALL_PBOX, 1.0, rng=np.array([0.5])),
 ], ids=["Interval-None", "Interval-array", "agresti_coull-array-confidence", "wilson-str-confidence",
         "rule_based-list-method", "round_half_away-nan", "round_half_away-inf", "round_half_away-str",
         "remove_outliers-array-policy", "remove_outliers-str-k", "remove_outliers-int-k-beyond-floats",
         "remove_outliers-inf-k", "EvidenceSample-array-metric",
-        "EvidenceSample-list-source_id", "trial_seed-list-stream", "inverse_lower-float-rng",
-        "inverse_upper-array-rng"])
+        "EvidenceSample-list-source_id", "trial_seed-list-stream"])
 def test_a_value_of_the_wrong_type_is_refused(call):
     # the parent raised a TypeError or numpy's ValueError, or (round_half_away) an OverflowError
     with pytest.raises(InvalidParameterError):
