@@ -5,9 +5,12 @@ Subcommands:
 * ``analytic``    closed-form pipeline metrics over the prevalence x fix-rate grid
 * ``simulate``    Monte Carlo experiment per grid cell, interval tables per metric
 * ``evidence``    summarize a recall/precision evidence CSV into p-box parameters
-* ``case-study``  confidence-interval table for repair tools, or the composed
-                  detect+fix worked example
+* ``case-study``  confidence-interval table for repair tools (``rule-based``), or
+                  the composed detect+fix worked example (``composed``)
 * ``pbox-sample`` draw paired recall streams from a p-box
+
+argparse only finds each option, a flag or a positional (``evidence``'s CSV,
+``case-study``'s study), and ``build_config`` reads its text as a config value.
 
 Reports serialize as ``table`` (human), ``csv``, or ``json``. The JSON
 document has top-level keys ``version``, ``config``, ``results`` and is
@@ -109,11 +112,11 @@ class ReportEnvelope(NamedTuple):
     table: Callable[["ReportEnvelope"], Iterable[str]]
 
 
-def _envelope(command: str, cfg: RunConfig, results: dict, columns, blocks, table, **positionals) -> ReportEnvelope:
-    # the command's positionals and options; not the output destination: identical
-    # configs must yield identical reports wherever they are written
+def _envelope(command: str, cfg: RunConfig, results: dict, columns, blocks, table) -> ReportEnvelope:
+    # the command's options; not the output destination: identical configs must
+    # yield identical reports wherever they are written
     options = {name: getattr(cfg, name) for name in OPTIONS[command] if name != "out"}
-    return ReportEnvelope({"command": command, **positionals, **options}, results, columns, blocks, table)
+    return ReportEnvelope({"command": command, **options}, results, columns, blocks, table)
 
 
 def _held(table: list) -> Callable[[], list]:  # a table held as rows: one block of its columns
@@ -218,7 +221,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
                 entry["undefined"] = report.undefined[metric]
             if cfg.trace and mode == modes[0]:  # once per cell, re-drawn as written; None: an undefined trial
                 entry["trials"] = lambda report=report, metric=metric: (
-                    _metrics(report.domain, counts)[metric].tolist() for *_, counts in report.chunks()
+                    _metrics(report.domain, counts, (metric,))[metric].tolist() for *_, counts in report.chunks()
                 )
             results[metric].append(entry)
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
@@ -255,9 +258,9 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
     return _envelope("evidence", cfg, results, columns, _held(table), _render_evidence_table)
 
 
-def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
-    """Either the rule-based tool CI table or the composed-pipeline example."""
-    if which == "rule-based":
+def cmd_case_study(cfg: RunConfig) -> ReportEnvelope:
+    """The study ``cfg.which`` names: the rule-based tool CI table or the composed-pipeline example."""
+    if cfg.which == "rule-based":
         from .casestudies import DEFAULT_TOOL_RECORDS, load_tool_records, rule_based_case_study
 
         tools = load_tool_records(cfg.tools) if cfg.tools else DEFAULT_TOOL_RECORDS
@@ -269,26 +272,22 @@ def cmd_case_study(cfg: RunConfig, which: str) -> ReportEnvelope:
             "method": cfg.method,
             "tools": [dict(zip(columns, line)) for line in table],
         }
-        return _envelope("case-study", cfg, results, columns, _held(table), _render_tools_table, which=which)
-    if which == "composed":
-        from .casestudies import composed_pipeline_case
+        return _envelope("case-study", cfg, results, columns, _held(table), _render_tools_table)
+    from .casestudies import composed_pipeline_case
 
-        report = composed_pipeline_case(
-            cfg.case_n_items, cfg.case_recall, cfg.case_accuracy, _resolve_pbox(cfg)
-        )
-        extremes, means = report.fix_rate_extremes, report.fix_rate_means
-        chain = ("n_items", "detected", "fixed", "residual")
-        columns = (*chain, "extremes_lo", "extremes_hi", "means_lo", "means_hi")
-        table = [[*(getattr(report, c) for c in chain), *extremes, *means]]
-        results = {
-            "chain": dict(zip(chain, table[0])),
-            "detector_recall": report.detector_recall,
-            "repair_accuracy": report.repair_accuracy,
-            "fix_rate": {"extremes": extremes._asdict(), "means": means._asdict()},
-            "notes": list(report.notes),
-        }
-        return _envelope("case-study", cfg, results, columns, _held(table), _render_composed_table, which=which)
-    raise PipeUQError(f"unknown case study {which!r}")  # pragma: no cover - argparse guards
+    report = composed_pipeline_case(cfg.case_n_items, cfg.case_recall, cfg.case_accuracy, _resolve_pbox(cfg))
+    extremes, means = report.fix_rate_extremes, report.fix_rate_means
+    chain = ("n_items", "detected", "fixed", "residual")
+    columns = (*chain, "extremes_lo", "extremes_hi", "means_lo", "means_hi")
+    table = [[*(getattr(report, c) for c in chain), *extremes, *means]]
+    results = {
+        "chain": dict(zip(chain, table[0])),
+        "detector_recall": report.detector_recall,
+        "repair_accuracy": report.repair_accuracy,
+        "fix_rate": {"extremes": extremes._asdict(), "means": means._asdict()},
+        "notes": list(report.notes),
+    }
+    return _envelope("case-study", cfg, results, columns, _held(table), _render_composed_table)
 
 
 def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
@@ -658,6 +657,8 @@ def _open_out(path: str):
 
 # help metavar by a field's type, read from its default (None: a path)
 _METAVARS = {int: "INT", float: "X", list: "LIST", type(None): "PATH"}
+# command -> the field its optional positional sets; each other field it takes is a --flag
+_POSITIONALS = {"evidence": "evidence", "case-study": "which"}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -678,20 +679,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for command in commands:
         p = sub.add_parser(command, help=FLAGS[command][0])
         p.add_argument("--config", metavar="PATH", help=HELP["config"])
-        if command == "case-study":
-            p.add_argument("which", choices=("rule-based", "composed"))
         for name in OPTIONS[command]:
-            flag = "--" + name.replace("_", "-")
+            flag, kind = "--" + name.replace("_", "-"), type(DEFAULTS[name])
+            # each option stores its text, which build_config parses and checks as a config value
+            metavar = "{" + ",".join(CHOICES[name]) + "}" if name in CHOICES else _METAVARS.get(kind)
             help_ = HELP.get((command, name), HELP.get(name))
-            kind = type(DEFAULTS[name])
-            if name == command:  # evidence's CSV
-                p.add_argument(name, nargs="?", metavar="CSV", help="evidence file to ingest")
+            if name == _POSITIONALS.get(command):  # a choice, or evidence's CSV
+                p.add_argument(name, nargs="?", metavar=metavar if name in CHOICES else "CSV", help=help_)
             elif kind is bool:
                 p.add_argument(flag, action="store_const", const=True, help=help_)
-            elif name in CHOICES:  # each flag stores its text, which build_config parses and checks as a config value
-                p.add_argument(flag, metavar="{" + ",".join(CHOICES[name]) + "}", help=help_)
             else:
-                p.add_argument(flag, metavar=_METAVARS.get(kind), help=help_)
+                p.add_argument(flag, metavar=metavar, help=help_)
     return parser
 
 
@@ -705,8 +703,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args, args.command)
         # looked up on every run, so a wrapper set on the module takes effect
-        run = globals()["cmd_" + args.command.replace("-", "_")]
-        env = run(cfg, args.which) if args.command == "case-study" else run(cfg)
+        env = globals()["cmd_" + args.command.replace("-", "_")](cfg)
         if not cfg.out:
             if sys.stdout is None:  # fd 1 was closed at startup
                 raise OSError(errno.EBADF, "stdout is closed")

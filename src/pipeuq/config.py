@@ -1,11 +1,12 @@
 """Run configuration: defaults, INI config files, and validation.
 
-Precedence is CLI flags > config file > built-in defaults. ``OPTIONS[command]``
-lists a command's flags, which are also its config keys (with underscores) and
-its report's config echo. A flag's text is parsed and checked as a config
-value's is. In a config file, ``[common]`` sets each key for the commands that
-take it, so one file serves them all; ``[<command>]`` sets one command's, and
-a key it does not take is an error, e.g.::
+Precedence is CLI options > config file > built-in defaults. ``OPTIONS[command]``
+lists a command's options, which are also its config keys (with underscores) and
+its report's config echo: a flag each, but ``evidence``'s CSV and ``case-study``'s
+study ``which``, each its command's optional positional. An option's text is
+parsed and checked as a config value's is. In a config file, ``[common]`` sets
+each key for the commands that take it, so one file serves them all;
+``[<command>]`` sets one command's, and a key it does not take is an error, e.g.::
 
     [common]
     seed = 7
@@ -14,6 +15,9 @@ a key it does not take is an error, e.g.::
     [simulate]
     trials = 500
     prevalence = 0.1, 0.5, 1.0
+
+    [case-study]
+    which = composed
 
 Built-in defaults ship the reference experiment grid (prevalence 0.10/0.50/
 1.00, fix rate 0.50/0.70/0.90/1.00, recall p-box (0.07, 1.00, 0.74)), so
@@ -25,7 +29,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import MAX_ITEMS, ConfigError, InvalidParameterError, check_count, check_unit, decimal, integer, unsigned
+from .errors import (MAX_ITEMS, MAX_TRIALS, ConfigError, InvalidParameterError, check_count, check_unit, decimal,
+                     integer, unsigned)
 
 __all__ = ["RunConfig", "DEFAULTS", "FLAGS", "OPTIONS", "CHOICES", "HELP", "PARSERS", "build_config", "validate_config"]
 
@@ -52,6 +57,7 @@ DEFAULTS = {
     "seed": 42,
     "mode": "both",
     # case studies
+    "which": None,
     "confidence": 0.95,
     "method": "agresti-coull",
     "tools": None,
@@ -83,8 +89,7 @@ class RunConfig:
 _COMMON = ("seed", "output", "out")
 _GRID = ("n_items", "prevalence", "fix_rate")
 _PBOX = ("pbox_min", "pbox_max", "pbox_mean", "evidence", "outlier_policy", "outlier_k")
-# command -> (its help line, the RunConfig fields it takes besides _COMMON, each a
-# flag but the one named as the command, its positional); all take --config
+# command -> (its help line, the RunConfig fields it takes besides _COMMON); all take --config
 FLAGS = {
     "analytic": ("closed-form grid of pipeline metrics", (*_GRID, "recall", "precision")),
     "simulate": (
@@ -94,7 +99,7 @@ FLAGS = {
     "evidence": ("summarize an evidence CSV into p-box parameters", ("evidence", "outlier_policy", "outlier_k")),
     "case-study": (
         "tool CI table or composed pipeline example",
-        ("tools", "confidence", "method", "case_n_items", "case_recall", "case_accuracy", *_PBOX),
+        ("which", "tools", "confidence", "method", "case_n_items", "case_recall", "case_accuracy", *_PBOX),
     ),
     "pbox-sample": ("draw paired recall streams from a p-box", (*_PBOX, "trials")),
 }
@@ -106,9 +111,10 @@ CHOICES = {
     "output": ("table", "csv", "json"),
     "outlier_policy": ("none", "iqr"),
     "method": ("agresti-coull", "wilson"),
+    "which": ("rule-based", "composed"),
 }
 
-# flag help; a (command, field) key overrides the field's own
+# option help; a (command, field) key overrides the field's own
 HELP = {
     "config": "INI config file",
     "out": "write the report here instead of stdout",
@@ -116,6 +122,7 @@ HELP = {
     "trace": "embed per-trial values in the report",
     "tools": "tool records CSV (name,correct,generated)",
     ("pbox-sample", "trials"): "number of samples",
+    ("evidence", "evidence"): "evidence file to ingest",
 }
 
 
@@ -213,7 +220,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     (kept as an int) and that each path is a str or None; raise listing offenders."""
     errors: list[str] = []
     refused = set()
-    for name, least, most in (("n_items", 1, MAX_ITEMS), ("case_n_items", 1, MAX_ITEMS), ("trials", 1, MAX_ITEMS),
+    for name, least, most in (("n_items", 1, MAX_ITEMS), ("case_n_items", 1, MAX_ITEMS), ("trials", 1, MAX_TRIALS),
                               ("seed", 0, None)):
         try:  # the config keeps the int: the JSON echo writes no numpy integer
             setattr(cfg, name, check_count(getattr(cfg, name), name, least, most))
@@ -245,12 +252,12 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             f"({cfg.pbox_min}, {cfg.pbox_mean}, {cfg.pbox_max})"
         )
     for name, allowed in CHOICES.items():
-        if getattr(cfg, name) not in allowed:
+        if name in OPTIONS[command] and getattr(cfg, name) not in allowed:
             errors.append(f"{name}: must be one of {allowed}, got {getattr(cfg, name)!r}")
     if not isinstance(cfg.outlier_k, (int, float)) or not 0 <= cfg.outlier_k < math.inf:  # also rejects NaN
         errors.append(f"outlier_k: must be finite and >= 0, got {cfg.outlier_k!r}")
-    # fixer load <= n_items / precision, false-alert rate <= 2**53 / precision (its denominator is 0 or >= 2**-53)
-    if not refused & {"precision", "n_items"} and cfg.precision * (sys.float_info.max / 2) < max(cfg.n_items, 2**53):
+    # fixer load <= n_items / precision, false-alert rate <= MAX_TRIALS / precision (its denominator is 0 or >= 2**-53)
+    if not refused & {"precision", "n_items"} and cfg.precision * sys.float_info.max < 2 * max(cfg.n_items, MAX_TRIALS):
         errors.append(f"precision: {cfg.precision!r} would leave the fixer load or the false-alert rate infinite")
     if command == "evidence" and cfg.evidence is None:
         errors.append("evidence: a CSV path is required")

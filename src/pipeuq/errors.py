@@ -9,6 +9,8 @@ import sys
 
 # the largest count: binomial draws, float arithmetic and array sizes need an int64
 MAX_ITEMS = 2**63 - 1
+# the largest trial count: every int up to it is a float64, so a stream mean's division by its count is exact
+MAX_TRIALS = 2**53
 
 
 class PipeUQError(Exception):

@@ -37,7 +37,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParameterError, check_count, check_unit, unsigned
+from .errors import MAX_TRIALS, InvalidParameterError, check_count, check_unit, unsigned
 
 if TYPE_CHECKING:
     import numpy as np
@@ -163,7 +163,7 @@ def stream_chunks(params: PBoxParams, n: int, seed: int, *names: str):
     values and, in the order given, their inverse into each stream that ``names`` names,
     ``"optimistic"`` or ``"pessimistic"``: ``(p,)``, ``(p, recall)`` or ``(p, optimistic,
     pessimistic)``. ``check_count`` and ``check_stream`` check the arguments at the call: ``seed`` >= 0,
-    and ``n`` in [1, 2**53], where a stream mean's division by its count is exact in a float64.
+    and ``n`` in [1, ``MAX_TRIALS``], where a stream mean's division by its count is exact in a float64.
 
     The p values are successive ``random`` calls on one ``default_rng(seed)``, the one seed rule:
     the inverses draw nothing. Only the named streams are inverted.
@@ -172,7 +172,7 @@ def stream_chunks(params: PBoxParams, n: int, seed: int, *names: str):
     seed = check_count(seed, "seed")
     for name in names:
         check_stream(name)
-    n = check_count(n, "a recall stream's sample count", 1, 2**53)
+    n = check_count(n, "a recall stream's sample count", 1, MAX_TRIALS)
     rng = np.random.default_rng(seed)
     inverses = [inverse_upper if name == "pessimistic" else inverse_lower for name in names]
     return ((p, *(inverse(params, p) for inverse in inverses))

@@ -117,18 +117,22 @@ def _growth(fn1, fn2):
     return defined, np.maximum(fn_out[defined], 1) / np.maximum(fn1[defined], 1)  # 0 / 0 read as 1 / 1
 
 
-def _metrics(domain: DomainSpec, counts) -> dict:
-    """The per-trial metrics of a chunk's counts (fn1, vulnerable_out, fn2), keyed as ``METRICS``: arrays
-    whose ``tolist()`` holds floats, None where undefined, as ``outcomes()`` and a trace write them."""
+def _metrics(domain: DomainSpec, counts, names=METRICS) -> dict:
+    """The per-trial metrics ``names`` of a chunk's counts (fn1, vulnerable_out, fn2), each built only if named
+    and keyed in the order given: arrays whose ``tolist()`` holds floats, None where undefined, as ``outcomes()``
+    and a trace write them."""
     fn1, vulnerable_out, fn2 = counts
     final_prevalence = (fn1 + vulnerable_out) / domain.n_items
-    real_fix_rate, fn_ratio = np.full(fn1.size, None), np.full(fn1.size, None)  # object arrays
-    if domain.prevalence > 0.0:
+    metrics = {"final_prevalence": final_prevalence}
+    if "real_fix_rate" in names:
         with np.errstate(over="ignore"):  # a subnormal prevalence gives -inf, as float division does
-            real_fix_rate = 1.0 - final_prevalence / domain.prevalence
-    defined, growth = _growth(fn1, fn2)
-    fn_ratio[defined] = growth  # each a Python float
-    return dict(zip(METRICS, (final_prevalence, real_fix_rate, fn_ratio)))
+            metrics["real_fix_rate"] = (1.0 - final_prevalence / domain.prevalence if domain.prevalence > 0.0
+                                        else np.full(fn1.size, None))  # an object array: undefined at P = 0
+    if "fn_ratio" in names:
+        defined, growth = _growth(fn1, fn2)
+        metrics["fn_ratio"] = np.full(fn1.size, None)  # an object array
+        metrics["fn_ratio"][defined] = growth  # each a Python float
+    return {name: metrics[name] for name in names}
 
 
 def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trials: int, master_seed: int):

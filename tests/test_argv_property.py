@@ -107,7 +107,7 @@ COMMANDS = {
     ),
     "evidence": ([[*EVIDENCE, None]], [], [*COMMON, "--outlier-policy", "--outlier-k"]),
     "case-study": (
-        [["rule-based", "composed", "both"]], [],
+        [["rule-based", "composed", "both", None]], [],
         [*COMMON, *PBOX_FLAGS, "--tools", "--confidence", "--method", "--case-n-items",
          "--case-recall", "--case-accuracy"],
     ),

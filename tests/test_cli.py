@@ -381,8 +381,22 @@ class TestCaseStudy:
         path.write_text("name,correct,generated\n" + "x" * 200_000 + ",1,2\n")
         assert main(["case-study", "rule-based", "--tools", str(path)]) == 2
 
-    def test_unknown_which_is_usage_error(self):
-        assert main(["case-study", "bogus"]) == 2
+    @pytest.mark.parametrize("argv, got", [(["bogus"], "'bogus'"), ([], "None")], ids=["unknown", "missing"])
+    def test_an_unknown_or_missing_study_is_one_error_line(self, argv, got, capsys):
+        # the study is an option like any other: the parent's argparse printed its usage block for bogus
+        assert main(["case-study", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: which: must be one of ('rule-based', 'composed'), got {got}\n")
+
+    @pytest.mark.parametrize("section", ["case-study", "common"])
+    def test_a_config_file_names_the_study_and_a_positional_overrides_it(self, section, tmp_path):
+        ini = tmp_path / "study.ini"
+        ini.write_text(f"[{section}]\nwhich = composed\n")
+        composed = run_json(tmp_path, ["case-study", "--config", str(ini)])
+        assert composed == run_json(tmp_path, ["case-study", "composed"])
+        assert "chain" in composed["results"]
+        rule_based = run_json(tmp_path, ["case-study", "rule-based", "--config", str(ini)])
+        assert rule_based == run_json(tmp_path, ["case-study", "rule-based"])
+        assert rule_based["config"]["which"] == "rule-based"
 
 
 class TestPboxSample:
@@ -464,6 +478,23 @@ class TestConfigHandling:
         echoes = {which: run_json(tmp_path, ["case-study", which])["config"] for which in ("rule-based", "composed")}
         assert echoes["rule-based"] == {**echoes["composed"], "which": "rule-based"}
 
+    @pytest.mark.parametrize("text, flag", [("yes", ["--trace"]), ("no", [])])
+    def test_a_config_file_sets_trace(self, text, flag, tmp_path, capsys):
+        ini = tmp_path / "trace.ini"
+        ini.write_text(f"[simulate]\ntrace = {text}\n")
+        argv = ["simulate", "--trials", "5", "--n-items", "50", "--prevalence", "0.5", "--output", "json"]
+        assert main([*argv, "--config", str(ini)]) == 0
+        from_file = capsys.readouterr().out
+        assert main([*argv, *flag]) == 0
+        assert from_file == capsys.readouterr().out
+        assert ('"trials": [' in from_file) == bool(flag)
+
+    def test_a_config_file_trace_that_is_no_boolean_is_one_error_line(self, tmp_path, capsys):
+        ini = tmp_path / "trace.ini"
+        ini.write_text("[simulate]\ntrace = maybe\n")
+        assert main(["simulate", "--config", str(ini)]) == 2
+        assert capsys.readouterr() == ("", f"error: config file {ini}: trace: expected a boolean, got 'maybe'\n")
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[common]\nspeed = 5\n")
@@ -539,7 +570,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("field, value, message", [
         ("n_items", "10", "n_items must be an integer in [1, 9223372036854775807], got '10'"),
         ("seed", "1", "seed must be an integer >= 0, got '1'"),
-        ("trials", 10.0, "trials must be an integer in [1, 9223372036854775807], got 10.0"),  # range takes no float
+        # range takes no float, and a stream mean's division by the count is exact up to 2**53
+        ("trials", 10.0, "trials must be an integer in [1, 9007199254740992], got 10.0"),
         ("outlier_k", "1", "outlier_k: must be finite and >= 0, got '1'"),
         ("prevalence", 0.5, "prevalence: grid must be a nonempty list, got 0.5"),
     ], ids=["n_items", "seed", "trials", "outlier_k", "prevalence"])
@@ -575,7 +607,7 @@ class TestConfigHandling:
                 os.close(fd)
 
     def test_validate_config_lists_every_offender(self):
-        cfg = RunConfig(recall="0.5", precision=0.0, confidence=1.0, pbox_max=2.0, fix_rate=[1.5])
+        cfg = RunConfig(which="composed", recall="0.5", precision=0.0, confidence=1.0, pbox_max=2.0, fix_rate=[1.5])
         with pytest.raises(ConfigError) as err:
             validate_config(cfg, "case-study")
         assert str(err.value) == (
@@ -627,8 +659,8 @@ class TestExitCodes:
             ["case-study", "rule-based", "--tools", path["latin1_tools.csv"]],
             ["simulate", "--trials", str(2**63)],
             ["pbox-sample", "--trials", str(2**63)],
-            # counts the config accepts beyond 2**53, where a stream mean's
-            # divisor stops being exact in a float64: refused before any draw
+            # counts beyond 2**53, where a stream mean's divisor stops being
+            # exact in a float64: the config refuses them before any draw
             *([command, "--trials", str(n)]
               for command in ("simulate", "pbox-sample") for n in (2**53 + 1, 2**59, 2**63 - 1)),
             # csv writes no summary, so no summary pass checks its count
@@ -649,6 +681,18 @@ class TestExitCodes:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, out, err)
         assert "outlier_k" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", str(2**53 + 1), "--evidence", "missing.csv"],
+        ["pbox-sample", "--trials", str(2**53 + 1), "--output", "csv"],
+    ], ids=["simulate-missing-evidence", "pbox-sample-csv"])
+    def test_trials_beyond_the_samplers_limit_are_refused_before_any_file_is_read(self, argv, tmp_path, capsys):
+        # the parent's config took up to 2**63 - 1: simulate exited 3 for the missing file, and with
+        # a file the sampler refused "a recall stream's sample count" mid-run
+        argv = [str(tmp_path / a) if a == "missing.csv" else a for a in argv]  # a path that does not exist
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: trials must be an integer in [1, 9007199254740992], "
+                                           "got 9007199254740993\n")
 
     def test_tiny_prevalence_runs_down_to_the_smallest_normal(self, capsys):
         # every realized fix rate is 1 - 1/P = -1e305, and so is each stream's mean: the counts are
@@ -779,7 +823,8 @@ print(*sys.modules)
 sys.exit(code)
 """
 
-USAGE_ERROR = "case-study sideways"  # argparse refuses it
+# each exits 2: a study the config check refuses, no study at all, and a flag argparse does not know
+USAGE_ERRORS = ("case-study sideways", "case-study", "analytic --sideways")
 LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"}
 # argv -> modules it must load, modules it must not load; every command but
 # case-study must also leave statistics, every one without --config
@@ -792,7 +837,7 @@ LOADS = {
     "": (set(), {"numpy"}),  # nor any pipeuq submodule
     "--version": (set(), {"numpy", *LIBRARY}),
     "--help": (set(), {"numpy", *LIBRARY}),
-    USAGE_ERROR: (set(), {"numpy", *LIBRARY}),
+    **{argv: (set(), {"numpy", *LIBRARY}) for argv in USAGE_ERRORS},
     "analytic --output csv": ({"pipeuq.core"}, {"numpy", *LIBRARY} - {"pipeuq.core"}),
     "analytic --output json": ({"pipeuq.core"}, {"numpy", *LIBRARY} - {"pipeuq.core"}),
     # both null cells: no realized fix rate at P = 0, no false-alert rate at P = 1, f = 0
@@ -826,7 +871,9 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     argv = command.format(csv=tmp_path / "ev.csv", ini=tmp_path / "run.ini").split()
     child = subprocess.run([sys.executable, "-c", _MODULES, *argv], env=child_env(),
                            capture_output=True, text=True)
-    assert child.returncode == (2 if command == USAGE_ERROR else 0), child.stderr
+    assert child.returncode == (2 if command in USAGE_ERRORS else 0), child.stderr
+    if command.startswith("case-study") and child.returncode:
+        assert child.stderr.startswith("error: which: ") and child.stderr.count("\n") == 1, child.stderr
     loaded = set(child.stdout.split())
     must, must_not = LOADS[command]
     must_not = must_not | {"statistics", "configparser", "numpy.ma", "dataclasses"} - must

@@ -1,13 +1,13 @@
 """Pin the command-line surface: every subcommand's flags, positionals, types
 and choices.
 
-A flag's kind is ``int``, ``float``, ``list`` (a comma/space separated list of
-floats), ``str``, ``const`` (stores True when given) or the tuple of its
-choices. A positional is named by its dest; ``"str?"`` marks an optional one.
+An option's kind is ``int``, ``float``, ``list`` (a comma/space separated list
+of floats), ``str``, ``const`` (stores True when given) or the tuple of its
+choices. A positional is named by its dest, and each is optional.
 
-argparse only finds the flags: each stores its text, and ``build_config``
-converts and checks it as it does a config key's. So a flag's kind is read from
-what ``build_config`` makes of its text.
+argparse only finds the options: each stores its text, and ``build_config``
+converts and checks it as it does a config key's. So an option's kind is read
+from what ``build_config`` makes of its text.
 """
 
 import argparse
@@ -55,7 +55,7 @@ SURFACE = {
     },
     "evidence": {
         **COMMON,
-        "evidence": "str?",
+        "evidence": "str",
         "--outlier-policy": OUTLIER_POLICIES,
         "--outlier-k": "float",
     },
@@ -85,8 +85,11 @@ def _subparsers():
 
 
 def _config(command, *argv):
-    """The RunConfig ``build_config`` makes of ``command``'s flags ``argv``, its positional set."""
+    """The RunConfig ``build_config`` makes of ``command``'s options ``argv``, its positional set unless
+    ``argv`` sets it."""
     positional = {"evidence": ["e.csv"], "case-study": ["composed"]}.get(command, [])
+    if argv and not argv[0].startswith("--"):
+        positional = []
     return build_config(build_parser().parse_args([command, *positional, *argv]), command)
 
 
@@ -96,27 +99,28 @@ TEXTS = {"int": ("7", 7, "7.0"), "float": ("0.74", 0.74, "x"), "list": ("0.1, 0.
          "str": (" a b.csv ", " a b.csv ", None)}
 
 
-def _check_kind(command, flag, kind, tmp_path):
-    """Assert that ``build_config`` converts ``flag``'s text as ``kind`` says."""
-    name = flag[2:].replace("-", "_")
+def _check_kind(command, option, kind, tmp_path):
+    """Assert that ``build_config`` converts ``option``'s text, a flag's or the positional's, as ``kind`` says."""
+    name = option.removeprefix("--").replace("-", "_")
+    flag = [option] if option.startswith("--") else []  # the text alone sets the positional
     if kind == "const":
-        assert getattr(_config(command, flag), name) is True
-    elif flag == "--config":  # a path read as given, spaces and all
+        assert getattr(_config(command, option), name) is True
+    elif option == "--config":  # a path read as given, spaces and all
         path = tmp_path / " c d.ini "
         path.write_text("[common]\nseed = 3\n")
-        assert _config(command, flag, str(path)).seed == 3
+        assert _config(command, option, str(path)).seed == 3
     elif isinstance(kind, tuple):
         for choice in kind:
-            assert getattr(_config(command, flag, choice), name) == choice
+            assert getattr(_config(command, *flag, choice), name) == choice
         with pytest.raises(ConfigError, match=re.escape(f"{name}: must be one of {kind!r}, got 'bogus'")):
-            _config(command, flag, "bogus")
+            _config(command, *flag, "bogus")
     else:
         text, value, refused = TEXTS[kind]
-        converted = getattr(_config(command, flag, text), name)
+        converted = getattr(_config(command, *flag, text), name)
         assert (converted, type(converted)) == (value, type(value))
         if refused is not None:
             with pytest.raises(ConfigError, match=f"^{name}: expected a "):
-                _config(command, flag, refused)
+                _config(command, *flag, refused)
 
 
 def test_commands():
@@ -129,17 +133,13 @@ def test_flags_and_positionals(command, tmp_path):
     for action in _subparsers()[command]._actions:
         if isinstance(action, argparse._HelpAction):
             continue
-        if action.option_strings:
-            [flag] = action.option_strings
-            assert action.dest == flag[2:].replace("-", "_")
-            assert action.type is None and action.choices is None  # the text as given, for build_config
-            assert flag in SURFACE[command]
-            surface[flag] = SURFACE[command][flag]
-            _check_kind(command, flag, surface[flag], tmp_path)
-        elif action.choices is not None:
-            surface[action.dest] = tuple(action.choices)
-        else:
-            surface[action.dest] = "str?" if action.nargs == "?" else "str"
+        [option] = action.option_strings or [action.dest]
+        assert action.dest == option.removeprefix("--").replace("-", "_")
+        assert action.type is None and action.choices is None  # the text as given, for build_config
+        assert action.option_strings or action.nargs == "?"  # a positional is optional
+        assert option in SURFACE[command]
+        surface[option] = SURFACE[command][option]
+        _check_kind(command, option, surface[option], tmp_path)
     assert surface == SURFACE[command]
 
 

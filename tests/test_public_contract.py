@@ -334,3 +334,9 @@ def test_an_int_too_long_for_repr_is_refused_by_its_size(call):
     # "ValueError: Exceeds the limit (4300 digits)" beyond 4300 digits
     with pytest.raises(InvalidParameterError, match=r"got an int of 16610 bits$"):
         call()
+
+
+def test_a_container_too_long_for_repr_is_refused_by_its_type():
+    # repr of a list raises on the int inside it, which has no bit length to show
+    with pytest.raises(InvalidParameterError, match=r"^p must lie in \[0, 1\], got a value of type list too long to show$"):
+        check_unit([10**5000], "p")

@@ -22,7 +22,7 @@ from pipeuq import (
 )
 from pipeuq.errors import MAX_ITEMS
 from pipeuq.pbox import CHUNK, stream_chunks
-from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC, _chunks, run_grid
+from pipeuq.simulator import METRICS, STREAM_OPTIMISTIC, STREAM_PESSIMISTIC, _chunks, _metrics, run_grid
 
 BOX = PBoxParams(0.07, 1.00, 0.74)
 
@@ -352,6 +352,18 @@ class TestRunExperiment:
         assert report.intervals["final_prevalence"]["extremes"] == report.intervals[
             "final_prevalence"
         ]["means"]
+
+    @pytest.mark.parametrize("prevalence", [0.0, 0.5])
+    def test_a_named_metric_is_the_one_all_metrics_hold(self, prevalence):
+        # a trace builds only the metric it writes: each alone, and any pair, as the full set has it
+        report = run_experiment(DomainSpec(50, prevalence), self.PROFILE, FixerSpec(0.5), BOX, 40, master_seed=5)
+        for _, _, counts in report.chunks():
+            every = _metrics(report.domain, counts)
+            assert list(every) == list(METRICS)
+            for names in itertools.chain(itertools.combinations(METRICS, 1), itertools.permutations(METRICS, 2)):
+                some = _metrics(report.domain, counts, names)
+                assert list(some) == list(names)
+                assert all(some[name].tolist() == every[name].tolist() for name in names)
 
     def test_recall_streams_drive_trials(self):
         report = run_experiment(self.DOMAIN, self.PROFILE, FixerSpec(1.0), BOX, 30, master_seed=11)

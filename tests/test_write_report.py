@@ -164,7 +164,10 @@ def around_a_slice(length: int):
                "cells": lambda: iter([{"prevalence": [0.5] * length, "fix_rate": values[::-1].tolist(),
                                        "value": values.tolist()}] * 2),
                # equal values of other JSON: only a column of one object is written once
-               "equal": lambda: iter([{"zero": [0.0, -0.0, 0.0], "one": [1, 1.0, True]}])}
+               "equal": lambda: iter([{"zero": [0.0, -0.0, 0.0], "one": [1, 1.0, True]}]),
+               # a column of arrays, or of callables, which the template refuses: written dict by dict
+               "held": lambda: iter([{"x": [values[:2], values[1:3]], "y": [0.5, None]},
+                                     {"x": [lambda: iter([values[:1], [0.25]]), lambda: iter([])]}])}
     return example(config={"k": [0.5, None]}, results=results)
 
 
