@@ -126,6 +126,30 @@ class TestAnalytic:
         assert counted == counts
 
 
+@pytest.mark.parametrize("argv, output, calls", [
+    (["simulate", "--trace"], "table", 2), (["simulate", "--trace"], "csv", 2), (["simulate", "--trace"], "json", 74),
+    (["pbox-sample"], "table", 1), (["pbox-sample"], "csv", 1), (["pbox-sample"], "json", 4),
+])
+def test_a_report_draws_only_what_it_writes(argv, output, calls, monkeypatch, capsys):
+    # a table or csv report carries no trace and draws nothing for it: simulate's intervals take one
+    # pass per stream, pbox-sample's summary or rows one of both streams; a simulate JSON report
+    # re-draws both streams for each traced metric of each of the 12 cells, and pbox-sample's for its
+    # summary, its p values and each stream
+    import pipeuq.pbox
+    import pipeuq.simulator
+
+    real, counted = pipeuq.pbox.stream_chunks, []
+
+    def stream_chunks(*args):
+        counted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeuq.pbox, "stream_chunks", stream_chunks)
+    monkeypatch.setattr(pipeuq.simulator, "stream_chunks", stream_chunks)  # its own name for the sampler
+    assert main([*argv, "--output", output]) == 0
+    assert len(counted) == calls
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

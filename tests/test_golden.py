@@ -36,6 +36,7 @@ FILES = {
         "pubD,recall,0.66\npubE,recall,0.10\n"
         "pubA,precision,0.71\npubB,precision,0.75\npubC,precision,0.8\n"
     ),
+    "precision_only.csv": "source_id,metric,value\np1,precision,0.7\np2,precision,0.85\np3,precision,0.8\n",
     "recall_only.csv": "source_id,metric,value\np1,recall,0.2\np2,recall,0.6\np2,recall,0.45\n",
     "tools.csv": "name,correct,generated\nAlpha,7,20\nBeta,0,5\nGamma,12,12\n",
 }
@@ -57,8 +58,13 @@ CASES = {
         "simulate", "--prevalence", "0,0.5", "--fix-rate", "0.5,1", "--trials", "6",
         "--n-items", "100",
     ],
+    # an unsorted grid with a repeated prevalence: the table shows each distinct cell once
+    "simulate-repeated-grid": [
+        "simulate", "--prevalence", "0.5,0,0.5", "--fix-rate", "1,0.5", "--trials", "3", "--n-items", "20",
+    ],
     "evidence-outlier": ["evidence", "{evidence.csv}"],
     "evidence-recall-only": ["evidence", "{recall_only.csv}"],
+    "evidence-precision-only": ["evidence", "{precision_only.csv}"],
     "case-study-rule-based": ["case-study", "rule-based"],
     "case-study-rule-based-tools": [
         "case-study", "rule-based", "--tools", "{tools.csv}", "--method", "wilson",
