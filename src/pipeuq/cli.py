@@ -64,7 +64,6 @@ import operator
 import os
 import stat
 import sys
-from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
@@ -73,7 +72,9 @@ from .config import CHOICES, DEFAULTS, FLAGS, HELP, OPTIONS, RunConfig, build_co
 from .errors import EmptyEvidenceError, PipeUQError
 
 if TYPE_CHECKING:
+    from .casestudies import ComposedPipelineReport
     from .pbox import PBoxParams
+    from .simulator import SimulationReport
 
 # Each command imports the library modules it runs, so a command loads only
 # those: `analytic` never loads the simulator, the evidence reader or the case
@@ -99,17 +100,18 @@ class ReportEnvelope(NamedTuple):
 
     ``results`` is the JSON payload, its arrays and callables written as lists.
     ``columns`` and ``blocks`` give the payload as one tidy table, which the csv
-    output writes as it stands and ``table(envelope)`` formats, as pieces of text
-    written in turn. ``blocks`` is a zero-argument callable that yields it afresh
-    on every call, so a large payload is never copied, as blocks of rows: one
-    equal-length column per name in ``columns``, a list, tuple, range or 1-D array.
+    output writes as it stands. ``blocks`` is a zero-argument callable that yields
+    it afresh on every call, so a large payload is never copied, as blocks of rows:
+    one equal-length column per name in ``columns``, a list, tuple, range or 1-D
+    array. ``table`` is a zero-argument callable too: it renders the values the
+    command computed, not the payload, as pieces of text written in turn.
     """
 
     config: dict
     results: dict
     columns: tuple[str, ...]
     blocks: Callable[[], Iterable[Sequence]]
-    table: Callable[["ReportEnvelope"], Iterable[str]]
+    table: Callable[[], Iterable[str]]
 
 
 def _envelope(command: str, cfg: RunConfig, results: dict, columns, blocks, table) -> ReportEnvelope:
@@ -191,7 +193,7 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     results = dict(zip(PipelineOutcome._fields, map(metric, _FORMULAS)))
     columns = ("prevalence", "fix_rate", *PipelineOutcome._fields)
     # the table prints the first five metrics, real_fix_rate ... fn_ratio, so its rows compute those alone
-    table = functools.partial(_render_analytic_table, lambda: rows(_FORMULAS[:5]))
+    table = functools.partial(_render_analytic_table, cfg, columns[:7], lambda: rows(_FORMULAS[:5]))
     return _envelope("analytic", cfg, results, columns, lambda: rows(_FORMULAS), table)
 
 
@@ -212,7 +214,8 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     modes = ("extremes", "means") if cfg.mode == "both" else (cfg.mode,)
     results: dict = {m: [] for m in METRICS}
     results["pbox"] = pbox._asdict()
-    for report in run_grid(domains, profile, fixers, pbox, cfg.trials, cfg.seed):
+    reports = run_grid(domains, profile, fixers, pbox, cfg.trials, cfg.seed)
+    for report in reports:
         for metric, mode in itertools.product(METRICS, modes):
             interval = report.intervals[metric][mode]
             entry = {"prevalence": report.domain.prevalence, "fix_rate": report.fixer.fix_rate, "mode": mode}
@@ -227,7 +230,8 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
     table = [[metric, e["mode"], e["prevalence"], e["fix_rate"], e["lo"], e["hi"], e.get("undefined")]
              for metric in METRICS for e in results[metric]]
-    return _envelope("simulate", cfg, results, columns, _held(table), _render_simulate_table)
+    render = functools.partial(_render_simulate_table, cfg, pbox, reports, modes)
+    return _envelope("simulate", cfg, results, columns, _held(table), render)
 
 
 def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
@@ -242,20 +246,22 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
         "outlier_k": cfg.outlier_k,
     }
     columns = ("metric", "count", "publications", "min", "max", "mean", "removed")
-    table = []
+    table, summarized = [], {}
     for metric, metric_samples in groups.items():
         if not metric_samples:
             results[metric] = None
             continue
         stats, removed = _summarize(cfg, metric, metric_samples)
-        row = [metric, *stats, len(removed)]
-        table.append(row)
+        pbox = to_pbox(stats)
+        summarized[metric] = stats, pbox, removed
+        table.append([metric, *stats, len(removed)])
         results[metric] = {
             **dict(zip(columns[1:6], stats)),
-            "pbox": to_pbox(stats)._asdict(),
+            "pbox": pbox._asdict(),
             "removed": [s._asdict() for s in removed],
         }
-    return _envelope("evidence", cfg, results, columns, _held(table), _render_evidence_table)
+    render = functools.partial(_render_evidence_table, cfg, summarized)
+    return _envelope("evidence", cfg, results, columns, _held(table), render)
 
 
 def cmd_case_study(cfg: RunConfig) -> ReportEnvelope:
@@ -272,7 +278,8 @@ def cmd_case_study(cfg: RunConfig) -> ReportEnvelope:
             "method": cfg.method,
             "tools": [dict(zip(columns, line)) for line in table],
         }
-        return _envelope("case-study", cfg, results, columns, _held(table), _render_tools_table)
+        render = functools.partial(_render_tools_table, cfg, table)
+        return _envelope("case-study", cfg, results, columns, _held(table), render)
     from .casestudies import composed_pipeline_case
 
     report = composed_pipeline_case(cfg.case_n_items, cfg.case_recall, cfg.case_accuracy, _resolve_pbox(cfg))
@@ -287,7 +294,8 @@ def cmd_case_study(cfg: RunConfig) -> ReportEnvelope:
         "fix_rate": {"extremes": extremes._asdict(), "means": means._asdict()},
         "notes": list(report.notes),
     }
-    return _envelope("case-study", cfg, results, columns, _held(table), _render_composed_table)
+    render = functools.partial(_render_composed_table, report)
+    return _envelope("case-study", cfg, results, columns, _held(table), render)
 
 
 def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
@@ -307,15 +315,12 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     def blocks():  # chunk k's p values, drawn once, and both streams; a bad count raises before any row
         return ((range(k * CHUNK, k * CHUNK + len(p)), p, *recalls) for k, (p, *recalls) in enumerate(draw(*STREAMS)))
 
-    return _envelope("pbox-sample", cfg, results, ("index", "p", *STREAMS), blocks, _render_pbox_table)
+    render = functools.partial(_render_pbox_table, cfg, pbox, summary)
+    return _envelope("pbox-sample", cfg, results, ("index", "p", *STREAMS), blocks, render)
 
 
 # ---------------------------------------------------------------------------
 # rendering
-
-def _rows(env: ReportEnvelope) -> Iterable[tuple]:
-    return (row for block in env.blocks() for row in zip(*block))
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -323,10 +328,10 @@ def _fmt(value) -> str:
     return f"{value:.4f}"
 
 
-def _fmt_interval(lo, hi) -> str:
-    if lo is None or hi is None:
+def _fmt_interval(interval) -> str:
+    if interval is None:
         return "n/a"
-    return f"[{lo:.2f}, {hi:.2f}]"
+    return f"[{interval.lo:.2f}, {interval.hi:.2f}]"
 
 
 def _aligned(rows: Callable[[], Iterable[Sequence[str]]]) -> Iterable[str]:
@@ -342,109 +347,95 @@ def _titled(title: str, rows: Callable[[], Iterable[Sequence[str]]]) -> Iterable
     return itertools.chain([title + "\n\n"], _aligned(rows))
 
 
-def _render_analytic_table(blocks: Callable[[], Iterable[Sequence]], env: ReportEnvelope) -> Iterable[str]:
-    cfg = env.config
-    title = (f"analytic pipeline metrics (recall={cfg['recall']}, precision={cfg['precision']}, "
-             f"n_items={cfg['n_items']})")
+def _render_analytic_table(cfg: RunConfig, header: Sequence[str], blocks: Callable[[], Iterable[Sequence]]
+                           ) -> Iterable[str]:
+    title = f"analytic pipeline metrics (recall={cfg.recall}, precision={cfg.precision}, n_items={cfg.n_items})"
     # prevalence, fix_rate and the first five metrics, as ``blocks`` gives them; the grid is computed
     # and formatted twice, once for the widths, so memory does not grow with it
     return _titled(title, lambda: itertools.chain(
-        [env.columns[:7]],
+        [header],
         ([f"{p:.2f}", f"{f:.2f}", *map(_fmt, values)] for block in blocks() for p, f, *values in zip(*block)),
     ))
 
 
-def _render_simulate_table(env: ReportEnvelope) -> Iterable[str]:
+def _render_simulate_table(cfg: RunConfig, pbox: PBoxParams, reports: Sequence[SimulationReport],
+                           modes: Sequence[str]) -> Iterable[str]:
     from .simulator import METRICS
 
-    pbox = env.results["pbox"]
     yield (
-        f"simulation intervals (trials={env.config['trials']}, n_items={env.config['n_items']}, "
-        f"seed={env.config['seed']}, pbox=({pbox['minimum']:.4g}, {pbox['maximum']:.4g}, {pbox['mean']:.4g}))\n"
+        f"simulation intervals (trials={cfg.trials}, n_items={cfg.n_items}, seed={cfg.seed}, "
+        f"pbox=({pbox.minimum:.4g}, {pbox.maximum:.4g}, {pbox.mean:.4g}))\n"
     )
-    first = "means" if env.config["mode"] == "means" else "extremes"  # the block the undefined note follows
-    cells, undefined = {}, defaultdict(dict)
-    for metric, mode, p, f, lo, hi, n_undefined in _rows(env):
-        cells[metric, mode, p, f] = _fmt_interval(lo, hi)
-        undefined[metric][p, f] = n_undefined or 0  # a cell's count, the same in each mode and each repeat
-    modes = {key[1] for key in cells}
-    prevalences = sorted({key[2] for key in cells})
-    fix_rates = sorted({key[3] for key in cells})
+    cells = {(r.domain.prevalence, r.fixer.fix_rate): r for r in reports}  # a repeated cell once
+    prevalences = sorted({p for p, _ in cells})
+    fix_rates = sorted({f for _, f in cells})
     for metric in METRICS:
-        excluded = sum(undefined[metric].values())
-        for mode, label in (("extremes", "per-trial extremes"), ("means", "stream means")):
-            if mode not in modes:
-                continue
+        excluded = sum(r.undefined.get(metric, 0) for r in cells.values())
+        for mode in modes:
             rows = [["prevalence \\ fix_rate", *[f"{f:.2f}" for f in fix_rates]]]
-            rows += [[f"{p:.2f}", *[cells[metric, mode, p, f] for f in fix_rates]] for p in prevalences]
-            yield f"\n-- {metric} ({label}) --\n"
+            rows += [[f"{p:.2f}", *[_fmt_interval(cells[p, f].intervals[metric][mode]) for f in fix_rates]]
+                     for p in prevalences]
+            yield f"\n-- {metric} ({'per-trial extremes' if mode == 'extremes' else 'stream means'}) --\n"
             yield from _aligned(lambda: rows)
-            if mode == first and excluded:
+            if mode == modes[0] and excluded:
                 yield f"\n   ({excluded} trial(s) with undefined {metric} excluded)\n"
 
 
-def _render_evidence_table(env: ReportEnvelope) -> Iterable[str]:
-    results = env.results
-    title = f"evidence summary (outlier policy={results['outlier_policy']}, k={results['outlier_k']})"
-    summarized = {row[0]: row for row in _rows(env)}
+def _render_evidence_table(cfg: RunConfig, summarized: dict) -> Iterable[str]:
+    # summarized: each metric with samples -> its (SummaryStats, PBoxParams, removed samples)
+    title = f"evidence summary (outlier policy={cfg.outlier_policy}, k={cfg.outlier_k})"
     rows = [["metric", "samples", "publications", "min", "max", "mean", "removed"]]
     for metric in ("recall", "precision"):
         if metric not in summarized:
             rows.append([metric, "-", "-", "-", "-", "-", "-"])
             continue
-        _, count, publications, lo, hi, mean, n_removed = summarized[metric]
-        rows.append([metric, str(count), str(publications), _fmt(lo), _fmt(hi), _fmt(mean), str(n_removed)])
+        (count, publications, lo, hi, mean), _, removed = summarized[metric]
+        rows.append([metric, str(count), str(publications), _fmt(lo), _fmt(hi), _fmt(mean), str(len(removed))])
     lines = []
     if "recall" in summarized:
-        pb = results["recall"]["pbox"]
-        lines.append(
-            f"recall p-box: (min={pb['minimum']:.4g}, max={pb['maximum']:.4g}, mean={pb['mean']:.4g})"
-        )
-    for metric in summarized:
-        lines += [f"  removed: {s['source_id']},{s['metric']},{s['value']}" for s in results[metric]["removed"]]
+        pb = summarized["recall"][1]
+        lines.append(f"recall p-box: (min={pb.minimum:.4g}, max={pb.maximum:.4g}, mean={pb.mean:.4g})")
+    for _, _, removed in summarized.values():
+        lines += [f"  removed: {s.source_id},{s.metric},{s.value}" for s in removed]
     return itertools.chain(_titled(title, lambda: rows), (line + "\n" for line in lines))
 
 
-def _render_tools_table(env: ReportEnvelope) -> Iterable[str]:
-    results = env.results
-    title = (
-        f"repair-tool confidence intervals "
-        f"(method={results['method']}, confidence={results['confidence']:.0%})"
-    )
+def _render_tools_table(cfg: RunConfig, tools: Iterable[Sequence]) -> Iterable[str]:
+    from decimal import Decimal  # statistics, which the intervals used, has loaded it
+
+    # the level as given, 99.5% for 0.995: a percent rounded to a whole one would read 100%
+    confidence = format(Decimal(repr(cfg.confidence)).scaleb(2).normalize(), "f")
+    title = f"repair-tool confidence intervals (method={cfg.method}, confidence={confidence}%)"
     rows = [["tool", "correct/generated", "point", "lower", "upper"]]
     rows += [
         [name, f"{correct}/{generated}", f"{point:.2%}", f"{lo:.2%}", f"{hi:.2%}"]
-        for name, correct, generated, point, lo, hi in _rows(env)
+        for name, correct, generated, point, lo, hi in tools
     ]
     return _titled(title, lambda: rows)
 
 
-def _render_composed_table(env: ReportEnvelope) -> Iterable[str]:
-    results = env.results
-    [(n_items, detected, fixed, residual, ext_lo, ext_hi, means_lo, means_hi)] = _rows(env)
+def _render_composed_table(report: ComposedPipelineReport) -> Iterable[str]:
     lines = [
         "composed pipeline case",
         "",
-        f"items      {n_items}",
-        f"detected   {detected}  (detector recall {results['detector_recall']})",
-        f"fixed      {fixed}  (repair accuracy {results['repair_accuracy']})",
-        f"residual   {residual}",
-        "fix-rate interval (per-trial extremes): " + _fmt_interval(ext_lo, ext_hi),
-        "fix-rate interval (stream means):       " + _fmt_interval(means_lo, means_hi),
+        f"items      {report.n_items}",
+        f"detected   {report.detected}  (detector recall {report.detector_recall})",
+        f"fixed      {report.fixed}  (repair accuracy {report.repair_accuracy})",
+        f"residual   {report.residual}",
+        "fix-rate interval (per-trial extremes): " + _fmt_interval(report.fix_rate_extremes),
+        "fix-rate interval (stream means):       " + _fmt_interval(report.fix_rate_means),
     ]
-    lines += [f"note: {note}" for note in results["notes"]]
+    lines += [f"note: {note}" for note in report.notes]
     return [line + "\n" for line in lines]
 
 
-def _render_pbox_table(env: ReportEnvelope) -> Iterable[str]:
-    results = env.results
-    pb = results["pbox"]
+def _render_pbox_table(cfg: RunConfig, pbox: PBoxParams, summary: dict) -> Iterable[str]:
     title = (
-        f"p-box samples (n={results['count']}, seed={env.config['seed']}, "
-        f"pbox=({pb['minimum']:.4g}, {pb['maximum']:.4g}, {pb['mean']:.4g}))"
+        f"p-box samples (n={cfg.trials}, seed={cfg.seed}, "
+        f"pbox=({pbox.minimum:.4g}, {pbox.maximum:.4g}, {pbox.mean:.4g}))"
     )
     rows = [["stream", "min", "max", "mean"]]
-    for name, s in results["summary"].items():
+    for name, s in summary.items():
         rows.append([name, _fmt(s["min"]), _fmt(s["max"]), _fmt(s["mean"])])
     return _titled(title, lambda: rows)
 
@@ -591,7 +582,7 @@ def write_report(env: ReportEnvelope, output: str, fh) -> None:
     ``ValueError`` (no ``NaN``/``Infinity`` tokens, RFC 8259).
     """
     if output == "table":
-        fh.writelines(env.table(env))
+        fh.writelines(env.table())
     elif output == "csv":
         # the header goes out with the first batch, so blocks() that fails there writes nothing;
         # map drops each block once its slices are written, not a block later

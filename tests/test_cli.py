@@ -377,6 +377,16 @@ class TestCaseStudy:
         for name in ("ACS", "SimFix", "FixMiner", "Kali-A", "DynaMoth", "Nopol"):
             assert name in text
 
+    @pytest.mark.parametrize("confidence, shown", [("0.995", "99.5%"), ("0.999", "99.9%"), ("0.9", "90%"),
+                                                   ("0.95", "95%"), ("0.683", "68.3%")])
+    def test_rule_based_title_shows_the_confidence_as_given(self, confidence, shown, tmp_path, capsys):
+        # a percent rounded to a whole one read 100% at 0.995 and at 0.999
+        assert main(["case-study", "rule-based", "--confidence", confidence]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title == f"repair-tool confidence intervals (method=agresti-coull, confidence={shown})"
+        assert run_json(tmp_path, ["case-study", "rule-based", "--confidence", confidence])["results"][
+            "confidence"] == float(confidence)
+
     def test_composed_chain(self, capsys):
         assert main(["case-study", "composed"]) == 0
         text = capsys.readouterr().out

@@ -20,7 +20,7 @@ LENGTHS = (0, 1, 4096, 4097)  # around one slice of the array encoder
 
 
 def envelope(config, results) -> ReportEnvelope:
-    return ReportEnvelope(config, results, ("a",), lambda: [], lambda env: "")
+    return ReportEnvelope(config, results, ("a",), lambda: [], lambda: "")
 
 
 def written(config, results) -> str:
