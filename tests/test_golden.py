@@ -71,6 +71,13 @@ CASES = {
     ],
     "case-study-composed": ["case-study", "composed"],
     "pbox-sample": ["pbox-sample", "--trials", "6", "--seed", "3"],
+    # the same options in the argv forms the command line takes: joined by "=", abbreviated, and the
+    # study after a flag
+    "simulate-joined-values": [
+        "simulate", "--trials=3", "--n-items=20", "--prevalence=0.5", "--fix-rate=0.7", "--trace",
+    ],
+    "simulate-abbreviated-flags": ["simulate", "--tri", "3", "--n-it", "20", "--prev", "0.5", "--fix", "0.7"],
+    "case-study-study-after-a-flag": ["case-study", "--seed", "3", "composed"],
     "pbox-sample-degenerate": [
         "pbox-sample", "--trials", "4", "--pbox-min", "0.5", "--pbox-max", "0.5",
         "--pbox-mean", "0.5",
@@ -168,7 +175,7 @@ def test_case_studies_run_without_numpy(golden, tmp_path):
                            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     snapshots = json.loads(child.stdout)
-    assert len(snapshots) == 3 * len(OUTPUTS)
+    assert len(snapshots) == 4 * len(OUTPUTS)
     assert snapshots == {key: golden[key] for key in snapshots}
 
 
