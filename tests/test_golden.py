@@ -47,6 +47,8 @@ CASES = {
         "analytic", "--prevalence", "0,0.5,1", "--fix-rate", "0,0.5,1",
         "--recall", "0.8", "--precision", "0.7",
     ],
+    # prevalences that read alike at two decimals
+    "analytic-close-prevalences": ["analytic", "--prevalence", "0.001,0.004", "--fix-rate", "0.5"],
     "simulate-extremes": [
         "simulate", "--mode", "extremes", "--trials", "8", "--n-items", "200", "--seed", "3",
     ],
