@@ -9,8 +9,11 @@ Subcommands:
                   the composed detect+fix worked example (``composed``)
 * ``pbox-sample`` draw paired recall streams from a p-box
 
-argparse only finds each option, a flag or a positional (``evidence``'s CSV,
-``case-study``'s study), and ``build_config`` reads its text as a config value.
+A plain command line, a command with its own flags by their full names and at
+most its one positional (``evidence``'s CSV, ``case-study``'s study), is read
+without argparse (``_scan``); argparse reads any other, and prints help, the
+version and usage errors. Either only finds each option, and ``build_config``
+reads its text as a config value.
 
 Reports serialize as ``table`` (human), ``csv``, or ``json``. The JSON
 document has top-level keys ``version``, ``config``, ``results`` and is
@@ -51,9 +54,7 @@ subprocess mode, should call ``entry()`` instead.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import csv
 import errno
 import functools
 import gc
@@ -64,6 +65,7 @@ import operator
 import os
 import stat
 import sys
+import types
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
@@ -71,16 +73,16 @@ from . import __version__
 from .config import CHOICES, DEFAULTS, FLAGS, HELP, OPTIONS, RunConfig, build_config
 from .errors import EmptyEvidenceError, PipeUQError
 
-from .tables import (_render_analytic_table, _render_composed_table, _render_evidence_table, _render_pbox_table,
-                     _render_simulate_table, _render_tools_table)
-
 if TYPE_CHECKING:
+    import argparse
+
     from .pbox import PBoxParams
 
 # Each command imports the library modules it runs, so a command loads only
 # those: `analytic` never loads the simulator, the evidence reader or the case
 # studies. Only `simulate` and `pbox-sample` compute with numpy; `analytic`
-# evaluates the closed forms on Python floats.
+# evaluates the closed forms on Python floats. Only a table report loads the
+# renderers (`pipeuq.tables`), and only the csv writer's fallback loads `csv`.
 
 __all__ = [
     "ReportEnvelope",
@@ -124,6 +126,16 @@ def _envelope(command: str, cfg: RunConfig, results: dict, columns, blocks, tabl
 
 def _held(table: list) -> Callable[[], list]:  # a table held as rows: one block of its columns
     return lambda: [tuple(zip(*table))] if table else []
+
+
+def _table(renderer: str, *args) -> Callable[[], Iterable[str]]:
+    """``env.table``: ``pipeuq.tables``' ``renderer`` on ``args``, so only a table report loads that module."""
+    def table():
+        from . import tables
+
+        return getattr(tables, renderer)(*args)
+
+    return table
 
 
 def _resolve_pbox(cfg: RunConfig) -> PBoxParams:
@@ -194,7 +206,7 @@ def cmd_analytic(cfg: RunConfig) -> ReportEnvelope:
     results = dict(zip(PipelineOutcome._fields, map(metric, _FORMULAS)))
     columns = ("prevalence", "fix_rate", *PipelineOutcome._fields)
     # the table prints the first five metrics, real_fix_rate ... fn_ratio, so its rows compute those alone
-    table = functools.partial(_render_analytic_table, cfg, columns[:7], lambda: rows(_FORMULAS[:5]))
+    table = _table("_render_analytic_table", cfg, columns[:7], lambda: rows(_FORMULAS[:5]))
     return _envelope("analytic", cfg, results, columns, lambda: rows(_FORMULAS), table)
 
 
@@ -231,7 +243,7 @@ def cmd_simulate(cfg: RunConfig) -> ReportEnvelope:
     columns = ("metric", "mode", "prevalence", "fix_rate", "lo", "hi", "undefined")
     table = [[metric, e["mode"], e["prevalence"], e["fix_rate"], e["lo"], e["hi"], e.get("undefined")]
              for metric in METRICS for e in results[metric]]
-    render = functools.partial(_render_simulate_table, cfg, pbox, reports, modes)
+    render = _table("_render_simulate_table", cfg, pbox, reports, modes)
     return _envelope("simulate", cfg, results, columns, _held(table), render)
 
 
@@ -261,7 +273,7 @@ def cmd_evidence(cfg: RunConfig) -> ReportEnvelope:
             "pbox": pbox._asdict(),
             "removed": [s._asdict() for s in removed],
         }
-    render = functools.partial(_render_evidence_table, cfg, summarized)
+    render = _table("_render_evidence_table", cfg, summarized)
     return _envelope("evidence", cfg, results, columns, _held(table), render)
 
 
@@ -279,7 +291,7 @@ def cmd_case_study(cfg: RunConfig) -> ReportEnvelope:
             "method": cfg.method,
             "tools": [dict(zip(columns, line)) for line in table],
         }
-        render = functools.partial(_render_tools_table, cfg, table)
+        render = _table("_render_tools_table", cfg, table)
         return _envelope("case-study", cfg, results, columns, _held(table), render)
     from .casestudies import composed_pipeline_case
 
@@ -295,7 +307,7 @@ def cmd_case_study(cfg: RunConfig) -> ReportEnvelope:
         "fix_rate": {"extremes": extremes._asdict(), "means": means._asdict()},
         "notes": list(report.notes),
     }
-    render = functools.partial(_render_composed_table, report)
+    render = _table("_render_composed_table", report)
     return _envelope("case-study", cfg, results, columns, _held(table), render)
 
 
@@ -316,7 +328,7 @@ def cmd_pbox_sample(cfg: RunConfig) -> ReportEnvelope:
     def blocks():  # chunk k's p values, drawn once, and both streams; a bad count raises before any row
         return ((range(k * CHUNK, k * CHUNK + len(p)), p, *recalls) for k, (p, *recalls) in enumerate(draw(*STREAMS)))
 
-    render = functools.partial(_render_pbox_table, cfg, pbox, summary)
+    render = _table("_render_pbox_table", cfg, pbox, summary)
     return _envelope("pbox-sample", cfg, results, ("index", "p", *STREAMS), blocks, render)
 
 
@@ -431,19 +443,33 @@ def _json_chunks(value, indent: str = "\n"):
         yield encode(value)
 
 
+def _fields(column) -> Sequence[str]:
+    """``column``'s csv fields as they stand, where ``csv.writer`` writes them so: a column of nonempty strs
+    with no comma, quote or line break, or ``_numbers``' fields with null as empty. ValueError (or TypeError,
+    a value JSON does not write) where csv writes one otherwise: another str, a bool or NaN."""
+    if all(isinstance(s, str) and s and not any(map(s.__contains__, ',"\r\n')) for s in column):
+        return column
+    text = _numbers(column, "\n")
+    if any(map(text.__contains__, '"tf[{')):
+        raise ValueError(text)
+    return text.replace("null", "").split(",\n")
+
+
 def _csv_rows(block: Sequence):
     """``block``'s rows as ``csv.writer`` writes them, a text and its row count per 256 rows (their str
-    fields stay in the peak RSS: 4096 rows added 3 MB to ``pbox-sample``'s). ``_numbers``' fields are
-    zipped, null as empty, unless csv writes one otherwise: a str, bool, NaN, or a lone empty field."""
+    fields stay in the peak RSS: 4096 rows added 3 MB to ``pbox-sample``'s). ``_fields`` are zipped,
+    unless csv writes one otherwise or a lone empty field."""
     for i in range(0, len(block[0]), _BATCH // 16):
         part = [column[i:i + _BATCH // 16] for column in block]
         try:
-            fields = [_numbers(column, "\n").replace("null", "").split(",\n") for column in part]
+            fields = [*map(_fields, part)]
             text = "\n".join(map(",".join, zip(*fields))) + "\n"
-            numbers = not any(map(text.__contains__, '"tf[{')) and (len(part) > 1 or "" not in fields[0])
-        except (TypeError, ValueError):  # a value that JSON does not write
+            numbers = len(part) > 1 or "" not in fields[0]
+        except (TypeError, ValueError):
             numbers = False
         if not numbers:
+            import csv  # loaded by this fallback alone
+
             buf = io.StringIO()
             columns = [c.tolist() if hasattr(c, "tolist") else c for c in part]  # arrays as lists
             csv.writer(buf, lineterminator="\n").writerows(zip(*columns))
@@ -532,12 +558,53 @@ _METAVARS = {int: "INT", float: "X", list: "LIST", type(None): "PATH"}
 _POSITIONALS = {"evidence": "evidence", "case-study": "which"}
 
 
+def _scan(argv: Sequence[str]) -> types.SimpleNamespace | None:
+    """The namespace ``build_parser(argv[0]).parse_args(argv)`` reads from a plain command line, read without
+    argparse, or None for any other command line.
+
+    A plain command line is a command in ``FLAGS``, then only that command's flags by their full names, as
+    ``--name value`` or ``--name=value`` with a value that does not start with "-", or a bool flag such as
+    ``--trace`` alone, and at most one positional where the command takes one. Help, ``--version``, an
+    abbreviated flag, ``--`` and every usage error are left to argparse, which prints what it prints.
+    """
+    command = argv[0] if argv else None
+    if command not in FLAGS:
+        return None
+    fields = ("config", *OPTIONS[command])
+    free = [_POSITIONALS[command]] if command in _POSITIONALS else []  # the positional, until it is given
+    flags = {"--" + name.replace("_", "-"): name for name in fields if name not in free}
+    args = dict.fromkeys(fields)
+    words = iter(argv[1:])
+    for word in words:
+        flag, joined, value = word.partition("=")
+        name = flags.get(flag)
+        if not word.startswith("-"):
+            if not free:
+                return None
+            args[free.pop()] = word
+        elif name is None:
+            return None
+        elif type(DEFAULTS.get(name)) is bool:  # stores True and takes no value
+            if joined:
+                return None
+            args[name] = True
+        else:
+            if not joined:
+                value = next(words, "-")  # a flag at the end has no value
+            if value.startswith("-"):  # argparse reads "--" as no value
+                return None
+            args[name] = value
+    return types.SimpleNamespace(command=command, **args)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """One subparser per command in ``FLAGS``, or only ``command``'s if it names one; one ``--flag`` per field.
 
     ``main`` passes argv's first word, so help, ``--version`` and a usage error that names no command
     get all five subparsers, and the usage line names every command either way.
     """
+    import argparse  # only a command line that ``_scan`` does not read builds a parser
+
     parser = argparse.ArgumentParser(
         prog="pipeuq",
         description="Uncertainty propagation for detect-fix-redetect security pipelines.",
@@ -565,12 +632,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names (``sys.argv[1:]`` if None) and return its exit code.
+
+    ``_scan`` reads a plain command line; any other goes to argparse, which prints help, the version or
+    a usage error and exits here with its code. ``build_config`` then reads each option's text.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage; normalize --version/help to 0
-        return int(exc.code or 0)
+    args = _scan(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            # argparse already printed usage; normalize --version/help to 0
+            return int(exc.code or 0)
     try:
         cfg = build_config(args, args.command)
         # looked up on every run, so a wrapper set on the module takes effect
@@ -616,8 +690,8 @@ def entry() -> int:
     thread per CPU that OpenBLAS would start and wake.
 
     It also turns the cyclic garbage collector off, and leaves it off: a command
-    makes no garbage cycle that grows with its input (argparse's parser is the
-    cycle it leaves), while the collector ran 36 times, for 6.3 ms, in a
+    makes no garbage cycle that grows with its input (argparse's parser, where
+    one is built, is the cycle it leaves), while the collector ran 36 times, for 6.3 ms, in a
     ``simulate`` child, mostly as numpy loaded (a 2-core Xeon).
 
     A write to stdout that failed leaves its data in the buffer, which

@@ -6,6 +6,12 @@ malformed input files. Whatever the argv, ``main`` must exit 0 (success),
 2 (bad input) or 3 (I/O error), never 4 (internal error), and must print no
 traceback. A run that succeeds must give the same stdout when repeated.
 
+``main`` reads a plain command line with ``cli._scan`` and any other with
+argparse, so a second property holds the scan to argparse over the same pools
+and the forms a command line can also take: a value joined by "=", an
+abbreviated or repeated flag, help, ``--``, an empty word, a negative number,
+a word that reads as an option and a stray positional.
+
 ``--trials`` and ``--n-items`` are always small or invalid, so every example
 runs in milliseconds.
 """
@@ -14,10 +20,10 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipeuq.cli import main
+from pipeuq.cli import _scan, build_parser, main
 
 # Input files; a pool value "{name}" becomes the file's path. "{missing}" is a
 # path that does not exist. "{dir}" in a file is the directory of them all.
@@ -173,3 +179,69 @@ def test_refused_argv_exits_2_with_one_line(argv):
     code, out, err = run(argv)
     assert (code, out) == (2, ""), (argv, err)
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# words that make a command line not plain: help, the end of the options, an empty word, a negative number, a
+# word that reads as an option, a stray positional
+ODD = ["-h", "--", "", "-1", "-0.5,1", "extra"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and up to six parts, each a flag with a value, a positional or an odd word. A flag can repeat,
+    be abbreviated (to one flag or to several) and take a value of its pool or an odd one, joined by "=" or not."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, required, optional = COMMANDS[command]
+    argv = [command]
+    odd = st.integers(0, 9).map(lambda n: n == 0)  # one part, value or flag name in ten is odd
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(odd):
+            argv.append(draw(st.sampled_from(ODD)))
+        elif draw(st.integers(0, 4)) == 0:
+            argv.append(draw(st.sampled_from([v for pool in positionals for v in pool if v is not None] or ["extra"])))
+        else:
+            flag = draw(st.sampled_from([*required, *optional]))
+            value = draw(st.sampled_from(ODD if draw(odd) else POOLS.get(flag, [None])))  # --trace has no pool
+            if draw(odd):
+                flag = flag[:draw(st.integers(3, len(flag) - 1))]
+            if value is None:
+                argv.append(flag)
+            elif draw(st.booleans()):
+                argv.append(f"{flag}={value}")
+            else:
+                argv += [flag, value]
+    return argv
+
+
+def parse(argv):
+    """argparse's namespace for ``argv`` as ``main`` builds its parser, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=command_lines())
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["simulate", "--trials=3", "--n-items=20", "--prevalence=0.5", "--fix-rate=0.7", "--trace"])
+@example(argv=["simulate", "--tri", "3", "--n-it", "20"])
+@example(argv=["simulate", "--tr", "3"])  # ambiguous: --trace or --trials
+@example(argv=["simulate", "--trace=x"])
+@example(argv=["analytic", "--seed", "1", "--seed", "2", "--out="])
+@example(argv=["analytic", "--seed", "-1"])
+@example(argv=["analytic", "--prevalence", "-0.5,1"])
+@example(argv=["analytic", "--config=--"])  # argparse reads no value
+@example(argv=["analytic", "--", "--seed", "1"])
+@example(argv=["analytic", "--recall"])
+@example(argv=["evidence", "", "--seed", "3"])
+@example(argv=["evidence", "a.csv", "b.csv"])
+@example(argv=["case-study", "--seed", "3", "composed"])
+def test_scan_reads_a_command_line_as_argparse(argv):
+    args, parsed = _scan(argv), parse(argv)
+    if parsed is None:
+        assert args is None, argv
+    elif args is not None:
+        assert vars(args) == vars(parsed), argv

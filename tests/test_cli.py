@@ -859,6 +859,8 @@ sys.exit(code)
 
 # each exits 2: a study the config check refuses, no study at all, and a flag argparse does not know
 USAGE_ERRORS = ("case-study sideways", "case-study", "analytic --sideways")
+# the command lines argparse reads: help, the version, a flag it does not know and an abbreviated one
+PARSED = ("--version", "--help", "analytic --sideways", "simulate --tri 5 --n-it 50")
 LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"}
 # argv -> modules it must load, modules it must not load; every command but
 # case-study must also leave statistics, every one without --config
@@ -866,7 +868,11 @@ LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", 
 # dataclasses unloaded. {csv} and {ini} stand for an evidence file and a config
 # file. Only the commands that compute with arrays load numpy (`analytic` runs
 # the closed forms on floats), and one that does not must also leave inspect
-# (which numpy loads) and traceback unloaded
+# (which numpy loads) and traceback unloaded. A command line argparse reads
+# (PARSED) loads argparse; any other leaves argparse and gettext unloaded.
+# `analytic`, `pbox-sample` and `simulate` without --evidence leave csv
+# unloaded, a json or csv report leaves the table renderers (pipeuq.tables)
+# unloaded, and a table report that succeeds loads them
 LOADS = {
     "": (set(), {"numpy"}),  # nor any pipeuq submodule
     "--version": (set(), {"numpy", *LIBRARY}),
@@ -880,6 +886,10 @@ LOADS = {
     ),
     "analytic --config {ini}": ({"pipeuq.core", "configparser"}, {"numpy", *LIBRARY} - {"pipeuq.core"}),
     "simulate --trials 5 --n-items 50": ({"pipeuq.simulator", "numpy"}, {"pipeuq.evidence", "pipeuq.casestudies"}),
+    "simulate --trials=5 --n-items=50 --trace --output csv": (
+        {"pipeuq.simulator", "numpy"}, {"pipeuq.evidence", "pipeuq.casestudies"},
+    ),
+    "simulate --tri 5 --n-it 50": ({"pipeuq.simulator", "numpy"}, {"pipeuq.evidence", "pipeuq.casestudies"}),
     # only a report holding a float array loads orjson, and simulate's holds none
     "simulate --trials 20 --output json": ({"pipeuq.simulator", "numpy"}, {"orjson"}),
     "simulate --trials 5 --evidence {csv}": (
@@ -888,10 +898,16 @@ LOADS = {
     "pbox-sample --trials 5": (
         {"pipeuq.pbox", "numpy"}, {"pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"},
     ),
+    "pbox-sample --trials 5 --output csv": (
+        {"pipeuq.pbox", "numpy"}, {"pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"},
+    ),
     "evidence {csv}": ({"pipeuq.evidence"}, {"pipeuq.simulator", "pipeuq.casestudies", "numpy"}),
     "case-study rule-based": ({"pipeuq.casestudies", "statistics"}, {"pipeuq.simulator", "pipeuq.core", "numpy"}),
     # the fix-rate wrap is core's pipeline_fix_rate, numpy-free on floats
     "case-study composed": ({"pipeuq.casestudies", "pipeuq.core"}, {"pipeuq.simulator", "numpy"}),
+    "case-study --seed 3 composed --output json": (
+        {"pipeuq.casestudies", "pipeuq.core"}, {"pipeuq.simulator", "numpy"},
+    ),
     "case-study composed --evidence {csv}": (
         {"pipeuq.casestudies", "pipeuq.evidence", "pipeuq.core"}, {"pipeuq.simulator", "numpy"},
     ),
@@ -911,6 +927,16 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     loaded = set(child.stdout.split())
     must, must_not = LOADS[command]
     must_not = must_not | {"statistics", "configparser", "numpy.ma", "dataclasses"} - must
+    if command in PARSED:
+        must = must | {"argparse"}
+    elif argv:
+        must_not |= {"argparse", "gettext"}
+    if argv and argv[0] in ("analytic", "pbox-sample", "simulate") and "--evidence" not in argv:
+        must_not |= {"csv"}
+    if {"json", "csv"} & set(argv):
+        must_not |= {"pipeuq.tables"}
+    elif argv and not child.returncode and command not in ("--version", "--help"):
+        must = must | {"pipeuq.tables"}
     if "numpy" in must_not:
         must_not |= {"inspect", "traceback"}
     assert must <= loaded and not must_not & loaded, (must - loaded, must_not & loaded)
