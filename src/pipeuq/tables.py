@@ -26,6 +26,14 @@ def _fmt_interval(interval) -> str:
     return f"[{interval.lo:.2f}, {interval.hi:.2f}]"
 
 
+def _labels(values: Iterable[float]) -> dict[float, str]:
+    """Each distinct value of a grid axis -> its label: two decimals where those tell the values apart, else
+    each value's shortest ``repr``, so that no two grid values read alike."""
+    values = set(map(float, values))
+    labels = {v: f"{v:.2f}" for v in values}
+    return labels if len(set(labels.values())) == len(labels) else {v: repr(v) for v in values}
+
+
 def _aligned(rows: Callable[[], Iterable[Sequence[str]]]) -> Iterable[str]:
     """The lines of the rows ``rows()`` yields, each cell padded to the width of its column's widest.
 
@@ -44,9 +52,10 @@ def _render_analytic_table(cfg: RunConfig, header: Sequence[str], blocks: Callab
     title = f"analytic pipeline metrics (recall={cfg.recall}, precision={cfg.precision}, n_items={cfg.n_items})"
     # prevalence, fix_rate and the first five metrics, as ``blocks`` gives them; the grid is computed
     # and formatted twice, once for the widths, so memory does not grow with it
+    prevalences, fix_rates = _labels(cfg.prevalence), _labels(cfg.fix_rate)
     return _titled(title, lambda: itertools.chain(
         [header],
-        ([f"{p:.2f}", f"{f:.2f}", *map(_fmt, values)] for block in blocks() for p, f, *values in zip(*block)),
+        ([prevalences[p], fix_rates[f], *map(_fmt, values)] for block in blocks() for p, f, *values in zip(*block)),
     ))
 
 
@@ -61,11 +70,12 @@ def _render_simulate_table(cfg: RunConfig, pbox: PBoxParams, reports: Sequence[S
     cells = {(r.domain.prevalence, r.fixer.fix_rate): r for r in reports}  # a repeated cell once
     prevalences = sorted({p for p, _ in cells})
     fix_rates = sorted({f for _, f in cells})
+    row_labels, column_labels = _labels(prevalences), _labels(fix_rates)
     for metric in METRICS:
         excluded = sum(r.undefined.get(metric, 0) for r in cells.values())
         for mode in modes:
-            rows = [["prevalence \\ fix_rate", *[f"{f:.2f}" for f in fix_rates]]]
-            rows += [[f"{p:.2f}", *[_fmt_interval(cells[p, f].intervals[metric][mode]) for f in fix_rates]]
+            rows = [["prevalence \\ fix_rate", *[column_labels[f] for f in fix_rates]]]
+            rows += [[row_labels[p], *[_fmt_interval(cells[p, f].intervals[metric][mode]) for f in fix_rates]]
                      for p in prevalences]
             yield f"\n-- {metric} ({'per-trial extremes' if mode == 'extremes' else 'stream means'}) --\n"
             yield from _aligned(lambda: rows)
