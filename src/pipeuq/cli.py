@@ -578,11 +578,9 @@ def _scan(argv: Sequence[str]) -> types.SimpleNamespace | None:
     for word in words:
         flag, joined, value = word.partition("=")
         name = flags.get(flag)
-        if not word.startswith("-"):
-            if not free:
-                return None
+        if not word.startswith("-") and free:  # the positional, once
             args[free.pop()] = word
-        elif name is None:
+        elif name is None:  # no flag of the command, or a second positional
             return None
         elif type(DEFAULTS.get(name)) is bool:  # stores True and takes no value
             if joined:
@@ -634,8 +632,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command ``argv`` names (``sys.argv[1:]`` if None) and return its exit code.
 
-    ``_scan`` reads a plain command line; any other goes to argparse, which prints help, the version or
-    a usage error and exits here with its code. ``build_config`` then reads each option's text.
+    ``_scan`` reads a plain command line and argparse any other, printing help, the version or a usage
+    error and exiting here with its code; ``build_config`` then reads each option's text.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _scan(argv)
@@ -691,8 +689,8 @@ def entry() -> int:
 
     It also turns the cyclic garbage collector off, and leaves it off: a command
     makes no garbage cycle that grows with its input (argparse's parser, where
-    one is built, is the cycle it leaves), while the collector ran 36 times, for 6.3 ms, in a
-    ``simulate`` child, mostly as numpy loaded (a 2-core Xeon).
+    one is built, is the cycle it leaves), while the collector ran 36 times,
+    for 6.3 ms, in a ``simulate`` child, mostly as numpy loaded (a 2-core Xeon).
 
     A write to stdout that failed leaves its data in the buffer, which
     teardown would try to flush again and report as an ignored exception
