@@ -18,8 +18,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import MAX_ITEMS, EvidenceFormatError, InvalidParameterError, check_count, check_unit, integer
-from .evidence import DEFAULT_RECALL_PBOX, _read_headed_csv
-from .pbox import Interval, PBoxParams, stream_mean_optimistic, stream_mean_pessimistic
+from .pbox import DEFAULT_RECALL_PBOX, Interval, PBoxParams, stream_mean_optimistic, stream_mean_pessimistic
 
 __all__ = [
     "ToolRecord",
@@ -221,6 +220,8 @@ _TOOL_HEADER = ["name", "correct", "generated"]
 def load_tool_records(source) -> tuple[ToolRecord, ...]:
     """Parse tool records from a CSV path or text stream (``name,correct,generated`` header, ``#`` comments
     allowed); a count ``errors.integer`` refuses, or a record ``ToolRecord`` refuses, names its line."""
+    from .evidence import _read_headed_csv  # loads csv: only a tools CSV needs it
+
     records = []
     for lineno, (name, correct_text, generated_text) in _read_headed_csv(source, _TOOL_HEADER):
         try:

@@ -22,7 +22,10 @@ second classifier, where each is a false positive with probability
 ``1 - spec``. At N = 10 000, P = 0.5, rec = 0.8, spec = 0.6 (prec = 2/3) and
 fix_rate = 0.5, ``fp_final`` is 800 here, while that model expects 1600: 4000
 clean items reach the second classifier, each flagged with probability 0.4.
-Its expected ``tp_final``, ``fn_final`` and ``fixer_load`` agree.
+Its expected ``tp_final``, ``fn_final`` and ``fixer_load`` agree. That
+model's per-item chances, ``_missed`` (a) and ``_after_fixer`` (q), also take a
+break rate b; the closed forms are their expectations at b = 0, as
+``P' = a + (1 - a) * q``.
 
 Prevalence, fix rate, recall and precision may each be a real number or a
 numpy array of a real dtype (a list is refused), and every metric broadcasts
@@ -210,6 +213,24 @@ def _load(np, rec, prec, p, positives, f):
 
 # each PipelineOutcome field as its formula
 _FORMULAS = PipelineOutcome(_fix_rate, _prevalence, _tpr, _far, _fn_ratio, _fn_final, _tp, _fp, _load)
+
+
+# ---------------------------------------------------------------------------
+# the simulator's per-item terms, unchecked and array-only: ``rec`` a numpy array, the other arguments numbers
+
+def _missed(np, rec, p):
+    """a, an item's chance of a first-stage miss."""
+    return p * (1.0 - rec)
+
+
+def _after_fixer(np, rec, p, spec, f, b, missed):
+    """q = min(w / (1 - a), 1), the chance that an item not missed (``missed`` is a) is vulnerable after the
+    fixer: w <= 1 - a, but the ratio can round to 1 + 2**-52, and at a = 1 nothing is left (q is 0)."""
+    # w: a detected vulnerability stays unless repaired and not broken, a false alarm turns vulnerable if broken
+    survives = 1.0 - (1.0 - b) * f
+    vulnerable = p * rec * survives + (1.0 - p) * (1.0 - spec) * b
+    kept = 1.0 - missed
+    return np.minimum(np.divide(vulnerable, kept, out=np.zeros_like(kept), where=kept > 0.0), 1.0)
 
 
 def _grid(rec, prec, domains, fixers, formulas=_FORMULAS):

@@ -27,7 +27,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import EmptyEvidenceError, EvidenceFormatError, InvalidParameterError, check_unit, decimal, unsigned
-from .pbox import PBoxParams
+from .pbox import DEFAULT_RECALL_PBOX, PBoxParams
 
 __all__ = [
     "METRICS",
@@ -73,7 +73,7 @@ class SummaryStats(NamedTuple):
     mean: float
 
 
-DEFAULT_RECALL_STATS = SummaryStats(2328, 115, 0.07, 1.00, 0.74)
+DEFAULT_RECALL_STATS = SummaryStats(2328, 115, *DEFAULT_RECALL_PBOX)
 
 
 def _split(line: str) -> list[str]:
@@ -214,5 +214,3 @@ def to_pbox(stats: SummaryStats) -> PBoxParams:
     """Build p-box parameters from summary statistics: (min, max, mean)."""
     return PBoxParams(stats.minimum, stats.maximum, stats.mean)
 
-
-DEFAULT_RECALL_PBOX = to_pbox(DEFAULT_RECALL_STATS)

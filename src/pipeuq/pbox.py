@@ -111,6 +111,9 @@ class PBoxParams(namedtuple("PBoxParams", "minimum maximum mean")):
         return (self.maximum - self.mean) / (self.maximum - self.minimum)
 
 
+DEFAULT_RECALL_PBOX = PBoxParams(0.07, 1.00, 0.74)  # the recall box of evidence's bundled survey statistics
+
+
 class Interval(namedtuple("Interval", "lo hi")):
     """Closed interval with ``lo <= hi``."""
 

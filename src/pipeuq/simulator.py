@@ -4,16 +4,14 @@ The simulator is count-level. Each item is independently vulnerable with
 probability P; the first classifier (recall r, specificity spec) sends the
 items it flags to the fixer, which repairs each with probability f and
 independently breaks it with probability b; the same classifier then checks
-them again. So a trial's terminal counts are multinomial. With
-``s = 1 - (1 - b) * f``, an item is missed at the first stage with
-probability ``a = P * (1 - r)``, and is vulnerable after the fixer with
-probability ``w = P * r * s + (1 - P) * (1 - spec) * b``: a detected
-vulnerability stays unless repaired and not broken, and a false alarm turns
-vulnerable only when broken. One trial is three binomial draws, in order:
+them again. So a trial's terminal counts are multinomial, with the per-item
+probabilities of ``core``: ``core._missed`` gives a, the chance of a
+first-stage miss, and ``core._after_fixer`` q, the chance that an item not
+missed is vulnerable after the fixer. One trial is three binomial draws, in
+order, which ``_draws`` alone makes:
 
 1. first-stage misses ``FN1 ~ Bin(n_items, a)``;
-2. vulnerable after the fixer ``W ~ Bin(n_items - FN1, min(w / (1 - a), 1))``,
-   the ratio 0 where a = 1;
+2. vulnerable after the fixer ``W ~ Bin(n_items - FN1, q)``;
 3. second-stage misses ``FN2 ~ Bin(W, 1 - r)``.
 
 Then final prevalence = (FN1 + W) / n_items; realized fix rate =
@@ -45,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ClassifierProfile, DomainSpec, FixerSpec
+from .core import ClassifierProfile, DomainSpec, FixerSpec, _after_fixer, _missed
 from .errors import MAX_ITEMS, check_count, check_unit
 from .pbox import STREAMS, Interval, PBoxParams, check_stream, fold_chunk, stream_chunks
 
@@ -88,25 +86,16 @@ def _check_cells(domains, profile: ClassifierProfile, fixers) -> None:
         check_unit(value, f"a trial's {name}", numpy=False)
 
 
-def _first_stage(rng, domain: DomainSpec, recall: np.ndarray):
-    """``a``, the chance of a first-stage miss, and FN1 ~ Bin(n_items, a) of a chunk
-    of trials, one array entry per trial: what every fix rate of a prevalence shares."""
-    missed = domain.prevalence * (1.0 - recall)
-    return missed, rng.binomial(domain.n_items, missed)
-
-
-def _second_stage(rng, domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, recall, missed, fn1):
-    """The draws W and FN2 of a chunk of trials whose first stage gave ``missed`` and ``fn1``:
-    the counts (fn1, vulnerable_out, fn2)."""
-    prevalence, spec = domain.prevalence, profile.specificity
-    # per item: w, the chance of being vulnerable after the fixer
-    survives = 1.0 - (1.0 - fixer.break_rate) * fixer.fix_rate
-    vulnerable = prevalence * recall * survives + (1.0 - prevalence) * (1.0 - spec) * fixer.break_rate
-    # w <= 1 - a, but the ratio can round to 1 + 2**-52; at a = 1 nothing is left to draw
-    kept = 1.0 - missed
-    ratio = np.divide(vulnerable, kept, out=np.zeros_like(kept), where=kept > 0.0)
-    vulnerable_out = rng.binomial(domain.n_items - fn1, np.minimum(ratio, 1.0))
-    return fn1, vulnerable_out, rng.binomial(vulnerable_out, 1.0 - recall)
+def _draws(rng, domain: DomainSpec, profile: ClassifierProfile, fixers, recall: np.ndarray):
+    """The counts (fn1, vulnerable_out, fn2) of a chunk of trials at each of ``fixers`` in turn: FN1 drawn once,
+    then each fixer's W and FN2 from the generator's state just after FN1, as if that fixer were alone."""
+    n, p = domain.n_items, domain.prevalence
+    fn1 = rng.binomial(n, missed := _missed(np, recall, p))
+    after_fn1 = rng.bit_generator.state
+    for f, b in fixers:
+        vulnerable_out = rng.binomial(n - fn1, _after_fixer(np, recall, p, profile.specificity, f, b, missed))
+        yield fn1, vulnerable_out, rng.binomial(vulnerable_out, 1.0 - recall)
+        rng.bit_generator.state = after_fn1  # for the next fixer, if the caller asks for one (run_trial does not)
 
 
 def _growth(fn1, fn2):
@@ -142,11 +131,10 @@ def _chunks(domains, profile: ClassifierProfile, fixers, pbox: PBoxParams, trial
         for k, (_, recall) in enumerate(stream_chunks(pbox, trials, master_seed, stream)):
             for i, domain in enumerate(domains):
                 rng = np.random.default_rng(np.random.SeedSequence((master_seed, code, k)))
-                first = _first_stage(rng, domain, recall)
-                after_fn1 = rng.bit_generator.state
-                for cell, fixer in enumerate(fixers, start=i * len(fixers)):
-                    rng.bit_generator.state = after_fn1  # each fix rate draws as if it were alone
-                    yield cell, stream, recall, _second_stage(rng, domain, profile, fixer, recall, *first)
+                draws = _draws(rng, domain, profile, fixers, recall)
+                # by next(): a loop variable would hold a cell's counts while the next cell draws
+                for cell in range(i * len(fixers), (i + 1) * len(fixers)):
+                    yield cell, stream, recall, next(draws)
 
 
 def _outcomes(domain: DomainSpec, recall: np.ndarray, counts):
@@ -167,8 +155,7 @@ def run_trial(domain: DomainSpec, profile: ClassifierProfile, fixer: FixerSpec, 
     _check_cells([domain], profile, [fixer])
     rng = np.random.default_rng(check_count(seed, "seed"))
     recall = np.array([recall], dtype=float)
-    first = _first_stage(rng, domain, recall)
-    return next(_outcomes(domain, recall, _second_stage(rng, domain, profile, fixer, recall, *first)))
+    return next(_outcomes(domain, recall, next(_draws(rng, domain, profile, [fixer], recall))))
 
 
 def trial_seed(master_seed: int, stream: str, index: int) -> int:
@@ -195,7 +182,7 @@ class SimulationReport(NamedTuple):
 
     def chunks(self):
         """Re-draw every chunk as ``(stream, recall, counts)``, the optimistic
-        stream first; counts as ``_second_stage`` gives them."""
+        stream first; counts as ``_draws`` gives them."""
         args = ([self.domain], self.profile, [self.fixer], self.pbox, self.trials, self.master_seed)
         return (chunk[1:] for chunk in _chunks(*args))
 

@@ -70,13 +70,15 @@ EVIDENCE = ["{" + name + "}" for name in FILES if "tools" not in name and name.e
 EVIDENCE += ["{missing}", ""]
 TOOLS = ["{tools.csv}", "{bad_tools.csv}", "{zero_tools.csv}", "{latin1_tools.csv}", "{lenient_tools.csv}", "{missing}",
          ""]
+# a pool value that starts with "=" is joined to its flag: "--seed=--", which argparse stores as []
+JOINED = "=--"
 
 POOLS = {
-    "--config": INI,
-    "--seed": ["-1", "0", "7", str(2**70)],
-    "--output": ["table", "csv", "json", "xml"],
+    "--config": [*INI, JOINED],
+    "--seed": ["-1", "0", "7", str(2**70), JOINED],
+    "--output": ["table", "csv", "json", "xml", JOINED],
     "--n-items": ["1", "50", "0", str(10**20), "x", "1_0"],
-    "--prevalence": GRID,
+    "--prevalence": [*GRID, JOINED],
     "--fix-rate": GRID,
     "--specificity": UNIT,
     "--recall": UNIT,
@@ -85,11 +87,11 @@ POOLS = {
     "--pbox-min": UNIT,
     "--pbox-max": UNIT,
     "--pbox-mean": UNIT,
-    "--evidence": EVIDENCE,
+    "--evidence": [*EVIDENCE, JOINED],
     "--outlier-policy": ["none", "iqr", "median"],
     "--outlier-k": ["0", "1.5", "-1", "nan", "inf"],
     "--break-rate": UNIT,
-    "--trials": ["1", "3", "0", "-1", str(2**63), "x", "1_0"],
+    "--trials": ["1", "3", "0", "-1", str(2**63), "x", "1_0", JOINED],
     "--mode": ["extremes", "means", "both", "median"],
     "--tools": TOOLS,
     "--confidence": ["0.5", "0.95", "0.9999999999999999", "0", "1", "nan"],
@@ -134,7 +136,11 @@ def argvs(draw):
     for flag in flags:
         argv.append(flag)
         if flag != "--trace":
-            argv.append(draw(st.sampled_from(POOLS[flag])))
+            value = draw(st.sampled_from(POOLS[flag]))
+            if value.startswith("="):
+                argv[-1] += value
+            else:
+                argv.append(value)
     return argv
 
 
@@ -171,6 +177,9 @@ REFUSED = [
     ["case-study", "rule-based", "--tools", ""],
     ["analytic", "--config", ""],
     ["analytic", "--out", ""],
+    ["analytic", "--seed=--"],
+    ["analytic", "--output=--"],
+    ["simulate", "--trials=--"],
 ]
 
 
@@ -179,6 +188,15 @@ def test_refused_argv_exits_2_with_one_line(argv):
     code, out, err = run(argv)
     assert (code, out) == (2, ""), (argv, err)
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["analytic", "--config=--"], ["simulate", "--trials", "1", "--evidence=--"]],
+                         ids=" ".join)
+def test_a_path_given_as_dashes_is_read_as_that_path(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where no file is named "--"
+    code, out, err = run(argv)
+    assert (code, out) == (3, ""), (argv, err)
+    assert err.startswith("i/o error: ") and err.endswith("'--'\n") and err.count("\n") == 1, err
 
 
 # words that make a command line not plain: help, the end of the options, an empty word, a negative number, a
@@ -206,6 +224,8 @@ def command_lines(draw):
                 flag = flag[:draw(st.integers(3, len(flag) - 1))]
             if value is None:
                 argv.append(flag)
+            elif value.startswith("="):
+                argv.append(flag + value)
             elif draw(st.booleans()):
                 argv.append(f"{flag}={value}")
             else:

@@ -870,9 +870,10 @@ LIBRARY = {"pipeuq.core", "pipeuq.pbox", "pipeuq.simulator", "pipeuq.evidence", 
 # the closed forms on floats), and one that does not must also leave inspect
 # (which numpy loads) and traceback unloaded. A command line argparse reads
 # (PARSED) loads argparse; any other leaves argparse and gettext unloaded.
-# `analytic`, `pbox-sample` and `simulate` without --evidence leave csv
-# unloaded, a json or csv report leaves the table renderers (pipeuq.tables)
-# unloaded, and a table report that succeeds loads them
+# Every command but `evidence` leaves csv unloaded without --evidence or
+# --tools (`case-study` loads pipeuq.evidence only for them), a json or csv
+# report leaves the table renderers (pipeuq.tables) unloaded, and a table
+# report that succeeds loads them
 LOADS = {
     "": (set(), {"numpy"}),  # nor any pipeuq submodule
     "--version": (set(), {"numpy", *LIBRARY}),
@@ -902,11 +903,13 @@ LOADS = {
         {"pipeuq.pbox", "numpy"}, {"pipeuq.simulator", "pipeuq.evidence", "pipeuq.casestudies"},
     ),
     "evidence {csv}": ({"pipeuq.evidence"}, {"pipeuq.simulator", "pipeuq.casestudies", "numpy"}),
-    "case-study rule-based": ({"pipeuq.casestudies", "statistics"}, {"pipeuq.simulator", "pipeuq.core", "numpy"}),
+    "case-study rule-based": (
+        {"pipeuq.casestudies", "statistics"}, {"pipeuq.simulator", "pipeuq.core", "pipeuq.evidence", "numpy"},
+    ),
     # the fix-rate wrap is core's pipeline_fix_rate, numpy-free on floats
-    "case-study composed": ({"pipeuq.casestudies", "pipeuq.core"}, {"pipeuq.simulator", "numpy"}),
+    "case-study composed": ({"pipeuq.casestudies", "pipeuq.core"}, {"pipeuq.simulator", "pipeuq.evidence", "numpy"}),
     "case-study --seed 3 composed --output json": (
-        {"pipeuq.casestudies", "pipeuq.core"}, {"pipeuq.simulator", "numpy"},
+        {"pipeuq.casestudies", "pipeuq.core"}, {"pipeuq.simulator", "pipeuq.evidence", "numpy"},
     ),
     "case-study composed --evidence {csv}": (
         {"pipeuq.casestudies", "pipeuq.evidence", "pipeuq.core"}, {"pipeuq.simulator", "numpy"},
@@ -931,7 +934,7 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
         must = must | {"argparse"}
     elif argv:
         must_not |= {"argparse", "gettext"}
-    if argv and argv[0] in ("analytic", "pbox-sample", "simulate") and "--evidence" not in argv:
+    if argv[:1] != ["evidence"] and not {"--evidence", "--tools"} & set(argv):
         must_not |= {"csv"}
     if {"json", "csv"} & set(argv):
         must_not |= {"pipeuq.tables"}

@@ -529,3 +529,71 @@ class TestOneCheckPerCell:
             assert np.geterr()["over"] == "raise"
             next(rows)
             assert np.geterr()["over"] == "raise"
+
+
+def reference_terms(P, rec, spec, f, b):
+    """The simulator's model written out here: a, an item's chance of a first-stage miss, and the unclamped
+    ratio w / (1 - a), 0 at a = 1, with w summing a detected vulnerability the fixer breaks or does not repair
+    and a false alarm it breaks."""
+    a = P * (1 - rec)
+    w = P * rec * (b + (1 - b) * (1 - f)) + (1 - P) * (1 - spec) * b
+    return a, (w / (1 - a) if a < 1 else 0.0)
+
+
+def model_terms(P, rec, spec, f, b):
+    """``core``'s a and q at one cell, as the simulator evaluates them on an array of recalls."""
+    from pipeuq.core import _after_fixer, _missed
+
+    recall = np.array([rec])
+    a = _missed(np, recall, P)
+    return float(a[0]), float(_after_fixer(np, recall, P, spec, f, b, a)[0])
+
+
+# |q - min(w / (1 - a), 1)| <= 16 * 2**-53: a rounding error analysis of the two spellings of w gives 13
+# (both divide by the same 1 - a, and each rounding of w's terms is at most 2**-53 * (1 - a)); 400 000
+# random cells, many near 0, 1 and in the subnormals, gave 3
+Q_BOUND = 16 * 2**-53
+# |a + (1 - a) * q - pipeline_prevalence| <= 8 ulp(P) at b = 0, so the two divided by P, each about
+# 1 - f * rec, are 8 ulps of 1 apart at most: each side rounds about 4 times, each by at most ulp(P) / 2
+# of a term no larger than P; 400 000 random cells and a Hypothesis search targeting the distance gave 2
+PREVALENCE_ULPS = 8
+
+
+class TestSimulatorTerms:
+    """``core._missed`` and ``core._after_fixer``, the per-item probabilities the simulator draws with,
+    against the formulas above, and at b = 0 against the closed form of the residual prevalence."""
+
+    @given(P=EDGE_OR_RANDOM, rec=EDGE_OR_RANDOM, spec=EDGE_OR_RANDOM, f=EDGE_OR_RANDOM, b=EDGE_OR_RANDOM)
+    def test_terms_match_their_reference(self, P, rec, spec, f, b):
+        a, ratio = reference_terms(P, rec, spec, f, b)
+        got_a, q = model_terms(P, rec, spec, f, b)
+        assert same_bits(got_a, a)
+        assert 0.0 <= q <= 1.0 and abs(q - min(ratio, 1.0)) <= Q_BOUND, (q, ratio)
+
+    @pytest.mark.parametrize("spec, f, b", [(0.3, 0.5, 0.2), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)])
+    def test_nothing_is_left_after_the_fixer_when_every_item_is_missed(self, spec, f, b):
+        assert model_terms(1.0, 0.0, spec, f, b) == (1.0, 0.0)  # a = 1, and 1 - a = 0 is not divided by
+
+    def test_a_ratio_that_rounds_above_one_is_one(self):
+        # every item not missed ends vulnerable: each false alarm is broken, no vulnerability repaired
+        cell = (0.9127555772777217, 0.8500282042549004, 0.0, 0.0, 1.0)
+        assert reference_terms(*cell)[1] == 1 + 2**-52
+        assert model_terms(*cell)[1] == 1.0
+
+    @given(P=EDGE_OR_RANDOM, rec=EDGE_OR_RANDOM, f=EDGE_OR_RANDOM, b=EDGE_OR_RANDOM)
+    def test_specificity_and_break_rate_at_their_ends(self, P, rec, f, b):
+        for spec, b_end in [(0.0, b), (1.0, b), (0.0, 1.0), (1.0, 1.0)]:
+            ratio = reference_terms(P, rec, spec, f, b_end)[1]
+            assert abs(model_terms(P, rec, spec, f, b_end)[1] - min(ratio, 1.0)) <= Q_BOUND
+        # spec 0 and b 1: every clean item is flagged and broken, so every item not missed ends vulnerable
+        a, q = model_terms(P, rec, 0.0, f, 1.0)
+        assert q == 0.0 if a == 1.0 else abs(q - 1.0) <= Q_BOUND
+        # spec 1 flags no clean item, so the break rate reaches only the detected vulnerabilities
+        a, q = model_terms(P, rec, 1.0, f, b)
+        assert abs(q * (1 - a) - P * rec * (b + (1 - b) * (1 - f))) <= Q_BOUND
+
+    @given(P=EDGE_OR_RANDOM, rec=EDGE_OR_RANDOM, spec=EDGE_OR_RANDOM, f=EDGE_OR_RANDOM)
+    def test_the_closed_form_is_the_model_without_breakage(self, P, rec, spec, f):
+        a, q = model_terms(P, rec, spec, f, 0.0)
+        residual = pipeline_prevalence(DomainSpec(1, P), FixerSpec(f), rec)
+        assert abs((a + (1 - a) * q) - residual) <= PREVALENCE_ULPS * math.ulp(P), (a, q, residual)

@@ -33,7 +33,7 @@ def concatenated(box, n, seed) -> SimpleNamespace:
 def test_numpy_draws_are_pinned():
     # NEP 19 lets a Generator's draws change between numpy releases, and every seeded
     # report rests on these: p values as stream_chunks draws them, and first-stage misses
-    # as _first_stage draws them (numpy's inversion sampler at n*p < 30, BTPE above)
+    # as simulator._draws draws them (numpy's inversion sampler at n*p < 30, BTPE above)
     p = np.random.default_rng(42).random(3)
     assert [v.hex() for v in p.tolist()] == ["0x1.8c43f79a2db24p-1", "0x1.c16959869e47ep-2", "0x1.b79a2584ddb42p-1"]
     rng = np.random.default_rng(np.random.SeedSequence((42, 1, 0)))
