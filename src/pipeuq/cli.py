@@ -559,7 +559,7 @@ _POSITIONALS = {"evidence": "evidence", "case-study": "which"}
 
 
 def _scan(argv: Sequence[str]) -> types.SimpleNamespace | None:
-    """The namespace ``build_parser(argv[0]).parse_args(argv)`` reads from a plain command line, read without
+    """The namespace ``build_parser().parse_args(argv)`` reads from a plain command line, read without
     argparse, or None for any other command line.
 
     A plain command line is a command in ``FLAGS``, then only that command's flags by their full names, as
@@ -595,12 +595,8 @@ def _scan(argv: Sequence[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(command=command, **args)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """One subparser per command in ``FLAGS``, or only ``command``'s if it names one; one ``--flag`` per field.
-
-    ``main`` passes argv's first word, so help, ``--version`` and a usage error that names no command
-    get all five subparsers, and the usage line names every command either way.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command in ``FLAGS``; one ``--flag`` per field."""
     import argparse  # only a command line that ``_scan`` does not read builds a parser
 
     parser = argparse.ArgumentParser(
@@ -608,11 +604,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Uncertainty propagation for detect-fix-redetect security pipelines.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    commands = [command] if command in FLAGS else FLAGS
-    # a metavar would rename the command in the all-five parser's "arguments are required" error
-    metavar = None if commands is FLAGS else "{" + ",".join(FLAGS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for command in commands:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in FLAGS:
         p = sub.add_parser(command, help=FLAGS[command][0])
         p.add_argument("--config", metavar="PATH", help=HELP["config"])
         for name in OPTIONS[command]:
@@ -639,7 +632,7 @@ def main(argv=None) -> int:
     args = _scan(argv)
     if args is None:
         try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse already printed usage; normalize --version/help to 0
             return int(exc.code or 0)

@@ -186,7 +186,7 @@ def build_config(args, command: str) -> RunConfig:
     """Merge defaults, an optional config file, and CLI arguments: each flag's text, parsed as a
     config value before the file is read (a bad flag is refused first) and set after it (a flag wins)."""
     cfg = RunConfig()
-    given = {name: "--" if value == [] else value  # argparse (Python 3.11) stores --name=-- as []
+    given = {name: "--" if value == [] else value  # argparse stores --name=-- as [] (3.11, 3.12) or "--" (3.13)
              for name in ("config", *OPTIONS[command]) if (value := getattr(args, name, None)) is not None}
     config_path = given.pop("config", None)
     flags = {name: value if value is True else _parse_value(name, value, DEFAULTS[name])  # --trace stores True

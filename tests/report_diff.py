@@ -1,23 +1,27 @@
 """Which report numbers a change moves, and by how much: ``python tests/report_diff.py REV``.
 
-Runs every golden case (``test_golden.CASES`` in each output format) and every argv that
-``test_pinned.py`` pins through ``python -m pipeuq.cli``, once on ``src/`` as REV has it
-(extracted with ``git archive``) and once on this checkout's ``src/``. Per case it prints
-whether the two stdouts are byte-identical and, when not:
+Runs every golden case (``test_golden.CASES`` in each output format), every argv that
+``test_pinned.py`` pins and the ``ARGPARSE`` command lines (help, the version, usage errors and
+abbreviated flags) through ``python -m pipeuq.cli``, once on ``src/`` as REV has it (extracted
+with ``git archive``) and once on this checkout's ``src/``. A case is identical only when the exit
+code, stdout and stderr all match byte for byte. Per case it prints whether they do and, when a
+report of two runs that exit 0 differs only in stdout:
 
 * the keys (JSON) or columns (csv) added or removed;
 * how many numbers moved, the largest move in ulps and as a relative difference, and its path;
 * every non-numeric value that changed.
 
 JSON values are paired by their path, csv values by row and column. Table output is compared as
-bytes only. The last line reads ``every case identical`` or how many cases differ. The script
-gates nothing and regenerates nothing; pytest does not collect it.
+bytes only. Otherwise it prints the exit codes that differ and the first line of each stream that
+differs. The last line reads ``every case identical`` or how many cases differ. The script gates
+nothing and regenerates nothing; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import struct
@@ -30,6 +34,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SHOWN = 5  # non-numeric changes printed per case
+# command lines that argparse reads: their exit code, stdout and stderr are compared, help and usage bytes too
+ARGPARSE = [
+    [], ["-h"], ["--version"], ["bogus"], ["--", "analytic"], ["analytic", "-h"], ["simulate", "--help"],
+    ["evidence", "-h"], ["case-study", "-h"], ["pbox-sample", "-h"], ["analytic", "--bogus"],
+    ["analytic", "extra"], ["analytic", "--version"], ["case-study"], ["case-study", "sideways"],
+    ["simulate", "--mode", "median"], ["analytic", "--recall"], ["pbox-sample", "--trials", "x"],
+    ["simulate", "--tri", "3", "--n-items", "20", "--output", "json"], ["analytic", "--prev", "0.5", "--output", "csv"],
+    ["analytic", "--seed=--"], ["simulate", "--seed", "-1"],
+]
 
 
 def ulps(a: float, b: float) -> int:
@@ -146,9 +159,38 @@ def describe(old: bytes, new: bytes, output: str) -> list[str]:
     return lines
 
 
+def _first_difference(old: bytes, new: bytes) -> str:
+    """The first line in which two outputs differ, as ``line N: old -> new`` (None past the end)."""
+    pairs = itertools.zip_longest(old.decode(errors="replace").splitlines(), new.decode(errors="replace").splitlines())
+    for i, (a, b) in enumerate(pairs, start=1):
+        if a != b:
+            return f"line {i}: {a!r} -> {b!r}"
+    return "only the line breaks differ"
+
+
+def compare(old: tuple[int, bytes, bytes], new: tuple[int, bytes, bytes], output: str | None) -> list[str]:
+    """The lines printed for one case from its two runs, each ``(exit code, stdout, stderr)``. It is
+    identical only when all three match byte for byte. Where both exit 0 with the same stderr and
+    ``output`` names the format, stdout is described as ``describe`` does; otherwise each exit code and
+    stream that differs is named, a stream with its first differing line."""
+    if old == new:
+        return ["identical"]
+    (old_code, old_out, old_err), (new_code, new_out, new_err) = old, new
+    if old_code == new_code == 0 and old_err == new_err and output:
+        return describe(old_out, new_out, output)
+    lines = ["exit code, stdout or stderr differ"]
+    if old_code != new_code:
+        lines.append(f"  exit code: {old_code} -> {new_code}")
+    for stream, a, b in (("stdout", old_out, new_out), ("stderr", old_err, new_err)):
+        if a != b:
+            lines.append(f"  {stream}: {_first_difference(a, b)}")
+    return lines
+
+
 def cases(inputs: Path) -> dict:
-    """Every golden case in each format and every pinned argv, by name: ``(argv, output)``, each argv
-    once, the input files written to ``inputs``."""
+    """Every golden case in each format, every pinned argv and every ``ARGPARSE`` command line, by
+    name: ``(argv, output)``, each argv once, the input files written to ``inputs``. ``output`` is the
+    format that ``--output`` names, or None where the argv names none."""
     import test_golden
     import test_pinned
 
@@ -170,7 +212,9 @@ def cases(inputs: Path) -> dict:
         for name, argv in argvs.items():
             if argv not in found.values():
                 found[f"pinned {kind} {name}"] = argv
-    return {name: (argv, argv[argv.index("--output") + 1]) for name, argv in found.items()}
+    found.update({f"argparse {' '.join(argv) or '(no argument)'}": argv for argv in ARGPARSE})
+    return {name: (argv, argv[argv.index("--output") + 1] if "--output" in argv else None)
+            for name, argv in found.items()}
 
 
 def run(src: Path, argv: list, cwd: Path) -> tuple[int, bytes, bytes]:
@@ -195,12 +239,7 @@ def main(argv: list[str]) -> int:
         differ = 0
         found = cases(tmp / "inputs")
         for name, (case, output) in found.items():
-            (old_code, old, old_err), (new_code, new, new_err) = (run(src, case, tmp) for src in trees)
-            if old_code or new_code:
-                lines = [f"exit {old_code} at {argv[0]}, {new_code} here",
-                         *(f"  {err.decode().strip()}" for err in (old_err, new_err) if err)]
-            else:
-                lines = describe(old, new, output)
+            lines = compare(*(run(src, case, tmp) for src in trees), output)
             differ += lines != ["identical"]
             print(f"{name}: {lines[0]}", *lines[1:], sep="\n", flush=True)
     print("every case identical" if not differ else f"{differ} of {len(found)} cases differ")

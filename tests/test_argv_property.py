@@ -237,7 +237,7 @@ def parse(argv):
     """argparse's namespace for ``argv`` as ``main`` builds its parser, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return build_parser(argv[0] if argv else None).parse_args(argv)
+            return build_parser().parse_args(argv)
         except SystemExit:
             return None
 

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import gc
 import json
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from pipeuq import __version__
-from pipeuq.cli import build_parser, cmd_evidence, cmd_simulate, main
+from pipeuq.cli import cmd_evidence, cmd_simulate, main
 from pipeuq.config import FLAGS, RunConfig, build_config, validate_config
 from pipeuq.core import ClassifierProfile, DomainSpec, FixerSpec
 from pipeuq.errors import ConfigError
@@ -1097,32 +1096,6 @@ def test_only_the_entry_turns_the_collector_off(capsys):
     child = subprocess.run([sys.executable, "-c", check, "analytic"], env=child_env(), capture_output=True,
                            text=True, check=True)
     assert child.stderr == "0 False\n"
-
-
-@pytest.mark.parametrize("argv", [
-    [], ["-h"], ["--version"], ["bogus"], ["--", "analytic"], ["analytic", "-h"], ["simulate", "--help"],
-    ["evidence", "-h"], ["case-study", "-h"], ["pbox-sample", "-h"], ["analytic", "--bogus"],
-    ["analytic", "extra"], ["analytic", "--version"], ["case-study"], ["case-study", "sideways"],
-    ["simulate", "--mode", "median"], ["analytic", "--recall"], ["pbox-sample", "--trials", "x"],
-])
-def test_one_subparser_reads_as_all_five(argv, monkeypatch, capsys):
-    # main builds only argv[0]'s subparser; help, --version and every usage error keep their bytes
-    from pipeuq import cli
-
-    code = main(argv)
-    one = capsys.readouterr()
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
-    assert (main(argv), *capsys.readouterr()) == (code, *one)
-
-
-def test_build_parser_builds_the_named_subparser_alone():
-    def commands(parser):
-        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return list(sub.choices)
-
-    assert commands(build_parser("simulate")) == ["simulate"]
-    assert commands(build_parser("bogus")) == commands(build_parser()) == list(FLAGS)
 
 
 def _grid(side: int) -> str:

@@ -3,7 +3,7 @@
 import json
 import math
 
-from report_diff import compare_csv, compare_json, describe, ulps
+from report_diff import compare, compare_csv, compare_json, describe, ulps
 
 
 def test_ulps_counts_float_steps():
@@ -56,3 +56,21 @@ def test_describe_reads_identical_bytes_as_identical_and_a_table_as_bytes():
     assert describe(b"a\n", b"b\n", "table") == ["bytes differ (a table is compared as bytes only)"]
     lines = describe(b'{"a": [1.0, 2.0]}', b'{"a": [1.0, 2.0000000000000004]}', "json")
     assert lines == ["bytes differ", "  numbers moved: 1; largest 1 ulps, relative 2.22e-16, at .a[1]"]
+
+
+def test_a_run_is_identical_only_in_exit_code_stdout_and_stderr():
+    usage = b"usage: pipeuq [-h] [--version] {analytic,simulate} ...\npipeuq: error: bad\n"
+    moved = usage.replace(b"{analytic,simulate}", b"{analytic}")
+    assert compare((2, b"", usage), (2, b"", usage), None) == ["identical"]
+    assert compare((2, b"", usage), (2, b"", moved), None) == [
+        "exit code, stdout or stderr differ",
+        "  stderr: line 1: 'usage: pipeuq [-h] [--version] {analytic,simulate} ...' -> "
+        "'usage: pipeuq [-h] [--version] {analytic} ...'",
+    ]
+    assert compare((0, b"pipeuq 1\n", b""), (2, b"", b"error: x\n"), None) == [
+        "exit code, stdout or stderr differ", "  exit code: 0 -> 2", "  stdout: line 1: 'pipeuq 1' -> None",
+        "  stderr: line 1: None -> 'error: x'",
+    ]
+    assert compare((0, b"a\n", b""), (0, b"a", b""), None)[1] == "  stdout: only the line breaks differ"
+    # a report of two runs that exit 0 is described by its format
+    assert compare((0, b"a\n", b""), (0, b"b\n", b""), "table") == describe(b"a\n", b"b\n", "table")
