@@ -1098,6 +1098,31 @@ def test_only_the_entry_turns_the_collector_off(capsys):
     assert child.stderr == "0 False\n"
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["bogus"], ["--", "analytic"], ["analytic", "-h"], ["simulate", "--help"],
+    ["evidence", "-h"], ["case-study", "-h"], ["pbox-sample", "-h"], ["analytic", "--bogus"],
+    ["analytic", "extra"], ["analytic", "--version"], ["case-study"], ["case-study", "sideways"],
+    ["simulate", "--mode", "median"], ["analytic", "--recall"], ["pbox-sample", "--trials", "x"],
+])
+def test_one_subparser_reads_as_all_five(argv, capsys):
+    # whichever command argv names, main prints what the parser of all five subparsers prints (help and
+    # --version exit 0), and a top-level usage line names every command
+    from pipeuq.cli import _scan, build_parser
+
+    code = main(argv)
+    printed = capsys.readouterr()
+    try:
+        parsed = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert _scan(argv) is None
+        assert (code, *printed) == (int(exc.code or 0), *capsys.readouterr())
+    else:
+        assert vars(_scan(argv)) == vars(parsed)
+    text = printed.out + printed.err
+    if "usage: pipeuq [-h] [--version]" in text:
+        assert "{" + ",".join(FLAGS) + "}" in text
+
+
 def _grid(side: int) -> str:
     return ",".join(repr(i / (side - 1)) for i in range(side))
 
